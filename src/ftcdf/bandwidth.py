@@ -4,7 +4,8 @@ The automatic rule finds the first frequency t* beyond which the ECF
 magnitude stays under a noise threshold across a window of width
 epsilon, then sets h = effective_c / t*.  A plateau variant triggers on
 the flattening of the curve instead.  A leave-one-out cross-validation
-selector for the Gaussian comparator kernel is included.
+selector for the Gaussian comparator kernel, on iid or censored data,
+is included.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .estimators import CensoredSample, edf
-from .survival import kaplan_meier
+from .estimators import CensoredSample, DegenerateSampleError
+from .survival import jump_measure
 
 THRESHOLD = "threshold"
 PLATEAU = "plateau"
@@ -75,26 +76,23 @@ def default_rule(n: int, effective_c: float,
                          effective_c=effective_c, mode=mode)
 
 
-def default_freq_grid(sample: CensoredSample, points: int = 512) -> np.ndarray:
-    """512 frequencies over [0, 4*pi/scale], scale = IQR/1.349 (robust)."""
+def _robust_scale(sample: CensoredSample) -> float:
+    """IQR/1.349, falling back to the standard deviation, then to 1."""
     q75, q25 = np.percentile(sample.times, [75.0, 25.0])
     scale = (q75 - q25) / 1.349
     if scale <= 0.0:
         scale = float(np.std(sample.times))
-    if scale <= 0.0:
-        scale = 1.0
-    return np.linspace(0.0, 4.0 * np.pi / scale, points)
+    return scale if scale > 0.0 else 1.0
+
+
+def default_freq_grid(sample: CensoredSample, points: int = 512) -> np.ndarray:
+    """512 frequencies over [0, 4*pi/scale], scale = IQR/1.349 (robust)."""
+    return np.linspace(0.0, 4.0 * np.pi / _robust_scale(sample), points)
 
 
 def default_cv_grid(sample: CensoredSample, points: int = 32) -> np.ndarray:
     """Log-spaced CV candidates 0.05..2 times the robust data scale."""
-    q75, q25 = np.percentile(sample.times, [75.0, 25.0])
-    scale = (q75 - q25) / 1.349
-    if scale <= 0.0:
-        scale = float(np.std(sample.times))
-    if scale <= 0.0:
-        scale = 1.0
-    return np.geomspace(0.05, 2.0, points) * scale
+    return np.geomspace(0.05, 2.0, points) * _robust_scale(sample)
 
 
 def ecf(sample: CensoredSample, freqs) -> EcfCurve:
@@ -105,10 +103,7 @@ def ecf(sample: CensoredSample, freqs) -> EcfCurve:
     renormalizing when the total mass is below 1.
     """
     freqs = np.asarray(freqs, dtype=float)
-    if np.all(sample.event):
-        step = edf(sample)
-    else:
-        step = kaplan_meier(sample)
+    step = jump_measure(sample)
     mags = np.empty(freqs.shape, dtype=float)
     rows = max(1, _ECF_BLOCK // max(1, step.locations.size))
     for i in range(0, freqs.size, rows):
@@ -183,67 +178,39 @@ def auto_bandwidth(sample: CensoredSample, effective_c: float,
     return select_bandwidth(ecf(sample, freqs), rule)
 
 
-def cv_bandwidth_gaussian(sample: CensoredSample, h_grid,
-                          quad_points: int = 256) -> float:
-    """Leave-one-out CV bandwidth for the Gaussian-kernel CDF estimate.
-
-    CV(h) = (1/n) sum_i int [I(X_i <= t) - F_{h,-i}(t)]^2 w(t) dt with w
-    the unnormalized indicator of [min - 3h, max + 3h] and a fixed-size
-    trapezoidal quadrature grid.  Returns the argmin over h_grid; the
-    first minimizer wins ties.
-    """
-    if not np.all(sample.event):
-        raise ValueError("cross-validation comparator expects iid data")
-    h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid.size == 0:
-        raise ValueError("h_grid must be nonempty")
-    if np.any(h_grid <= 0):
-        raise ValueError("bandwidths must be positive")
-    x = sample.times
-    n = x.size
-    if n < 2:
-        raise ValueError("leave-one-out needs at least two observations")
-    best_h, best_cv = None, np.inf
-    for h in h_grid:
-        grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, quad_points)
-        # n x m matrix of Phi((t - X_j)/h)
-        phi = ndtr((grid[None, :] - x[:, None]) / h)
-        total = phi.sum(axis=0)
-        loo = (total[None, :] - phi) / (n - 1)
-        resid = (x[:, None] <= grid[None, :]).astype(float) - loo
-        cv = float(np.trapezoid(np.mean(resid ** 2, axis=0), grid))
-        if cv < best_cv:
-            best_h, best_cv = float(h), cv
-    return best_h
-
-
 def cv_bandwidth_km(sample: CensoredSample, h_grid,
                     quad_points: int = 256) -> float:
-    """Cross-validation bandwidth on censored data.
+    """Leave-one-out CV bandwidth for the Gaussian-kernel estimate.
 
-    Same objective as cv_bandwidth_gaussian with the observation weights
-    replaced by Kaplan-Meier jump masses: jump j carries outer weight
-    s_j, and the leave-one-out estimate renormalizes the remaining
-    masses to total one.  Agrees with the iid selector on tie-free fully
-    observed samples.
+    CV(h) = sum_k s_k int [I(x_k <= t) - F_{h,-k}(t)]^2 w(t) dt over the
+    jumps x_k and masses s_k of jump_measure(sample) (EDF or
+    Kaplan-Meier), with w the unnormalized indicator of
+    [min - 3h, max + 3h] and a fixed-size trapezoidal quadrature grid.
+    F_{h,-k} leaves out one event's mass s_k/d_k at x_k, d_k being the
+    number of events there, and renormalizes the rest to total one; on
+    iid data this is leave-one-observation-out.  Returns the argmin over
+    h_grid; the first minimizer wins ties.
     """
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.size == 0:
         raise ValueError("h_grid must be nonempty")
     if np.any(h_grid <= 0):
         raise ValueError("bandwidths must be positive")
-    step = kaplan_meier(sample)
+    events = sample.times[sample.event]
+    if events.size < 2:
+        raise DegenerateSampleError("leave-one-out needs at least two "
+                                    "events")
+    step = jump_measure(sample)
     loc, s = step.locations, step.heights
-    if loc.size < 2:
-        raise ValueError("leave-one-out needs at least two jump points")
-    mass = step.total_mass
+    w = s / np.unique(events, return_counts=True)[1]
+    rest = (step.total_mass - w)[:, None]
     best_h, best_cv = None, np.inf
     for h in h_grid:
         grid = np.linspace(loc.min() - 3.0 * h, loc.max() + 3.0 * h,
                            quad_points)
         phi = ndtr((grid[None, :] - loc[:, None]) / h)
         total = (s[:, None] * phi).sum(axis=0)
-        loo = (total[None, :] - s[:, None] * phi) / (mass - s)[:, None]
+        loo = (total[None, :] - w[:, None] * phi) / rest
         resid = (loc[:, None] <= grid[None, :]).astype(float) - loo
         cv = float(np.trapezoid(s @ (resid ** 2), grid))
         if cv < best_cv:

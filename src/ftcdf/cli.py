@@ -21,10 +21,9 @@ from . import io as iolib
 from .asymptotics import (MseExpansion, SmoothnessClass, deficiency_rate,
                           edf_deficiency, predicted_deficiency)
 from .bandwidth import (BandwidthRule, NoPlateauError, auto_bandwidth,
-                        cv_bandwidth_gaussian, cv_bandwidth_km,
-                        default_cv_grid, default_freq_grid, default_rule,
-                        ecf, noise_threshold)
-from .estimators import CensoredSample, EstimatorConfig, evaluate_on_grid
+                        cv_bandwidth_km, default_cv_grid, default_freq_grid,
+                        default_rule, ecf, noise_threshold)
+from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table)
 from .simulate import (BUILTIN_SCENARIOS, ESTIMATORS, Scenario,
@@ -52,9 +51,28 @@ def _kernel_from_args(args):
     return table, desc
 
 
+def _auto_bandwidth(args, sample, eff, freqs=None):
+    """Threshold/plateau rule from the --bw-* flags; (h, config dict)."""
+    rule = default_rule(sample.n, eff, mode=args.bw_mode)
+    C = args.bw_C if args.bw_C is not None else rule.C
+    eps = args.bw_eps if args.bw_eps is not None else rule.epsilon
+    rule = BandwidthRule(C, eps, eff, mode=args.bw_mode)
+    h = auto_bandwidth(sample, eff, rule=rule, freqs=freqs)
+    return h, {"mode": "auto", "value": h, "C": C, "epsilon": eps,
+               "effective_c": eff, "window_mode": args.bw_mode,
+               "threshold": noise_threshold(sample.n, C)}
+
+
+def _cv_bandwidth(sample):
+    grid = default_cv_grid(sample)
+    h = cv_bandwidth_km(sample, grid)
+    return h, {"mode": "cv", "value": h,
+               "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
+                          "points": int(grid.size), "spacing": "log"}}
+
+
 def _resolve_bandwidth(args, sample, desc):
     """Returns (h, bandwidth config dict) for estimate/survival."""
-    censored = not bool(np.all(sample.event))
     mode = args.bandwidth
     try:
         fixed = float(mode)
@@ -68,25 +86,12 @@ def _resolve_bandwidth(args, sample, desc):
         if desc["family"] == GAUSSIAN:
             raise ValueError("the automatic rule needs a flat-top kernel; "
                              "use --bandwidth cv or a numeric value")
-        eff = desc["effective_c"]
-        rule = default_rule(sample.n, eff, mode=args.bw_mode)
-        C = args.bw_C if args.bw_C is not None else rule.C
-        eps = args.bw_eps if args.bw_eps is not None else rule.epsilon
-        rule = BandwidthRule(C, eps, eff, mode=args.bw_mode)
-        h = auto_bandwidth(sample, eff, rule=rule)
-        return h, {"mode": "auto", "value": h, "C": C, "epsilon": eps,
-                   "effective_c": eff, "window_mode": args.bw_mode,
-                   "threshold": noise_threshold(sample.n, C)}
+        return _auto_bandwidth(args, sample, desc["effective_c"])
     if mode == "cv":
         if desc["family"] != GAUSSIAN:
             raise ValueError("cross-validation drives the Gaussian "
                              "comparator; use --kernel gaussian")
-        grid = default_cv_grid(sample)
-        h = cv_bandwidth_km(sample, grid) if censored \
-            else cv_bandwidth_gaussian(sample, grid)
-        return h, {"mode": "cv", "value": h,
-                   "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
-                              "points": int(grid.size), "spacing": "log"}}
+        return _cv_bandwidth(sample)
     raise iolib.ParseError(f"--bandwidth must be auto, cv, or a number, "
                            f"got {mode!r}")
 
@@ -109,9 +114,11 @@ def _write_artifacts(args, payload, csv_text):
     return outputs
 
 
-def _cmd_estimate(args):
+def _cmd_curve(args):
+    """estimate and survival: a smoothed CDF or survival curve."""
+    survival = args.command == "survival"
     sample = iolib.read_sample_csv(args.input)
-    if not np.all(sample.event):
+    if not survival and not np.all(sample.event):
         raise ValueError("estimate expects uncensored data; "
                          "use the survival subcommand for censored input")
     kernel, desc = _kernel_from_args(args)
@@ -119,9 +126,10 @@ def _cmd_estimate(args):
     grid, grid_text = _resolve_grid(args, sample, h)
     cfg = EstimatorConfig(kernel, h, boundary=args.boundary,
                           standardize=args.standardize)
-    values = evaluate_on_grid(sample, cfg, grid)
+    fit = smoothed_survival_on_grid if survival else evaluate_on_grid
+    values = fit(sample, cfg, grid)
     payload = {
-        "command": "estimate",
+        "command": args.command,
         "resolved_config": {
             "input": args.input, "kernel": desc, "bandwidth": bw,
             "boundary": args.boundary, "standardize": args.standardize,
@@ -129,32 +137,8 @@ def _cmd_estimate(args):
         },
         "n": sample.n,
     }
-    if not args.output:
-        payload["t"] = [float(t) for t in grid]
-        payload["value"] = [float(v) for v in values]
-    payload["outputs"] = _write_artifacts(
-        args, payload, iolib.curve_csv(grid, values))
-    return payload
-
-
-def _cmd_survival(args):
-    sample = iolib.read_sample_csv(args.input)
-    kernel, desc = _kernel_from_args(args)
-    h, bw = _resolve_bandwidth(args, sample, desc)
-    grid, grid_text = _resolve_grid(args, sample, h)
-    cfg = EstimatorConfig(kernel, h, boundary=args.boundary,
-                          standardize=args.standardize)
-    values = smoothed_survival_on_grid(sample, cfg, grid)
-    payload = {
-        "command": "survival",
-        "resolved_config": {
-            "input": args.input, "kernel": desc, "bandwidth": bw,
-            "boundary": args.boundary, "standardize": args.standardize,
-            "grid": grid_text, "output": args.output,
-        },
-        "n": sample.n,
-        "censored": int(np.sum(~sample.event)),
-    }
+    if survival:
+        payload["censored"] = int(np.sum(~sample.event))
     if not args.output:
         payload["t"] = [float(t) for t in grid]
         payload["value"] = [float(v) for v in values]
@@ -165,32 +149,18 @@ def _cmd_survival(args):
 
 def _cmd_bandwidth(args):
     sample = iolib.read_sample_csv(args.input)
-    censored = not bool(np.all(sample.event))
+    freqs = None
     if args.method == "cv":
-        grid = default_cv_grid(sample)
-        h = cv_bandwidth_km(sample, grid) if censored \
-            else cv_bandwidth_gaussian(sample, grid)
-        bw = {"mode": "cv", "value": h,
-              "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
-                         "points": int(grid.size), "spacing": "log"}}
-        freqs = None
+        h, bw = _cv_bandwidth(sample)
     else:
-        eff = args.effective_c
-        rule = default_rule(sample.n, eff, mode=args.bw_mode)
-        C = args.bw_C if args.bw_C is not None else rule.C
-        eps = args.bw_eps if args.bw_eps is not None else rule.epsilon
-        rule = BandwidthRule(C, eps, eff, mode=args.bw_mode)
         if args.freq_grid is not None:
             freqs = iolib.parse_grid(args.freq_grid)
             grid_text = args.freq_grid
         else:
             freqs = default_freq_grid(sample)
             grid_text = f"{freqs[0]!r}:{freqs[-1]!r}:{freqs.size}"
-        h = auto_bandwidth(sample, eff, rule=rule, freqs=freqs)
-        bw = {"mode": "auto", "value": h, "C": C, "epsilon": eps,
-              "effective_c": eff, "window_mode": args.bw_mode,
-              "threshold": noise_threshold(sample.n, C),
-              "t_star": eff / h, "freq_grid": grid_text}
+        h, bw = _auto_bandwidth(args, sample, args.effective_c, freqs)
+        bw.update(t_star=args.effective_c / h, freq_grid=grid_text)
     payload = {
         "command": "bandwidth",
         "resolved_config": {"input": args.input, "method": args.method,
@@ -310,8 +280,8 @@ def _cmd_kernel_table(args):
         "tail_cutoff": kernel.tail_cutoff,
     }
     lines = ["x,k,kbar,kbar_rectified"]
-    for x, k, kb, kr in zip(kernel.grid, kernel.k_values,
-                            kernel.kbar_values, kernel.kbar_rectified):
+    for x, k, kb, kr in zip(kernel.grid, kernel.k_values, kernel.kbar_values,
+                            standardize_path(kernel.kbar_values)):
         lines.append(f"{float(x)!r},{float(k)!r},{float(kb)!r},"
                      f"{float(kr)!r}")
     csv_text = "\n".join(lines) + "\n"
@@ -407,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "flat-top kernels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("estimate", _cmd_estimate),
-                     ("survival", _cmd_survival)):
+    for name in ("estimate", "survival"):
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--output", default=None, help="curve CSV path")
@@ -421,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", default=None,
                        help="lo:hi:count or comma list (default: data "
                             "range padded by 3h, 121 points)")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("bandwidth")
     p.add_argument("--input", required=True)

@@ -3,16 +3,25 @@
 Estimators operate on a CensoredSample and are configured with a kernel
 table, a bandwidth, an optional left support boundary (handled by
 reflection), and an optional standardization step that rectifies the
-estimate into a valid CDF path.
+estimate into a valid CDF (or survival) path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # keep grid-by-sample evaluation blocks at ~1M entries
 _BLOCK = 1 << 20
+# how far below the smallest observation a standardized point path starts,
+# in bandwidth units; kernel oscillation beyond this is ~1e-4 and below
+# Monte Carlo resolution
+_PATH_WINDOW = 256.0
+_PATH_POINTS = 1025
+
+
+class DegenerateSampleError(ValueError):
+    """The sample carries too few events for the requested estimate."""
 
 
 @dataclass(frozen=True)
@@ -114,12 +123,14 @@ def edf(sample: CensoredSample) -> StepEstimate:
     return StepEstimate(locs, counts / sample.n)
 
 
-def standardize_path(raw) -> np.ndarray:
-    """Rectify raw grid values into a CDF path: running max, clip to [0,1]."""
+def standardize_path(raw, decreasing: bool = False) -> np.ndarray:
+    """Rectify raw grid values into a valid path, clipped to [0, 1]: the
+    running max for a CDF, the running min for a survival curve."""
     raw = np.asarray(raw, dtype=float)
     if raw.size == 0:
         return raw.copy()
-    return np.clip(np.maximum.accumulate(raw), 0.0, 1.0)
+    run = np.minimum if decreasing else np.maximum
+    return np.clip(run.accumulate(raw), 0.0, 1.0)
 
 
 def _kbar_sum(locations, weights, kernel, h, points) -> np.ndarray:
@@ -151,52 +162,76 @@ def smoothed_measure_on_grid(locations, weights, cfg: EstimatorConfig,
     return raw
 
 
-def _check_boundary(sample: CensoredSample, cfg: EstimatorConfig) -> None:
-    if cfg.boundary is not None and np.min(sample.times) < cfg.boundary:
-        raise ValueError("observations fall below the stated boundary")
+def _path_on_grid(sample: CensoredSample, cfg: EstimatorConfig, grid,
+                  measure, survival: bool) -> np.ndarray:
+    """Smoothed CDF (or survival) path of measure(sample) on an ascending
+    grid; standardizes last if configured.
 
-
-def evaluate_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
-                     grid) -> np.ndarray:
-    """Smoothed CDF on an ascending grid; standardizes last if configured."""
+    The survival path is the total jump mass minus the smoothed CDF, so
+    the boundary correction enters through the CDF side.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         return grid.copy()
     if grid.ndim != 1 or not np.all(np.diff(grid) >= 0):
         raise ValueError("grid must be 1d ascending")
-    if not np.all(sample.event):
-        raise ValueError("smoothed CDF requires fully uncensored data")
-    _check_boundary(sample, cfg)
-    step = edf(sample)
+    if cfg.boundary is not None and np.min(sample.times) < cfg.boundary:
+        raise ValueError("observations fall below the stated boundary")
+    step = measure(sample)
     vals = smoothed_measure_on_grid(step.locations, step.heights, cfg, grid)
+    if survival:
+        vals = step.total_mass - vals
     if cfg.standardize:
-        vals = standardize_path(vals)
+        vals = standardize_path(vals, decreasing=survival)
     return vals
+
+
+def evaluate_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
+                     grid) -> np.ndarray:
+    """Smoothed CDF of uncensored data on an ascending grid; standardizes
+    last if configured."""
+    return _path_on_grid(sample, cfg, grid, edf, survival=False)
+
+
+def smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig, pts,
+                   measure=edf, survival: bool = False):
+    """Raw and standardized values at ascending points pts.
+
+    Standardization needs the running sup (inf for survival) over the
+    path up to each point, and the raw path is genuinely non-monotone,
+    so both come from one pass over a fine grid: 1025 equispaced points
+    from the path start up to pts[-1], joined with pts.  The path starts
+    at the boundary, or min(tail_cutoff, 256) bandwidths below the
+    smallest observation, or at pts[0] if that is lower.
+    cfg.standardize is ignored.
+    """
+    pts = np.asarray(pts, dtype=float)
+    lo = cfg.boundary
+    if lo is None:
+        window = min(float(cfg.kernel.tail_cutoff), _PATH_WINDOW)
+        lo = float(np.min(sample.times)) - window * cfg.bandwidth
+    lo = min(lo, float(pts[0]))
+    grid = np.union1d(np.linspace(lo, float(pts[-1]), _PATH_POINTS), pts)
+    idx = np.searchsorted(grid, pts)
+    raw = _path_on_grid(sample, replace(cfg, standardize=False), grid,
+                        measure, survival)
+    return raw[idx], standardize_path(raw, decreasing=survival)[idx]
+
+
+def _point_value(sample, cfg, t, measure, survival) -> float:
+    pts = np.array([float(t)])
+    if cfg.standardize:
+        return float(smoothed_paths(sample, cfg, pts, measure, survival)[1][0])
+    return float(_path_on_grid(sample, cfg, pts, measure, survival)[0])
 
 
 def smoothed_cdf(sample: CensoredSample, cfg: EstimatorConfig,
                  t: float) -> float:
     """Smoothed CDF at one point.
 
-    Standardization needs the running sup over s <= t, and the raw path
-    is genuinely non-monotone, so the sup is taken over an internal
-    2049-point grid from the path start (the boundary, or the point
-    where the kernel window falls off the sample) up to t.  Grid
-    evaluation via evaluate_on_grid gives the caller explicit control
-    instead.
+    The raw value is the kernel sum at t.  The standardized value is the
+    one smoothed_paths gives at t: the running sup over its fine grid
+    from the path start up to t, clipped to [0, 1].  Grid evaluation via
+    evaluate_on_grid gives the caller explicit control instead.
     """
-    t = float(t)
-    if not cfg.standardize:
-        return float(evaluate_on_grid(sample, cfg, np.array([t]))[0])
-    lo = cfg.boundary
-    if lo is None:
-        cutoff = float(getattr(cfg.kernel, "tail_cutoff"))
-        lo = float(np.min(sample.times)) - cutoff * cfg.bandwidth
-    if t <= lo:
-        val = evaluate_on_grid(
-            sample,
-            EstimatorConfig(cfg.kernel, cfg.bandwidth, cfg.boundary, False),
-            np.array([t]))[0]
-        return float(np.clip(val, 0.0, 1.0))
-    inner = np.linspace(lo, t, 2049)
-    return float(evaluate_on_grid(sample, cfg, inner)[-1])
+    return _point_value(sample, cfg, t, edf, survival=False)

@@ -8,6 +8,7 @@ line named; the caller maps exception types to exit codes.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -61,6 +62,9 @@ def read_sample_csv(path: str) -> CensoredSample:
         except (ValueError, IndexError):
             raise ParseError(f"{path} line {lineno}: bad time value in "
                              f"{text!r}")
+        if not math.isfinite(t):
+            raise ParseError(f"{path} line {lineno}: time must be finite, "
+                             f"got {fields[time_col]!r}")
         if event_col == -1 or event_col >= len(fields):
             e = 1
         else:
@@ -81,7 +85,7 @@ def read_sample_csv(path: str) -> CensoredSample:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Evaluation grid from `lo:hi:count` or a comma list of points."""
+    """Evaluation grid from `lo:hi:count` or a comma list of finite points."""
     s = text.strip()
     if ":" in s:
         parts = s.split(":")
@@ -96,16 +100,21 @@ def parse_grid(text: str) -> np.ndarray:
             raise ParseError(f"grid {text!r}: count must be >= 1")
         if hi < lo:
             raise ParseError(f"grid {text!r}: hi must be >= lo")
-        return np.linspace(lo, hi, count)
-    try:
-        pts = np.array([float(p) for p in s.split(",") if p.strip() != ""])
-    except ValueError:
-        raise ParseError(f"grid {text!r}: non-numeric point")
-    if pts.size == 0:
-        raise ParseError(f"grid {text!r}: empty")
-    if np.any(np.diff(pts) <= 0):
-        raise ParseError(f"grid {text!r}: points must be strictly "
-                         "ascending")
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = np.linspace(lo, hi, count)
+    else:
+        try:
+            pts = np.array([float(p) for p in s.split(",")
+                            if p.strip() != ""])
+        except ValueError:
+            raise ParseError(f"grid {text!r}: non-numeric point")
+        if pts.size == 0:
+            raise ParseError(f"grid {text!r}: empty")
+        if np.any(np.diff(pts) <= 0):
+            raise ParseError(f"grid {text!r}: points must be strictly "
+                             "ascending")
+    if not np.all(np.isfinite(pts)):
+        raise ParseError(f"grid {text!r}: points must be finite")
     return pts
 
 

@@ -11,15 +11,15 @@ kernel analogue of a CDF.  Two taper families are provided:
   shape parameter b, evaluated by Gauss-Legendre quadrature.
 
 Dense lookup tables (KernelTable) make the kernels cheap inside
-estimators; a monotone-rectified copy of Kbar guarantees shape
-properties downstream.  The Gaussian kernel is included as a comparator
-with the same call surface.
+estimators; they hold the raw, non-monotone Kbar, and valid CDF paths
+come from standardizing an estimate, not the kernel.  The Gaussian
+kernel is included as a comparator with the same call surface.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -252,10 +252,9 @@ class KernelTable:
     because flat-top kernels take negative values.  Estimators consume
     the raw values: the bias cancellation that motivates these kernels
     lives in the oscillation, and flattening it would re-introduce a
-    systematic error far above the table tolerance.  kbar_rectified is
-    the running max clipped to [0,1], kept for diagnostics and for
-    shape-oriented callers; path-level standardization is the supported
-    way to get a valid CDF out of an estimate.
+    systematic error far above the table tolerance.  Path-level
+    standardization (estimators.standardize_path) is the way to get a
+    valid CDF out of an estimate.
     """
     spec: FlatTopSpec
     grid: np.ndarray
@@ -263,14 +262,10 @@ class KernelTable:
     kbar_values: np.ndarray
     tail_cutoff: float
     tol: float
-    kbar_rectified: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.kbar_rectified = np.clip(
-            np.maximum.accumulate(self.kbar_values), 0.0, 1.0)
         self._k_spline = CubicSpline(self.grid, self.k_values)
         self._kbar_spline = CubicSpline(self.grid, self.kbar_values)
-        self._rect_spline = CubicSpline(self.grid, self.kbar_rectified)
 
     def k(self, x):
         arr = np.asarray(x, dtype=float)
@@ -281,7 +276,7 @@ class KernelTable:
         out[inside] = self._k_spline(a[inside])
         return float(out[0]) if scalar else out
 
-    def kbar(self, x, rectified: bool = False):
+    def kbar(self, x):
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         a = np.atleast_1d(arr)
@@ -291,10 +286,7 @@ class KernelTable:
         mid = ~(lo | hi)
         out[lo] = 0.0
         out[hi] = 1.0
-        if rectified:
-            out[mid] = np.clip(self._rect_spline(a[mid]), 0.0, 1.0)
-        else:
-            out[mid] = self._kbar_spline(a[mid])
+        out[mid] = self._kbar_spline(a[mid])
         return float(out[0]) if scalar else out
 
     def cross_moment(self) -> float:
@@ -345,7 +337,7 @@ def _certify(table: KernelTable) -> None:
     """Compare both splines against direct evaluation at panel midpoints."""
     mids = 0.5 * (table.grid[:-1] + table.grid[1:])
     err_k = np.max(np.abs(table.k(mids) - kernel(table.spec, mids)))
-    err_b = np.max(np.abs(table.kbar(mids, rectified=False)
+    err_b = np.max(np.abs(table.kbar(mids)
                           - integrated_kernel(table.spec, mids)))
     if max(err_k, err_b) > table.tol:
         raise QuadratureError(
@@ -422,8 +414,7 @@ class GaussianKernel:
         x = np.asarray(x, dtype=float)
         return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
-    def kbar(self, x, rectified: bool = False):
-        # already a CDF; the flag only exists for signature parity
+    def kbar(self, x):
         return ndtr(np.asarray(x, dtype=float))
 
     def cross_moment(self) -> float:

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import (BandwidthRule, NoPlateauError, auto_bandwidth,
-                        cv_bandwidth_gaussian, cv_bandwidth_km,
-                        default_cv_grid, default_rule)
+                        cv_bandwidth_km, default_cv_grid, default_rule)
 from .distributions import (DistSpec, dist_cdf, dist_survival, polya_cdf,
                             sample_distribution)
-from .estimators import (CensoredSample, EstimatorConfig, edf,
-                         evaluate_on_grid, standardize_path)
+from .estimators import (CensoredSample, DegenerateSampleError,
+                         EstimatorConfig, evaluate_on_grid, smoothed_paths)
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table)
-from .survival import kaplan_meier, smoothed_survival_on_grid
+from .survival import jump_measure
 
 CDF = "cdf"
 SURVIVAL = "survival"
@@ -46,11 +45,6 @@ _STUDY_THRESHOLD_C_CENSORED = 2.0
 _PURPOSE_LIFETIME = 0
 _PURPOSE_CENSOR = 1
 _MAX_ATTEMPTS = 100
-# how far below the smallest observation the standardization sup starts,
-# in bandwidth units; kernel oscillation beyond this is ~1e-4 and below
-# Monte Carlo resolution
-_PATH_WINDOW = 256.0
-_PATH_POINTS = 1025
 
 
 @dataclass(frozen=True)
@@ -209,8 +203,6 @@ def _kernel_for(estimator: str):
 
 def _select_bandwidth(estimator: str, sample: CensoredSample) -> float:
     if estimator == "gauss-cv":
-        if np.all(sample.event):
-            return cv_bandwidth_gaussian(sample, default_cv_grid(sample))
         return cv_bandwidth_km(sample, default_cv_grid(sample))
     effective_c = TRAP_SPEC.effective_c if estimator == "trap-auto" \
         else SMOOTH_SPEC.effective_c
@@ -221,28 +213,10 @@ def _select_bandwidth(estimator: str, sample: CensoredSample) -> float:
     return auto_bandwidth(sample, effective_c, rule=rule)
 
 
-def _smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig,
-                    estimand: str, pts: np.ndarray):
-    """Raw and standardized values at pts via one shared fine-grid pass."""
-    lo = cfg.boundary
-    if lo is None:
-        window = min(float(cfg.kernel.tail_cutoff), _PATH_WINDOW)
-        lo = float(np.min(sample.times)) - window * cfg.bandwidth
-    lo = min(lo, float(pts[0]))
-    grid = np.union1d(np.linspace(lo, float(pts[-1]), _PATH_POINTS), pts)
-    idx = np.searchsorted(grid, pts)
-    if estimand == CDF:
-        raw = evaluate_on_grid(sample, cfg, grid)
-        std = standardize_path(raw)
-    else:
-        raw = smoothed_survival_on_grid(sample, cfg, grid)
-        std = np.clip(np.minimum.accumulate(raw), 0.0, 1.0)
-    return raw[idx], std[idx]
-
-
 def _replicate(scenario: Scenario, estimators, n: int, rep: int):
     """One replication: (values[e, p, variant], attempts used)."""
     pts = np.asarray(scenario.eval_points)
+    survival = scenario.estimand == SURVIVAL
     for attempt in range(_MAX_ATTEMPTS):
         rng = _stream(scenario.seed, rep, _PURPOSE_LIFETIME, attempt)
         life = sample_distribution(scenario.lifetime_dist, n, rng)
@@ -256,22 +230,20 @@ def _replicate(scenario: Scenario, estimators, n: int, rep: int):
         try:
             for e, name in enumerate(estimators):
                 if name == "edf":
-                    step = kaplan_meier(sample) \
-                        if scenario.censor_dist is not None else edf(sample)
-                    v = step.survival(pts) if scenario.estimand == SURVIVAL \
-                        else step.cdf(pts)
+                    step = jump_measure(sample)
+                    v = step.survival(pts) if survival else step.cdf(pts)
                     vals[e, :, 0] = vals[e, :, 1] = v
                     continue
                 h = _select_bandwidth(name, sample)
                 cfg = EstimatorConfig(_kernel_for(name), h,
                                       boundary=scenario.boundary)
-                raw, std = _smoothed_paths(sample, cfg, scenario.estimand,
-                                           pts)
+                raw, std = smoothed_paths(sample, cfg, pts, jump_measure,
+                                          survival)
                 vals[e, :, 0] = raw
                 vals[e, :, 1] = std
-        except (NoPlateauError, ValueError):
-            # bandwidth selection (or a degenerate draw) failed; retry
-            # the whole replication on a fresh substream
+        except (NoPlateauError, DegenerateSampleError):
+            # bandwidth selection failed or the draw has too few events;
+            # retry the whole replication on a fresh substream
             continue
         return vals, attempt
     raise RuntimeError(f"replication {rep} failed {_MAX_ATTEMPTS} times; "
@@ -299,8 +271,9 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     (the standardized estimate, running sup clipped to [0, 1], which is
     the estimator as defined) and with a "+raw" suffix (the unshaped
     kernel sum, kept as a diagnostic).  Replications whose bandwidth
-    selection fails are retried on fresh substreams and counted in
-    `retries`.
+    selection fails, or whose draw has too few events, are retried on
+    fresh substreams and counted in `retries`; any other error
+    propagates.
     """
     for name in estimators:
         if name not in ESTIMATORS:

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .estimators import (CensoredSample, EstimatorConfig, StepEstimate,
-                         _check_boundary, smoothed_measure_on_grid,
-                         standardize_path)
+from .estimators import (CensoredSample, DegenerateSampleError,
+                         EstimatorConfig, StepEstimate, _path_on_grid,
+                         _point_value, edf)
 
 
 def kaplan_meier(sample: CensoredSample) -> StepEstimate:
@@ -25,7 +25,7 @@ def kaplan_meier(sample: CensoredSample) -> StepEstimate:
     is censored.
     """
     if not np.any(sample.event):
-        raise ValueError("kaplan_meier needs at least one event")
+        raise DegenerateSampleError("kaplan_meier needs at least one event")
     times = sample.times
     order = np.sort(times)
     event_times, d = np.unique(times[sample.event], return_counts=True)
@@ -40,50 +40,32 @@ def kaplan_meier(sample: CensoredSample) -> StepEstimate:
     return StepEstimate(event_times, heights)
 
 
+def jump_measure(sample: CensoredSample) -> StepEstimate:
+    """The estimators' jump measure: the EDF when every event is observed,
+    Kaplan-Meier otherwise.  The two are bitwise equal on uncensored
+    data; the EDF is the cheaper route."""
+    return edf(sample) if np.all(sample.event) else kaplan_meier(sample)
+
+
 def smoothed_survival_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
                               grid) -> np.ndarray:
     """Smoothed survival path on an ascending grid.
 
-    S(t) = sum_j s_j (1 - Kbar((t - x_j)/h)) over Kaplan-Meier jumps,
-    equal to total mass minus the smoothed CDF of the same jump measure;
-    the boundary correction enters through the CDF side.  Standardization
-    makes the path nonincreasing within [0, 1].
+    S(t) = sum_j s_j (1 - Kbar((t - x_j)/h)) over the jumps of
+    jump_measure(sample), equal to total mass minus the smoothed CDF of
+    the same jump measure; the boundary correction enters through the
+    CDF side.  Standardization makes the path nonincreasing within
+    [0, 1].
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return grid.copy()
-    if grid.ndim != 1 or not np.all(np.diff(grid) >= 0):
-        raise ValueError("grid must be 1d ascending")
-    _check_boundary(sample, cfg)
-    step = kaplan_meier(sample)
-    cdf_vals = smoothed_measure_on_grid(step.locations, step.heights, cfg,
-                                        grid)
-    vals = step.total_mass - cdf_vals
-    if cfg.standardize:
-        vals = np.clip(np.minimum.accumulate(vals), 0.0, 1.0)
-    return vals
+    return _path_on_grid(sample, cfg, grid, jump_measure, survival=True)
 
 
 def smoothed_survival(sample: CensoredSample, cfg: EstimatorConfig,
                       t: float) -> float:
     """Smoothed survival at one point; mirrors smoothed_cdf's conventions.
 
-    Standardization takes the running inf from the path start, over the
-    same internal grid construction as the CDF side.
+    The standardized value is the one smoothed_paths gives at t: the
+    running inf over its fine grid from the path start up to t, clipped
+    to [0, 1].
     """
-    t = float(t)
-    if not cfg.standardize:
-        return float(smoothed_survival_on_grid(sample, cfg,
-                                               np.array([t]))[0])
-    lo = cfg.boundary
-    if lo is None:
-        cutoff = float(getattr(cfg.kernel, "tail_cutoff"))
-        lo = float(np.min(sample.times)) - cutoff * cfg.bandwidth
-    if t <= lo:
-        raw = smoothed_survival_on_grid(
-            sample,
-            EstimatorConfig(cfg.kernel, cfg.bandwidth, cfg.boundary, False),
-            np.array([t]))[0]
-        return float(np.clip(raw, 0.0, 1.0))
-    inner = np.linspace(lo, t, 2049)
-    return float(smoothed_survival_on_grid(sample, cfg, inner)[-1])
+    return _point_value(sample, cfg, t, jump_measure, survival=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ftcdf.bandwidth import (
     PLATEAU,
@@ -17,8 +18,8 @@ from ftcdf.bandwidth import (
     EcfCurve,
     NoPlateauError,
     auto_bandwidth,
-    cv_bandwidth_gaussian,
     cv_bandwidth_km,
+    default_cv_grid,
     default_freq_grid,
     default_rule,
     ecf,
@@ -26,7 +27,31 @@ from ftcdf.bandwidth import (
     select_bandwidth,
 )
 from ftcdf.distributions import DistSpec, sample_distribution
-from ftcdf.estimators import CensoredSample
+from ftcdf.estimators import CensoredSample, DegenerateSampleError
+
+
+def cv_bandwidth_gaussian(sample: CensoredSample, h_grid,
+                          quad_points: int = 256) -> float:
+    """Oracle: leave-one-observation-out CV over the raw iid sample.
+
+    CV(h) = (1/n) sum_i int [I(X_i <= t) - F_{h,-i}(t)]^2 w(t) dt with w
+    the unnormalized indicator of [min - 3h, max + 3h] and a fixed-size
+    trapezoidal quadrature grid; the first minimizer wins ties.
+    """
+    x = sample.times
+    n = x.size
+    best_h, best_cv = None, np.inf
+    for h in np.asarray(h_grid, dtype=float):
+        grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, quad_points)
+        # n x m matrix of Phi((t - X_j)/h)
+        phi = ndtr((grid[None, :] - x[:, None]) / h)
+        total = phi.sum(axis=0)
+        loo = (total[None, :] - phi) / (n - 1)
+        resid = (x[:, None] <= grid[None, :]).astype(float) - loo
+        cv = float(np.trapezoid(np.mean(resid ** 2, axis=0), grid))
+        if cv < best_cv:
+            best_h, best_cv = float(h), cv
+    return best_h
 
 
 def normal_curve(n: int, grid: np.ndarray) -> EcfCurve:
@@ -207,6 +232,18 @@ class TestDefaults:
         q75, q25 = np.percentile(s.times, [75.0, 25.0])
         assert grid[-1] == pytest.approx(4.0 * np.pi * 1.349 / (q75 - q25))
 
+    def test_robust_scale_fallbacks(self):
+        # zero IQR falls back to the standard deviation, zero spread to 1
+        spiked = CensoredSample.uncensored(np.array([0.0] * 7 + [4.0]))
+        sd = float(np.std(spiked.times))
+        assert default_freq_grid(spiked)[-1] == 4.0 * np.pi / sd
+        assert np.array_equal(default_cv_grid(spiked),
+                              np.geomspace(0.05, 2.0, 32) * sd)
+        flat = CensoredSample.uncensored(np.full(5, 2.0))
+        assert default_freq_grid(flat)[-1] == 4.0 * np.pi
+        assert np.array_equal(default_cv_grid(flat),
+                              np.geomspace(0.05, 2.0, 32))
+
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             BandwidthRule(C=0.0, epsilon=1.0, effective_c=0.75)
@@ -223,12 +260,13 @@ class TestCrossValidation:
         # smallest grid bandwidth minimizes the objective
         s = CensoredSample.uncensored(np.array([1.0, 1.0]))
         grid = np.array([0.05, 0.1, 0.2, 0.4, 0.8])
+        assert cv_bandwidth_km(s, grid) == 0.05
         assert cv_bandwidth_gaussian(s, grid) == 0.05
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(4)
         s = CensoredSample.uncensored(rng.standard_normal(20))
-        assert cv_bandwidth_gaussian(s, [0.3]) == 0.3
+        assert cv_bandwidth_km(s, [0.3]) == 0.3
 
     def test_interior_selection_rate(self):
         # calibrated at 40/40 seeds; frozen bound at >= 36
@@ -237,28 +275,48 @@ class TestCrossValidation:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             s = CensoredSample.uncensored(rng.standard_normal(30))
-            h = cv_bandwidth_gaussian(s, hg)
+            h = cv_bandwidth_km(s, hg)
             inner += h not in (hg[0], hg[-1])
         assert inner >= 36
 
     def test_rejects_censored_and_bad_grids(self):
+        # fewer than two events: nothing is left after leaving one out
         s = CensoredSample(np.array([1.0, 2.0]), np.array([True, False]))
-        with pytest.raises(ValueError):
-            cv_bandwidth_gaussian(s, [0.1])
+        with pytest.raises(DegenerateSampleError):
+            cv_bandwidth_km(s, [0.1])
+        none = CensoredSample(np.array([1.0, 2.0]), np.array([False, False]))
+        with pytest.raises(DegenerateSampleError):
+            cv_bandwidth_km(none, [0.1])
         ok = CensoredSample.uncensored(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            cv_bandwidth_gaussian(ok, [])
+            cv_bandwidth_km(ok, [])
         with pytest.raises(ValueError):
-            cv_bandwidth_gaussian(ok, [-0.1])
-        with pytest.raises(ValueError):
-            cv_bandwidth_gaussian(
-                CensoredSample.uncensored(np.array([1.0])), [0.1])
+            cv_bandwidth_km(ok, [-0.1])
+        with pytest.raises(DegenerateSampleError):
+            cv_bandwidth_km(CensoredSample.uncensored(np.array([1.0])), [0.1])
 
     def test_km_variant_matches_iid_selector_without_ties(self):
         rng = np.random.default_rng(3)
         s = CensoredSample.uncensored(rng.standard_normal(40))
         hg = np.geomspace(0.05, 2.0, 32)
         assert cv_bandwidth_km(s, hg) == cv_bandwidth_gaussian(s, hg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_oracle_on_tied_and_untied_iid(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.standard_normal(15 + 5 * seed)
+        for times in (x, np.round(x, 1), np.repeat(x[:8], 3)):
+            s = CensoredSample.uncensored(times)
+            hg = default_cv_grid(s)
+            assert cv_bandwidth_km(s, hg) == cv_bandwidth_gaussian(s, hg)
+
+    def test_tied_events_leave_out_one_event(self):
+        # two events tied at one time: leaving one of them out keeps the
+        # other, so the estimate is the same as for a single full jump
+        s = CensoredSample(np.array([1.0, 1.0, 3.0]),
+                           np.array([True, True, False]))
+        h = cv_bandwidth_km(s, np.array([0.05, 0.1, 0.2, 0.4, 0.8]))
+        assert h == 0.05
 
     def test_km_variant_runs_on_censored_data(self):
         rng = np.random.default_rng(8)

@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ftcdf.bandwidth import (auto_bandwidth, cv_bandwidth_gaussian,
-                             default_cv_grid)
+from ftcdf.bandwidth import auto_bandwidth, cv_bandwidth_km, default_cv_grid
 from ftcdf.cli import main
 from ftcdf.estimators import CensoredSample, EstimatorConfig, evaluate_on_grid
 from ftcdf.io import read_sample_csv
@@ -151,6 +150,26 @@ class TestEstimate:
         assert code == 4
         assert "line 3" in err["error"]["message"]
 
+    def test_nonfinite_row_names_line(self, capsys, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("time\n1.0\n2.0\ninf\n")
+        code, _, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert code == 4 and err["error"]["kind"] == "parse"
+        assert "line 4" in err["error"]["message"]
+
+    @pytest.mark.parametrize("grid", ["nan", "0,nan", "nan:1:5", "0:inf:3"])
+    def test_nonfinite_grid_is_parse_error(self, capsys, sample_csv, grid):
+        code, doc, err = run_cli(capsys, "estimate", "--input", sample_csv,
+                                 "--grid", grid)
+        assert code == 4 and doc is None
+        assert err["error"]["kind"] == "parse"
+        assert grid in err["error"]["message"]
+
+    def test_nonfinite_freq_grid_is_parse_error(self, capsys, sample_csv):
+        code, _, err = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                               "--freq-grid", "0:nan:64")
+        assert code == 4 and err["error"]["kind"] == "parse"
+
     def test_input_not_mutated(self, capsys, sample_csv):
         before = open(sample_csv, "rb").read()
         run_cli(capsys, "estimate", "--input", sample_csv,
@@ -217,8 +236,15 @@ class TestBandwidth:
                                "--method", "cv")
         assert code == 0
         sample = read_sample_csv(sample_csv)
-        assert doc["h"] == cv_bandwidth_gaussian(sample,
-                                                 default_cv_grid(sample))
+        assert doc["h"] == cv_bandwidth_km(sample, default_cv_grid(sample))
+
+    def test_cv_method_on_censored_input(self, capsys, censored_csv):
+        code, doc, _ = run_cli(capsys, "bandwidth", "--input", censored_csv,
+                               "--method", "cv")
+        assert code == 0 and doc["censored"] > 0
+        sample = read_sample_csv(censored_csv)
+        assert doc["h"] == cv_bandwidth_km(sample, default_cv_grid(sample))
+        assert doc["resolved_config"]["bandwidth"]["mode"] == "cv"
 
 
 class TestDeficiency:
@@ -282,6 +308,14 @@ class TestKernelTable:
         assert len(lines) == doc["points"] + 1
         vals = [float(v) for v in lines[1].split(",")]
         assert len(vals) == 4
+        # the fourth column is the standardized Kbar: a valid CDF path
+        cols = np.array([[float(v) for v in ln.split(",")]
+                         for ln in lines[1:]])
+        assert np.all(np.diff(cols[:, 3]) >= 0.0)
+        assert cols[:, 3].min() >= 0.0 and cols[:, 3].max() <= 1.0
+        assert cols[0, 3] == max(cols[0, 2], 0.0)
+        # while the raw Kbar column genuinely leaves [0, 1]
+        assert cols[:, 2].max() > 1.0 and cols[:, 2].min() < 0.0
         table = json.load(open(jout))
         assert table["family"] == "trapezoid" and table["c"] == 0.5
         assert len(table["grid"]) == doc["points"]

@@ -5,7 +5,7 @@ import pytest
 
 from ftcdf.estimators import (CensoredSample, EstimatorConfig, StepEstimate,
                               edf, evaluate_on_grid, smoothed_cdf,
-                              standardize_path)
+                              smoothed_paths, standardize_path)
 from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, GaussianKernel, get_table,
                            integrated_kernel)
 
@@ -71,6 +71,9 @@ def test_standardize_path_examples():
     valid = np.array([0.0, 0.2, 0.2, 0.9, 1.0])
     np.testing.assert_array_equal(standardize_path(valid), valid)
     assert standardize_path(np.array([])).size == 0
+    np.testing.assert_array_equal(
+        standardize_path([1.02, 0.9, 0.95, -0.01], decreasing=True),
+        [1.0, 0.9, 0.9, 0.0])
 
 
 @pytest.mark.parametrize("kern", [GaussianKernel(), None])
@@ -160,3 +163,27 @@ def test_smoothed_cdf_is_continuous():
     # modulus of continuity bounded by max kernel density / h
     step = grid[1] - grid[0]
     assert np.max(np.abs(np.diff(vals))) <= 0.30 / 0.5 * step
+
+
+@pytest.mark.parametrize("boundary", [None, 0.0])
+def test_standardized_point_is_study_path_value(boundary):
+    rng = np.random.default_rng(21)
+    xs = np.abs(rng.standard_normal(30))
+    s = CensoredSample.uncensored(xs)
+    tab = trap_table()
+    cfg = EstimatorConfig(tab, 0.4, boundary=boundary, standardize=True)
+    # path start: the boundary, else min(tail_cutoff, 256) h below the data
+    lo = boundary if boundary is not None else \
+        xs.min() - min(tab.tail_cutoff, 256.0) * 0.4
+    for t in (lo - 1.0, 0.2, 1.0, 2.5):
+        val = smoothed_cdf(s, cfg, t)
+        assert val == smoothed_paths(s, cfg, np.array([t]))[1][0]
+        if t > lo:
+            fine = evaluate_on_grid(s, cfg, np.linspace(lo, t, 1025))
+            assert val == fine[-1]
+    raw_cfg = EstimatorConfig(tab, 0.4, boundary=boundary)
+    raw, std = smoothed_paths(s, raw_cfg, np.array([0.2, 1.0, 2.5]))
+    for t, r in zip((0.2, 1.0, 2.5), raw):
+        # equal up to BLAS summation order (one row versus many)
+        assert r == pytest.approx(smoothed_cdf(s, raw_cfg, t), abs=1e-14)
+    assert np.all(np.diff(std) >= 0.0)

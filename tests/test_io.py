@@ -91,8 +91,13 @@ class TestReadSampleCsv:
 
     def test_nonfinite_time_rejected(self, tmp_path):
         path = write(tmp_path, "1.0\nnan\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 2: time must be finite"):
             read_sample_csv(path)
+        for bad in ("inf", "-inf", "NaN"):
+            path = write(tmp_path, f"time,event\n1.0,1\n\n{bad},0\n2.0,1\n")
+            with pytest.raises(ParseError, match="line 4: time must be "
+                                                 "finite"):
+                read_sample_csv(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -114,6 +119,8 @@ class TestParseGrid:
     @pytest.mark.parametrize("bad", [
         "1:2", "1:2:3:4", "a:2:3", "1:2:many", "0:1:0", "3:1:5",
         "1,1,2", "2,1", "a,b", "", " ",
+        "nan", "inf", "0,nan", "nan,0", "-inf,0", "0,1,inf",
+        "nan:1:5", "0:nan:5", "0:inf:3", "-inf:0:3", "-1e308:1e308:5",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):

@@ -134,7 +134,7 @@ def test_table_matches_direct_eval(spec, npts):
     tab = get_table(spec, 1e-8)
     rng = np.random.default_rng(11)
     xs = rng.uniform(-tab.tail_cutoff, tab.tail_cutoff, npts)
-    assert np.max(np.abs(tab.kbar(xs, rectified=False)
+    assert np.max(np.abs(tab.kbar(xs)
                          - integrated_kernel(spec, xs))) <= 1e-8
     assert np.max(np.abs(tab.k(xs) - kernel(spec, xs))) <= 1e-8
 
@@ -143,23 +143,17 @@ def test_table_matches_direct_eval(spec, npts):
 def test_table_shape_contracts(spec):
     tab = get_table(spec, 1e-8)
     assert np.all(np.diff(tab.grid) > 0)
-    assert np.all(np.diff(tab.kbar_rectified) >= 0.0)
-    assert tab.kbar_rectified.min() >= 0.0
-    assert tab.kbar_rectified.max() <= 1.0
     T = tab.tail_cutoff
-    assert tab.kbar(-T, rectified=False) <= tab.tol
-    assert tab.kbar(T, rectified=False) >= 1.0 - tab.tol
+    assert tab.kbar(-T) <= tab.tol
+    assert tab.kbar(T) >= 1.0 - tab.tol
     assert tab.kbar(-T - 1.0) == 0.0 and tab.kbar(T + 1.0) == 1.0
     assert tab.k(T + 5.0) == 0.0
     # evenness of K on the stored grid
     n = (tab.grid.size - 1) // 2
     assert np.allclose(tab.k_values[:n][::-1], tab.k_values[n + 1:],
                        atol=tab.tol)
-    # rectified evaluations clip into [0,1]
-    xs = np.linspace(-T - 2, T + 2, 4001)
-    vals = tab.kbar(xs, rectified=True)
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
     # raw evaluations genuinely overshoot on both sides of [0,1]
+    xs = np.linspace(-T - 2, T + 2, 4001)
     raw = tab.kbar(xs)
     assert raw.max() > 1.0 + 1e-3
     assert raw.min() < -1e-3
@@ -217,7 +211,6 @@ def test_table_serialization_roundtrip(tmp_path):
     assert np.array_equal(back.grid, tab.grid)
     assert np.array_equal(back.k_values, tab.k_values)
     assert np.array_equal(back.kbar_values, tab.kbar_values)
-    assert np.array_equal(back.kbar_rectified, tab.kbar_rectified)
 
 
 def test_table_schema_guard():

@@ -11,6 +11,7 @@ import pytest
 import ftcdf.simulate as sim
 from ftcdf.bandwidth import NoPlateauError
 from ftcdf.distributions import DistSpec
+from ftcdf.estimators import DegenerateSampleError
 from ftcdf.simulate import (BUILTIN_SCENARIOS, MseReport, Scenario,
                             builtin_scenario, run_scenario,
                             zero_bias_experiment)
@@ -201,6 +202,36 @@ class TestRetries:
                               sample_sizes=(15,))
         with pytest.raises(RuntimeError, match="failed"):
             run_scenario(sc, estimators=("trap-auto",))
+
+    def test_degenerate_draw_is_retried(self, monkeypatch):
+        calls = {"count": 0}
+        real = sim._select_bandwidth
+
+        def degenerate_once(estimator, sample):
+            calls["count"] += 1
+            if calls["count"] == 1:
+                raise DegenerateSampleError("forced")
+            return real(estimator, sample)
+
+        monkeypatch.setattr(sim, "_select_bandwidth", degenerate_once)
+        sc = builtin_scenario("normal-iid", seed=3, replications=2,
+                              sample_sizes=(15,))
+        rep = run_scenario(sc, estimators=("gauss-cv",))
+        assert rep.retries == ((15, 1),)
+
+    def test_other_errors_propagate_on_first_attempt(self, monkeypatch):
+        calls = {"count": 0}
+
+        def buggy(estimator, sample):
+            calls["count"] += 1
+            raise ValueError("bug")
+
+        monkeypatch.setattr(sim, "_select_bandwidth", buggy)
+        sc = builtin_scenario("normal-iid", seed=3, replications=1,
+                              sample_sizes=(15,))
+        with pytest.raises(ValueError, match="^bug$"):
+            run_scenario(sc, estimators=("trap-auto",))
+        assert calls["count"] == 1
 
     def test_retry_uses_fresh_substream(self):
         v0, _ = sim._replicate(builtin_scenario("normal-iid",

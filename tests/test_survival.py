@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ftcdf.estimators import CensoredSample, EstimatorConfig, edf
+from ftcdf.estimators import (CensoredSample, DegenerateSampleError,
+                              EstimatorConfig, edf, smoothed_paths)
 from ftcdf.kernels import TRAPEZOID, FlatTopSpec, GaussianKernel, get_table
-from ftcdf.survival import (kaplan_meier, smoothed_survival,
+from ftcdf.survival import (jump_measure, kaplan_meier, smoothed_survival,
                             smoothed_survival_on_grid)
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
@@ -64,8 +65,18 @@ def test_km_censored_max_leaves_mass():
 
 
 def test_km_requires_an_event():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateSampleError):
         kaplan_meier(CensoredSample(np.array([1.0]), np.array([False])))
+
+
+def test_jump_measure_picks_edf_or_km():
+    s = random_censored(4)
+    km = jump_measure(s)
+    np.testing.assert_array_equal(km.heights, kaplan_meier(s).heights)
+    iid = CensoredSample.uncensored(np.round(s.times, 1))
+    step = jump_measure(iid)
+    np.testing.assert_array_equal(step.locations, edf(iid).locations)
+    np.testing.assert_array_equal(step.heights, kaplan_meier(iid).heights)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -124,3 +135,24 @@ def test_standardized_survival_shape():
     km = kaplan_meier(s)
     assert smoothed_survival(s, cfg, -1.0) == pytest.approx(km.total_mass,
                                                             abs=1e-12)
+
+
+@pytest.mark.parametrize("boundary", [None, 0.0])
+@pytest.mark.parametrize("censored", [True, False])
+def test_standardized_point_is_study_path_value(boundary, censored):
+    s = random_censored(5)
+    if not censored:
+        s = CensoredSample.uncensored(s.times)
+    tab = get_table(TRAP, 1e-8)
+    cfg = EstimatorConfig(tab, 0.4, boundary=boundary, standardize=True)
+    lo = boundary if boundary is not None else \
+        s.times.min() - min(tab.tail_cutoff, 256.0) * 0.4
+    for t in (lo - 1.0, 0.3, 1.0, 2.0):
+        val = smoothed_survival(s, cfg, t)
+        want = smoothed_paths(s, cfg, np.array([t]), jump_measure,
+                              survival=True)[1][0]
+        assert val == want
+        if t > lo:
+            fine = smoothed_survival_on_grid(s, cfg,
+                                             np.linspace(lo, t, 1025))
+            assert val == fine[-1]
