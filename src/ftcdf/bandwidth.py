@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .estimators import CensoredSample, DegenerateSampleError
-from .survival import jump_measure
 
 THRESHOLD = "threshold"
 PLATEAU = "plateau"
@@ -103,7 +102,7 @@ def ecf(sample: CensoredSample, freqs) -> EcfCurve:
     renormalizing when the total mass is below 1.
     """
     freqs = np.asarray(freqs, dtype=float)
-    step = jump_measure(sample)
+    step = sample.jumps
     mags = np.empty(freqs.shape, dtype=float)
     rows = max(1, _ECF_BLOCK // max(1, step.locations.size))
     for i in range(0, freqs.size, rows):
@@ -183,9 +182,9 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid,
     """Leave-one-out CV bandwidth for the Gaussian-kernel estimate.
 
     CV(h) = sum_k s_k int [I(x_k <= t) - F_{h,-k}(t)]^2 w(t) dt over the
-    jumps x_k and masses s_k of jump_measure(sample) (EDF or
-    Kaplan-Meier), with w the unnormalized indicator of
-    [min - 3h, max + 3h] and a fixed-size trapezoidal quadrature grid.
+    jumps x_k and masses s_k of sample.jumps (EDF or Kaplan-Meier),
+    with w the unnormalized indicator of [min - 3h, max + 3h] and a
+    fixed-size trapezoidal quadrature grid.
     F_{h,-k} leaves out one event's mass s_k/d_k at x_k, d_k being the
     number of events there, and renormalizes the rest to total one; on
     iid data this is leave-one-observation-out.  Returns the argmin over
@@ -200,7 +199,7 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid,
     if events.size < 2:
         raise DegenerateSampleError("leave-one-out needs at least two "
                                     "events")
-    step = jump_measure(sample)
+    step = sample.jumps
     loc, s = step.locations, step.heights
     w = s / np.unique(events, return_counts=True)[1]
     rest = (step.total_mass - w)[:, None]

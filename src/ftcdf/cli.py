@@ -20,9 +20,9 @@ import numpy as np
 from . import io as iolib
 from .asymptotics import (MseExpansion, SmoothnessClass, deficiency_rate,
                           edf_deficiency, predicted_deficiency)
-from .bandwidth import (BandwidthRule, NoPlateauError, auto_bandwidth,
-                        cv_bandwidth_km, default_cv_grid, default_freq_grid,
-                        default_rule, ecf, noise_threshold)
+from .bandwidth import (BandwidthRule, NoPlateauError, cv_bandwidth_km,
+                        default_cv_grid, default_freq_grid, default_rule, ecf,
+                        noise_threshold, select_bandwidth)
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table)
@@ -51,16 +51,16 @@ def _kernel_from_args(args):
     return table, desc
 
 
-def _auto_bandwidth(args, sample, eff, freqs=None):
+def _auto_bandwidth(args, curve, eff):
     """Threshold/plateau rule from the --bw-* flags; (h, config dict)."""
-    rule = default_rule(sample.n, eff, mode=args.bw_mode)
+    rule = default_rule(curve.n, eff, mode=args.bw_mode)
     C = args.bw_C if args.bw_C is not None else rule.C
     eps = args.bw_eps if args.bw_eps is not None else rule.epsilon
     rule = BandwidthRule(C, eps, eff, mode=args.bw_mode)
-    h = auto_bandwidth(sample, eff, rule=rule, freqs=freqs)
+    h = select_bandwidth(curve, rule)
     return h, {"mode": "auto", "value": h, "C": C, "epsilon": eps,
                "effective_c": eff, "window_mode": args.bw_mode,
-               "threshold": noise_threshold(sample.n, C)}
+               "threshold": noise_threshold(curve.n, C)}
 
 
 def _cv_bandwidth(sample):
@@ -86,7 +86,8 @@ def _resolve_bandwidth(args, sample, desc):
         if desc["family"] == GAUSSIAN:
             raise ValueError("the automatic rule needs a flat-top kernel; "
                              "use --bandwidth cv or a numeric value")
-        return _auto_bandwidth(args, sample, desc["effective_c"])
+        curve = ecf(sample, default_freq_grid(sample))
+        return _auto_bandwidth(args, curve, desc["effective_c"])
     if mode == "cv":
         if desc["family"] != GAUSSIAN:
             raise ValueError("cross-validation drives the Gaussian "
@@ -105,13 +106,13 @@ def _resolve_grid(args, sample, h):
     return np.linspace(lo, hi, 121), text
 
 
-def _write_artifacts(args, payload, csv_text):
-    outputs = {"csv": args.output, "json": getattr(args, "json_out", None)}
+def _write_artifacts(args, csv_text, json_doc):
+    """Writes --output and --json if given; returns the outputs entry."""
     if args.output:
         iolib.write_text(args.output, csv_text)
-    if outputs["json"]:
-        iolib.write_text(outputs["json"], iolib.dump_json(payload))
-    return outputs
+    if args.json_out:
+        iolib.write_text(args.json_out, iolib.dump_json(json_doc))
+    return {"csv": args.output, "json": args.json_out}
 
 
 def _cmd_curve(args):
@@ -143,13 +144,13 @@ def _cmd_curve(args):
         payload["t"] = [float(t) for t in grid]
         payload["value"] = [float(v) for v in values]
     payload["outputs"] = _write_artifacts(
-        args, payload, iolib.curve_csv(grid, values))
+        args, iolib.curve_csv(grid, values), payload)
     return payload
 
 
 def _cmd_bandwidth(args):
     sample = iolib.read_sample_csv(args.input)
-    freqs = None
+    curve = None
     if args.method == "cv":
         h, bw = _cv_bandwidth(sample)
     else:
@@ -159,7 +160,8 @@ def _cmd_bandwidth(args):
         else:
             freqs = default_freq_grid(sample)
             grid_text = f"{freqs[0]!r}:{freqs[-1]!r}:{freqs.size}"
-        h, bw = _auto_bandwidth(args, sample, args.effective_c, freqs)
+        curve = ecf(sample, freqs)
+        h, bw = _auto_bandwidth(args, curve, args.effective_c)
         bw.update(t_star=args.effective_c / h, freq_grid=grid_text)
     payload = {
         "command": "bandwidth",
@@ -170,8 +172,8 @@ def _cmd_bandwidth(args):
         "h": h,
     }
     if args.ecf_out:
-        curve = ecf(sample, freqs if freqs is not None
-                    else default_freq_grid(sample))
+        if curve is None:
+            curve = ecf(sample, default_freq_grid(sample))
         iolib.write_text(args.ecf_out,
                          iolib.curve_csv(curve.freqs, curve.magnitudes,
                                          value_name="magnitude"))
@@ -284,13 +286,8 @@ def _cmd_kernel_table(args):
                             standardize_path(kernel.kbar_values)):
         lines.append(f"{float(x)!r},{float(k)!r},{float(kb)!r},"
                      f"{float(kr)!r}")
-    csv_text = "\n".join(lines) + "\n"
-    outputs = {"csv": args.output, "json": args.json_out}
-    if args.output:
-        iolib.write_text(args.output, csv_text)
-    if args.json_out:
-        iolib.write_text(args.json_out, iolib.dump_json(kernel.to_dict()))
-    payload["outputs"] = outputs
+    payload["outputs"] = _write_artifacts(
+        args, "\n".join(lines) + "\n", kernel.to_dict())
     return payload
 
 
@@ -336,14 +333,10 @@ def _cmd_simulate(args):
                             "json": args.json_out},
         "retries": [list(r) for r in report.retries],
     }
-    outputs = {"csv": args.output, "json": args.json_out}
-    if args.output:
-        iolib.write_text(args.output, report.to_csv())
-    if args.json_out:
-        iolib.write_text(args.json_out, iolib.dump_json(report.to_dict()))
+    doc = report.to_dict()
     if not args.output and not args.json_out:
-        payload["cells"] = report.to_dict()["cells"]
-    payload["outputs"] = outputs
+        payload["cells"] = doc["cells"]
+    payload["outputs"] = _write_artifacts(args, report.to_csv(), doc)
     return payload
 
 
@@ -359,9 +352,8 @@ def _add_kernel_flags(p):
                    help="kernel table certification tolerance")
 
 
-def _add_bandwidth_flags(p):
-    p.add_argument("--bandwidth", default="auto",
-                   help="auto, cv, or a positive number")
+def _add_rule_flags(p):
+    """Flags of the automatic rule, for estimate, survival, bandwidth."""
     p.add_argument("--bw-C", type=float, default=None, dest="bw_C",
                    help="threshold constant (default 2)")
     p.add_argument("--bw-eps", type=float, default=None, dest="bw_eps",
@@ -384,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", default=None, dest="json_out",
                        help="also write the stdout document here")
         _add_kernel_flags(p)
-        _add_bandwidth_flags(p)
+        p.add_argument("--bandwidth", default="auto",
+                       help="auto, cv, or a positive number")
+        _add_rule_flags(p)
         p.add_argument("--boundary", type=float, default=None)
         p.add_argument("--standardize", action="store_true")
         p.add_argument("--grid", default=None,
@@ -397,10 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto", choices=["auto", "cv"])
     p.add_argument("--effective-c", type=float, default=0.75,
                    dest="effective_c")
-    p.add_argument("--bw-C", type=float, default=None, dest="bw_C")
-    p.add_argument("--bw-eps", type=float, default=None, dest="bw_eps")
-    p.add_argument("--bw-mode", default="threshold", dest="bw_mode",
-                   choices=["threshold", "plateau"])
+    _add_rule_flags(p)
     p.add_argument("--freq-grid", default=None, dest="freq_grid")
     p.add_argument("--ecf-out", default=None, dest="ecf_out",
                    help="write the ECF curve CSV here")

@@ -3,11 +3,15 @@
 Estimators operate on a CensoredSample and are configured with a kernel
 table, a bandwidth, an optional left support boundary (handled by
 reflection), and an optional standardization step that rectifies the
-estimate into a valid CDF (or survival) path.
+estimate into a valid CDF (or survival) path.  Every estimator smooths
+the sample's one jump measure, sample.jumps (EDF or Kaplan-Meier), which
+is computed on first use and cached on the sample.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,30 +30,37 @@ class DegenerateSampleError(ValueError):
 
 @dataclass(frozen=True)
 class CensoredSample:
-    """Observed times with event flags; all-true flags encode iid data."""
+    """Observed times with event flags, stored as read-only copies;
+    all-true flags encode iid data."""
     times: np.ndarray
     event: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        event = np.asarray(self.event, dtype=bool)
+        times = np.array(self.times, dtype=float)
+        event = np.array(self.event, dtype=bool)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1d array")
         if event.shape != times.shape:
             raise ValueError("event flags must match times in length")
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
+        times.flags.writeable = event.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "event", event)
 
     @classmethod
     def uncensored(cls, times) -> "CensoredSample":
-        times = np.asarray(times, dtype=float)
-        return cls(times, np.ones(times.shape, dtype=bool))
+        return cls(times, np.ones(np.shape(times), dtype=bool))
 
     @property
     def n(self) -> int:
         return self.times.size
+
+    @cached_property
+    def jumps(self) -> "StepEstimate":
+        """The estimators' jump measure, computed once: the EDF when every
+        event is observed (bitwise equal to, and cheaper than, KM), else KM."""
+        return edf(self) if np.all(self.event) else kaplan_meier(self)
 
 
 @dataclass(frozen=True)
@@ -79,14 +90,15 @@ class StepEstimate:
 
     locations are strictly ascending distinct values; heights are the
     positive masses, summing to 1 for an EDF and to <= 1 for Kaplan-Meier
-    when the largest observation is censored.
+    when the largest observation is censored.  Stored as read-only copies:
+    a sample's cached measure is shared between fits.
     """
     locations: np.ndarray
     heights: np.ndarray
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        hts = np.asarray(self.heights, dtype=float)
+        locs = np.array(self.locations, dtype=float)
+        hts = np.array(self.heights, dtype=float)
         if locs.ndim != 1 or locs.shape != hts.shape or locs.size == 0:
             raise ValueError("locations/heights must be matching 1d arrays")
         if not np.all(np.diff(locs) > 0):
@@ -95,6 +107,7 @@ class StepEstimate:
             raise ValueError("heights must be positive")
         if hts.sum() > 1.0 + 1e-12:
             raise ValueError("total jump mass exceeds 1")
+        locs.flags.writeable = hts.flags.writeable = False
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "heights", hts)
 
@@ -111,8 +124,7 @@ class StepEstimate:
         return float(out) if np.ndim(t) == 0 else out
 
     def survival(self, t):
-        out = 1.0 - self.cdf(t)
-        return out
+        return 1.0 - self.cdf(t)
 
 
 def edf(sample: CensoredSample) -> StepEstimate:
@@ -121,6 +133,32 @@ def edf(sample: CensoredSample) -> StepEstimate:
         raise ValueError("edf requires fully uncensored data")
     locs, counts = np.unique(sample.times, return_counts=True)
     return StepEstimate(locs, counts / sample.n)
+
+
+def kaplan_meier(sample: CensoredSample) -> StepEstimate:
+    """Jump measure of the Kaplan-Meier estimate.
+
+    The product-limit computation runs in exact rational arithmetic with
+    a single correctly rounded float division per jump, so that with zero
+    censoring the heights are bitwise the EDF's d_i/n.  Ties: censorings
+    at a time t stay in the risk set through events at t.  Returned
+    heights are the drops of the survival curve (equally, jumps of 1 - S);
+    total mass is below 1 when the largest observation is censored.
+    """
+    if not np.any(sample.event):
+        raise DegenerateSampleError("kaplan_meier needs at least one event")
+    times = sample.times
+    order = np.sort(times)
+    event_times, d = np.unique(times[sample.event], return_counts=True)
+    # at risk: every observation with time >= t_i
+    at_risk = sample.n - np.searchsorted(order, event_times, side="left")
+    surv = Fraction(1)
+    heights = np.empty(event_times.size, dtype=float)
+    for i in range(event_times.size):
+        jump = surv * Fraction(int(d[i]), int(at_risk[i]))
+        heights[i] = float(jump)
+        surv -= jump
+    return StepEstimate(event_times, heights)
 
 
 def standardize_path(raw, decreasing: bool = False) -> np.ndarray:
@@ -163,8 +201,8 @@ def smoothed_measure_on_grid(locations, weights, cfg: EstimatorConfig,
 
 
 def _path_on_grid(sample: CensoredSample, cfg: EstimatorConfig, grid,
-                  measure, survival: bool) -> np.ndarray:
-    """Smoothed CDF (or survival) path of measure(sample) on an ascending
+                  survival: bool) -> np.ndarray:
+    """Smoothed CDF (or survival) path of sample.jumps on an ascending
     grid; standardizes last if configured.
 
     The survival path is the total jump mass minus the smoothed CDF, so
@@ -177,7 +215,9 @@ def _path_on_grid(sample: CensoredSample, cfg: EstimatorConfig, grid,
         raise ValueError("grid must be 1d ascending")
     if cfg.boundary is not None and np.min(sample.times) < cfg.boundary:
         raise ValueError("observations fall below the stated boundary")
-    step = measure(sample)
+    if not (survival or np.all(sample.event)):
+        raise ValueError("the smoothed CDF requires uncensored data")
+    step = sample.jumps
     vals = smoothed_measure_on_grid(step.locations, step.heights, cfg, grid)
     if survival:
         vals = step.total_mass - vals
@@ -190,11 +230,11 @@ def evaluate_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
                      grid) -> np.ndarray:
     """Smoothed CDF of uncensored data on an ascending grid; standardizes
     last if configured."""
-    return _path_on_grid(sample, cfg, grid, edf, survival=False)
+    return _path_on_grid(sample, cfg, grid, survival=False)
 
 
 def smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig, pts,
-                   measure=edf, survival: bool = False):
+                   survival: bool = False):
     """Raw and standardized values at ascending points pts.
 
     Standardization needs the running sup (inf for survival) over the
@@ -214,15 +254,15 @@ def smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig, pts,
     grid = np.union1d(np.linspace(lo, float(pts[-1]), _PATH_POINTS), pts)
     idx = np.searchsorted(grid, pts)
     raw = _path_on_grid(sample, replace(cfg, standardize=False), grid,
-                        measure, survival)
+                        survival)
     return raw[idx], standardize_path(raw, decreasing=survival)[idx]
 
 
-def _point_value(sample, cfg, t, measure, survival) -> float:
+def _point_value(sample, cfg, t, survival) -> float:
     pts = np.array([float(t)])
     if cfg.standardize:
-        return float(smoothed_paths(sample, cfg, pts, measure, survival)[1][0])
-    return float(_path_on_grid(sample, cfg, pts, measure, survival)[0])
+        return float(smoothed_paths(sample, cfg, pts, survival)[1][0])
+    return float(_path_on_grid(sample, cfg, pts, survival)[0])
 
 
 def smoothed_cdf(sample: CensoredSample, cfg: EstimatorConfig,
@@ -234,4 +274,4 @@ def smoothed_cdf(sample: CensoredSample, cfg: EstimatorConfig,
     from the path start up to t, clipped to [0, 1].  Grid evaluation via
     evaluate_on_grid gives the caller explicit control instead.
     """
-    return _point_value(sample, cfg, t, edf, survival=False)
+    return _point_value(sample, cfg, t, survival=False)

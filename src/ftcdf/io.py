@@ -15,6 +15,8 @@ import numpy as np
 from .estimators import CensoredSample
 
 SCHEMA = 1
+# largest grid parse_grid accepts; checked before anything is allocated
+MAX_GRID_POINTS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -98,6 +100,9 @@ def parse_grid(text: str) -> np.ndarray:
                              "numeric bounds and integer count")
         if count < 1:
             raise ParseError(f"grid {text!r}: count must be >= 1")
+        if count > MAX_GRID_POINTS:
+            raise ParseError(f"grid {text!r}: count must be at most "
+                             f"{MAX_GRID_POINTS}")
         if hi < lo:
             raise ParseError(f"grid {text!r}: hi must be >= lo")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -110,6 +115,9 @@ def parse_grid(text: str) -> np.ndarray:
             raise ParseError(f"grid {text!r}: non-numeric point")
         if pts.size == 0:
             raise ParseError(f"grid {text!r}: empty")
+        if pts.size > MAX_GRID_POINTS:
+            raise ParseError(f"grid of {pts.size} points: at most "
+                             f"{MAX_GRID_POINTS} are allowed")
         if np.any(np.diff(pts) <= 0):
             raise ParseError(f"grid {text!r}: points must be strictly "
                              "ascending")

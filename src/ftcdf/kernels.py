@@ -329,10 +329,6 @@ class KernelTable:
             return cls.from_dict(json.load(fh))
 
 
-def cache_key(spec: FlatTopSpec, tol: float) -> str:
-    return f"{spec.family}_c{spec.c:g}_b{spec.b:g}_tol{tol:g}"
-
-
 def _certify(table: KernelTable) -> None:
     """Compare both splines against direct evaluation at panel midpoints."""
     mids = 0.5 * (table.grid[:-1] + table.grid[1:])

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import (BandwidthRule, NoPlateauError, auto_bandwidth,
-                        cv_bandwidth_km, default_cv_grid, default_rule)
+from .bandwidth import (BandwidthRule, NoPlateauError, cv_bandwidth_km,
+                        default_cv_grid, default_freq_grid, default_rule,
+                        ecf, select_bandwidth)
 from .distributions import (DistSpec, dist_cdf, dist_survival, polya_cdf,
                             sample_distribution)
 from .estimators import (CensoredSample, DegenerateSampleError,
                          EstimatorConfig, evaluate_on_grid, smoothed_paths)
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table)
-from .survival import jump_measure
 
 CDF = "cdf"
 SURVIVAL = "survival"
@@ -31,6 +31,7 @@ RAW_SUFFIX = "+raw"
 
 TRAP_SPEC = FlatTopSpec(TRAPEZOID, c=0.75)
 SMOOTH_SPEC = FlatTopSpec(SMOOTH, b=1.0, c=0.05, effective_c=0.5)
+_FLAT_TOP = {"trap-auto": TRAP_SPEC, "smooth-auto": SMOOTH_SPEC}
 
 # threshold constants for the flat-top rules inside simulation studies.
 # The iid studies need a lower cutoff than the module default or the
@@ -194,29 +195,28 @@ def _stream(seed: int, rep: int, purpose: int,
 def _kernel_for(estimator: str):
     if estimator == "gauss-cv":
         return GaussianKernel()
-    if estimator == "trap-auto":
-        return get_table(TRAP_SPEC)
-    if estimator == "smooth-auto":
-        return get_table(SMOOTH_SPEC)
+    if estimator in _FLAT_TOP:
+        return get_table(_FLAT_TOP[estimator])
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def _select_bandwidth(estimator: str, sample: CensoredSample) -> float:
+def _select_bandwidth(estimator: str, sample: CensoredSample, curve) -> float:
+    """Bandwidth of one smoothed arm; flat-top arms read the ECF curve."""
     if estimator == "gauss-cv":
         return cv_bandwidth_km(sample, default_cv_grid(sample))
-    effective_c = TRAP_SPEC.effective_c if estimator == "trap-auto" \
-        else SMOOTH_SPEC.effective_c
+    effective_c = _FLAT_TOP[estimator].effective_c
     C = _STUDY_THRESHOLD_C if np.all(sample.event) \
         else _STUDY_THRESHOLD_C_CENSORED
     rule = default_rule(sample.n, effective_c)
     rule = BandwidthRule(C, rule.epsilon, effective_c)
-    return auto_bandwidth(sample, effective_c, rule=rule)
+    return select_bandwidth(curve, rule)
 
 
 def _replicate(scenario: Scenario, estimators, n: int, rep: int):
     """One replication: (values[e, p, variant], attempts used)."""
     pts = np.asarray(scenario.eval_points)
     survival = scenario.estimand == SURVIVAL
+    flat_top = any(name in _FLAT_TOP for name in estimators)
     for attempt in range(_MAX_ATTEMPTS):
         rng = _stream(scenario.seed, rep, _PURPOSE_LIFETIME, attempt)
         life = sample_distribution(scenario.lifetime_dist, n, rng)
@@ -228,17 +228,18 @@ def _replicate(scenario: Scenario, estimators, n: int, rep: int):
             sample = CensoredSample.uncensored(life)
         vals = np.empty((len(estimators), pts.size, 2))
         try:
+            curve = (ecf(sample, default_freq_grid(sample)) if flat_top
+                     else None)
             for e, name in enumerate(estimators):
                 if name == "edf":
-                    step = jump_measure(sample)
+                    step = sample.jumps
                     v = step.survival(pts) if survival else step.cdf(pts)
                     vals[e, :, 0] = vals[e, :, 1] = v
                     continue
-                h = _select_bandwidth(name, sample)
+                h = _select_bandwidth(name, sample, curve)
                 cfg = EstimatorConfig(_kernel_for(name), h,
                                       boundary=scenario.boundary)
-                raw, std = smoothed_paths(sample, cfg, pts, jump_measure,
-                                          survival)
+                raw, std = smoothed_paths(sample, cfg, pts, survival)
                 vals[e, :, 0] = raw
                 vals[e, :, 1] = std
         except (NoPlateauError, DegenerateSampleError):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import ftcdf.cli as cli
+import ftcdf.estimators as estimators
 from ftcdf.bandwidth import auto_bandwidth, cv_bandwidth_km, default_cv_grid
 from ftcdf.cli import main
 from ftcdf.estimators import CensoredSample, EstimatorConfig, evaluate_on_grid
@@ -165,6 +167,13 @@ class TestEstimate:
         assert err["error"]["kind"] == "parse"
         assert grid in err["error"]["message"]
 
+    def test_oversized_grid_is_parse_error(self, capsys, sample_csv):
+        code, doc, err = run_cli(capsys, "estimate", "--input", sample_csv,
+                                 "--grid", "0:1:10000000000000")
+        assert code == 4 and doc is None
+        assert err["error"]["kind"] == "parse"
+        assert "at most 1000000" in err["error"]["message"]
+
     def test_nonfinite_freq_grid_is_parse_error(self, capsys, sample_csv):
         code, _, err = run_cli(capsys, "bandwidth", "--input", sample_csv,
                                "--freq-grid", "0:nan:64")
@@ -206,6 +215,14 @@ class TestSurvival:
                                          np.linspace(0.5, 2, 16))
         np.testing.assert_array_equal(np.array(doc["value"]), want)
 
+    def test_auto_bandwidth_runs_kaplan_meier_once(self, capsys, spy,
+                                                   censored_csv):
+        calls = spy(estimators, "kaplan_meier")
+        code, doc, _ = run_cli(capsys, "survival", "--input", censored_csv,
+                               "--grid", "0.5:2:16")
+        assert code == 0 and doc["censored"] > 0
+        assert len(calls) == 1
+
     def test_accepts_uncensored_too(self, capsys, sample_csv):
         code, doc, _ = run_cli(capsys, "survival", "--input", sample_csv,
                                "--grid", "-1:1:3")
@@ -230,6 +247,16 @@ class TestBandwidth:
         assert lines[0] == "t,magnitude"
         f0, m0 = lines[1].split(",")
         assert float(f0) == 0.0 and float(m0) == 1.0
+
+    def test_ecf_out_is_the_curve_selected_from(self, capsys, spy, tmp_path,
+                                                 sample_csv):
+        calls = spy(cli, "ecf")
+        out = str(tmp_path / "ecf.csv")
+        code, _, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                             "--ecf-out", out)
+        assert code == 0 and len(calls) == 1
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 0], calls[0][1])
 
     def test_cv_method_matches_library(self, capsys, sample_csv):
         code, doc, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,

@@ -27,6 +27,39 @@ def test_sample_validation():
     assert s.n == 2 and np.all(s.event)
 
 
+def test_sample_stores_frozen_copies():
+    times = np.array([3.0, 1.0, 2.0])
+    event = np.array([True, False, True])
+    s = CensoredSample(times, event)
+    times[0], event[1] = 99.0, True
+    assert s.times[0] == 3.0 and not s.event[1]
+    with pytest.raises(ValueError):
+        s.times[0] = 0
+    with pytest.raises(ValueError):
+        s.event[0] = False
+    # the cached measure is shared between fits, so it is frozen too
+    assert s.jumps is s.jumps
+    with pytest.raises(ValueError):
+        s.jumps.heights[0] = 0.5
+    locs, hts = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+    step = StepEstimate(locs, hts)
+    locs[0], hts[0] = 0.0, 0.25
+    assert step.locations[0] == 1.0 and step.heights[0] == 0.5
+    with pytest.raises(ValueError):
+        step.locations[0] = 0.0
+
+
+def test_cdf_rejects_censored_data():
+    s = CensoredSample(np.array([1.0, 2.0, 3.0]),
+                       np.array([True, False, True]))
+    for standardize in (False, True):
+        cfg = EstimatorConfig(GaussianKernel(), 0.5, standardize=standardize)
+        with pytest.raises(ValueError, match="uncensored"):
+            evaluate_on_grid(s, cfg, [0.0, 1.0])
+        with pytest.raises(ValueError, match="uncensored"):
+            smoothed_cdf(s, cfg, 1.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(GaussianKernel(), 0.0)

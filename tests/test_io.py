@@ -126,6 +126,17 @@ class TestParseGrid:
         with pytest.raises(ParseError):
             parse_grid(bad)
 
+    def test_size_limit(self):
+        assert parse_grid("0:1:1000000").size == 1_000_000
+        with pytest.raises(ParseError, match="at most 1000000"):
+            parse_grid("0:1:1000001")
+        with pytest.raises(ParseError, match="at most 1000000"):
+            parse_grid("0:1:10000000000000")
+        points = ",".join(str(i) for i in range(1_000_000))
+        assert parse_grid(points).size == 1_000_000
+        with pytest.raises(ParseError, match="at most 1000000"):
+            parse_grid(points + ",1000000")
+
 
 class TestSmallHelpers:
     def test_parse_int_list(self):

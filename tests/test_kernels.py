@@ -12,7 +12,6 @@ from ftcdf.kernels import (
     GaussianKernel,
     KernelTable,
     build_table,
-    cache_key,
     get_table,
     integrated_kernel,
     integrated_kernel_by_quad,
@@ -203,7 +202,7 @@ def test_cross_moment_rejects_unknown():
 
 def test_table_serialization_roundtrip(tmp_path):
     tab = get_table(SMOOTH_REF, 1e-8)
-    path = tmp_path / (cache_key(SMOOTH_REF, 1e-8) + ".json")
+    path = tmp_path / "smooth_table.json"
     tab.save(path)
     back = KernelTable.load(path)
     assert back.spec == tab.spec
@@ -220,10 +219,3 @@ def test_table_schema_guard():
 
 def test_get_table_caches():
     assert get_table(TRAP, 1e-8) is get_table(TRAP, 1e-8)
-
-
-def test_cache_key_distinguishes_parameters():
-    keys = {cache_key(TRAP, 1e-8), cache_key(TRAP, 1e-6),
-            cache_key(SMOOTH_REF, 1e-8),
-            cache_key(FlatTopSpec(TRAPEZOID, 0.5), 1e-8)}
-    assert len(keys) == 4

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ftcdf.estimators as estimators
 import ftcdf.simulate as sim
 from ftcdf.bandwidth import NoPlateauError
 from ftcdf.distributions import DistSpec
@@ -180,11 +181,11 @@ class TestRetries:
         calls = {"count": 0}
         real = sim._select_bandwidth
 
-        def flaky(estimator, sample):
+        def flaky(*args):
             calls["count"] += 1
             if calls["count"] <= 2:
                 raise NoPlateauError("forced")
-            return real(estimator, sample)
+            return real(*args)
 
         monkeypatch.setattr(sim, "_select_bandwidth", flaky)
         sc = builtin_scenario("normal-iid", seed=3, replications=4,
@@ -194,7 +195,7 @@ class TestRetries:
         assert all(c.reps == 4 for c in rep.cells)
 
     def test_exhausted_retries_raise(self, monkeypatch):
-        def hopeless(estimator, sample):
+        def hopeless(*args):
             raise NoPlateauError("forced")
 
         monkeypatch.setattr(sim, "_select_bandwidth", hopeless)
@@ -207,11 +208,11 @@ class TestRetries:
         calls = {"count": 0}
         real = sim._select_bandwidth
 
-        def degenerate_once(estimator, sample):
+        def degenerate_once(*args):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise DegenerateSampleError("forced")
-            return real(estimator, sample)
+            return real(*args)
 
         monkeypatch.setattr(sim, "_select_bandwidth", degenerate_once)
         sc = builtin_scenario("normal-iid", seed=3, replications=2,
@@ -222,7 +223,7 @@ class TestRetries:
     def test_other_errors_propagate_on_first_attempt(self, monkeypatch):
         calls = {"count": 0}
 
-        def buggy(estimator, sample):
+        def buggy(*args):
             calls["count"] += 1
             raise ValueError("bug")
 
@@ -242,6 +243,15 @@ class TestRetries:
         rng_b = sim._stream(2026, 0, 0, 1)
         assert rng_a.random() != rng_b.random()
         assert v0.shape == (1, 3, 2)
+
+    @pytest.mark.parametrize("name, measure", [
+        ("normal-iid", "edf"), ("weibull-censored", "kaplan_meier")])
+    def test_one_ecf_and_one_measure_per_attempt(self, spy, name, measure):
+        ecf_calls = spy(sim, "ecf")
+        measure_calls = spy(estimators, measure)
+        sc = builtin_scenario(name, replications=1)
+        _, attempt = sim._replicate(sc, sim.ESTIMATORS, 15, 0)
+        assert len(ecf_calls) == len(measure_calls) == attempt + 1
 
 
 class TestZeroBias:

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ftcdf.bandwidth import ecf
 from ftcdf.estimators import (CensoredSample, DegenerateSampleError,
                               EstimatorConfig, edf, smoothed_paths)
 from ftcdf.kernels import TRAPEZOID, FlatTopSpec, GaussianKernel, get_table
-from ftcdf.survival import (jump_measure, kaplan_meier, smoothed_survival,
+from ftcdf.survival import (kaplan_meier, smoothed_survival,
                             smoothed_survival_on_grid)
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
@@ -71,10 +76,11 @@ def test_km_requires_an_event():
 
 def test_jump_measure_picks_edf_or_km():
     s = random_censored(4)
-    km = jump_measure(s)
+    km = s.jumps
+    assert s.jumps is km
     np.testing.assert_array_equal(km.heights, kaplan_meier(s).heights)
     iid = CensoredSample.uncensored(np.round(s.times, 1))
-    step = jump_measure(iid)
+    step = iid.jumps
     np.testing.assert_array_equal(step.locations, edf(iid).locations)
     np.testing.assert_array_equal(step.heights, kaplan_meier(iid).heights)
 
@@ -149,10 +155,38 @@ def test_standardized_point_is_study_path_value(boundary, censored):
         s.times.min() - min(tab.tail_cutoff, 256.0) * 0.4
     for t in (lo - 1.0, 0.3, 1.0, 2.0):
         val = smoothed_survival(s, cfg, t)
-        want = smoothed_paths(s, cfg, np.array([t]), jump_measure,
-                              survival=True)[1][0]
+        want = smoothed_paths(s, cfg, np.array([t]), survival=True)[1][0]
         assert val == want
         if t > lo:
             fine = smoothed_survival_on_grid(s, cfg,
                                              np.linspace(lo, t, 1025))
             assert val == fine[-1]
+
+
+# small integer ticks force ties; each flag list may censor any subset
+_TIED_SAMPLES = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 12), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TIED_SAMPLES)
+def test_km_properties_on_tied_samples(drawn):
+    ticks, flags = drawn
+    times = np.array(ticks) / 4.0
+    freqs = np.linspace(0.0, 8.0, 33)
+    iid = CensoredSample.uncensored(times)
+    km, e = kaplan_meier(iid), edf(iid)
+    np.testing.assert_array_equal(km.locations, e.locations)
+    np.testing.assert_array_equal(km.heights, e.heights)
+    samples = [iid]
+    if any(flags):
+        cens = CensoredSample(times, np.array(flags))
+        km = kaplan_meier(cens)
+        # each height is its exact jump rounded once, and the exact jumps
+        # sum to at most one
+        assert sum(map(Fraction, km.heights)) <= 1 + Fraction(1, 2 ** 53)
+        samples.append(cens)
+    for s in samples:
+        mags = ecf(s, freqs).magnitudes
+        assert np.all((mags >= 0.0) & (mags <= 1.0))
