@@ -6,7 +6,7 @@ holding the fully resolved configuration (all defaults filled in) plus
 any inline results, and writes requested CSV/JSON artifacts to the
 given paths.  Failures print an error JSON to stderr and exit with a
 distinct code per error class: 2 usage (argparse), 3 I/O, 4 parse,
-5 domain.
+5 domain (including a kernel table that cannot be certified).
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .bandwidth import (BandwidthRule, NoPlateauError, cv_bandwidth_km,
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table)
+from .quadrature import QuadratureError
 from .simulate import (BUILTIN_SCENARIOS, ESTIMATORS, Scenario,
                        builtin_scenario, run_scenario)
 from .survival import smoothed_survival_on_grid
@@ -150,19 +151,20 @@ def _cmd_curve(args):
 
 def _cmd_bandwidth(args):
     sample = iolib.read_sample_csv(args.input)
+    if args.freq_grid is not None:
+        freqs = iolib.parse_grid(args.freq_grid)
+        grid_text = args.freq_grid
+    else:
+        freqs = default_freq_grid(sample)
+        grid_text = f"{freqs[0]!r}:{freqs[-1]!r}:{freqs.size}"
     curve = None
     if args.method == "cv":
         h, bw = _cv_bandwidth(sample)
     else:
-        if args.freq_grid is not None:
-            freqs = iolib.parse_grid(args.freq_grid)
-            grid_text = args.freq_grid
-        else:
-            freqs = default_freq_grid(sample)
-            grid_text = f"{freqs[0]!r}:{freqs[-1]!r}:{freqs.size}"
         curve = ecf(sample, freqs)
         h, bw = _auto_bandwidth(args, curve, args.effective_c)
-        bw.update(t_star=args.effective_c / h, freq_grid=grid_text)
+        bw["t_star"] = args.effective_c / h
+    bw["freq_grid"] = grid_text
     payload = {
         "command": "bandwidth",
         "resolved_config": {"input": args.input, "method": args.method,
@@ -173,7 +175,7 @@ def _cmd_bandwidth(args):
     }
     if args.ecf_out:
         if curve is None:
-            curve = ecf(sample, default_freq_grid(sample))
+            curve = ecf(sample, freqs)
         iolib.write_text(args.ecf_out,
                          iolib.curve_csv(curve.freqs, curve.magnitudes,
                                          value_name="magnitude"))
@@ -436,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--estimators", default=None,
                    help=f"subset of {','.join(ESTIMATORS)}")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="process count, at least 1; one pool per study "
+                        "of min(workers, tasks, CPUs) processes, and the "
+                        "output is the same for any value")
     p.add_argument("--output", default=None, help="MseReport CSV path")
     p.add_argument("--json", default=None, dest="json_out")
     p.set_defaults(func=_cmd_simulate)
@@ -464,7 +469,8 @@ def main(argv=None) -> int:
         return _fail("parse", str(exc), EXIT_PARSE)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
-    except (ValueError, NoPlateauError, RuntimeError) as exc:
+    except (ValueError, NoPlateauError, QuadratureError,
+            RuntimeError) as exc:
         return _fail("domain", str(exc), EXIT_DOMAIN)
     sys.stdout.write(iolib.dump_json(payload))
     return 0

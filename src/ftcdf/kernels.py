@@ -226,22 +226,29 @@ def _smooth_tail_cutoff(spec, tol: float) -> float:
     raise QuadratureError("smooth-family tail does not settle below tol")
 
 
-def _positive_grid(t_end: float, tol: float, decay_const: float) -> np.ndarray:
+def _positive_grid(t_end: float, tol: float, decay_const: float,
+                   max_points: int) -> np.ndarray:
     """Abscissae 0..t_end: uniform core, then spacing growing like sqrt(t).
 
     Spacing keeps the cubic-interpolation error (5/384) h^4 |f''''| under
     tol, using |f''''| <= 0.08 near 0 and <= decay_const / t^2 beyond.
+    Raises QuadratureError, before the points are built, once the table
+    (this grid mirrored about 0) would pass max_points.
     """
     delta0 = min(0.05, (384.0 * tol / (5.0 * 0.08)) ** 0.25)
     t_core = min(16.0, t_end)
-    pts = list(np.arange(0.0, t_core, delta0))
+    n_core = math.ceil(t_core / delta0)  # the length of np.arange below
+    cap = max_points // 2
     beta = (76.8 * tol / decay_const) ** 0.25
+    tail = []
     t = t_core
-    while t < t_end:
-        pts.append(t)
+    while t < t_end and n_core + len(tail) < cap:
+        tail.append(t)
         t += max(delta0, beta * np.sqrt(t))
-    pts.append(t_end)
-    return np.asarray(pts)
+    if n_core + len(tail) + 1 > cap:
+        raise QuadratureError(f"tol {tol:.3g} needs a table of more than "
+                              f"max_points={max_points} points")
+    return np.concatenate([np.arange(0.0, t_core, delta0), tail, [t_end]])
 
 
 @dataclass
@@ -368,10 +375,7 @@ def build_table(spec: FlatTopSpec, tol: float = 1e-8,
     else:
         t_end = _smooth_tail_cutoff(spec, tol)
     decay = 3.0 / (np.pi * (1.0 - spec.c))
-    pos = _positive_grid(t_end, tol, decay)
-    if 2 * pos.size > max_points:
-        raise QuadratureError(
-            f"grid of {2 * pos.size} points exceeds max_points={max_points}")
+    pos = _positive_grid(t_end, tol, decay, max_points)
     k_pos = kernel(spec, pos)
     kbar_pos = integrated_kernel(spec, pos)
     grid = np.concatenate([-pos[:0:-1], pos])

@@ -8,8 +8,10 @@ RNG streams, so reports are bitwise-identical for any worker count.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product, repeat
 
 import numpy as np
 
@@ -252,12 +254,6 @@ def _replicate(scenario: Scenario, estimators, n: int, rep: int):
                        "threshold for this data law")
 
 
-def _run_replication(args):
-    scenario, estimators, n, rep = args
-    vals, attempt = _replicate(scenario, estimators, n, rep)
-    return rep, vals, attempt
-
-
 def _truth(scenario: Scenario, pts: np.ndarray) -> np.ndarray:
     if scenario.estimand == SURVIVAL:
         return np.asarray(dist_survival(scenario.lifetime_dist, pts))
@@ -275,33 +271,37 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     selection fails, or whose draw has too few events, are retried on
     fresh substreams and counted in `retries`; any other error
     propagates.
+
+    The replications of every sample size form one task list.  It runs
+    in this process when one process suffices, else in one pool of
+    min(workers, tasks, CPUs) processes opened once for the study.
     """
     for name in estimators:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; "
                              f"choose from {ESTIMATORS}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     pts = np.asarray(scenario.eval_points)
     truth = _truth(scenario, pts)
     reps = scenario.replications
+    sizes = scenario.sample_sizes
+    tasks = list(product(sizes, range(reps)))
+    args = (repeat(scenario), repeat(estimators), *zip(*tasks))
+    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    if procs == 1:
+        results = list(map(_replicate, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            results = list(pool.map(_replicate, *args,
+                                    chunksize=max(1, reps // (procs * 8))))
+    vals, attempts = zip(*results)
+    by_size = zip(sizes, np.reshape(vals, (len(sizes), reps) + vals[0].shape),
+                  np.reshape(attempts, (len(sizes), reps)))
     cells = []
     retries = []
-    for n in scenario.sample_sizes:
-        values = np.empty((reps, len(estimators), pts.size, 2))
-        attempts = np.zeros(reps, dtype=int)
-        tasks = [(scenario, estimators, n, rep) for rep in range(reps)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for rep, vals, att in pool.map(
-                        _run_replication, tasks,
-                        chunksize=max(1, reps // (workers * 8))):
-                    values[rep] = vals
-                    attempts[rep] = att
-        else:
-            for task in tasks:
-                rep, vals, att = _run_replication(task)
-                values[rep] = vals
-                attempts[rep] = att
-        retries.append((n, int(attempts.sum())))
+    for n, values, tries in by_size:
+        retries.append((n, int(tries.sum())))
         for e, name in enumerate(estimators):
             variants = [(1, name)]
             if name != "edf":

@@ -265,6 +265,26 @@ class TestBandwidth:
         sample = read_sample_csv(sample_csv)
         assert doc["h"] == cv_bandwidth_km(sample, default_cv_grid(sample))
 
+    @pytest.mark.parametrize("method", ["auto", "cv"])
+    def test_freq_grid_feeds_ecf_out(self, capsys, tmp_path, sample_csv,
+                                     method):
+        out = str(tmp_path / "ecf.csv")
+        code, doc, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                               "--method", method, "--freq-grid", "0:5:11",
+                               "--ecf-out", out)
+        assert code == 0
+        assert doc["resolved_config"]["bandwidth"]["freq_grid"] == "0:5:11"
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 0], np.linspace(0, 5, 11))
+
+    @pytest.mark.parametrize("method", ["auto", "cv"])
+    def test_malformed_freq_grid_is_parse_error(self, capsys, sample_csv,
+                                                method):
+        code, doc, err = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                                 "--method", method, "--freq-grid", "0:5:x")
+        assert code == 4 and doc is None
+        assert err["error"]["kind"] == "parse"
+
     def test_cv_method_on_censored_input(self, capsys, censored_csv):
         code, doc, _ = run_cli(capsys, "bandwidth", "--input", censored_csv,
                                "--method", "cv")
@@ -352,6 +372,13 @@ class TestKernelTable:
                                "gaussian")
         assert code == 5 and err["error"]["kind"] == "domain"
 
+    def test_uncertifiable_tol_is_domain_error(self, capsys):
+        code, doc, err = run_cli(capsys, "kernel-table", "--kernel",
+                                 "trapezoid", "--tol", "1e-12")
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert "max_points=400000" in err["error"]["message"]
+
 
 class TestSimulate:
     def test_csv_matches_library_run(self, capsys, tmp_path):
@@ -395,6 +422,15 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--scenario",
                                "no-such-thing")
         assert code == 3 and err["error"]["kind"] == "io"
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_is_domain_error(self, capsys, workers):
+        code, doc, err = run_cli(capsys, "simulate", "--scenario",
+                                 "normal-iid", "--reps", "2", "--n", "10",
+                                 "--workers", workers)
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert "workers must be >= 1" in err["error"]["message"]
 
     def test_unknown_estimator_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario",

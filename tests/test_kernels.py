@@ -20,7 +20,7 @@ from ftcdf.kernels import (
     kernel_cross_moment,
     window,
 )
-from ftcdf.quadrature import adaptive_quad
+from ftcdf.quadrature import QuadratureError, adaptive_quad
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 SMOOTH_REF = FlatTopSpec(SMOOTH, 0.05, 1.0)
@@ -215,6 +215,20 @@ def test_table_serialization_roundtrip(tmp_path):
 def test_table_schema_guard():
     with pytest.raises(ValueError):
         KernelTable.from_dict({"schema": 999})
+
+
+def test_over_budget_tol_fails_before_building_the_grid():
+    # at tol 1e-16 the full grid would take about 1.5e8 loop steps
+    for tol in (1e-12, 1e-16):
+        with pytest.raises(QuadratureError, match="max_points=400000"):
+            build_table(TRAP, tol)
+
+
+def test_grid_budget_edge():
+    # the positive half of the tol 1e-8 trapezoid grid holds 14692 points
+    assert build_table(TRAP, 1e-8, max_points=29384).grid.size == 29383
+    with pytest.raises(QuadratureError):
+        build_table(TRAP, 1e-8, max_points=29383)
 
 
 def test_get_table_caches():

@@ -176,6 +176,75 @@ class TestRunScenario:
         assert all(0.0 <= c.mse < 1.0 for c in rep.cells)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments and maps
+    in this process, so no worker process is started."""
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunksize = None
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, *iterables)
+
+
+class TestPool:
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_worker_count_invariance_across_sizes(self, monkeypatch, name):
+        # a pool that spans both sizes, with as many processes as asked
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        sc = builtin_scenario(name, seed=99, replications=6,
+                              sample_sizes=(15, 30))
+        base = run_scenario(sc, workers=1)
+        for workers in (2, 3):
+            rep = run_scenario(sc, workers=workers)
+            assert rep.to_csv() == base.to_csv()
+            assert rep.retries == base.retries
+
+    def test_one_pool_per_study(self, monkeypatch, spy):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        pools = spy(sim, "ProcessPoolExecutor")
+        sc = builtin_scenario("normal-iid", seed=5, replications=4,
+                              sample_sizes=(10, 15, 30))
+        pooled = run_scenario(sc, estimators=("edf",), workers=2)
+        assert len(pools) == 1
+        serial = run_scenario(sc, estimators=("edf",), workers=1)
+        assert len(pools) == 1
+        assert pooled == serial
+
+    @pytest.mark.parametrize("cpus, reps, procs, chunksize", [
+        (64, 3, 6, 1),       # bounded by the 6 tasks
+        (2, 100, 2, 6),      # bounded by the CPUs; reps // (procs * 8)
+        (None, 3, None, None),  # unknown CPU count: one process, no pool
+    ])
+    def test_process_count_worked_out_from_inputs(self, monkeypatch, cpus,
+                                                  reps, procs, chunksize):
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        sc = builtin_scenario("normal-iid", seed=5, replications=reps,
+                              sample_sizes=(15, 30))
+        rep = run_scenario(sc, estimators=("edf",), workers=100000)
+        made = [(p.max_workers, p.chunksize) for p in _RecordingPool.made]
+        assert made == ([] if procs is None else [(procs, chunksize)])
+        assert rep == run_scenario(sc, estimators=("edf",), workers=1)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, workers):
+        sc = builtin_scenario("normal-iid", replications=2)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_scenario(sc, workers=workers)
+
+
 class TestRetries:
     def test_failed_selection_is_retried_and_counted(self, monkeypatch):
         calls = {"count": 0}
