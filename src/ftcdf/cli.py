@@ -156,7 +156,7 @@ def _cmd_bandwidth(args):
         grid_text = args.freq_grid
     else:
         freqs = default_freq_grid(sample)
-        grid_text = f"{freqs[0]!r}:{freqs[-1]!r}:{freqs.size}"
+        grid_text = f"{float(freqs[0])!r}:{float(freqs[-1])!r}:{freqs.size}"
     curve = None
     if args.method == "cv":
         h, bw = _cv_bandwidth(sample)
@@ -339,6 +339,7 @@ def _cmd_simulate(args):
     if not args.output and not args.json_out:
         payload["cells"] = doc["cells"]
     payload["outputs"] = _write_artifacts(args, report.to_csv(), doc)
+    payload["diagnostics"] = {"blas": report.blas.to_dict()}
     return payload
 
 
@@ -441,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="process count, at least 1; one pool per study "
                         "of min(workers, tasks, CPUs) processes, and the "
-                        "output is the same for any value")
+                        "output is the same for any value; the study runs "
+                        "OpenBLAS at one thread and then restores the "
+                        "caller's setting")
     p.add_argument("--output", default=None, help="MseReport CSV path")
     p.add_argument("--json", default=None, dest="json_out")
     p.set_defaults(func=_cmd_simulate)

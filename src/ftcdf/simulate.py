@@ -5,12 +5,16 @@ own bandwidth rule, evaluates at the scenario's points, and aggregates
 MSE, bias, and variance per cell.  Every replication is a pure function
 of (seed, replication index, purpose, attempt) through counter-based
 RNG streams, so reports are bitwise-identical for any worker count.
+Every study runs OpenBLAS at one thread, in this process and in the
+pool workers it forks, and gives the caller's setting back afterwards.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from itertools import product, repeat
 
 import numpy as np
@@ -48,6 +52,16 @@ _STUDY_THRESHOLD_C_CENSORED = 2.0
 _PURPOSE_LIFETIME = 0
 _PURPOSE_CENSOR = 1
 _MAX_ATTEMPTS = 100
+
+# (getter, setter) names of the thread count in the OpenBLAS builds
+# numpy and scipy bundle (64-bit and 32-bit integer interfaces) and in a
+# plain OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -147,6 +161,26 @@ class CellStats:
 
 
 @dataclass(frozen=True)
+class BlasSetting:
+    """The OpenBLAS libraries a study found and the thread counts it saw.
+
+    caller_threads lines up with libraries; study_threads is 1, or None
+    when no library was found and the study left BLAS as it was.
+    """
+    libraries: tuple = ()
+    caller_threads: tuple = ()
+
+    @property
+    def study_threads(self) -> int | None:
+        return 1 if self.libraries else None
+
+    def to_dict(self) -> dict:
+        return {"libraries": list(self.libraries),
+                "caller_threads": list(self.caller_threads),
+                "study_threads": self.study_threads}
+
+
+@dataclass(frozen=True)
 class MseReport:
     scenario: str
     estimand: str
@@ -154,6 +188,8 @@ class MseReport:
     replications: int
     cells: tuple
     retries: tuple  # ((n, retry count), ...) in sample-size order
+    # how the study ran BLAS; not part of the report's values
+    blas: BlasSetting = field(default=BlasSetting(), compare=False)
 
     CSV_HEADER = "estimator,t,n,mse,bias,var,se,reps"
 
@@ -185,6 +221,67 @@ class MseReport:
                 "se": c.se, "reps": c.reps,
             } for c in self.cells],
         }
+
+
+def _loaded_openblas_paths() -> list:
+    """Paths of the OpenBLAS libraries mapped into this process."""
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)  # the 6th is the path
+                if (len(fields) == 6 and "openblas" in
+                        os.path.basename(fields[5]).lower()):
+                    paths.add(fields[5].rstrip("\n"))
+    except OSError:
+        return []
+    return sorted(paths)
+
+
+def _blas_controls(lib):
+    """(get, set) thread-count functions of a loaded library, or None."""
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        get = getattr(lib, get_name, None)
+        set_ = getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.restype = ctypes.c_int
+            get.argtypes = ()
+            set_.restype = None
+            set_.argtypes = (ctypes.c_int,)
+            return get, set_
+    return None
+
+
+def _blas_libraries() -> list:
+    """(basename, get, set) for each loaded OpenBLAS with a thread knob."""
+    found = []
+    for path in _loaded_openblas_paths():
+        try:
+            controls = _blas_controls(ctypes.CDLL(path))
+        except OSError:
+            continue
+        if controls is not None:
+            found.append((os.path.basename(path), *controls))
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread.
+
+    Forked pool workers inherit the setting.  Yields the BlasSetting;
+    the caller's thread counts come back on every way out.  Does nothing
+    when no OpenBLAS is found.
+    """
+    libs = _blas_libraries()
+    saved = tuple(get() for _, get, _ in libs)
+    for _, _, set_ in libs:
+        set_(1)
+    try:
+        yield BlasSetting(tuple(name for name, _, _ in libs), saved)
+    finally:
+        for (_, _, set_), threads in zip(libs, saved):
+            set_(threads)
 
 
 def _stream(seed: int, rep: int, purpose: int,
@@ -275,6 +372,8 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     The replications of every sample size form one task list.  It runs
     in this process when one process suffices, else in one pool of
     min(workers, tasks, CPUs) processes opened once for the study.
+    Either way OpenBLAS runs at one thread, so results do not depend on
+    the thread count, and the caller's setting is restored afterwards.
     """
     for name in estimators:
         if name not in ESTIMATORS:
@@ -289,12 +388,14 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     tasks = list(product(sizes, range(reps)))
     args = (repeat(scenario), repeat(estimators), *zip(*tasks))
     procs = min(workers, len(tasks), os.cpu_count() or 1)
-    if procs == 1:
-        results = list(map(_replicate, *args))
-    else:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            results = list(pool.map(_replicate, *args,
-                                    chunksize=max(1, reps // (procs * 8))))
+    with _one_blas_thread() as blas:
+        if procs == 1:
+            results = list(map(_replicate, *args))
+        else:
+            with ProcessPoolExecutor(max_workers=procs) as pool:
+                results = list(pool.map(
+                    _replicate, *args,
+                    chunksize=max(1, reps // (procs * 8))))
     vals, attempts = zip(*results)
     by_size = zip(sizes, np.reshape(vals, (len(sizes), reps) + vals[0].shape),
                   np.reshape(attempts, (len(sizes), reps)))
@@ -317,7 +418,7 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
                     cells.append(CellStats(label, float(pts[p]), int(n),
                                            mse, bias, variance, se, reps))
     return MseReport(scenario.name, scenario.estimand, scenario.seed,
-                     reps, tuple(cells), tuple(retries))
+                     reps, tuple(cells), tuple(retries), blas)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 import ftcdf.cli as cli
 import ftcdf.estimators as estimators
+import ftcdf.simulate as sim
 from ftcdf.bandwidth import auto_bandwidth, cv_bandwidth_km, default_cv_grid
 from ftcdf.cli import main
 from ftcdf.estimators import CensoredSample, EstimatorConfig, evaluate_on_grid
@@ -278,6 +279,23 @@ class TestBandwidth:
         np.testing.assert_array_equal(rows[:, 0], np.linspace(0, 5, 11))
 
     @pytest.mark.parametrize("method", ["auto", "cv"])
+    def test_echoed_default_freq_grid_reruns(self, capsys, tmp_path,
+                                             sample_csv, method):
+        first = str(tmp_path / "first.csv")
+        again = str(tmp_path / "again.csv")
+        code, doc, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                               "--method", method, "--ecf-out", first)
+        assert code == 0
+        echoed = doc["resolved_config"]["bandwidth"]["freq_grid"]
+        assert echoed.startswith("0.0:") and echoed.endswith(":512")
+        code, rerun, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                                 "--method", method, "--freq-grid", echoed,
+                                 "--ecf-out", again)
+        assert code == 0 and rerun["h"] == doc["h"]
+        assert rerun["resolved_config"]["bandwidth"]["freq_grid"] == echoed
+        assert open(again, "rb").read() == open(first, "rb").read()
+
+    @pytest.mark.parametrize("method", ["auto", "cv"])
     def test_malformed_freq_grid_is_parse_error(self, capsys, sample_csv,
                                                 method):
         code, doc, err = run_cli(capsys, "bandwidth", "--input", sample_csv,
@@ -411,6 +429,28 @@ class TestSimulate:
         assert code == 0
         rows = open(out).read().splitlines()[1:]
         assert rows and all(r.startswith("edf,") for r in rows)
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_blas_diagnostics_only_on_stdout(self, capsys, monkeypatch,
+                                             tmp_path, found):
+        if not found:
+            monkeypatch.setattr(sim, "_loaded_openblas_paths", lambda: [])
+        libs = sim._blas_libraries()
+        out, js = str(tmp_path / "sim.csv"), str(tmp_path / "sim.json")
+        code, doc, _ = run_cli(capsys, "simulate", "--scenario",
+                               "normal-iid", "--n", "15", "--reps", "4",
+                               "--seed", "9", "--output", out, "--json", js)
+        assert code == 0
+        assert doc["diagnostics"] == {"blas": {
+            "libraries": [name for name, _, _ in libs],
+            "caller_threads": [get() for _, get, _ in libs],
+            "study_threads": 1 if libs else None}}
+        sc = builtin_scenario("normal-iid", seed=9, replications=4,
+                              sample_sizes=(15,))
+        report = run_scenario(sc)
+        assert open(out).read() == report.to_csv()
+        assert json.loads(open(js).read()) == {"schema": 1,
+                                               **report.to_dict()}
 
     def test_invalid_scenario_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

@@ -5,6 +5,11 @@ keep replication counts small and exercise the machinery.
 """
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -13,8 +18,8 @@ import ftcdf.simulate as sim
 from ftcdf.bandwidth import NoPlateauError
 from ftcdf.distributions import DistSpec
 from ftcdf.estimators import DegenerateSampleError
-from ftcdf.simulate import (BUILTIN_SCENARIOS, MseReport, Scenario,
-                            builtin_scenario, run_scenario,
+from ftcdf.simulate import (BUILTIN_SCENARIOS, BlasSetting, MseReport,
+                            Scenario, builtin_scenario, run_scenario,
                             zero_bias_experiment)
 
 
@@ -321,6 +326,156 @@ class TestRetries:
         sc = builtin_scenario(name, replications=1)
         _, attempt = sim._replicate(sc, sim.ESTIMATORS, 15, 0)
         assert len(ecf_calls) == len(measure_calls) == attempt + 1
+
+
+_CALLER_THREADS = 3
+
+needs_openblas = pytest.mark.skipif(not sim._blas_libraries(),
+                                    reason="no OpenBLAS loaded")
+
+
+def _threads():
+    return [get() for _, get, _ in sim._blas_libraries()]
+
+
+@contextmanager
+def _blas_at(threads):
+    """Every loaded OpenBLAS at `threads` inside, as it was outside."""
+    libs = sim._blas_libraries()
+    saved = [get() for _, get, _ in libs]
+    for _, _, set_ in libs:
+        set_(threads)
+    try:
+        yield [threads] * len(libs)
+    finally:
+        for (_, _, set_), old in zip(libs, saved):
+            set_(old)
+
+
+@pytest.fixture()
+def caller_threads():
+    """Runs the test with every loaded OpenBLAS at _CALLER_THREADS, a
+    count that is neither 1 nor this machine's default."""
+    with _blas_at(_CALLER_THREADS) as threads:
+        yield threads
+
+
+def _hopeless(*args):
+    raise NoPlateauError("forced")
+
+
+def _buggy(*args):
+    raise ValueError("bug")
+
+
+@needs_openblas
+class TestBlasGuard:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_setting_restored_after_return(self, monkeypatch,
+                                                  caller_threads, workers):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        sc = builtin_scenario("normal-iid", seed=3, replications=2,
+                              sample_sizes=(15,))
+        rep = run_scenario(sc, estimators=("edf",), workers=workers)
+        assert _threads() == caller_threads
+        names = tuple(name for name, _, _ in sim._blas_libraries())
+        assert rep.blas == BlasSetting(names, tuple(caller_threads))
+        assert rep.blas.to_dict() == {"libraries": list(names),
+                                      "caller_threads": caller_threads,
+                                      "study_threads": 1}
+
+    @pytest.mark.parametrize("workers, estimators, patch, error, match", [
+        (0, ("edf",), None, ValueError, "workers must be >= 1"),
+        (1, ("epanechnikov",), None, ValueError, "unknown estimator"),
+        (1, ("trap-auto",), _hopeless, RuntimeError, "failed 100 times"),
+        (2, ("trap-auto",), _hopeless, RuntimeError, "failed 100 times"),
+        (1, ("trap-auto",), _buggy, ValueError, "^bug$"),
+        (2, ("trap-auto",), _buggy, ValueError, "^bug$"),
+    ])
+    def test_caller_setting_restored_after_raise(self, monkeypatch,
+                                                 caller_threads, workers,
+                                                 estimators, patch, error,
+                                                 match):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        if patch is not None:
+            monkeypatch.setattr(sim, "_select_bandwidth", patch)
+        sc = builtin_scenario("normal-iid", seed=3, replications=2,
+                              sample_sizes=(15,))
+        with pytest.raises(error, match=match):
+            run_scenario(sc, estimators=estimators, workers=workers)
+        assert _threads() == caller_threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_replication_runs_at_one_thread(self, monkeypatch,
+                                                  tmp_path, caller_threads,
+                                                  workers):
+        # each call appends the counts it sees to a file of its process,
+        # so calls made in forked workers are seen here too
+        real = sim._select_bandwidth
+
+        def recording(*args):
+            with open(tmp_path / f"{os.getpid()}.txt", "a") as fh:
+                fh.write(" ".join(map(str, _threads())) + "\n")
+            return real(*args)
+
+        monkeypatch.setattr(sim, "_select_bandwidth", recording)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        sc = builtin_scenario("normal-iid", seed=3, replications=4,
+                              sample_sizes=(15, 30))
+        rep = run_scenario(sc, estimators=("trap-auto",), workers=workers)
+        files = list(tmp_path.iterdir())
+        seen = [line.split() for f in files
+                for line in f.read_text().splitlines()]
+        attempts = 2 * 4 + sum(r for _, r in rep.retries)
+        assert len(seen) == attempts
+        assert seen == [["1"] * len(caller_threads)] * attempts
+        pids = {int(f.stem) for f in files}
+        assert (pids == {os.getpid()}) == (workers == 1)
+
+    def test_worker_count_invariance_where_threads_move_bits(
+            self, monkeypatch):
+        # n = 2500 is the smallest size found at which the flat-top arms
+        # of normal-iid print other bits at one and at two OpenBLAS
+        # threads (OpenBLAS 0.3.31, 2-vCPU x86-64; 100 to 2400 did not,
+        # and three threads printed the bits of one); so a study that
+        # limited only its pool workers would fail here
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        sc = builtin_scenario("normal-iid", replications=2,
+                              sample_sizes=(2500,))
+        arms = ("trap-auto", "smooth-auto")
+        with _blas_at(2):
+            serial = run_scenario(sc, estimators=arms, workers=1)
+            pooled = run_scenario(sc, estimators=arms, workers=2)
+        assert pooled.to_csv() == serial.to_csv()
+
+
+class TestBlasDiscovery:
+    def test_no_openblas_found_runs_the_same_study(self, monkeypatch):
+        sc = builtin_scenario("weibull-censored", seed=4, replications=3,
+                              sample_sizes=(15,))
+        guarded = run_scenario(sc, workers=1)
+        monkeypatch.setattr(sim, "_loaded_openblas_paths", lambda: [])
+        before = _threads()
+        bare = run_scenario(sc, workers=1)
+        assert _threads() == before
+        assert bare.to_csv() == guarded.to_csv()
+        assert bare.blas == BlasSetting()
+        assert bare.blas.to_dict() == {"libraries": [], "caller_threads": [],
+                                       "study_threads": None}
+
+    def test_symbol_lookup_never_raises(self, monkeypatch):
+        libc = ctypes.util.find_library("c")
+        assert sim._blas_controls(ctypes.CDLL(libc)) is None
+        monkeypatch.setattr(sim, "_loaded_openblas_paths",
+                            lambda: [libc, "/no/such/libopenblas.so"])
+        assert sim._blas_libraries() == []
+
+    def test_maps_without_procfs(self, monkeypatch):
+        def no_procfs(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(sim, "open", no_procfs, raising=False)
+        assert sim._loaded_openblas_paths() == []
 
 
 class TestZeroBias:
