@@ -9,6 +9,7 @@ is computed on first use and cached on the sample.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +23,9 @@ _BLOCK = 1 << 20
 # Monte Carlo resolution
 _PATH_WINDOW = 256.0
 _PATH_POINTS = 1025
+# bits of the fixed-point bounds on the Kaplan-Meier survival product;
+# far more than a height's 53, so the exact fallback almost never runs
+_KM_BITS = 160
 
 
 class DegenerateSampleError(ValueError):
@@ -136,14 +140,16 @@ def edf(sample: CensoredSample) -> StepEstimate:
 
 
 def kaplan_meier(sample: CensoredSample) -> StepEstimate:
-    """Jump measure of the Kaplan-Meier estimate.
+    """Jump measure of the Kaplan-Meier estimate, in linear time.
 
-    The product-limit computation runs in exact rational arithmetic with
-    a single correctly rounded float division per jump, so that with zero
-    censoring the heights are bitwise the EDF's d_i/n.  Ties: censorings
-    at a time t stay in the risk set through events at t.  Returned
-    heights are the drops of the survival curve (equally, jumps of 1 - S);
-    total mass is below 1 when the largest observation is censored.
+    Each height is the exact product-limit jump S_i * d_i / r_i rounded
+    once to the nearest float, so that with zero censoring the heights
+    are bitwise the EDF's d_i/n.  Fixed-point bounds on S_i give almost
+    every height in constant time; an exact fallback gives the rest
+    (_km_heights).  Ties: censorings at a time t stay in
+    the risk set through events at t.  Returned heights are the drops of
+    the survival curve (equally, jumps of 1 - S); total mass is below 1
+    when the largest observation is censored.
     """
     if not np.any(sample.event):
         raise DegenerateSampleError("kaplan_meier needs at least one event")
@@ -152,13 +158,48 @@ def kaplan_meier(sample: CensoredSample) -> StepEstimate:
     event_times, d = np.unique(times[sample.event], return_counts=True)
     # at risk: every observation with time >= t_i
     at_risk = sample.n - np.searchsorted(order, event_times, side="left")
-    surv = Fraction(1)
-    heights = np.empty(event_times.size, dtype=float)
-    for i in range(event_times.size):
-        jump = surv * Fraction(int(d[i]), int(at_risk[i]))
-        heights[i] = float(jump)
-        surv -= jump
-    return StepEstimate(event_times, heights)
+    return StepEstimate(event_times, _km_heights(d.tolist(),
+                                                 at_risk.tolist()))
+
+
+def _km_heights(deaths: list, at_risk: list) -> list:
+    """Product-limit jumps S_i * d_i / r_i, each rounded once.
+
+    lo and hi are fixed-point integers that bound the survival S_i just
+    before the i-th event time: lo <= S_i * 2**_KM_BITS <= hi.
+    Python's int true division is correctly rounded and rounding is
+    monotone, so when the bounds round to one float the exact jump rounds
+    to it too.  Otherwise the jump is recomputed exactly and the bounds
+    restart from the exact S_i.  The exact product is carried forward
+    from the previous fallback, so all fallbacks together do about the
+    work of one exact pass.
+    """
+    bits = _KM_BITS
+    one = 1 << bits
+    lo = hi = one
+    exact, known = Fraction(1), 0  # S at event index `known`, exactly
+    heights = []
+    for i, (d, r) in enumerate(zip(deaths, at_risk)):
+        scale = r << bits
+        height = d * lo / scale
+        if height != d * hi / scale:
+            exact = _exact_survival(deaths, at_risk, known, i, exact)
+            known = i
+            height = float(exact * Fraction(d, r))
+            lo = math.floor(exact * one)
+            hi = math.ceil(exact * one)
+        heights.append(height)
+        lo = lo * (r - d) // r
+        hi = -(-hi * (r - d) // r)
+    return heights
+
+
+def _exact_survival(deaths: list, at_risk: list, start: int, stop: int,
+                    surv: Fraction) -> Fraction:
+    """S just before event index stop, from S = surv before index start."""
+    kept = math.prod(r - d for d, r in zip(deaths[start:stop],
+                                            at_risk[start:stop]))
+    return surv * Fraction(kept, math.prod(at_risk[start:stop]))
 
 
 def standardize_path(raw, decreasing: bool = False) -> np.ndarray:

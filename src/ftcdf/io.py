@@ -28,37 +28,43 @@ def read_sample_csv(path: str) -> CensoredSample:
 
     A header row is detected by its first field failing to parse as a
     number.  Event flags must be 0 or 1; a missing event column means
-    fully uncensored.  Blank lines are skipped.
+    fully uncensored.  A header names each column at most once, and a
+    row may have no more fields than the header names (two without a
+    header).  Blank lines are skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    time_col, event_col = 0, 1
+    time_col, event_col, max_fields = 0, 1, 2
     first_fields = [f.strip() for f in rows[0][1].split(",")]
     try:
         float(first_fields[0])
     except ValueError:
         header = [f.lower() for f in first_fields]
+        where = f"{path} line {rows[0][0]}"
         if "time" not in header:
-            raise ParseError(f"{path} line 1: header must name a 'time' "
-                             f"column, got {rows[0][1]!r}")
+            raise ParseError(f"{where}: header must name a 'time' column, "
+                             f"got {rows[0][1]!r}")
         unknown = set(header) - {"time", "event"}
         if unknown:
-            raise ParseError(f"{path} line 1: unknown columns "
-                             f"{sorted(unknown)}")
+            raise ParseError(f"{where}: unknown columns {sorted(unknown)}")
+        if len(set(header)) < len(header):
+            raise ParseError(f"{where}: a column is named twice in "
+                             f"{rows[0][1]!r}")
         time_col = header.index("time")
         event_col = header.index("event") if "event" in header else -1
+        max_fields = len(header)
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: no data rows after header")
     times, events = [], []
     for lineno, text in rows:
         fields = [f.strip() for f in text.split(",")]
-        if len(fields) > 2:
-            raise ParseError(f"{path} line {lineno}: expected at most 2 "
-                             f"fields, got {len(fields)}")
+        if len(fields) > max_fields:
+            raise ParseError(f"{path} line {lineno}: expected at most "
+                             f"{max_fields} fields, got {len(fields)}")
         try:
             t = float(fields[time_col])
         except (ValueError, IndexError):

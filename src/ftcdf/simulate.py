@@ -5,8 +5,9 @@ own bandwidth rule, evaluates at the scenario's points, and aggregates
 MSE, bias, and variance per cell.  Every replication is a pure function
 of (seed, replication index, purpose, attempt) through counter-based
 RNG streams, so reports are bitwise-identical for any worker count.
-Every study runs OpenBLAS at one thread, in this process and in the
-pool workers it forks, and gives the caller's setting back afterwards.
+Every study runs OpenBLAS at one thread, in this process and in each
+pool worker whatever the start method, and gives the caller's setting
+back afterwards.
 """
 from __future__ import annotations
 
@@ -269,9 +270,9 @@ def _blas_libraries() -> list:
 def _one_blas_thread():
     """Run the body with every loaded OpenBLAS at one thread.
 
-    Forked pool workers inherit the setting.  Yields the BlasSetting;
-    the caller's thread counts come back on every way out.  Does nothing
-    when no OpenBLAS is found.
+    Pool workers set their own in _pool_worker_init.  Yields the
+    BlasSetting; the caller's thread counts come back on every way out.
+    Does nothing when no OpenBLAS is found.
     """
     libs = _blas_libraries()
     saved = tuple(get() for _, get, _ in libs)
@@ -282,6 +283,20 @@ def _one_blas_thread():
     finally:
         for (_, _, set_), threads in zip(libs, saved):
             set_(threads)
+
+
+def _pool_worker_init():
+    """Pool initializer: every OpenBLAS loaded in the worker at one thread.
+
+    A worker inherits the parent's setting only when forked; this holds
+    under spawn and forkserver too.  The worker exits with the pool, so
+    nothing is restored.  A forked worker already reads 1 and is left
+    alone: setting the count after a fork restarts OpenBLAS's thread
+    pool, whose idle threads would spin for nothing.
+    """
+    for _, get, set_ in _blas_libraries():
+        if get() != 1:
+            set_(1)
 
 
 def _stream(seed: int, rep: int, purpose: int,
@@ -392,7 +407,8 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
         if procs == 1:
             results = list(map(_replicate, *args))
         else:
-            with ProcessPoolExecutor(max_workers=procs) as pool:
+            with ProcessPoolExecutor(max_workers=procs,
+                                     initializer=_pool_worker_init) as pool:
                 results = list(pool.map(
                     _replicate, *args,
                     chunksize=max(1, reps // (procs * 8))))

@@ -1,6 +1,8 @@
 """Flat-top smoothing of the sample's cached jump measure, sample.jumps:
 Kaplan-Meier under censoring, the EDF otherwise.  kaplan_meier lives next
-to edf in ftcdf.estimators and is re-exported here.
+to edf in ftcdf.estimators and is re-exported here; it runs in linear
+time, and each height is the exact product-limit jump rounded once
+(fixed-point bounds, with an exact fallback where they round apart).
 """
 from __future__ import annotations
 

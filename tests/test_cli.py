@@ -311,6 +311,17 @@ class TestBandwidth:
         assert doc["h"] == cv_bandwidth_km(sample, default_cv_grid(sample))
         assert doc["resolved_config"]["bandwidth"]["mode"] == "cv"
 
+    def test_field_beyond_time_only_header_is_parse_error(self, capsys,
+                                                          tmp_path):
+        # the second field would name censorings the header does not
+        p = tmp_path / "unnamed.csv"
+        p.write_text("time\n1.0,0\n2.0\n3.0,0\n")
+        code, doc, err = run_cli(capsys, "bandwidth", "--input", str(p),
+                                 "--method", "cv")
+        assert code == 4 and doc is None
+        assert err["error"]["kind"] == "parse"
+        assert "line 2" in err["error"]["message"]
+
 
 class TestDeficiency:
     def test_assumption_mode(self, capsys):

@@ -69,9 +69,28 @@ class TestReadSampleCsv:
         with pytest.raises(ParseError, match="line 1"):
             read_sample_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("time\n1.0\n1.0,0\n3.0,0\n", "line 3"),
+        ("time,event\n1.0,1\n2.0,0,5\n", "line 3"),
+        ("event,time\n0,1.0,\n", "line 2"),
+    ])
+    def test_more_fields_than_header_names(self, tmp_path, text, line):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError, match=f"{line}: expected at most"):
+            read_sample_csv(path)
+
     def test_unknown_header_column(self, tmp_path):
         path = write(tmp_path, "time,weight\n1.0,2.0\n")
         with pytest.raises(ParseError, match="unknown columns"):
+            read_sample_csv(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("time,event,event\n1.0,1,0\n", "line 1"),
+        ("\n\ntime,TIME\n1.0,2.0\n", "line 3"),
+    ])
+    def test_column_named_twice(self, tmp_path, text, line):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError, match=f"{line}: a column is named"):
             read_sample_csv(path)
 
     def test_header_without_time(self, tmp_path):

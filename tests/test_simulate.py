@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -186,8 +189,9 @@ class _RecordingPool:
     in this process, so no worker process is started."""
     made = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
         self.max_workers = max_workers
+        self.initializer = initializer
         self.chunksize = None
         self.made.append(self)
 
@@ -239,8 +243,10 @@ class TestPool:
         sc = builtin_scenario("normal-iid", seed=5, replications=reps,
                               sample_sizes=(15, 30))
         rep = run_scenario(sc, estimators=("edf",), workers=100000)
-        made = [(p.max_workers, p.chunksize) for p in _RecordingPool.made]
-        assert made == ([] if procs is None else [(procs, chunksize)])
+        made = [(p.max_workers, p.chunksize, p.initializer)
+                for p in _RecordingPool.made]
+        assert made == ([] if procs is None else
+                        [(procs, chunksize, sim._pool_worker_init)])
         assert rep == run_scenario(sc, estimators=("edf",), workers=1)
 
     @pytest.mark.parametrize("workers", [0, -4])
@@ -360,6 +366,16 @@ def caller_threads():
         yield threads
 
 
+def _probe_threads(probe_dir, fn, *args):
+    """Appends the BLAS thread counts this process sees, then its own OS
+    thread count, to its file in probe_dir, and runs fn; at module level,
+    so spawned workers load it."""
+    tasks = len(os.listdir("/proc/self/task"))
+    with open(os.path.join(probe_dir, f"{os.getpid()}.txt"), "a") as fh:
+        fh.write(" ".join(map(str, _threads() + [tasks])) + "\n")
+    return fn(*args)
+
+
 def _hopeless(*args):
     raise NoPlateauError("forced")
 
@@ -431,6 +447,38 @@ class TestBlasGuard:
         assert seen == [["1"] * len(caller_threads)] * attempts
         pids = {int(f.stem) for f in files}
         assert (pids == {os.getpid()}) == (workers == 1)
+
+    @pytest.mark.parametrize("method", ["spawn", "fork"])
+    def test_pool_start_method(self, monkeypatch, tmp_path, caller_threads,
+                               method):
+        # spawned workers inherit nothing from this process, so only the
+        # pool initializer can set their thread count; forked ones inherit
+        # it and must not restart OpenBLAS's thread pool (one OS thread)
+        context = multiprocessing.get_context(method)
+
+        class ProbingPool(ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                super().__init__(mp_context=context, **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                return super().map(partial(_probe_threads, str(tmp_path), fn),
+                                   *iterables, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", ProbingPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        sc = builtin_scenario("weibull-censored", seed=3, replications=4,
+                              sample_sizes=(15, 30))
+        pooled = run_scenario(sc, workers=2)
+        files = list(tmp_path.iterdir())
+        seen = [line.split() for f in files
+                for line in f.read_text().splitlines()]
+        assert len(seen) == 8
+        assert [line[:-1] for line in seen] == \
+            [["1"] * len(caller_threads)] * 8
+        if method == "fork":
+            assert [line[-1] for line in seen] == ["1"] * 8
+        assert os.getpid() not in {int(f.stem) for f in files}
+        assert pooled.to_csv() == run_scenario(sc, workers=1).to_csv()
 
     def test_worker_count_invariance_where_threads_move_bits(
             self, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ftcdf.estimators as estimators
 from ftcdf.bandwidth import ecf
 from ftcdf.estimators import (CensoredSample, DegenerateSampleError,
                               EstimatorConfig, edf, smoothed_paths)
@@ -30,6 +31,29 @@ def textbook_km(times, event):
         s *= 1.0 - d / at_risk
         surv.append(s)
     return tgrid, np.asarray(surv)
+
+
+def exact_km(sample):
+    """The product-limit loop in exact rationals, one rounding per jump:
+    (locations, heights) that kaplan_meier must reproduce bitwise."""
+    times = sample.times
+    order = np.sort(times)
+    event_times, d = np.unique(times[sample.event], return_counts=True)
+    at_risk = sample.n - np.searchsorted(order, event_times, side="left")
+    surv = Fraction(1)
+    heights = np.empty(event_times.size, dtype=float)
+    for i in range(event_times.size):
+        jump = surv * Fraction(int(d[i]), int(at_risk[i]))
+        heights[i] = float(jump)
+        surv -= jump
+    return event_times, heights
+
+
+def assert_km_is_exact(sample):
+    km = kaplan_meier(sample)
+    locs, heights = exact_km(sample)
+    np.testing.assert_array_equal(km.locations, locs)
+    np.testing.assert_array_equal(km.heights, heights)
 
 
 def random_censored(seed, n=60):
@@ -67,6 +91,38 @@ def test_km_censored_max_leaves_mass():
     km = kaplan_meier(s)
     assert km.total_mass < 1.0
     assert km.total_mass == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def test_km_is_exact_on_heavily_censored_sample():
+    rng = np.random.default_rng(90)
+    times = np.round(rng.exponential(1.0, 3000), 2)  # ties as well
+    event = rng.random(3000) < 0.1
+    assert 0.88 < 1.0 - event.mean() < 0.92
+    assert_km_is_exact(CensoredSample(times, event))
+
+
+def test_km_is_exact_at_workload_size():
+    # the survival benchmark's law at its size: lifetimes Weibull(shape 3,
+    # scale 1.5), censoring Weibull(4, 3), about 7% censored
+    rng = np.random.default_rng(2)
+    life = 1.5 * rng.weibull(3.0, 20_000)
+    cens = 3.0 * rng.weibull(4.0, 20_000)
+    assert_km_is_exact(CensoredSample(np.minimum(life, cens), life <= cens))
+
+
+def test_km_exact_fallback_keeps_the_bits(monkeypatch, spy):
+    # at 50 bits the bounds often round apart, so the exact recomputation
+    # runs; every height must still be the oracle's
+    monkeypatch.setattr(estimators, "_KM_BITS", 50)
+    calls = spy(estimators, "_exact_survival")
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        n = int(rng.integers(1, 31))
+        times = rng.integers(0, 13, n) / 4.0
+        event = rng.random(n) < rng.random()
+        if event.any():
+            assert_km_is_exact(CensoredSample(times, event))
+    assert len(calls) > 100
 
 
 def test_km_requires_an_event():
@@ -179,9 +235,11 @@ def test_km_properties_on_tied_samples(drawn):
     km, e = kaplan_meier(iid), edf(iid)
     np.testing.assert_array_equal(km.locations, e.locations)
     np.testing.assert_array_equal(km.heights, e.heights)
+    assert_km_is_exact(iid)
     samples = [iid]
     if any(flags):
         cens = CensoredSample(times, np.array(flags))
+        assert_km_is_exact(cens)
         km = kaplan_meier(cens)
         # each height is its exact jump rounded once, and the exact jumps
         # sum to at most one
