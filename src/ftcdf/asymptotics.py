@@ -204,8 +204,11 @@ def deficiency_rate(s: MseExpansion, t: MseExpansion):
 
 
 def predicted_deficiency(s: MseExpansion, t: MseExpansion, n) -> float:
-    """Finite-n deficiency implied by the limit (remainders dropped)."""
+    """Finite-n deficiency implied by the limit (remainders dropped);
+    n must exceed 1."""
     limit, _ = deficiency_rate(s, t)
+    if not n > 1:
+        raise ValueError("n must exceed 1")
     n = float(n)
     if s.second_kind == POWER:
         return limit * n ** (1.0 - s.delta)
@@ -220,12 +223,15 @@ def edf_deficiency(smoothness: SmoothnessClass, F_t: float, f_t: float,
     g = 2 f(t) cross_moment / (F(1-F)); the deficiency is a*g*n^(2p/(2p+1))
     for polynomial tails, a*g*n/log n for exponential tails, and g*n in
     the band-limited case (constant bandwidth, displayed at unit h).
+    n must exceed 1.
     """
     denom = F_t * (1.0 - F_t)
     if denom == 0.0:
         raise ValueError("deficiency is undefined where F(1-F) = 0")
     if f_t < 0.0:
         raise ValueError("density value must be nonnegative")
+    if not n > 1:
+        raise ValueError("n must exceed 1")
     gain = 2.0 * f_t * cross_moment / denom
     n = float(n)
     if smoothness.kind == POLYNOMIAL:

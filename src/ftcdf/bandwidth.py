@@ -21,6 +21,11 @@ THRESHOLD = "threshold"
 PLATEAU = "plateau"
 
 _ECF_BLOCK = 1 << 20
+# sizes of the default frequency and CV bandwidth grids, and of the
+# trapezoidal grid each CV score integrates over
+_FREQ_POINTS = 512
+_CV_POINTS = 32
+_CV_QUAD_POINTS = 256
 
 
 class NoPlateauError(Exception):
@@ -84,14 +89,15 @@ def _robust_scale(sample: CensoredSample) -> float:
     return scale if scale > 0.0 else 1.0
 
 
-def default_freq_grid(sample: CensoredSample, points: int = 512) -> np.ndarray:
+def default_freq_grid(sample: CensoredSample) -> np.ndarray:
     """512 frequencies over [0, 4*pi/scale], scale = IQR/1.349 (robust)."""
-    return np.linspace(0.0, 4.0 * np.pi / _robust_scale(sample), points)
+    return np.linspace(0.0, 4.0 * np.pi / _robust_scale(sample),
+                       _FREQ_POINTS)
 
 
-def default_cv_grid(sample: CensoredSample, points: int = 32) -> np.ndarray:
-    """Log-spaced CV candidates 0.05..2 times the robust data scale."""
-    return np.geomspace(0.05, 2.0, points) * _robust_scale(sample)
+def default_cv_grid(sample: CensoredSample) -> np.ndarray:
+    """32 log-spaced CV candidates 0.05..2 times the robust data scale."""
+    return np.geomspace(0.05, 2.0, _CV_POINTS) * _robust_scale(sample)
 
 
 def ecf(sample: CensoredSample, freqs) -> EcfCurve:
@@ -177,14 +183,13 @@ def auto_bandwidth(sample: CensoredSample, effective_c: float,
     return select_bandwidth(ecf(sample, freqs), rule)
 
 
-def cv_bandwidth_km(sample: CensoredSample, h_grid,
-                    quad_points: int = 256) -> float:
+def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
     """Leave-one-out CV bandwidth for the Gaussian-kernel estimate.
 
     CV(h) = sum_k s_k int [I(x_k <= t) - F_{h,-k}(t)]^2 w(t) dt over the
     jumps x_k and masses s_k of sample.jumps (EDF or Kaplan-Meier),
     with w the unnormalized indicator of [min - 3h, max + 3h] and a
-    fixed-size trapezoidal quadrature grid.
+    256-point trapezoidal quadrature grid.
     F_{h,-k} leaves out one event's mass s_k/d_k at x_k, d_k being the
     number of events there, and renormalizes the rest to total one; on
     iid data this is leave-one-observation-out.  Returns the argmin over
@@ -206,7 +211,7 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid,
     best_h, best_cv = None, np.inf
     for h in h_grid:
         grid = np.linspace(loc.min() - 3.0 * h, loc.max() + 3.0 * h,
-                           quad_points)
+                           _CV_QUAD_POINTS)
         phi = ndtr((grid[None, :] - loc[:, None]) / h)
         total = (s[:, None] * phi).sum(axis=0)
         loo = (total[None, :] - w[:, None] * phi) / rest

@@ -5,13 +5,15 @@ kernel-table.  Every successful run prints one JSON document to stdout
 holding the fully resolved configuration (all defaults filled in) plus
 any inline results, and writes requested CSV/JSON artifacts to the
 given paths.  Failures print an error JSON to stderr and exit with a
-distinct code per error class: 2 usage (argparse), 3 I/O, 4 parse,
-5 domain (including a kernel table that cannot be certified).
+distinct code per error class: 2 usage (argparse, including a float
+flag that is not finite), 3 I/O, 4 parse, 5 domain (including a kernel
+table that cannot be certified and a result that is not finite).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -80,8 +82,6 @@ def _resolve_bandwidth(args, sample, desc):
     except ValueError:
         fixed = None
     if fixed is not None:
-        if not fixed > 0.0:
-            raise ValueError("bandwidth must be positive")
         return fixed, {"mode": "fixed", "value": fixed}
     if mode == "auto":
         if desc["family"] == GAUSSIAN:
@@ -125,9 +125,9 @@ def _cmd_curve(args):
                          "use the survival subcommand for censored input")
     kernel, desc = _kernel_from_args(args)
     h, bw = _resolve_bandwidth(args, sample, desc)
-    grid, grid_text = _resolve_grid(args, sample, h)
     cfg = EstimatorConfig(kernel, h, boundary=args.boundary,
                           standardize=args.standardize)
+    grid, grid_text = _resolve_grid(args, sample, h)
     fit = smoothed_survival_on_grid if survival else evaluate_on_grid
     values = fit(sample, cfg, grid)
     payload = {
@@ -204,6 +204,8 @@ def _parse_n_list(text: str):
                                "numbers")
     if not vals:
         raise iolib.ParseError(f"--n {text!r}: empty")
+    if not all(map(math.isfinite, vals)):
+        raise iolib.ParseError(f"--n {text!r}: sizes must be finite")
     return vals
 
 
@@ -314,6 +316,8 @@ def _load_scenario(args) -> Scenario:
             sc = Scenario.from_dict(spec)
         except (KeyError, TypeError) as exc:
             raise iolib.ParseError(f"{name}: incomplete scenario: {exc!r}")
+        except OverflowError as exc:
+            raise iolib.ParseError(f"{name}: number out of range: {exc}")
     if overrides:
         d = sc.to_dict()
         d.update(overrides)
@@ -343,23 +347,36 @@ def _cmd_simulate(args):
     return payload
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: refuses nan and infinities."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_kernel_flags(p):
     p.add_argument("--kernel", default=TRAPEZOID,
                    choices=[TRAPEZOID, SMOOTH, GAUSSIAN])
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--c", type=_finite_float, default=None,
                    help="flat radius (default 0.75 trapezoid, 0.05 smooth)")
-    p.add_argument("--b", type=float, default=1.0,
+    p.add_argument("--b", type=_finite_float, default=1.0,
                    help="smooth-family descent rate")
-    p.add_argument("--effective-c", type=float, default=None, dest="effective_c")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--effective-c", type=_finite_float, default=None,
+                   dest="effective_c")
+    p.add_argument("--tol", type=_finite_float, default=1e-8,
                    help="kernel table certification tolerance")
 
 
 def _add_rule_flags(p):
     """Flags of the automatic rule, for estimate, survival, bandwidth."""
-    p.add_argument("--bw-C", type=float, default=None, dest="bw_C",
+    p.add_argument("--bw-C", type=_finite_float, default=None, dest="bw_C",
                    help="threshold constant (default 2)")
-    p.add_argument("--bw-eps", type=float, default=None, dest="bw_eps",
+    p.add_argument("--bw-eps", type=_finite_float, default=None, dest="bw_eps",
                    help="window width (default max(1, log10 n))")
     p.add_argument("--bw-mode", default="threshold", dest="bw_mode",
                    choices=["threshold", "plateau"])
@@ -380,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the stdout document here")
         _add_kernel_flags(p)
         p.add_argument("--bandwidth", default="auto",
-                       help="auto, cv, or a positive number")
+                       help="auto, cv, or a finite positive number")
         _add_rule_flags(p)
-        p.add_argument("--boundary", type=float, default=None)
+        p.add_argument("--boundary", type=_finite_float, default=None)
         p.add_argument("--standardize", action="store_true")
         p.add_argument("--grid", default=None,
                        help="lo:hi:count or comma list (default: data "
@@ -392,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bandwidth")
     p.add_argument("--input", required=True)
     p.add_argument("--method", default="auto", choices=["auto", "cv"])
-    p.add_argument("--effective-c", type=float, default=0.75,
+    p.add_argument("--effective-c", type=_finite_float, default=0.75,
                    dest="effective_c")
     _add_rule_flags(p)
     p.add_argument("--freq-grid", default=None, dest="freq_grid")
@@ -403,24 +420,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deficiency")
     p.add_argument("--assumption", default=None,
                    choices=["polynomial", "exponential", "band-limited"])
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--D", type=float, default=None)
-    p.add_argument("--b-limit", type=float, default=None, dest="b_limit")
-    p.add_argument("--F", type=float, default=None,
+    p.add_argument("--p", type=_finite_float, default=None)
+    p.add_argument("--d", type=_finite_float, default=None)
+    p.add_argument("--D", type=_finite_float, default=None)
+    p.add_argument("--b-limit", type=_finite_float, default=None,
+                   dest="b_limit")
+    p.add_argument("--F", type=_finite_float, default=None,
                    help="target CDF value F(t)")
-    p.add_argument("--f", type=float, default=None,
+    p.add_argument("--f", type=_finite_float, default=None,
                    help="target density value f(t)")
-    p.add_argument("--cross-moment", type=float, default=None,
+    p.add_argument("--cross-moment", type=_finite_float, default=None,
                    dest="cross_moment")
-    p.add_argument("--a", type=float, default=None,
+    p.add_argument("--a", type=_finite_float, default=None,
                    help="bandwidth premultiplier")
     p.add_argument("--expansion-base", default=None, dest="expansion_base",
                    help="c:r:const:kind[:delta]")
     p.add_argument("--expansion-better", default=None,
                    dest="expansion_better")
     p.add_argument("--n", required=True,
-                   help="comma-separated sample sizes")
+                   help="comma-separated sample sizes, each above 1")
     p.set_defaults(func=_cmd_deficiency)
 
     p = sub.add_parser("kernel-table")
@@ -467,7 +485,8 @@ def _fail(kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.func(args)
+        # built here so that a non-finite result is a domain error
+        text = iolib.dump_json(args.func(args))
     except iolib.ParseError as exc:
         return _fail("parse", str(exc), EXIT_PARSE)
     except OSError as exc:
@@ -475,7 +494,7 @@ def main(argv=None) -> int:
     except (ValueError, NoPlateauError, QuadratureError,
             RuntimeError) as exc:
         return _fail("domain", str(exc), EXIT_DOMAIN)
-    sys.stdout.write(iolib.dump_json(payload))
+    sys.stdout.write(text)
     return 0
 
 

@@ -1,11 +1,18 @@
-"""Empirical and kernel-smoothed CDF estimation.
+"""Empirical and kernel-smoothed CDF and survival estimation.
 
 Estimators operate on a CensoredSample and are configured with a kernel
 table, a bandwidth, an optional left support boundary (handled by
 reflection), and an optional standardization step that rectifies the
 estimate into a valid CDF (or survival) path.  Every estimator smooths
 the sample's one jump measure, sample.jumps (EDF or Kaplan-Meier), which
-is computed on first use and cached on the sample.
+is computed on first use and cached on the sample.  Each value has one
+route:
+
+* evaluate_on_grid and smoothed_survival_on_grid give raw values on an
+  ascending grid, or with cfg.standardize the grid-standardized path
+  (running sup, or inf for survival, over that grid, clipped to [0, 1]);
+* smoothed_paths gives raw and path-standardized values at points, the
+  latter standardized over a fine path that starts below the data.
 """
 from __future__ import annotations
 
@@ -80,8 +87,8 @@ class EstimatorConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and positive")
         if not hasattr(self.kernel, "kbar"):
             raise TypeError("kernel must provide a kbar() method")
         if self.boundary is not None:
@@ -274,6 +281,18 @@ def evaluate_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
     return _path_on_grid(sample, cfg, grid, survival=False)
 
 
+def smoothed_survival_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
+                              grid) -> np.ndarray:
+    """Smoothed survival path on an ascending grid.
+
+    S(t) = sum_j s_j (1 - Kbar((t - x_j)/h)) over the jumps of
+    sample.jumps, equal to total mass minus the smoothed CDF of the same
+    jump measure; the boundary correction enters through the CDF side.
+    Standardization makes the path nonincreasing within [0, 1].
+    """
+    return _path_on_grid(sample, cfg, grid, survival=True)
+
+
 def smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig, pts,
                    survival: bool = False):
     """Raw and standardized values at ascending points pts.
@@ -297,22 +316,3 @@ def smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig, pts,
     raw = _path_on_grid(sample, replace(cfg, standardize=False), grid,
                         survival)
     return raw[idx], standardize_path(raw, decreasing=survival)[idx]
-
-
-def _point_value(sample, cfg, t, survival) -> float:
-    pts = np.array([float(t)])
-    if cfg.standardize:
-        return float(smoothed_paths(sample, cfg, pts, survival)[1][0])
-    return float(_path_on_grid(sample, cfg, pts, survival)[0])
-
-
-def smoothed_cdf(sample: CensoredSample, cfg: EstimatorConfig,
-                 t: float) -> float:
-    """Smoothed CDF at one point.
-
-    The raw value is the kernel sum at t.  The standardized value is the
-    one smoothed_paths gives at t: the running sup over its fine grid
-    from the path start up to t, clipped to [0, 1].  Grid evaluation via
-    evaluate_on_grid gives the caller explicit control instead.
-    """
-    return _point_value(sample, cfg, t, survival=False)

@@ -2,7 +2,7 @@
 
 Data comes in as `time,event` CSV (the event column optional, default
 1); estimates go out as `t,value` CSV.  All JSON documents carry a
-`schema: 1` field.  Parse failures raise ParseError with the offending
+`schema: 1` field and hold finite numbers only.  Parse failures raise ParseError with the offending
 line named; the caller maps exception types to exit codes.
 """
 from __future__ import annotations
@@ -158,4 +158,4 @@ def write_text(path: str, content: str) -> None:
 def dump_json(payload: dict) -> str:
     doc = {"schema": SCHEMA}
     doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -296,9 +296,6 @@ class KernelTable:
         out[mid] = self._kbar_spline(a[mid])
         return float(out[0]) if scalar else out
 
-    def cross_moment(self) -> float:
-        return kernel_cross_moment(self.spec)
-
     def to_dict(self) -> dict:
         return {
             "schema": TABLE_SCHEMA,
@@ -416,9 +413,6 @@ class GaussianKernel:
 
     def kbar(self, x):
         return ndtr(np.asarray(x, dtype=float))
-
-    def cross_moment(self) -> float:
-        return _gaussian_cross_moment()
 
     def __repr__(self):
         return "GaussianKernel()"

@@ -25,7 +25,7 @@ from ftcdf.estimators import (CensoredSample, EstimatorConfig, edf,
                               evaluate_on_grid)
 from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, GaussianKernel, get_table,
                            integrated_kernel, integrated_kernel_by_quad,
-                           kernel, kernel_by_quad)
+                           kernel, kernel_by_quad, kernel_cross_moment)
 from ftcdf.simulate import (ESTIMATORS, builtin_scenario, run_scenario,
                             zero_bias_experiment)
 from ftcdf.survival import kaplan_meier
@@ -115,7 +115,7 @@ def test_criterion_4_kernel_identities():
     fine = np.linspace(table.grid[0], table.grid[-1], 2_000_001)
     mass = np.trapezoid(table.k(fine), fine)
     assert 1.0 - 1e-6 <= mass <= 1.0 + 1e-6
-    gauss_cm = GaussianKernel().cross_moment()
+    gauss_cm = kernel_cross_moment(GaussianKernel())
     assert abs(gauss_cm - 1.0 / (2.0 * math.sqrt(math.pi))) <= 1e-8
 
 

@@ -220,6 +220,16 @@ class TestDeficiencyRate:
         assert predicted_deficiency(sl, tl, n) == \
             pytest.approx(n / math.log(n), rel=1e-15)
 
+    @pytest.mark.parametrize("kind", [POWER, LOG_FACTOR])
+    @pytest.mark.parametrize("n", [1, 0.5, -5, math.nan])
+    def test_n_must_exceed_one(self, kind, n):
+        # n = 1 divides by log n, and a negative n to a power is complex
+        delta = 0.5 if kind == POWER else None
+        s = MseExpansion(1.0, 1.0, 0.0, kind, delta)
+        t = MseExpansion(1.0, 1.0, 2.0, kind, delta)
+        with pytest.raises(ValueError, match="n must exceed 1"):
+            predicted_deficiency(s, t, n)
+
     def test_expansion_validation(self):
         with pytest.raises(ValueError):
             MseExpansion(0.0, 1.0, 0.0, POWER, 0.5)
@@ -267,6 +277,15 @@ class TestEdfDeficiency:
         gain = 2.0 * 0.2 * self.CM / 0.25
         assert d == pytest.approx(0.7 * gain * 1000.0 / math.log(1000.0),
                                   rel=1e-15)
+
+    @pytest.mark.parametrize("cls", [SmoothnessClass.polynomial(2.0),
+                                     SmoothnessClass.exponential(1.0, 1.0),
+                                     SmoothnessClass.band_limited(1.0)],
+                             ids=["polynomial", "exponential", "band-limited"])
+    @pytest.mark.parametrize("n", [1, 0.5, -5, math.nan])
+    def test_n_must_exceed_one(self, cls, n):
+        with pytest.raises(ValueError, match="n must exceed 1"):
+            edf_deficiency(cls, 0.5, 0.2, self.CM, n, 1.0)
 
     def test_degenerate_F_rejected(self):
         for F in (0.0, 1.0):

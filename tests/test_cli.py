@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
@@ -17,11 +18,20 @@ from ftcdf.simulate import builtin_scenario, run_scenario
 from ftcdf.survival import smoothed_survival_on_grid
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse JSON as a strict parser does: NaN and Infinity refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    doc = json.loads(captured.out) if captured.out else None
-    err = json.loads(captured.err) if captured.err else None
+    doc = strict_json(captured.out) if captured.out else None
+    err = strict_json(captured.err) if captured.err else None
     return code, doc, err
 
 
@@ -135,6 +145,15 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--input", sample_csv,
                                "--bandwidth", "cv")
         assert code == 5 and err["error"]["kind"] == "domain"
+
+    @pytest.mark.parametrize("h", ["inf", "nan", "-1"])
+    def test_bandwidth_must_be_finite_and_positive(self, capsys, sample_csv,
+                                                   h):
+        code, doc, err = run_cli(capsys, "estimate", "--input", sample_csv,
+                                 "--bandwidth", h, "--grid", "0:1:3")
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert "finite and positive" in err["error"]["message"]
 
     def test_bad_bandwidth_token(self, capsys, sample_csv):
         code, _, err = run_cli(capsys, "estimate", "--input", sample_csv,
@@ -354,6 +373,43 @@ class TestDeficiency:
         assert doc["values"][0]["deficiency"] == pytest.approx(
             0.8 * 1000 / np.log(1000))
 
+    EXPONENTIAL = ("--assumption", "exponential", "--d", "1", "--D", "1",
+                   "--F", "0.5", "--f", "0.25", "--cross-moment", "0.19",
+                   "--a", "1")
+    POLYNOMIAL = ("--assumption", "polynomial", "--p", "2", "--F", "0.5",
+                  "--f", "0.25", "--cross-moment", "0.19", "--a", "1")
+    LOG_PAIR = ("--expansion-base", "1:1:1:log-factor",
+                "--expansion-better", "1:1:2:log-factor")
+    POWER_PAIR = ("--expansion-base", "1:1:1:power:0.5",
+                  "--expansion-better", "1:1:2:power:0.5")
+
+    @pytest.mark.parametrize("mode,n", [
+        (EXPONENTIAL, "1"), (LOG_PAIR, "1"), (POLYNOMIAL, "-5"),
+        (POWER_PAIR, "-5"), (EXPONENTIAL, "100,1")])
+    def test_n_not_above_one_is_domain_error(self, capsys, mode, n):
+        code, doc, err = run_cli(capsys, "deficiency", *mode, "--n", n)
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert "n must exceed 1" in err["error"]["message"]
+
+    @pytest.mark.parametrize("n", ["inf", "nan", "10,-inf", "1e400"])
+    def test_non_finite_n_is_parse_error(self, capsys, n):
+        code, doc, err = run_cli(capsys, "deficiency", *self.LOG_PAIR,
+                                 "--n", n)
+        assert code == 4 and doc is None
+        assert err["error"]["kind"] == "parse"
+        assert "finite" in err["error"]["message"]
+
+    def test_non_finite_result_is_domain_error(self, capsys):
+        # a nan constant in an expansion string makes the limit nan;
+        # it is refused when stdout is built, and nothing is printed
+        code, doc, err = run_cli(capsys, "deficiency",
+                                 "--expansion-base", "1:1:nan:log-factor",
+                                 "--expansion-better", "1:1:2:log-factor",
+                                 "--n", "100")
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+
     def test_no_mode_given(self, capsys):
         code, _, err = run_cli(capsys, "deficiency", "--n", "100")
         assert code == 4 and err["error"]["kind"] == "parse"
@@ -469,6 +525,21 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--scenario", str(p))
         assert code == 4 and err["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("key,value", [("sample_sizes", "[10, 1e400]"),
+                                           ("seed", "1e400"),
+                                           ("replications", "1e400")])
+    def test_out_of_range_scenario_number_is_parse_error(self, capsys,
+                                                         tmp_path, key,
+                                                         value):
+        doc = builtin_scenario("normal-iid", replications=2).to_dict()
+        doc[key] = "BIG"
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc).replace('"BIG"', value))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(p))
+        assert code == 4 and out is None
+        assert err["error"]["kind"] == "parse"
+        assert str(p) in err["error"]["message"]
+
     def test_unknown_scenario_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario",
                                "no-such-thing")
@@ -488,3 +559,43 @@ class TestSimulate:
                                "normal-iid", "--reps", "2", "--n", "10",
                                "--estimators", "magic")
         assert code == 5 and err["error"]["kind"] == "domain"
+
+
+class TestFiniteFlags:
+    def test_every_float_flag_uses_the_finite_type(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        finite = 0
+        for command, p in sub.choices.items():
+            for action in p._actions:
+                assert action.type in (None, int, cli._finite_float), \
+                    (command, action.option_strings, action.type)
+                finite += action.type is cli._finite_float
+        assert finite > 0
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--boundary", "nan"),
+        ("survival", "--c=-inf"),
+        ("bandwidth", "--bw-C", "inf"),
+        ("bandwidth", "--effective-c", "NaN"),
+        ("kernel-table", "--tol", "1e400"),
+        ("deficiency", "--assumption", "band-limited", "--b-limit", "1",
+         "--F", "0.5", "--f", "0.25", "--cross-moment", "nan", "--n", "10"),
+    ])
+    def test_non_finite_flag_is_usage_error(self, capsys, sample_csv, argv):
+        if argv[0] in ("estimate", "survival", "bandwidth"):
+            argv += ("--input", sample_csv)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a finite number" in captured.err
+
+    def test_non_numeric_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel-table", "--c", "abc"])
+        assert exc.value.code == 2
+        assert "expected a finite number, got 'abc'" in \
+            capsys.readouterr().err

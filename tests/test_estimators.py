@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ftcdf.estimators import (CensoredSample, EstimatorConfig, StepEstimate,
-                              edf, evaluate_on_grid, smoothed_cdf,
-                              smoothed_paths, standardize_path)
+                              edf, evaluate_on_grid, smoothed_paths,
+                              standardize_path)
 from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, GaussianKernel, get_table,
                            integrated_kernel)
 
@@ -57,12 +57,13 @@ def test_cdf_rejects_censored_data():
         with pytest.raises(ValueError, match="uncensored"):
             evaluate_on_grid(s, cfg, [0.0, 1.0])
         with pytest.raises(ValueError, match="uncensored"):
-            smoothed_cdf(s, cfg, 1.0)
+            smoothed_paths(s, cfg, [1.0])
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(GaussianKernel(), 0.0)
+    for h in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EstimatorConfig(GaussianKernel(), h)
     with pytest.raises(TypeError):
         EstimatorConfig(object(), 1.0)
 
@@ -114,7 +115,8 @@ def test_single_point_sample_half(kern):
     kern = kern or trap_table()
     s = CensoredSample.uncensored([0.0])
     cfg = EstimatorConfig(kern, 1.0)
-    assert smoothed_cdf(s, cfg, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert evaluate_on_grid(s, cfg, [0.0])[0] == pytest.approx(0.5,
+                                                                abs=1e-12)
 
 
 def test_smoothed_cdf_limits():
@@ -122,8 +124,8 @@ def test_smoothed_cdf_limits():
     s = CensoredSample.uncensored([-1.0, 0.5, 2.0])
     cfg = EstimatorConfig(tab, 0.3)
     far = tab.tail_cutoff * 0.3 + 3.0
-    assert smoothed_cdf(s, cfg, 2.0 + far) == 1.0
-    assert smoothed_cdf(s, cfg, -1.0 - far) == 0.0
+    np.testing.assert_array_equal(
+        evaluate_on_grid(s, cfg, [-1.0 - far, 2.0 + far]), [0.0, 1.0])
 
 
 def test_small_bandwidth_recovers_edf():
@@ -144,14 +146,14 @@ def test_boundary_reflection():
     s = CensoredSample.uncensored(xs)
     tab = trap_table()
     cfg = EstimatorConfig(tab, 0.4, boundary=0.0)
-    assert smoothed_cdf(s, cfg, 0.0) == 0.0
-    assert smoothed_cdf(s, cfg, -0.5) == 0.0
+    np.testing.assert_array_equal(evaluate_on_grid(s, cfg, [-0.5, 0.0]),
+                                  [0.0, 0.0])
     # independent reflection arithmetic at a few points
     for t in (0.3, 1.0, 2.5):
         plain = np.mean(tab.kbar((t - xs) / 0.4))
         refl = np.mean(tab.kbar((-t - xs) / 0.4))
-        assert smoothed_cdf(s, cfg, t) == pytest.approx(plain - refl,
-                                                        abs=1e-12)
+        assert evaluate_on_grid(s, cfg, [t])[0] == pytest.approx(
+            plain - refl, abs=1e-12)
     with pytest.raises(ValueError):
         evaluate_on_grid(s, EstimatorConfig(tab, 0.4, boundary=1.0),
                          np.array([1.0]))
@@ -164,8 +166,9 @@ def test_grid_matches_scalar_and_validates():
     grid = np.linspace(-3, 3, 21)
     vals = evaluate_on_grid(s, cfg, grid)
     for i in (0, 10, 20):
-        assert vals[i] == pytest.approx(smoothed_cdf(s, cfg, grid[i]),
-                                        abs=1e-14)
+        # equal up to BLAS summation order (one row versus many)
+        assert vals[i] == pytest.approx(
+            evaluate_on_grid(s, cfg, grid[i:i + 1])[0], abs=1e-14)
     assert evaluate_on_grid(s, cfg, np.array([])).size == 0
     with pytest.raises(ValueError):
         evaluate_on_grid(s, cfg, np.array([1.0, 0.5]))
@@ -204,19 +207,26 @@ def test_standardized_point_is_study_path_value(boundary):
     xs = np.abs(rng.standard_normal(30))
     s = CensoredSample.uncensored(xs)
     tab = trap_table()
-    cfg = EstimatorConfig(tab, 0.4, boundary=boundary, standardize=True)
+    cfg = EstimatorConfig(tab, 0.4, boundary=boundary)
     # path start: the boundary, else min(tail_cutoff, 256) h below the data
     lo = boundary if boundary is not None else \
         xs.min() - min(tab.tail_cutoff, 256.0) * 0.4
     for t in (lo - 1.0, 0.2, 1.0, 2.5):
-        val = smoothed_cdf(s, cfg, t)
-        assert val == smoothed_paths(s, cfg, np.array([t]))[1][0]
-        if t > lo:
-            fine = evaluate_on_grid(s, cfg, np.linspace(lo, t, 1025))
-            assert val == fine[-1]
-    raw_cfg = EstimatorConfig(tab, 0.4, boundary=boundary)
-    raw, std = smoothed_paths(s, raw_cfg, np.array([0.2, 1.0, 2.5]))
-    for t, r in zip((0.2, 1.0, 2.5), raw):
+        raw, std = smoothed_paths(s, cfg, np.array([t]))
+        # the standardized value is the running sup of the raw path from
+        # its start up to t (1025 points joined with t), clipped to [0, 1]
+        fine = np.union1d(np.linspace(min(lo, t), t, 1025), t)
+        path = evaluate_on_grid(s, cfg, fine)
+        assert std[0] == min(max(path.max(), 0.0), 1.0)
+        assert raw[0] == path[-1]
+    pts = np.array([0.2, 1.0, 2.5])
+    raw, std = smoothed_paths(s, cfg, pts)
+    for t, r in zip(pts, raw):
         # equal up to BLAS summation order (one row versus many)
-        assert r == pytest.approx(smoothed_cdf(s, raw_cfg, t), abs=1e-14)
+        assert r == pytest.approx(evaluate_on_grid(s, cfg, [t])[0],
+                                  abs=1e-14)
     assert np.all(np.diff(std) >= 0.0)
+    # cfg.standardize does not change what smoothed_paths returns
+    std_cfg = EstimatorConfig(tab, 0.4, boundary=boundary, standardize=True)
+    for got, want in zip(smoothed_paths(s, std_cfg, pts), (raw, std)):
+        np.testing.assert_array_equal(got, want)

@@ -183,6 +183,13 @@ class TestSmallHelpers:
         doc = json.loads(dump_json({"b": 1, "a": 2}))
         assert doc == {"schema": 1, "a": 2, "b": 1}
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_dump_json_refuses_non_finite(self, value):
+        # json would print NaN or Infinity, which no strict parser reads
+        with pytest.raises(ValueError):
+            dump_json({"value": [0.5, value]})
+
     def test_write_text(self, tmp_path):
         p = tmp_path / "out.csv"
         write_text(str(p), "t,value\n")

@@ -179,8 +179,8 @@ def test_cross_moment_flattop_frozen():
     assert cm_t > 0.0 and cm_s > 0.0
     assert cm_t == pytest.approx(TRAP_CROSS_MOMENT, abs=1e-8)
     assert cm_s == pytest.approx(SMOOTH_CROSS_MOMENT, abs=1e-8)
-    # table objects delegate to the same constant
-    assert get_table(TRAP, 1e-8).cross_moment() == cm_t
+    # a table gives the constant of its spec
+    assert kernel_cross_moment(get_table(TRAP, 1e-8)) == cm_t
 
 
 def test_cross_moment_symmetry_identity():

@@ -559,8 +559,3 @@ class TestZeroBias:
             zero_bias_experiment(10, 0.5, 0, seed=1)
         with pytest.raises(ValueError):
             zero_bias_experiment(10, -0.5, 5, seed=1)
-
-    def test_dict_schema(self):
-        d = zero_bias_experiment(50, 0.5, 3, seed=2).to_dict()
-        assert d["schema"] == 1
-        assert len(d["points"]) == 3

@@ -12,8 +12,7 @@ from ftcdf.bandwidth import ecf
 from ftcdf.estimators import (CensoredSample, DegenerateSampleError,
                               EstimatorConfig, edf, smoothed_paths)
 from ftcdf.kernels import TRAPEZOID, FlatTopSpec, GaussianKernel, get_table
-from ftcdf.survival import (kaplan_meier, smoothed_survival,
-                            smoothed_survival_on_grid)
+from ftcdf.survival import kaplan_meier, smoothed_survival_on_grid
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 
@@ -154,7 +153,7 @@ def test_smoothed_single_event():
     s = CensoredSample(np.array([0.0, 1.0]), np.array([True, False]))
     km = kaplan_meier(s)
     cfg = EstimatorConfig(get_table(TRAP, 1e-8), 1.0)
-    assert smoothed_survival(s, cfg, 0.0) == pytest.approx(
+    assert smoothed_survival_on_grid(s, cfg, [0.0])[0] == pytest.approx(
         km.heights[0] * 0.5, abs=1e-12)
 
 
@@ -164,9 +163,9 @@ def test_smoothed_survival_limits_and_complement():
     tab = get_table(TRAP, 1e-8)
     cfg = EstimatorConfig(tab, 0.4)
     far = tab.tail_cutoff * 0.4 + 5.0
-    assert smoothed_survival(s, cfg, -far) == pytest.approx(km.total_mass,
-                                                            abs=1e-12)
-    assert smoothed_survival(s, cfg, s.times.max() + far) == 0.0
+    assert smoothed_survival_on_grid(s, cfg, [-far])[0] == pytest.approx(
+        km.total_mass, abs=1e-12)
+    assert smoothed_survival_on_grid(s, cfg, [s.times.max() + far])[0] == 0.0
     # complement identity against the smoothed CDF of the same measure
     from ftcdf.estimators import smoothed_measure_on_grid
     grid = np.linspace(-1.0, 4.0, 101)
@@ -195,8 +194,8 @@ def test_standardized_survival_shape():
     assert np.all(np.diff(vals) <= 1e-15)
     assert vals.min() >= 0.0 and vals.max() <= 1.0
     km = kaplan_meier(s)
-    assert smoothed_survival(s, cfg, -1.0) == pytest.approx(km.total_mass,
-                                                            abs=1e-12)
+    below = smoothed_paths(s, cfg, [-1.0], survival=True)[1][0]
+    assert below == pytest.approx(km.total_mass, abs=1e-12)
 
 
 @pytest.mark.parametrize("boundary", [None, 0.0])
@@ -206,17 +205,23 @@ def test_standardized_point_is_study_path_value(boundary, censored):
     if not censored:
         s = CensoredSample.uncensored(s.times)
     tab = get_table(TRAP, 1e-8)
-    cfg = EstimatorConfig(tab, 0.4, boundary=boundary, standardize=True)
+    cfg = EstimatorConfig(tab, 0.4, boundary=boundary)
     lo = boundary if boundary is not None else \
         s.times.min() - min(tab.tail_cutoff, 256.0) * 0.4
     for t in (lo - 1.0, 0.3, 1.0, 2.0):
-        val = smoothed_survival(s, cfg, t)
-        want = smoothed_paths(s, cfg, np.array([t]), survival=True)[1][0]
-        assert val == want
-        if t > lo:
-            fine = smoothed_survival_on_grid(s, cfg,
-                                             np.linspace(lo, t, 1025))
-            assert val == fine[-1]
+        raw, std = smoothed_paths(s, cfg, np.array([t]), survival=True)
+        # the standardized value is the running inf of the raw path from
+        # its start up to t (1025 points joined with t), clipped to [0, 1]
+        fine = np.union1d(np.linspace(min(lo, t), t, 1025), t)
+        path = smoothed_survival_on_grid(s, cfg, fine)
+        assert std[0] == min(max(path.min(), 0.0), 1.0)
+        assert raw[0] == path[-1]
+
+
+def test_survival_names_are_the_estimators_functions():
+    # the survival module re-exports; both names hold one function
+    assert kaplan_meier is estimators.kaplan_meier
+    assert smoothed_survival_on_grid is estimators.smoothed_survival_on_grid
 
 
 # small integer ticks force ties; each flag list may censor any subset
