@@ -223,8 +223,11 @@ def edf_deficiency(smoothness: SmoothnessClass, F_t: float, f_t: float,
     g = 2 f(t) cross_moment / (F(1-F)); the deficiency is a*g*n^(2p/(2p+1))
     for polynomial tails, a*g*n/log n for exponential tails, and g*n in
     the band-limited case (constant bandwidth, displayed at unit h).
-    n must exceed 1.
+    n must exceed 1, F(t) must lie in (0, 1), and outside the
+    band-limited case a must be one the preset accepts.
     """
+    if not 0.0 <= F_t <= 1.0:
+        raise ValueError("F_t must lie in [0, 1]")
     denom = F_t * (1.0 - F_t)
     if denom == 0.0:
         raise ValueError("deficiency is undefined where F(1-F) = 0")
@@ -232,6 +235,9 @@ def edf_deficiency(smoothness: SmoothnessClass, F_t: float, f_t: float,
         raise ValueError("density value must be nonnegative")
     if not n > 1:
         raise ValueError("n must exceed 1")
+    if smoothness.kind != BAND_LIMITED:
+        # refuses a <= 0, and a >= 2d under exponential tails
+        optimal_bandwidth_preset(smoothness, n, a)
     gain = 2.0 * f_t * cross_moment / denom
     n = float(n)
     if smoothness.kind == POLYNOMIAL:

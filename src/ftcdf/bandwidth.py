@@ -172,15 +172,10 @@ def select_bandwidth(curve: EcfCurve, rule: BandwidthRule) -> float:
         "ECF magnitude never levels off on the grid; extend the range")
 
 
-def auto_bandwidth(sample: CensoredSample, effective_c: float,
-                   rule: BandwidthRule | None = None,
-                   freqs=None) -> float:
+def auto_bandwidth(sample: CensoredSample, effective_c: float) -> float:
     """Convenience wrapper: default grid and rule, then select_bandwidth."""
-    if rule is None:
-        rule = default_rule(sample.n, effective_c)
-    if freqs is None:
-        freqs = default_freq_grid(sample)
-    return select_bandwidth(ecf(sample, freqs), rule)
+    return select_bandwidth(ecf(sample, default_freq_grid(sample)),
+                            default_rule(sample.n, effective_c))
 
 
 def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:

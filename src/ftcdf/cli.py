@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -125,11 +126,12 @@ def _cmd_curve(args):
                          "use the survival subcommand for censored input")
     kernel, desc = _kernel_from_args(args)
     h, bw = _resolve_bandwidth(args, sample, desc)
-    cfg = EstimatorConfig(kernel, h, boundary=args.boundary,
-                          standardize=args.standardize)
+    cfg = EstimatorConfig(kernel, h, boundary=args.boundary)
     grid, grid_text = _resolve_grid(args, sample, h)
     fit = smoothed_survival_on_grid if survival else evaluate_on_grid
     values = fit(sample, cfg, grid)
+    if args.standardize:
+        values = standardize_path(values, decreasing=survival)
     payload = {
         "command": args.command,
         "resolved_config": {
@@ -193,6 +195,8 @@ def _parse_expansion(text: str) -> MseExpansion:
         delta = float(parts[4]) if len(parts) == 5 else None
     except ValueError:
         raise iolib.ParseError(f"expansion {text!r}: non-numeric field")
+    if not all(map(math.isfinite, (c, r, const, delta or 0.0))):
+        raise iolib.ParseError(f"expansion {text!r}: fields must be finite")
     return MseExpansion(c, r, const, second_kind=parts[3], delta=delta)
 
 
@@ -223,14 +227,12 @@ def _cmd_deficiency(args):
                                  "--D")
             smooth = SmoothnessClass.exponential(args.d, args.D)
             rate = "n/log n"
-        elif args.assumption == "band-limited":
+        else:
             if args.b_limit is None:
                 raise ValueError("--assumption band-limited needs "
                                  "--b-limit")
             smooth = SmoothnessClass.band_limited(args.b_limit)
             rate = "n"
-        else:
-            raise iolib.ParseError(f"unknown assumption {args.assumption!r}")
         if args.F is None or args.f is None or args.cross_moment is None:
             raise ValueError("assumption mode needs --F, --f and "
                              "--cross-moment")
@@ -295,6 +297,14 @@ def _cmd_kernel_table(args):
     return payload
 
 
+def _finite_json_number(text: str) -> float:
+    """json.load hook for float literals, NaN and Infinity: finite only."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise iolib.ParseError(f"number {text} is not finite")
+    return value
+
+
 def _load_scenario(args) -> Scenario:
     name = args.scenario
     overrides = {}
@@ -309,8 +319,9 @@ def _load_scenario(args) -> Scenario:
     else:
         try:
             with open(name, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+                spec = json.load(fh, parse_float=_finite_json_number,
+                                 parse_constant=_finite_json_number)
+        except (json.JSONDecodeError, iolib.ParseError) as exc:
             raise iolib.ParseError(f"{name}: invalid scenario JSON ({exc})")
         try:
             sc = Scenario.from_dict(spec)
@@ -318,11 +329,7 @@ def _load_scenario(args) -> Scenario:
             raise iolib.ParseError(f"{name}: incomplete scenario: {exc!r}")
         except OverflowError as exc:
             raise iolib.ParseError(f"{name}: number out of range: {exc}")
-    if overrides:
-        d = sc.to_dict()
-        d.update(overrides)
-        sc = Scenario.from_dict(d)
-    return sc
+    return replace(sc, **overrides)
 
 
 def _cmd_simulate(args):

@@ -8,6 +8,7 @@ CDF; Polya-type draws use rejection from a Cauchy envelope.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,11 @@ class DistSpec:
 
     def __post_init__(self):
         if self.kind == WEIBULL:
-            if not (self.shape and self.scale) or self.shape <= 0 \
-                    or self.scale <= 0:
-                raise ValueError("weibull needs positive shape and scale")
+            for field in ("shape", "scale"):
+                value = getattr(self, field)
+                if value is None or not 0.0 < value < math.inf:
+                    raise ValueError(f"weibull needs a finite positive "
+                                     f"{field}, got {value!r}")
         elif self.kind in (NORMAL, POLYA):
             if self.shape is not None or self.scale is not None:
                 raise ValueError(f"{self.kind} takes no parameters")

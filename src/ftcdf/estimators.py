@@ -1,23 +1,22 @@
 """Empirical and kernel-smoothed CDF and survival estimation.
 
 Estimators operate on a CensoredSample and are configured with a kernel
-table, a bandwidth, an optional left support boundary (handled by
-reflection), and an optional standardization step that rectifies the
-estimate into a valid CDF (or survival) path.  Every estimator smooths
-the sample's one jump measure, sample.jumps (EDF or Kaplan-Meier), which
-is computed on first use and cached on the sample.  Each value has one
-route:
+table, a bandwidth and an optional left support boundary (handled by
+reflection).  Every estimator smooths the sample's one jump measure,
+sample.jumps (EDF or Kaplan-Meier), which is computed on first use and
+cached on the sample.  Each value has one route:
 
 * evaluate_on_grid and smoothed_survival_on_grid give raw values on an
-  ascending grid, or with cfg.standardize the grid-standardized path
-  (running sup, or inf for survival, over that grid, clipped to [0, 1]);
+  ascending grid;
+* standardize_path turns such a raw grid path into a valid CDF (or
+  survival) path: running sup (inf for survival), clipped to [0, 1];
 * smoothed_paths gives raw and path-standardized values at points, the
   latter standardized over a fine path that starts below the data.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -76,15 +75,15 @@ class CensoredSample:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Kernel, bandwidth and path-shaping options for smoothed estimators.
+    """Kernel, bandwidth and left boundary of the smoothed estimators.
 
     kernel must expose kbar(x) (vectorized integrated kernel) and a
-    tail_cutoff; KernelTable and GaussianKernel both qualify.
+    tail_cutoff; KernelTable and GaussianKernel both qualify.  Raw paths
+    are made valid by standardize_path, or by smoothed_paths.
     """
     kernel: object
     bandwidth: float
     boundary: float | None = None
-    standardize: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth < math.inf:
@@ -250,8 +249,8 @@ def smoothed_measure_on_grid(locations, weights, cfg: EstimatorConfig,
 
 def _path_on_grid(sample: CensoredSample, cfg: EstimatorConfig, grid,
                   survival: bool) -> np.ndarray:
-    """Smoothed CDF (or survival) path of sample.jumps on an ascending
-    grid; standardizes last if configured.
+    """Raw smoothed CDF (or survival) path of sample.jumps on an
+    ascending grid.
 
     The survival path is the total jump mass minus the smoothed CDF, so
     the boundary correction enters through the CDF side.
@@ -269,26 +268,23 @@ def _path_on_grid(sample: CensoredSample, cfg: EstimatorConfig, grid,
     vals = smoothed_measure_on_grid(step.locations, step.heights, cfg, grid)
     if survival:
         vals = step.total_mass - vals
-    if cfg.standardize:
-        vals = standardize_path(vals, decreasing=survival)
     return vals
 
 
 def evaluate_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
                      grid) -> np.ndarray:
-    """Smoothed CDF of uncensored data on an ascending grid; standardizes
-    last if configured."""
+    """Raw smoothed CDF of uncensored data on an ascending grid."""
     return _path_on_grid(sample, cfg, grid, survival=False)
 
 
 def smoothed_survival_on_grid(sample: CensoredSample, cfg: EstimatorConfig,
                               grid) -> np.ndarray:
-    """Smoothed survival path on an ascending grid.
+    """Raw smoothed survival path on an ascending grid.
 
     S(t) = sum_j s_j (1 - Kbar((t - x_j)/h)) over the jumps of
     sample.jumps, equal to total mass minus the smoothed CDF of the same
     jump measure; the boundary correction enters through the CDF side.
-    Standardization makes the path nonincreasing within [0, 1].
+    standardize_path(S, decreasing=True) makes it nonincreasing in [0, 1].
     """
     return _path_on_grid(sample, cfg, grid, survival=True)
 
@@ -303,7 +299,6 @@ def smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig, pts,
     from the path start up to pts[-1], joined with pts.  The path starts
     at the boundary, or min(tail_cutoff, 256) bandwidths below the
     smallest observation, or at pts[0] if that is lower.
-    cfg.standardize is ignored.
     """
     pts = np.asarray(pts, dtype=float)
     lo = cfg.boundary
@@ -313,6 +308,5 @@ def smoothed_paths(sample: CensoredSample, cfg: EstimatorConfig, pts,
     lo = min(lo, float(pts[0]))
     grid = np.union1d(np.linspace(lo, float(pts[-1]), _PATH_POINTS), pts)
     idx = np.searchsorted(grid, pts)
-    raw = _path_on_grid(sample, replace(cfg, standardize=False), grid,
-                        survival)
+    raw = _path_on_grid(sample, cfg, grid, survival)
     return raw[idx], standardize_path(raw, decreasing=survival)[idx]

@@ -35,6 +35,8 @@ TABLE_SCHEMA = 1
 # closed forms switch to series below this to dodge 0/0 cancellation
 _SMALL_ARG = 1e-3
 _CHUNK = 1024
+# most points a kernel table may hold
+_MAX_TABLE_POINTS = 400_000
 
 
 @dataclass(frozen=True)
@@ -226,19 +228,18 @@ def _smooth_tail_cutoff(spec, tol: float) -> float:
     raise QuadratureError("smooth-family tail does not settle below tol")
 
 
-def _positive_grid(t_end: float, tol: float, decay_const: float,
-                   max_points: int) -> np.ndarray:
+def _positive_grid(t_end: float, tol: float, decay_const: float) -> np.ndarray:
     """Abscissae 0..t_end: uniform core, then spacing growing like sqrt(t).
 
     Spacing keeps the cubic-interpolation error (5/384) h^4 |f''''| under
     tol, using |f''''| <= 0.08 near 0 and <= decay_const / t^2 beyond.
     Raises QuadratureError, before the points are built, once the table
-    (this grid mirrored about 0) would pass max_points.
+    (this grid mirrored about 0) would pass _MAX_TABLE_POINTS.
     """
     delta0 = min(0.05, (384.0 * tol / (5.0 * 0.08)) ** 0.25)
     t_core = min(16.0, t_end)
     n_core = math.ceil(t_core / delta0)  # the length of np.arange below
-    cap = max_points // 2
+    cap = _MAX_TABLE_POINTS // 2
     beta = (76.8 * tol / decay_const) ** 0.25
     tail = []
     t = t_core
@@ -247,7 +248,7 @@ def _positive_grid(t_end: float, tol: float, decay_const: float,
         t += max(delta0, beta * np.sqrt(t))
     if n_core + len(tail) + 1 > cap:
         raise QuadratureError(f"tol {tol:.3g} needs a table of more than "
-                              f"max_points={max_points} points")
+                              f"max_points={_MAX_TABLE_POINTS} points")
     return np.concatenate([np.arange(0.0, t_core, delta0), tail, [t_end]])
 
 
@@ -362,8 +363,7 @@ def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
         raise QuadratureError(f"kernel mass {mass!r} off unity beyond 10*tol")
 
 
-def build_table(spec: FlatTopSpec, tol: float = 1e-8,
-                max_points: int = 400_000) -> KernelTable:
+def build_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:
     """Tabulate K and Kbar densely enough for interpolation error <= tol."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -372,7 +372,7 @@ def build_table(spec: FlatTopSpec, tol: float = 1e-8,
     else:
         t_end = _smooth_tail_cutoff(spec, tol)
     decay = 3.0 / (np.pi * (1.0 - spec.c))
-    pos = _positive_grid(t_end, tol, decay, max_points)
+    pos = _positive_grid(t_end, tol, decay)
     k_pos = kernel(spec, pos)
     kbar_pos = integrated_kernel(spec, pos)
     grid = np.concatenate([-pos[:0:-1], pos])
@@ -405,7 +405,6 @@ class GaussianKernel:
     """Standard normal kernel with the same call surface as KernelTable."""
 
     tail_cutoff = 40.0
-    tol = 1e-12
 
     def k(self, x):
         x = np.asarray(x, dtype=float)

@@ -33,6 +33,8 @@ _WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 # Gauss nodes sit at the odd Kronrod positions
 _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG_FULL = np.concatenate([_WG[:-1], _WG[::-1]])
+# bisection depth at which adaptive_quad gives up
+_MAX_DEPTH = 48
 
 
 class QuadratureError(Exception):
@@ -56,8 +58,7 @@ def _gk15(f, a: float, b: float):
     return resk * half, err
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
-                  max_depth: int = 48) -> float:
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f must accept an ndarray of abscissae and return an ndarray of the
@@ -77,7 +78,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
         if err <= budget:
             total += val
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"tolerance {budget:.3g} not reached on [{lo:.6g}, {hi:.6g}] "
                 f"at depth {depth}: error estimate {err:.3g}")

@@ -12,6 +12,7 @@ back afterwards.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -81,9 +82,13 @@ class Scenario:
 
     def __post_init__(self):
         pts = tuple(float(t) for t in self.eval_points)
+        if not all(map(math.isfinite, pts)):
+            raise ValueError("eval_points must be finite")
         if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("eval_points must be nonempty and strictly "
                              "ascending")
+        if self.boundary is not None and not math.isfinite(self.boundary):
+            raise ValueError("boundary must be finite")
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not sizes or any(n < 1 for n in sizes):
             raise ValueError("sample_sizes must be positive")

@@ -19,10 +19,11 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from ftcdf.asymptotics import MseExpansion
-from ftcdf.bandwidth import BandwidthRule, auto_bandwidth, default_freq_grid
+from ftcdf.bandwidth import (BandwidthRule, auto_bandwidth, default_freq_grid,
+                             ecf, select_bandwidth)
 from ftcdf.cli import main
 from ftcdf.estimators import (CensoredSample, EstimatorConfig, edf,
-                              evaluate_on_grid)
+                              evaluate_on_grid, standardize_path)
 from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, GaussianKernel, get_table,
                            integrated_kernel, integrated_kernel_by_quad,
                            kernel, kernel_by_quad, kernel_cross_moment)
@@ -166,12 +167,11 @@ def test_criterion_6_bandwidth_selector_calibration():
         np.random.default_rng(0).normal(size=500))
     freqs = default_freq_grid(sample)
     rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75)
-    h = auto_bandwidth(sample, 0.75, rule=rule, freqs=freqs)
+    h = select_bandwidth(ecf(sample, freqs), rule)
     for lam in (2.0, 0.25):
         scaled = CensoredSample.uncensored(lam * sample.times)
         matched = BandwidthRule(C=2.0, epsilon=1.0 / lam, effective_c=0.75)
-        h_scaled = auto_bandwidth(scaled, 0.75, rule=matched,
-                                  freqs=freqs / lam)
+        h_scaled = select_bandwidth(ecf(scaled, freqs / lam), matched)
         assert h_scaled == lam * h
 
 
@@ -191,8 +191,8 @@ def test_criterion_7_shape_guarantees(normal_study, weibull_study):
     for _ in range(20):
         sample = CensoredSample.uncensored(rng.normal(size=25))
         h = auto_bandwidth(sample, 0.75)
-        path = evaluate_on_grid(
-            sample, EstimatorConfig(table, h, standardize=True), grid)
+        path = standardize_path(
+            evaluate_on_grid(sample, EstimatorConfig(table, h), grid))
         assert np.all(np.diff(path) >= 0.0)
         assert path.min() >= 0.0 and path.max() <= 1.0
     # product-limit with no censoring collapses to the EDF bitwise

@@ -293,6 +293,23 @@ class TestEdfDeficiency:
                 edf_deficiency(SmoothnessClass.band_limited(1.0), F, 0.2,
                                self.CM, 100, 1.0)
 
+    @pytest.mark.parametrize("cls,F,a,match", [
+        (SmoothnessClass.polynomial(2.0), 0.5, -1.0, "positive"),
+        (SmoothnessClass.exponential(1.0, 1.0), 0.5, 0.0, "positive"),
+        (SmoothnessClass.exponential(1.0, 1.0), 0.5, 2.0, "a < 2d"),
+        (SmoothnessClass.exponential(1.0, 1.0), 0.5, 5.0, "a < 2d"),
+        (SmoothnessClass.polynomial(2.0), 2.0, 1.0, "F_t"),
+        (SmoothnessClass.band_limited(1.0), -0.5, None, "F_t")])
+    def test_refuses_what_preset_and_variance_refuse(self, cls, F, a,
+                                                     match):
+        with pytest.raises(ValueError, match=match):
+            edf_deficiency(cls, F, 0.3, self.CM, 100, a)
+
+    def test_band_limited_ignores_premultiplier(self):
+        cls = SmoothnessClass.band_limited(1.0)
+        assert edf_deficiency(cls, 0.5, 0.3, self.CM, 100, None) == \
+            edf_deficiency(cls, 0.5, 0.3, self.CM, 100, -1.0)
+
     def test_smoothness_class_validation(self):
         with pytest.raises(ValueError):
             SmoothnessClass("polynomial-tail")

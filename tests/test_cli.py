@@ -401,14 +401,43 @@ class TestDeficiency:
         assert "finite" in err["error"]["message"]
 
     def test_non_finite_result_is_domain_error(self, capsys):
-        # a nan constant in an expansion string makes the limit nan;
+        # finite constants whose difference overflows make the limit inf;
         # it is refused when stdout is built, and nothing is printed
         code, doc, err = run_cli(capsys, "deficiency",
-                                 "--expansion-base", "1:1:nan:log-factor",
-                                 "--expansion-better", "1:1:2:log-factor",
+                                 "--expansion-base", "1:1:-1e308:log-factor",
+                                 "--expansion-better", "1:1:1e308:log-factor",
                                  "--n", "100")
         assert code == 5 and doc is None
         assert err["error"]["kind"] == "domain"
+
+    @pytest.mark.parametrize("base", ["1:1:nan:log-factor",
+                                      "inf:1:1:log-factor",
+                                      "1:1:1e400:log-factor",
+                                      "1:1:1:power:-inf"])
+    def test_non_finite_expansion_field_is_parse_error(self, capsys, base):
+        code, doc, err = run_cli(capsys, "deficiency",
+                                 "--expansion-base", base,
+                                 "--expansion-better", "1:1:2:log-factor",
+                                 "--n", "100")
+        assert code == 4 and doc is None
+        assert err["error"]["kind"] == "parse"
+        assert base in err["error"]["message"]
+        assert "finite" in err["error"]["message"]
+
+    @pytest.mark.parametrize("argv,match", [
+        (("--assumption", "polynomial", "--p", "2", "--F", "0.5",
+          "--a", "-1"), "positive"),
+        (("--assumption", "polynomial", "--p", "2", "--F", "2",
+          "--a", "1"), "F_t"),
+        (("--assumption", "exponential", "--d", "1", "--D", "1",
+          "--F", "0.5", "--a", "5"), "a < 2d")])
+    def test_assumption_refuses_inputs_its_formulas_refuse(self, capsys,
+                                                           argv, match):
+        code, doc, err = run_cli(capsys, "deficiency", *argv, "--f", "0.3",
+                                 "--cross-moment", "0.1", "--n", "100")
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert match in err["error"]["message"]
 
     def test_no_mode_given(self, capsys):
         code, _, err = run_cli(capsys, "deficiency", "--n", "100")
@@ -525,12 +554,19 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--scenario", str(p))
         assert code == 4 and err["error"]["kind"] == "parse"
 
-    @pytest.mark.parametrize("key,value", [("sample_sizes", "[10, 1e400]"),
-                                           ("seed", "1e400"),
-                                           ("replications", "1e400")])
+    @pytest.mark.parametrize("key,value", [
+        ("sample_sizes", "[10, 1e400]"), ("seed", "1e400"),
+        ("replications", "1e400"), ("eval_points", "[0.0, 1e400]"),
+        pytest.param("eval_points", "[0, 1" + "0" * 400 + "]",
+                     id="eval_points-10**400"), ("boundary", "NaN"),
+        ("boundary", "1e400"), ("boundary", "-Infinity"),
+        ("lifetime_dist", '{"kind": "weibull", "shape": NaN, "scale": 1}')])
     def test_out_of_range_scenario_number_is_parse_error(self, capsys,
+                                                         monkeypatch,
                                                          tmp_path, key,
                                                          value):
+        # refused while the file is read, before any replication runs
+        monkeypatch.setattr(cli, "run_scenario", None)
         doc = builtin_scenario("normal-iid", replications=2).to_dict()
         doc[key] = "BIG"
         p = tmp_path / "big.json"

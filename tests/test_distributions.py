@@ -24,6 +24,10 @@ def test_spec_validation():
         DistSpec("normal", scale=2.0)
     with pytest.raises(ValueError):
         DistSpec("gamma", shape=1.0, scale=1.0)
+    with pytest.raises(ValueError, match="shape"):
+        DistSpec("weibull", np.inf, 1.0)
+    with pytest.raises(ValueError, match="scale"):
+        DistSpec("weibull", 3.0, np.nan)
 
 
 def test_spec_roundtrip():

@@ -52,12 +52,11 @@ def test_sample_stores_frozen_copies():
 def test_cdf_rejects_censored_data():
     s = CensoredSample(np.array([1.0, 2.0, 3.0]),
                        np.array([True, False, True]))
-    for standardize in (False, True):
-        cfg = EstimatorConfig(GaussianKernel(), 0.5, standardize=standardize)
-        with pytest.raises(ValueError, match="uncensored"):
-            evaluate_on_grid(s, cfg, [0.0, 1.0])
-        with pytest.raises(ValueError, match="uncensored"):
-            smoothed_paths(s, cfg, [1.0])
+    cfg = EstimatorConfig(GaussianKernel(), 0.5)
+    with pytest.raises(ValueError, match="uncensored"):
+        evaluate_on_grid(s, cfg, [0.0, 1.0])
+    with pytest.raises(ValueError, match="uncensored"):
+        smoothed_paths(s, cfg, [1.0])
 
 
 def test_config_validation():
@@ -182,9 +181,9 @@ def test_standardized_path_shape():
     rng = np.random.default_rng(14)
     xs = np.abs(rng.standard_normal(25))
     s = CensoredSample.uncensored(xs)
-    cfg = EstimatorConfig(trap_table(), 0.6, boundary=0.0, standardize=True)
+    cfg = EstimatorConfig(trap_table(), 0.6, boundary=0.0)
     grid = np.linspace(0.0, 4.0, 301)
-    vals = evaluate_on_grid(s, cfg, grid)
+    vals = standardize_path(evaluate_on_grid(s, cfg, grid))
     assert np.all(np.diff(vals) >= 0.0)
     assert vals.min() >= 0.0 and vals.max() <= 1.0
     assert vals[0] == 0.0
@@ -226,7 +225,3 @@ def test_standardized_point_is_study_path_value(boundary):
         assert r == pytest.approx(evaluate_on_grid(s, cfg, [t])[0],
                                   abs=1e-14)
     assert np.all(np.diff(std) >= 0.0)
-    # cfg.standardize does not change what smoothed_paths returns
-    std_cfg = EstimatorConfig(tab, 0.4, boundary=boundary, standardize=True)
-    for got, want in zip(smoothed_paths(s, std_cfg, pts), (raw, std)):
-        np.testing.assert_array_equal(got, want)

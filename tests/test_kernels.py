@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ftcdf.kernels as kernels
 from ftcdf.kernels import (
     SMOOTH,
     TRAPEZOID,
@@ -224,11 +225,13 @@ def test_over_budget_tol_fails_before_building_the_grid():
             build_table(TRAP, tol)
 
 
-def test_grid_budget_edge():
+def test_grid_budget_edge(monkeypatch):
     # the positive half of the tol 1e-8 trapezoid grid holds 14692 points
-    assert build_table(TRAP, 1e-8, max_points=29384).grid.size == 29383
-    with pytest.raises(QuadratureError):
-        build_table(TRAP, 1e-8, max_points=29383)
+    monkeypatch.setattr(kernels, "_MAX_TABLE_POINTS", 29384)
+    assert build_table(TRAP, 1e-8).grid.size == 29383
+    monkeypatch.setattr(kernels, "_MAX_TABLE_POINTS", 29383)
+    with pytest.raises(QuadratureError, match="max_points=29383"):
+        build_table(TRAP, 1e-8)
 
 
 def test_get_table_caches():

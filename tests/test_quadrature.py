@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ftcdf.quadrature as quadrature
 from ftcdf.quadrature import QuadratureError, adaptive_quad, unit_gl_rule
 
 
@@ -30,11 +31,12 @@ def test_nonfinite_limits_rejected():
         adaptive_quad(np.exp, 0.0, np.inf)
 
 
-def test_escalates_instead_of_truncating():
+def test_escalates_instead_of_truncating(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 12)
     jump = np.sqrt(2.0) / 2.0
     f = lambda x: (np.asarray(x) > jump).astype(float)
-    with pytest.raises(QuadratureError):
-        adaptive_quad(f, 0.0, 1.0, 1e-13, max_depth=12)
+    with pytest.raises(QuadratureError, match="at depth 12"):
+        adaptive_quad(f, 0.0, 1.0, 1e-13)
 
 
 def test_unit_gl_rule():

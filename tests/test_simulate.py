@@ -69,6 +69,11 @@ class TestScenario:
             Scenario(**{**good, "eval_points": ()})
         with pytest.raises(ValueError, match="eval_points"):
             Scenario(**{**good, "eval_points": (1.0, 1.0)})
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="eval_points"):
+                Scenario(**{**good, "eval_points": (0.0, bad)})
+            with pytest.raises(ValueError, match="boundary"):
+                Scenario(**{**good, "boundary": bad})
         with pytest.raises(ValueError, match="sample_sizes"):
             Scenario(**{**good, "sample_sizes": (0,)})
         with pytest.raises(ValueError, match="replications"):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import ftcdf.estimators as estimators
 from ftcdf.bandwidth import ecf
 from ftcdf.estimators import (CensoredSample, DegenerateSampleError,
-                              EstimatorConfig, edf, smoothed_paths)
+                              EstimatorConfig, edf, smoothed_paths,
+                              standardize_path)
 from ftcdf.kernels import TRAPEZOID, FlatTopSpec, GaussianKernel, get_table
 from ftcdf.survival import kaplan_meier, smoothed_survival_on_grid
 
@@ -187,10 +188,10 @@ def test_smoothed_survival_uncensored_complement():
 
 def test_standardized_survival_shape():
     s = random_censored(11)
-    cfg = EstimatorConfig(get_table(TRAP, 1e-8), 0.5, boundary=0.0,
-                          standardize=True)
+    cfg = EstimatorConfig(get_table(TRAP, 1e-8), 0.5, boundary=0.0)
     grid = np.linspace(0.0, 5.0, 201)
-    vals = smoothed_survival_on_grid(s, cfg, grid)
+    vals = standardize_path(smoothed_survival_on_grid(s, cfg, grid),
+                            decreasing=True)
     assert np.all(np.diff(vals) <= 1e-15)
     assert vals.min() >= 0.0 and vals.max() <= 1.0
     km = kaplan_meier(s)
