@@ -23,9 +23,9 @@ import numpy as np
 from . import io as iolib
 from .asymptotics import (MseExpansion, SmoothnessClass, deficiency_rate,
                           edf_deficiency, predicted_deficiency)
-from .bandwidth import (BandwidthRule, NoPlateauError, cv_bandwidth_km,
-                        default_cv_grid, default_freq_grid, default_rule, ecf,
-                        noise_threshold, select_bandwidth)
+from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
+                        default_freq_grid, default_rule, ecf, noise_threshold,
+                        select_bandwidth)
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table)
@@ -46,33 +46,36 @@ def _kernel_from_args(args):
     family = args.kernel
     if family == GAUSSIAN:
         return GaussianKernel(), {"family": GAUSSIAN}
-    c = args.c if args.c is not None else \
-        (0.75 if family == TRAPEZOID else 0.05)
-    spec = FlatTopSpec(family, c=c, b=args.b, effective_c=args.effective_c)
+    spec = FlatTopSpec(family, c=args.c, b=args.b, effective_c=args.effective_c)
     table = get_table(spec, args.tol)
     desc = {"family": family, "c": spec.c, "b": spec.b,
             "effective_c": spec.effective_c, "tol": args.tol}
     return table, desc
 
 
-def _auto_bandwidth(args, curve, eff):
-    """Threshold/plateau rule from the --bw-* flags; (h, config dict)."""
+def _automatic_bandwidth(args, sample, method, eff, freqs):
+    """(h, config dict, ECF curve or None) of method "auto" or "cv".
+
+    auto runs the rule of the --bw-* flags with radius eff on the ECF at
+    freqs; cv cross-validates and computes no ECF.
+    """
+    if method == "cv":
+        grid = default_cv_grid(sample)
+        h = cv_bandwidth_km(sample, grid)
+        return h, {"mode": "cv", "value": h,
+                   "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
+                              "points": int(grid.size),
+                              "spacing": "log"}}, None
+    curve = ecf(sample, freqs)
     rule = default_rule(curve.n, eff, mode=args.bw_mode)
-    C = args.bw_C if args.bw_C is not None else rule.C
-    eps = args.bw_eps if args.bw_eps is not None else rule.epsilon
-    rule = BandwidthRule(C, eps, eff, mode=args.bw_mode)
+    rule = replace(
+        rule, C=rule.C if args.bw_C is None else args.bw_C,
+        epsilon=rule.epsilon if args.bw_eps is None else args.bw_eps)
     h = select_bandwidth(curve, rule)
-    return h, {"mode": "auto", "value": h, "C": C, "epsilon": eps,
-               "effective_c": eff, "window_mode": args.bw_mode,
-               "threshold": noise_threshold(curve.n, C)}
-
-
-def _cv_bandwidth(sample):
-    grid = default_cv_grid(sample)
-    h = cv_bandwidth_km(sample, grid)
-    return h, {"mode": "cv", "value": h,
-               "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
-                          "points": int(grid.size), "spacing": "log"}}
+    return h, {"mode": "auto", "value": h, "C": rule.C,
+               "epsilon": rule.epsilon, "effective_c": eff,
+               "window_mode": args.bw_mode,
+               "threshold": noise_threshold(curve.n, rule.C)}, curve
 
 
 def _resolve_bandwidth(args, sample, desc):
@@ -84,19 +87,17 @@ def _resolve_bandwidth(args, sample, desc):
         fixed = None
     if fixed is not None:
         return fixed, {"mode": "fixed", "value": fixed}
-    if mode == "auto":
-        if desc["family"] == GAUSSIAN:
-            raise ValueError("the automatic rule needs a flat-top kernel; "
-                             "use --bandwidth cv or a numeric value")
-        curve = ecf(sample, default_freq_grid(sample))
-        return _auto_bandwidth(args, curve, desc["effective_c"])
-    if mode == "cv":
-        if desc["family"] != GAUSSIAN:
-            raise ValueError("cross-validation drives the Gaussian "
-                             "comparator; use --kernel gaussian")
-        return _cv_bandwidth(sample)
-    raise iolib.ParseError(f"--bandwidth must be auto, cv, or a number, "
-                           f"got {mode!r}")
+    if mode == "auto" and desc["family"] == GAUSSIAN:
+        raise ValueError("the automatic rule needs a flat-top kernel; "
+                         "use --bandwidth cv or a numeric value")
+    if mode == "cv" and desc["family"] != GAUSSIAN:
+        raise ValueError("cross-validation drives the Gaussian "
+                         "comparator; use --kernel gaussian")
+    if mode not in ("auto", "cv"):
+        raise iolib.ParseError(f"--bandwidth must be auto, cv, or a number, "
+                               f"got {mode!r}")
+    return _automatic_bandwidth(args, sample, mode, desc.get("effective_c"),
+                                default_freq_grid(sample))[:2]
 
 
 def _resolve_grid(args, sample, h):
@@ -159,12 +160,9 @@ def _cmd_bandwidth(args):
     else:
         freqs = default_freq_grid(sample)
         grid_text = f"{float(freqs[0])!r}:{float(freqs[-1])!r}:{freqs.size}"
-    curve = None
-    if args.method == "cv":
-        h, bw = _cv_bandwidth(sample)
-    else:
-        curve = ecf(sample, freqs)
-        h, bw = _auto_bandwidth(args, curve, args.effective_c)
+    h, bw, curve = _automatic_bandwidth(args, sample, args.method,
+                                        args.effective_c, freqs)
+    if curve is not None:
         bw["t_star"] = args.effective_c / h
     bw["freq_grid"] = grid_text
     payload = {
@@ -318,10 +316,11 @@ def _load_scenario(args) -> Scenario:
         sc = builtin_scenario(name)
     else:
         try:
-            with open(name, "r", encoding="utf-8") as fh:
+            with open(name, "r", encoding="utf-8-sig") as fh:
                 spec = json.load(fh, parse_float=_finite_json_number,
                                  parse_constant=_finite_json_number)
-        except (json.JSONDecodeError, iolib.ParseError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                iolib.ParseError) as exc:
             raise iolib.ParseError(f"{name}: invalid scenario JSON ({exc})")
         try:
             sc = Scenario.from_dict(spec)
@@ -370,7 +369,8 @@ def _add_kernel_flags(p):
     p.add_argument("--kernel", default=TRAPEZOID,
                    choices=[TRAPEZOID, SMOOTH, GAUSSIAN])
     p.add_argument("--c", type=_finite_float, default=None,
-                   help="flat radius (default 0.75 trapezoid, 0.05 smooth)")
+                   help=f"flat radius (default {FlatTopSpec(TRAPEZOID).c} "
+                        f"trapezoid, {FlatTopSpec(SMOOTH).c} smooth)")
     p.add_argument("--b", type=_finite_float, default=1.0,
                    help="smooth-family descent rate")
     p.add_argument("--effective-c", type=_finite_float, default=None,
@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bandwidth")
     p.add_argument("--input", required=True)
     p.add_argument("--method", default="auto", choices=["auto", "cv"])
-    p.add_argument("--effective-c", type=_finite_float, default=0.75,
+    p.add_argument("--effective-c", type=_finite_float,
+                   default=FlatTopSpec(TRAPEZOID).effective_c,
                    dest="effective_c")
     _add_rule_flags(p)
     p.add_argument("--freq-grid", default=None, dest="freq_grid")

@@ -30,10 +30,14 @@ def read_sample_csv(path: str) -> CensoredSample:
     number.  Event flags must be 0 or 1; a missing event column means
     fully uncensored.  A header names each column at most once, and a
     row may have no more fields than the header names (two without a
-    header).  Blank lines are skipped.
+    header).  Blank lines are skipped.  The file is UTF-8, with or without
+    a byte-order mark.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})")
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise ParseError(f"{path}: no data rows")

@@ -10,14 +10,16 @@ kernel analogue of a CDF.  Two taper families are provided:
 * "smooth": infinitely differentiable double-exponential descent with a
   shape parameter b, evaluated by Gauss-Legendre quadrature.
 
-Dense lookup tables (KernelTable) make the kernels cheap inside
-estimators; they hold the raw, non-monotone Kbar, and valid CDF paths
-come from standardizing an estimate, not the kernel.  The Gaussian
-kernel is included as a comparator with the same call surface.
+FlatTopSpec(family) is the family's reference kernel: c and
+effective_c default by family here and nowhere else.  Dense lookup
+tables (KernelTable) make the kernels cheap inside estimators; only
+build_table makes one, after certifying its interpolation error and
+mass.  Tables hold the raw, non-monotone Kbar: valid CDF paths come
+from standardizing an estimate, not the kernel.  The Gaussian kernel
+is included as a comparator with the same call surface.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,6 +33,7 @@ from .quadrature import QuadratureError, adaptive_quad, unit_gl_rule
 TRAPEZOID = "trapezoid"
 SMOOTH = "smooth"
 TABLE_SCHEMA = 1
+_DEFAULT_C = {TRAPEZOID: 0.75, SMOOTH: 0.05}
 
 # closed forms switch to series below this to dodge 0/0 cancellation
 _SMALL_ARG = 1e-3
@@ -45,6 +48,8 @@ class FlatTopSpec:
 
     family: "trapezoid" or "smooth".
     c: flat radius, 0 < c < 1; the taper is exactly 1 on [-c, c].
+        Defaults by family: 0.75 for the trapezoid, 0.05 for the smooth
+        taper, so FlatTopSpec(family) is that family's reference kernel.
     b: descent-rate parameter, used by the smooth family only.
     effective_c: radius used by the bandwidth rule h = effective_c / t*.
         Defaults: c for the trapezoid family; 0.5 for the smooth family
@@ -52,13 +57,15 @@ class FlatTopSpec:
         parameterizations must state it explicitly.
     """
     family: str
-    c: float
+    c: float | None = None
     b: float = 1.0
     effective_c: float | None = None
 
     def __post_init__(self):
         if self.family not in (TRAPEZOID, SMOOTH):
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if self.c is None:
+            object.__setattr__(self, "c", _DEFAULT_C[self.family])
         if not 0.0 < self.c < 1.0:
             raise ValueError("flat radius c must lie in (0, 1)")
         if self.family == SMOOTH and not self.b > 0.0:
@@ -67,7 +74,7 @@ class FlatTopSpec:
         if eff is None:
             if self.family == TRAPEZOID:
                 eff = self.c
-            elif (self.b, self.c) == (1.0, 0.05):
+            elif (self.b, self.c) == (1.0, _DEFAULT_C[SMOOTH]):
                 eff = 0.5
             else:
                 raise ValueError(
@@ -143,22 +150,16 @@ def _gl_order(umax: float) -> int:
 
 
 def _smooth_transforms(spec, x, want_kernel: bool):
-    """Vectorized cosine/sine transform of the smooth taper."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Vectorized cosine/sine transform of the smooth taper on 1-d x."""
     nodes, wts = unit_gl_rule(_gl_order(float(np.max(np.abs(x), initial=0.0))))
     kap = window(spec, nodes)
+    trig, coef = ((np.cos, kap * wts) if want_kernel
+                  else (np.sin, kap * wts / nodes))
     out = np.empty_like(x)
-    if want_kernel:
-        coef = kap * wts
-        for i in range(0, x.size, _CHUNK):
-            blk = x[i:i + _CHUNK, None]
-            out[i:i + _CHUNK] = np.cos(blk * nodes) @ coef
-        return out / np.pi
-    coef = kap * wts / nodes
     for i in range(0, x.size, _CHUNK):
         blk = x[i:i + _CHUNK, None]
-        out[i:i + _CHUNK] = np.sin(blk * nodes) @ coef
-    return 0.5 + out / np.pi
+        out[i:i + _CHUNK] = trig(blk * nodes) @ coef
+    return out / np.pi if want_kernel else 0.5 + out / np.pi
 
 
 def _dispatch(spec, x, want_kernel):
@@ -254,7 +255,7 @@ def _positive_grid(t_end: float, tol: float, decay_const: float) -> np.ndarray:
 
 @dataclass
 class KernelTable:
-    """Tabulated kernel with certified interpolation error.
+    """Tabulated kernel, made and certified only by build_table.
 
     kbar_values holds the raw integrated kernel, genuinely non-monotone
     because flat-top kernels take negative values.  Estimators consume
@@ -310,28 +311,6 @@ class KernelTable:
             "k_values": self.k_values.tolist(),
             "kbar_values": self.kbar_values.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KernelTable":
-        if payload.get("schema") != TABLE_SCHEMA:
-            raise ValueError("unsupported kernel table schema")
-        spec = FlatTopSpec(payload["family"], payload["c"], payload["b"],
-                           payload["effective_c"])
-        return cls(spec=spec,
-                   grid=np.asarray(payload["grid"], dtype=float),
-                   k_values=np.asarray(payload["k_values"], dtype=float),
-                   kbar_values=np.asarray(payload["kbar_values"], dtype=float),
-                   tail_cutoff=float(payload["tail_cutoff"]),
-                   tol=float(payload["tol"]))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "KernelTable":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _certify(table: KernelTable) -> None:
@@ -436,12 +415,7 @@ def _flattop_cross_moment(spec: FlatTopSpec) -> float:
         tail = (np.cos(t_end) / t_end ** 2
                 - np.cos(c * t_end) / (c ** 2 * t_end ** 2)) / (np.pi * (1 - c))
         return value + tail
-    t_end = 32.0
-    while abs(1.0 - integrated_kernel_by_quad(spec, t_end, tol=1e-13)) > 1e-12:
-        t_end *= 2.0
-        if t_end > 2.2e5:
-            raise QuadratureError("cross moment tail does not settle")
-    return adaptive_quad(f, 0.0, t_end, 1e-10)
+    return adaptive_quad(f, 0.0, _smooth_tail_cutoff(spec, 2e-12), 1e-10)
 
 
 def kernel_cross_moment(kern) -> float:

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product, repeat
 
 import numpy as np
 
-from .bandwidth import (BandwidthRule, NoPlateauError, cv_bandwidth_km,
-                        default_cv_grid, default_freq_grid, default_rule,
-                        ecf, select_bandwidth)
+from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
+                        default_freq_grid, default_rule, ecf,
+                        select_bandwidth)
 from .distributions import (DistSpec, dist_cdf, dist_survival, polya_cdf,
                             sample_distribution)
 from .estimators import (CensoredSample, DegenerateSampleError,
@@ -37,8 +38,8 @@ SURVIVAL = "survival"
 ESTIMATORS = ("edf", "gauss-cv", "trap-auto", "smooth-auto")
 RAW_SUFFIX = "+raw"
 
-TRAP_SPEC = FlatTopSpec(TRAPEZOID, c=0.75)
-SMOOTH_SPEC = FlatTopSpec(SMOOTH, b=1.0, c=0.05, effective_c=0.5)
+TRAP_SPEC = FlatTopSpec(TRAPEZOID)
+SMOOTH_SPEC = FlatTopSpec(SMOOTH)
 _FLAT_TOP = {"trap-auto": TRAP_SPEC, "smooth-auto": SMOOTH_SPEC}
 
 # threshold constants for the flat-top rules inside simulation studies.
@@ -67,6 +68,16 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
+def _whole(value, name: str) -> int:
+    """value as a Python int: an integer that is not a bool, or a float
+    with an integral value (so 1e3 is 1000); anything else is refused."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One Monte Carlo study: data law, evaluation points, sizes, seed."""
@@ -89,11 +100,15 @@ class Scenario:
                              "ascending")
         if self.boundary is not None and not math.isfinite(self.boundary):
             raise ValueError("boundary must be finite")
-        sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = tuple(_whole(n, "sample_sizes") for n in self.sample_sizes)
         if not sizes or any(n < 1 for n in sizes):
             raise ValueError("sample_sizes must be positive")
-        if self.replications < 1:
+        reps = _whole(self.replications, "replications")
+        if reps < 1:
             raise ValueError("replications must be >= 1")
+        seed = _whole(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         if self.estimand not in (CDF, SURVIVAL):
             raise ValueError(f"unknown estimand {self.estimand!r}")
         if self.censor_dist is not None and self.estimand != SURVIVAL:
@@ -101,6 +116,8 @@ class Scenario:
                              "function")
         object.__setattr__(self, "eval_points", pts)
         object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "replications", reps)
+        object.__setattr__(self, "seed", seed)
 
     def to_dict(self) -> dict:
         return {
@@ -125,8 +142,8 @@ class Scenario:
             censor_dist=None if censor is None else DistSpec.from_dict(censor),
             eval_points=tuple(payload["eval_points"]),
             sample_sizes=tuple(payload["sample_sizes"]),
-            replications=int(payload["replications"]),
-            seed=int(payload["seed"]),
+            replications=payload["replications"],
+            seed=payload["seed"],
             estimand=payload.get("estimand", CDF),
             boundary=payload.get("boundary"),
         )
@@ -327,8 +344,7 @@ def _select_bandwidth(estimator: str, sample: CensoredSample, curve) -> float:
     effective_c = _FLAT_TOP[estimator].effective_c
     C = _STUDY_THRESHOLD_C if np.all(sample.event) \
         else _STUDY_THRESHOLD_C_CENSORED
-    rule = default_rule(sample.n, effective_c)
-    rule = BandwidthRule(C, rule.epsilon, effective_c)
+    rule = replace(default_rule(sample.n, effective_c), C=C)
     return select_bandwidth(curve, rule)
 
 

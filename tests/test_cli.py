@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestEstimate:
         kern = doc["resolved_config"]["kernel"]
         assert kern == {"family": "trapezoid", "c": 0.75, "b": 1.0,
                         "effective_c": 0.75, "tol": 1e-8}
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "t,value" and len(lines) == 122
 
     def test_curve_matches_library_call(self, capsys, tmp_path, sample_csv):
@@ -87,7 +88,7 @@ class TestEstimate:
         grid = np.linspace(-2, 2, 41)
         want = evaluate_on_grid(sample, EstimatorConfig(table, h), grid)
         rows = [ln.split(",") for ln in
-                open(out).read().splitlines()[1:]]
+                Path(out).read_text().splitlines()[1:]]
         got = np.array([float(r[1]) for r in rows])
         np.testing.assert_array_equal(got, want)
 
@@ -103,7 +104,7 @@ class TestEstimate:
                                 "--bandwidth", repr(h))
         assert code == 0
         assert doc2["resolved_config"]["bandwidth"]["mode"] == "fixed"
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_inline_values_without_output(self, capsys, sample_csv):
         code, doc, _ = run_cli(capsys, "estimate", "--input", sample_csv,
@@ -199,11 +200,19 @@ class TestEstimate:
                                "--freq-grid", "0:nan:64")
         assert code == 4 and err["error"]["kind"] == "parse"
 
+    def test_non_utf8_input_is_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"time\n1.0\n\xff2.0\n")
+        code, doc, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert code == 4 and doc is None
+        assert err["error"]["kind"] == "parse"
+        assert str(p) in err["error"]["message"]
+
     def test_input_not_mutated(self, capsys, sample_csv):
-        before = open(sample_csv, "rb").read()
+        before = Path(sample_csv).read_bytes()
         run_cli(capsys, "estimate", "--input", sample_csv,
                 "--grid", "-1:1:11")
-        assert open(sample_csv, "rb").read() == before
+        assert Path(sample_csv).read_bytes() == before
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -220,7 +229,7 @@ class TestSurvival:
                                "--grid", "0:3:31", "--output", out)
         assert code == 0
         assert doc["censored"] > 0
-        rows = open(out).read().splitlines()[1:]
+        rows = Path(out).read_text().splitlines()[1:]
         first = rows[0].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
 
@@ -263,7 +272,7 @@ class TestBandwidth:
         code, _, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,
                              "--ecf-out", out)
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "t,magnitude"
         f0, m0 = lines[1].split(",")
         assert float(f0) == 0.0 and float(m0) == 1.0
@@ -312,7 +321,7 @@ class TestBandwidth:
                                  "--ecf-out", again)
         assert code == 0 and rerun["h"] == doc["h"]
         assert rerun["resolved_config"]["bandwidth"]["freq_grid"] == echoed
-        assert open(again, "rb").read() == open(first, "rb").read()
+        assert Path(again).read_bytes() == Path(first).read_bytes()
 
     @pytest.mark.parametrize("method", ["auto", "cv"])
     def test_malformed_freq_grid_is_parse_error(self, capsys, sample_csv,
@@ -464,7 +473,7 @@ class TestKernelTable:
                                "trapezoid", "--c", "0.5", "--tol", "1e-4",
                                "--output", out, "--json", jout)
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "x,k,kbar,kbar_rectified"
         assert len(lines) == doc["points"] + 1
         vals = [float(v) for v in lines[1].split(",")]
@@ -477,9 +486,15 @@ class TestKernelTable:
         assert cols[0, 3] == max(cols[0, 2], 0.0)
         # while the raw Kbar column genuinely leaves [0, 1]
         assert cols[:, 2].max() > 1.0 and cols[:, 2].min() < 0.0
-        table = json.load(open(jout))
+        table = json.loads(Path(jout).read_text())
         assert table["family"] == "trapezoid" and table["c"] == 0.5
         assert len(table["grid"]) == doc["points"]
+
+    @pytest.mark.parametrize("family,c", [("trapezoid", 0.75),
+                                          ("smooth", 0.05)])
+    def test_flat_radius_defaults_by_family(self, capsys, family, c):
+        code, doc, _ = run_cli(capsys, "kernel-table", "--kernel", family)
+        assert code == 0 and doc["resolved_config"]["kernel"]["c"] == c
 
     def test_gaussian_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kernel-table", "--kernel",
@@ -504,7 +519,7 @@ class TestSimulate:
         sc = builtin_scenario("normal-iid", seed=9, replications=4,
                               sample_sizes=(15,))
         assert doc["resolved_config"]["scenario"] == sc.to_dict()
-        assert open(out).read() == run_scenario(sc).to_csv()
+        assert Path(out).read_text() == run_scenario(sc).to_csv()
 
     def test_scenario_json_file(self, capsys, tmp_path):
         sc = builtin_scenario("polya-bandlimited", replications=2,
@@ -523,7 +538,7 @@ class TestSimulate:
                              "--n", "15", "--reps", "3", "--seed", "1",
                              "--estimators", "edf", "--output", out)
         assert code == 0
-        rows = open(out).read().splitlines()[1:]
+        rows = Path(out).read_text().splitlines()[1:]
         assert rows and all(r.startswith("edf,") for r in rows)
 
     @pytest.mark.parametrize("found", [True, False])
@@ -544,8 +559,8 @@ class TestSimulate:
         sc = builtin_scenario("normal-iid", seed=9, replications=4,
                               sample_sizes=(15,))
         report = run_scenario(sc)
-        assert open(out).read() == report.to_csv()
-        assert json.loads(open(js).read()) == {"schema": 1,
+        assert Path(out).read_text() == report.to_csv()
+        assert json.loads(Path(js).read_text()) == {"schema": 1,
                                                **report.to_dict()}
 
     def test_invalid_scenario_json(self, capsys, tmp_path):
@@ -575,6 +590,46 @@ class TestSimulate:
         assert code == 4 and out is None
         assert err["error"]["kind"] == "parse"
         assert str(p) in err["error"]["message"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("replications", "2.7"), ("replications", "true"),
+        ("replications", '"2"'), ("sample_sizes", "[10.9]"),
+        ("seed", "5.5"), ("seed", '"7"'), ("seed", "-3")])
+    def test_non_whole_scenario_count_is_domain_error(self, capsys,
+                                                      monkeypatch, tmp_path,
+                                                      key, value):
+        # refused before any replication runs, naming the field
+        monkeypatch.setattr(cli, "run_scenario", None)
+        doc = builtin_scenario("normal-iid", replications=2).to_dict()
+        doc[key] = "BAD"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc).replace('"BAD"', value))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(p))
+        assert code == 5 and out is None
+        assert err["error"]["kind"] == "domain"
+        assert key in err["error"]["message"]
+
+    def test_negative_seed_flag_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", None)
+        code, out, err = run_cli(capsys, "simulate", "--scenario",
+                                 "normal-iid", "--seed", "-1")
+        assert code == 5 and out is None
+        assert "seed must be >= 0" in err["error"]["message"]
+
+    def test_scenario_file_encoding(self, capsys, tmp_path):
+        text = json.dumps(builtin_scenario("normal-iid", replications=2,
+                                           sample_sizes=(10,)).to_dict())
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, doc, _ = run_cli(capsys, "simulate", "--scenario", str(bom),
+                               "--estimators", "edf")
+        assert code == 0 and doc["resolved_config"]["scenario"]["seed"] == 2026
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(text.encode().replace(b'"normal-iid"', b'"\xff"'))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(bad))
+        assert code == 4 and out is None
+        assert err["error"]["kind"] == "parse"
+        assert str(bad) in err["error"]["message"]
 
     def test_unknown_scenario_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario",

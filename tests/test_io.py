@@ -118,6 +118,19 @@ class TestReadSampleCsv:
                                                  "finite"):
                 read_sample_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbftime,event\n1.0,1\n2.0,0\n")
+        s = read_sample_csv(str(p))
+        assert s.times.tolist() == [1.0, 2.0]
+        assert s.event.tolist() == [True, False]
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"time\n1.0\n\xff2.0\n")
+        with pytest.raises(ParseError, match="latin1.csv: not UTF-8 text"):
+            read_sample_csv(str(p))
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_sample_csv(str(tmp_path / "nope.csv"))

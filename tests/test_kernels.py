@@ -11,7 +11,6 @@ from ftcdf.kernels import (
     TRAPEZOID,
     FlatTopSpec,
     GaussianKernel,
-    KernelTable,
     build_table,
     get_table,
     integrated_kernel,
@@ -33,6 +32,9 @@ TRAP_K_PI = 0.0377850229272507
 TRAP_KBAR_2 = 0.9691356900076225
 TRAP_CROSS_MOMENT = 0.1919132193379   # two routes agreed to 1.8e-10
 SMOOTH_CROSS_MOMENT = 0.2602787213288  # two routes agreed to 3.0e-10
+# exact bits of kernel_cross_moment(SMOOTH_REF): its quadrature ends
+# where the smooth tail search shared with build_table stops, t = 512
+SMOOTH_CROSS_MOMENT_BITS = float.fromhex("0x1.0a86814e2cac2p-2")
 
 
 def test_window_flat_region_and_descent():
@@ -72,6 +74,13 @@ def test_spec_validation():
     assert FlatTopSpec(SMOOTH, 0.2, b=2.0, effective_c=0.4).effective_c == 0.4
     assert FlatTopSpec(TRAPEZOID, 0.3).effective_c == 0.3
     assert SMOOTH_REF.effective_c == 0.5
+
+
+def test_reference_specs_are_the_family_defaults():
+    assert FlatTopSpec(TRAPEZOID) == FlatTopSpec(TRAPEZOID, 0.75) == TRAP
+    assert FlatTopSpec(SMOOTH) == FlatTopSpec(SMOOTH, 0.05, 1.0, 0.5)
+    assert hash(FlatTopSpec(SMOOTH)) == hash(SMOOTH_REF)
+    assert get_table(FlatTopSpec(SMOOTH)) is get_table(SMOOTH_REF)
 
 
 def test_trap_kernel_frozen_values():
@@ -180,6 +189,7 @@ def test_cross_moment_flattop_frozen():
     assert cm_t > 0.0 and cm_s > 0.0
     assert cm_t == pytest.approx(TRAP_CROSS_MOMENT, abs=1e-8)
     assert cm_s == pytest.approx(SMOOTH_CROSS_MOMENT, abs=1e-8)
+    assert cm_s == SMOOTH_CROSS_MOMENT_BITS
     # a table gives the constant of its spec
     assert kernel_cross_moment(get_table(TRAP, 1e-8)) == cm_t
 
@@ -199,23 +209,6 @@ def test_cross_moment_symmetry_identity():
 def test_cross_moment_rejects_unknown():
     with pytest.raises(TypeError):
         kernel_cross_moment("gaussian")
-
-
-def test_table_serialization_roundtrip(tmp_path):
-    tab = get_table(SMOOTH_REF, 1e-8)
-    path = tmp_path / "smooth_table.json"
-    tab.save(path)
-    back = KernelTable.load(path)
-    assert back.spec == tab.spec
-    assert back.tol == tab.tol and back.tail_cutoff == tab.tail_cutoff
-    assert np.array_equal(back.grid, tab.grid)
-    assert np.array_equal(back.k_values, tab.k_values)
-    assert np.array_equal(back.kbar_values, tab.kbar_values)
-
-
-def test_table_schema_guard():
-    with pytest.raises(ValueError):
-        KernelTable.from_dict({"schema": 999})
 
 
 def test_over_budget_tol_fails_before_building_the_grid():

@@ -78,6 +78,18 @@ class TestScenario:
             Scenario(**{**good, "sample_sizes": (0,)})
         with pytest.raises(ValueError, match="replications"):
             Scenario(**{**good, "replications": 0})
+        for key, bad in (("replications", 2.7), ("replications", True),
+                         ("replications", "2"), ("seed", 5.5), ("seed", "7"),
+                         ("seed", -3), ("seed", np.inf),
+                         ("sample_sizes", (10.9,)), ("sample_sizes", (True,)),
+                         ("sample_sizes", ("10",))):
+            with pytest.raises(ValueError, match=key):
+                Scenario(**{**good, key: bad})
+        sc = Scenario(**{**good, "replications": 1e3, "seed": np.int64(4),
+                         "sample_sizes": (np.int32(5), 6.0)})
+        assert (sc.replications, sc.seed, sc.sample_sizes) == (1000, 4, (5, 6))
+        assert all(type(v) is int
+                   for v in (sc.replications, sc.seed, *sc.sample_sizes))
         with pytest.raises(ValueError, match="estimand"):
             Scenario(**{**good, "estimand": "hazard"})
         with pytest.raises(ValueError, match="survival"):
