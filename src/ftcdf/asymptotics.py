@@ -1,20 +1,16 @@
 """Large-sample accuracy formulas.
 
-Second-order MSE expansions, tail bounds on the smoothing bias, the
-rate-optimal bandwidth presets for each smoothness class, and the
-sample-size deficiency implied by a pair of MSE expansions.  All
+Second-order MSE expansions, the smoothness classes of the
+characteristic function with their rate-optimal bandwidth presets, and
+the sample-size deficiency implied by a pair of MSE expansions.  All
 formulas are analytic; nothing here touches data.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import exp1
-
-from .quadrature import adaptive_quad
 
 POWER = "power"
 LOG_FACTOR = "log-factor"
@@ -22,10 +18,6 @@ LOG_FACTOR = "log-factor"
 POLYNOMIAL = "polynomial-tail"
 EXPONENTIAL = "exponential-tail"
 BAND_LIMITED = "band-limited"
-
-# doubling blocks allowed before a user-supplied tail is declared
-# non-integrable
-_MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -65,9 +57,9 @@ class MseExpansion:
 class SmoothnessClass:
     """Tail behaviour of the characteristic function.
 
-    polynomial-tail: |phi(s)| decays like |s|^-p (p > 1/2); the bias
-    bound then needs an explicit |phi| callable.  exponential-tail:
-    |phi(s)| <= D exp(-d|s|).  band-limited: phi vanishes beyond |s|=b.
+    polynomial-tail: |phi(s)| decays like |s|^-p (p > 1/2).
+    exponential-tail: |phi(s)| <= D exp(-d|s|).  band-limited: phi
+    vanishes beyond |s|=b.
     """
     kind: str
     p: float | None = None
@@ -99,66 +91,6 @@ class SmoothnessClass:
     @classmethod
     def band_limited(cls, b: float) -> "SmoothnessClass":
         return cls(BAND_LIMITED, b=b)
-
-
-def variance_expansion(F_t: float, f_t: float, h: float, n: int,
-                       cross_moment: float) -> float:
-    """Second-order variance: F(1-F)/n - 2 f(t) cross_moment h / n.
-
-    The h term is the smoothing gain; it is what the deficiency
-    calculations trade against sample size.
-    """
-    if not 0.0 <= F_t <= 1.0:
-        raise ValueError("F_t must lie in [0, 1]")
-    if f_t < 0.0:
-        raise ValueError("density value must be nonnegative")
-    if h < 0.0:
-        raise ValueError("bandwidth must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return F_t * (1.0 - F_t) / n - 2.0 * f_t * cross_moment * h / n
-
-
-def _table_tail_integral(phi_abs: Callable, lo: float) -> float:
-    # integrate |phi(s)|/s over [lo, inf) in doubling blocks; declare
-    # the tail non-integrable if the blocks never stop mattering
-    total = 0.0
-    left = lo
-    for _ in range(_MAX_DOUBLINGS):
-        right = 2.0 * left
-        block = adaptive_quad(lambda s: phi_abs(s) / s, left, right,
-                              tol=1e-12)
-        total += block
-        if abs(block) < 1e-12 * max(1.0, abs(total)):
-            return total
-        left = right
-    raise ValueError("tail integral of the supplied |phi| did not settle; "
-                     "the bias bound does not converge")
-
-
-def bias_bound(phi, h: float) -> float:
-    """Upper bound (1/pi) * integral of |phi(s)|/|s| over |s| > 1/h.
-
-    `phi` is a SmoothnessClass with a closed-form tail, or a callable
-    giving |phi(s)| for s > 0 (integrated numerically).
-    """
-    if not h > 0.0:
-        raise ValueError("bandwidth must be positive")
-    if isinstance(phi, SmoothnessClass):
-        if phi.kind == BAND_LIMITED:
-            if h * phi.b <= 1.0:
-                return 0.0
-            raise ValueError(
-                "band-limited bound is exact only for h <= 1/b; larger "
-                "bandwidths need the actual |phi| on (1/h, b)")
-        if phi.kind == EXPONENTIAL:
-            # 2D/pi * E1(d/h), the closed form of the exponential tail
-            return 2.0 * phi.D / math.pi * float(exp1(phi.d / h))
-        raise ValueError(
-            "polynomial-tail inputs need an explicit |phi| callable")
-    if not callable(phi):
-        raise TypeError("phi must be a SmoothnessClass or a callable")
-    return 2.0 / math.pi * _table_tail_integral(phi, 1.0 / h)
 
 
 def optimal_bandwidth_preset(smoothness: SmoothnessClass, n,

@@ -11,12 +11,13 @@ kernel analogue of a CDF.  Two taper families are provided:
   shape parameter b, evaluated by Gauss-Legendre quadrature.
 
 FlatTopSpec(family) is the family's reference kernel: c and
-effective_c default by family here and nowhere else.  Dense lookup
-tables (KernelTable) make the kernels cheap inside estimators; only
-build_table makes one, after certifying its interpolation error and
-mass.  Tables hold the raw, non-monotone Kbar: valid CDF paths come
-from standardizing an estimate, not the kernel.  The Gaussian kernel
-is included as a comparator with the same call surface.
+effective_c default by family here and nowhere else.  The estimators
+evaluate only Kbar, through a dense lookup table (KernelTable) that
+only build_table makes, after certifying its interpolation error and
+the kernel's mass.  Tables hold the raw, non-monotone Kbar: valid CDF
+paths come from standardizing an estimate, not the kernel.  K itself
+is evaluated directly, never interpolated.  The Gaussian kernel is
+included as a comparator: like a table, it offers kbar and tail_cutoff.
 """
 from __future__ import annotations
 
@@ -183,16 +184,6 @@ def integrated_kernel(spec: FlatTopSpec, t):
     return _dispatch(spec, t, False)
 
 
-def kernel_by_quad(spec: FlatTopSpec, x: float, tol: float = 1e-10) -> float:
-    """Kernel value by adaptive quadrature; independent check route."""
-    x = float(x)
-
-    def f(s):
-        return window(spec, s) * np.cos(s * x)
-
-    return adaptive_quad(f, 0.0, 1.0, tol) / np.pi
-
-
 def integrated_kernel_by_quad(spec: FlatTopSpec, t: float,
                               tol: float = 1e-10) -> float:
     """Integrated kernel by adaptive quadrature of taper(s) sin(st)/s."""
@@ -255,7 +246,7 @@ def _positive_grid(t_end: float, tol: float, decay_const: float) -> np.ndarray:
 
 @dataclass
 class KernelTable:
-    """Tabulated kernel, made and certified only by build_table.
+    """Tabulated Kbar, made and certified only by build_table.
 
     kbar_values holds the raw integrated kernel, genuinely non-monotone
     because flat-top kernels take negative values.  Estimators consume
@@ -263,7 +254,9 @@ class KernelTable:
     lives in the oscillation, and flattening it would re-introduce a
     systematic error far above the table tolerance.  Path-level
     standardization (estimators.standardize_path) is the way to get a
-    valid CDF out of an estimate.
+    valid CDF out of an estimate.  k_values are direct kernel values on
+    the same grid, kept for the kernel-table export; only Kbar is
+    interpolated.
     """
     spec: FlatTopSpec
     grid: np.ndarray
@@ -273,17 +266,7 @@ class KernelTable:
     tol: float
 
     def __post_init__(self):
-        self._k_spline = CubicSpline(self.grid, self.k_values)
         self._kbar_spline = CubicSpline(self.grid, self.kbar_values)
-
-    def k(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        a = np.atleast_1d(arr)
-        out = np.zeros_like(a)
-        inside = np.abs(a) <= self.tail_cutoff
-        out[inside] = self._k_spline(a[inside])
-        return float(out[0]) if scalar else out
 
     def kbar(self, x):
         arr = np.asarray(x, dtype=float)
@@ -314,15 +297,12 @@ class KernelTable:
 
 
 def _certify(table: KernelTable) -> None:
-    """Compare both splines against direct evaluation at panel midpoints."""
+    """Compare the Kbar spline against direct evaluation at panel midpoints."""
     mids = 0.5 * (table.grid[:-1] + table.grid[1:])
-    err_k = np.max(np.abs(table.k(mids) - kernel(table.spec, mids)))
-    err_b = np.max(np.abs(table.kbar(mids)
-                          - integrated_kernel(table.spec, mids)))
-    if max(err_k, err_b) > table.tol:
+    err = np.max(np.abs(table.kbar(mids) - integrated_kernel(table.spec, mids)))
+    if err > table.tol:
         raise QuadratureError(
-            f"table interpolation error {max(err_k, err_b):.3g} exceeds "
-            f"tol {table.tol:.3g}")
+            f"table interpolation error {err:.3g} exceeds tol {table.tol:.3g}")
 
 
 def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
@@ -343,7 +323,7 @@ def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
 
 
 def build_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:
-    """Tabulate K and Kbar densely enough for interpolation error <= tol."""
+    """Tabulate K and Kbar, densely enough for a Kbar spline error <= tol."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if spec.family == TRAPEZOID:
@@ -381,13 +361,9 @@ def get_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:
 
 
 class GaussianKernel:
-    """Standard normal kernel with the same call surface as KernelTable."""
+    """Standard normal kernel: kbar and tail_cutoff, as on a KernelTable."""
 
     tail_cutoff = 40.0
-
-    def k(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
     def kbar(self, x):
         return ndtr(np.asarray(x, dtype=float))
@@ -422,8 +398,6 @@ def kernel_cross_moment(kern) -> float:
     """The constant int u K(u) Kbar(u) du in the second-order variance term."""
     if isinstance(kern, GaussianKernel):
         return _gaussian_cross_moment()
-    if isinstance(kern, KernelTable):
-        return _flattop_cross_moment(kern.spec)
     if isinstance(kern, FlatTopSpec):
         return _flattop_cross_moment(kern)
     raise TypeError(f"no cross moment for {type(kern).__name__}")

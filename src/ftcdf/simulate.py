@@ -56,6 +56,10 @@ _PURPOSE_LIFETIME = 0
 _PURPOSE_CENSOR = 1
 _MAX_ATTEMPTS = 100
 _ZERO_BIAS_POINTS = (0.0, 2.0, 5.0)
+# largest sample size and replication count a Scenario accepts, checked
+# before anything is drawn or allocated
+MAX_SAMPLE_SIZE = 1_000_000
+MAX_REPLICATIONS = 100_000
 
 # (getter, setter) names of the thread count in the OpenBLAS builds
 # numpy and scipy bundle (64-bit and 32-bit integer interfaces) and in a
@@ -68,14 +72,20 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
-def _whole(value, name: str) -> int:
-    """value as a Python int: an integer that is not a bool, or a float
-    with an integral value (so 1e3 is 1000); anything else is refused."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+def _whole(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value as a Python int in [lo, hi]: an integer that is not a bool,
+    or a float with an integral value (so 1e3 is 1000); anything else is
+    refused."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    n = int(value)
+    if n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{name} must be at most {hi}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,10 @@ class Scenario:
     boundary: float | None = None
 
     def __post_init__(self):
+        for t in self.eval_points:
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise ValueError(f"eval_points must be real numbers, "
+                                 f"got {t!r}")
         pts = tuple(float(t) for t in self.eval_points)
         if not all(map(math.isfinite, pts)):
             raise ValueError("eval_points must be finite")
@@ -100,15 +114,12 @@ class Scenario:
                              "ascending")
         if self.boundary is not None and not math.isfinite(self.boundary):
             raise ValueError("boundary must be finite")
-        sizes = tuple(_whole(n, "sample_sizes") for n in self.sample_sizes)
-        if not sizes or any(n < 1 for n in sizes):
-            raise ValueError("sample_sizes must be positive")
-        reps = _whole(self.replications, "replications")
-        if reps < 1:
-            raise ValueError("replications must be >= 1")
-        seed = _whole(self.seed, "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        sizes = tuple(_whole(n, "sample_sizes", 1, MAX_SAMPLE_SIZE)
+                      for n in self.sample_sizes)
+        if not sizes:
+            raise ValueError("sample_sizes must be nonempty")
+        reps = _whole(self.replications, "replications", 1, MAX_REPLICATIONS)
+        seed = _whole(self.seed, "seed", 0)
         if self.estimand not in (CDF, SURVIVAL):
             raise ValueError(f"unknown estimand {self.estimand!r}")
         if self.censor_dist is not None and self.estimand != SURVIVAL:

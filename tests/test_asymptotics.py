@@ -2,14 +2,12 @@
 
 The deficiency calculators are checked against a brute-force oracle:
 numerically solve MSE_T(m) = MSE_S(n) and compare the scaled d = m - n
-with the limit formula.  Bias bounds are checked against the in-repo
-adaptive quadrature.
+with the limit formula.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -18,100 +16,11 @@ from ftcdf.asymptotics import (
     POWER,
     MseExpansion,
     SmoothnessClass,
-    bias_bound,
     deficiency_rate,
     edf_deficiency,
     optimal_bandwidth_preset,
     predicted_deficiency,
-    variance_expansion,
 )
-from ftcdf.quadrature import adaptive_quad
-
-
-class TestVarianceExpansion:
-    def test_h_zero_is_binomial_variance(self):
-        v = variance_expansion(0.5, 0.39894, 0.0, 15, 0.282095)
-        assert v == 0.25 / 15
-
-    def test_degenerate_F_leaves_only_smoothing_term(self):
-        for F in (0.0, 1.0):
-            v = variance_expansion(F, 0.4, 0.2, 20, 0.28)
-            assert v == pytest.approx(-2.0 * 0.4 * 0.28 * 0.2 / 20,
-                                      rel=1e-15)
-
-    def test_gaussian_kernel_example(self):
-        v = variance_expansion(0.5, 0.39894, 0.3, 15, 0.282095)
-        expected = 0.25 / 15 - 2.0 * 0.39894 * 0.282095 * 0.3 / 15
-        assert v == pytest.approx(expected, rel=1e-15)
-        assert v == pytest.approx(0.012166, abs=5e-6)
-
-    def test_decreasing_in_h(self):
-        vals = [variance_expansion(0.3, 0.5, h, 50, 0.19)
-                for h in (0.0, 0.1, 0.3, 0.8)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            variance_expansion(1.2, 0.4, 0.1, 10, 0.28)
-        with pytest.raises(ValueError):
-            variance_expansion(0.5, -0.1, 0.1, 10, 0.28)
-        with pytest.raises(ValueError):
-            variance_expansion(0.5, 0.4, -0.1, 10, 0.28)
-        with pytest.raises(ValueError):
-            variance_expansion(0.5, 0.4, 0.1, 0, 0.28)
-
-
-class TestBiasBound:
-    def test_band_limited_zero_inside(self):
-        assert bias_bound(SmoothnessClass.band_limited(1.0), 0.9) == 0.0
-        assert bias_bound(SmoothnessClass.band_limited(1.0), 1.0) == 0.0
-        assert bias_bound(SmoothnessClass.band_limited(2.0), 0.5) == 0.0
-
-    def test_band_limited_rejects_oversized_h(self):
-        with pytest.raises(ValueError):
-            bias_bound(SmoothnessClass.band_limited(1.0), 1.1)
-
-    @pytest.mark.parametrize("d,D,h", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.8),
-                                       (0.5, 2.0, 1.3)])
-    def test_exponential_matches_quadrature(self, d, D, h):
-        # independent route: direct integral of D e^{-ds}/s past 1/h
-        lo = 1.0 / h
-        direct = 2.0 / math.pi * adaptive_quad(
-            lambda s: D * np.exp(-d * s) / s, lo, lo + 200.0 / d, tol=1e-13)
-        assert bias_bound(SmoothnessClass.exponential(d, D), h) == \
-            pytest.approx(direct, rel=1e-10)
-
-    def test_exponential_printed_value(self):
-        # (2/pi) E1(2); quadrature oracle gives 0.0311311...
-        b = bias_bound(SmoothnessClass.exponential(1.0, 1.0), 0.5)
-        assert b == pytest.approx(0.031131, abs=1e-6)
-
-    def test_monotone_to_zero_in_h(self):
-        cls = SmoothnessClass.exponential(1.0, 1.0)
-        hs = (0.5, 0.25, 0.1, 0.05)
-        vals = [bias_bound(cls, h) for h in hs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1e-8
-
-    def test_callable_table(self):
-        phi = lambda s: np.exp(-s * s / 2.0)  # noqa: E731
-        direct = 2.0 / math.pi * adaptive_quad(
-            lambda s: phi(s) / s, 2.5, 45.0, tol=1e-13)
-        assert bias_bound(phi, 0.4) == pytest.approx(direct, rel=1e-9)
-
-    def test_divergent_table_rejected(self):
-        with pytest.raises(ValueError):
-            bias_bound(lambda s: 1.0, 0.5)
-        with pytest.raises(ValueError):
-            bias_bound(lambda s: 1.0 / np.log(s + math.e), 0.5)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            bias_bound(SmoothnessClass.exponential(1.0, 1.0), 0.0)
-        with pytest.raises(ValueError):
-            bias_bound(SmoothnessClass.polynomial(2.0), 0.5)
-        with pytest.raises(TypeError):
-            bias_bound(0.7, 0.5)
 
 
 class TestBandwidthPresets:

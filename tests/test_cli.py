@@ -594,7 +594,9 @@ class TestSimulate:
     @pytest.mark.parametrize("key,value", [
         ("replications", "2.7"), ("replications", "true"),
         ("replications", '"2"'), ("sample_sizes", "[10.9]"),
-        ("seed", "5.5"), ("seed", '"7"'), ("seed", "-3")])
+        ("seed", "5.5"), ("seed", '"7"'), ("seed", "-3"),
+        ("sample_sizes", "[10, 1000000000000000000]"),
+        ("replications", "100001"), ("eval_points", '["a"]')])
     def test_non_whole_scenario_count_is_domain_error(self, capsys,
                                                       monkeypatch, tmp_path,
                                                       key, value):
@@ -610,11 +612,18 @@ class TestSimulate:
         assert key in err["error"]["message"]
 
     def test_negative_seed_flag_is_domain_error(self, capsys, monkeypatch):
+        # refused before any draw: run_scenario is never reached
         monkeypatch.setattr(cli, "run_scenario", None)
-        code, out, err = run_cli(capsys, "simulate", "--scenario",
-                                 "normal-iid", "--seed", "-1")
-        assert code == 5 and out is None
-        assert "seed must be >= 0" in err["error"]["message"]
+        for flags, message in (
+                (["--seed", "-1"], "seed must be >= 0"),
+                (["--n", "15,1000000000000000000"],
+                 "sample_sizes must be at most 1000000"),
+                (["--reps", "100001"], "replications must be at most 100000")):
+            code, out, err = run_cli(capsys, "simulate", "--scenario",
+                                     "normal-iid", "--estimators", "edf",
+                                     *flags)
+            assert code == 5 and out is None
+            assert message in err["error"]["message"]
 
     def test_scenario_file_encoding(self, capsys, tmp_path):
         text = json.dumps(builtin_scenario("normal-iid", replications=2,

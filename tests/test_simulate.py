@@ -21,7 +21,8 @@ import ftcdf.simulate as sim
 from ftcdf.bandwidth import NoPlateauError
 from ftcdf.distributions import DistSpec
 from ftcdf.estimators import DegenerateSampleError
-from ftcdf.simulate import (BUILTIN_SCENARIOS, BlasSetting, MseReport,
+from ftcdf.simulate import (BUILTIN_SCENARIOS, MAX_REPLICATIONS,
+                            MAX_SAMPLE_SIZE, BlasSetting, MseReport,
                             Scenario, builtin_scenario, run_scenario,
                             zero_bias_experiment)
 
@@ -82,9 +83,19 @@ class TestScenario:
                          ("replications", "2"), ("seed", 5.5), ("seed", "7"),
                          ("seed", -3), ("seed", np.inf),
                          ("sample_sizes", (10.9,)), ("sample_sizes", (True,)),
-                         ("sample_sizes", ("10",))):
+                         ("sample_sizes", ("10",)),
+                         ("sample_sizes", (5, MAX_SAMPLE_SIZE + 1)),
+                         ("sample_sizes", (10 ** 18,)),
+                         ("replications", MAX_REPLICATIONS + 1),
+                         ("eval_points", ("a",)), ("eval_points", (True,)),
+                         ("eval_points", (0.0, "1"))):
             with pytest.raises(ValueError, match=key):
                 Scenario(**{**good, key: bad})
+        # the caps themselves are accepted; nothing is drawn here
+        sc = Scenario(**{**good, "sample_sizes": (MAX_SAMPLE_SIZE,),
+                         "replications": MAX_REPLICATIONS})
+        assert (sc.sample_sizes, sc.replications) == ((MAX_SAMPLE_SIZE,),
+                                                      MAX_REPLICATIONS)
         sc = Scenario(**{**good, "replications": 1e3, "seed": np.int64(4),
                          "sample_sizes": (np.int32(5), 6.0)})
         assert (sc.replications, sc.seed, sc.sample_sizes) == (1000, 4, (5, 6))
