@@ -1,11 +1,11 @@
 """Bandwidth selection from the empirical characteristic function.
 
-The automatic rule finds the first frequency t* beyond which the ECF
-magnitude stays under a noise threshold across a window of width
-epsilon, then sets h = effective_c / t*.  A plateau variant triggers on
-the flattening of the curve instead.  A leave-one-out cross-validation
-selector for the Gaussian comparator kernel, on iid or censored data,
-is included.
+The automatic rule, the one flat-top selector, finds the first
+frequency t* beyond which the ECF magnitude stays under the noise
+threshold C*sqrt(log10(n)/n) across a window of width epsilon, then
+sets h = effective_c / t*.  A leave-one-out cross-validation selector
+for the Gaussian comparator kernel, on iid or censored data, is
+included.
 """
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .estimators import CensoredSample, DegenerateSampleError
-
-THRESHOLD = "threshold"
-PLATEAU = "plateau"
 
 _ECF_BLOCK = 1 << 20
 # sizes of the default frequency and CV bandwidth grids, and of the
@@ -62,22 +59,18 @@ class BandwidthRule:
     C: float
     epsilon: float
     effective_c: float
-    mode: str = THRESHOLD
 
     def __post_init__(self):
         if not self.C > 0 or not self.epsilon > 0:
             raise ValueError("C and epsilon must be positive")
         if not 0.0 < self.effective_c <= 1.0:
             raise ValueError("effective_c must lie in (0, 1]")
-        if self.mode not in (THRESHOLD, PLATEAU):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def default_rule(n: int, effective_c: float,
-                 mode: str = THRESHOLD) -> BandwidthRule:
+def default_rule(n: int, effective_c: float) -> BandwidthRule:
     # epsilon grows slowly with n but stays o(log n)-compatible
     return BandwidthRule(C=2.0, epsilon=max(1.0, math.log10(max(n, 2))),
-                         effective_c=effective_c, mode=mode)
+                         effective_c=effective_c)
 
 
 def _robust_scale(sample: CensoredSample) -> float:
@@ -123,53 +116,29 @@ def noise_threshold(n: int, C: float) -> float:
     return C * math.sqrt(math.log10(n) / n)
 
 
-def _window_spans(freqs: np.ndarray, epsilon: float, closed: bool):
-    """Right edge index of each point's epsilon window; -1 if it overflows."""
-    side = "right" if closed else "left"
-    hi = np.searchsorted(freqs, freqs + epsilon, side=side)
-    fits = freqs + epsilon <= freqs[-1]
-    return np.where(fits, hi, -1)
-
-
 def select_bandwidth(curve: EcfCurve, rule: BandwidthRule) -> float:
     """Automatic bandwidth h = effective_c / t*.
 
-    Threshold mode: t* is the smallest positive grid frequency such that
-    every grid point strictly inside (t*, t* + epsilon) has magnitude
-    under C*sqrt(log10(n)/n); the window must fit inside the grid and
-    contain at least one point.  Plateau mode: t* is the first positive
-    frequency where the least-squares slope of the magnitude over
-    [t*, t* + epsilon] is smaller than threshold/epsilon in size.
+    t* is the smallest positive grid frequency such that every grid
+    point strictly inside (t*, t* + epsilon) has magnitude under
+    C*sqrt(log10(n)/n); the window must fit inside the grid and contain
+    at least one point.
     """
     freqs = curve.freqs
-    mags = curve.magnitudes
     thr = noise_threshold(curve.n, rule.C)
-    if rule.mode == THRESHOLD:
-        below = np.concatenate([[0], np.cumsum(mags < thr)])
-        hi = _window_spans(freqs, rule.epsilon, closed=False)
-        for i in range(freqs.size):
-            if freqs[i] <= 0.0 or hi[i] < 0 or hi[i] - 1 - i < 1:
-                continue
-            inside = hi[i] - 1 - i
-            if below[hi[i]] - below[i + 1] == inside:
-                return rule.effective_c / freqs[i]
+    below = np.concatenate([[0], np.cumsum(curve.magnitudes < thr)])
+    edge = freqs + rule.epsilon
+    # grid points strictly inside each window are idx+1 .. end-1
+    end = np.searchsorted(freqs, edge)
+    idx = np.arange(freqs.size)
+    inside = end - 1 - idx
+    ok = ((freqs > 0.0) & (edge <= freqs[-1]) & (inside >= 1)
+          & (below[end] - below[idx + 1] == inside))
+    if not ok.any():
         raise NoPlateauError(
             "ECF magnitude never stays below the threshold across a full "
             "window; extend the frequency range")
-    # plateau mode
-    tol = thr / rule.epsilon
-    hi = _window_spans(freqs, rule.epsilon, closed=True)
-    for i in range(freqs.size):
-        if freqs[i] <= 0.0 or hi[i] < 0 or hi[i] - i < 2:
-            continue
-        f = freqs[i:hi[i]]
-        m = mags[i:hi[i]]
-        fc = f - f.mean()
-        slope = float(np.dot(fc, m - m.mean()) / np.dot(fc, fc))
-        if abs(slope) < tol:
-            return rule.effective_c / freqs[i]
-    raise NoPlateauError(
-        "ECF magnitude never levels off on the grid; extend the range")
+    return rule.effective_c / freqs[ok.argmax()]
 
 
 def auto_bandwidth(sample: CensoredSample, effective_c: float) -> float:

@@ -67,14 +67,13 @@ def _automatic_bandwidth(args, sample, method, eff, freqs):
                               "points": int(grid.size),
                               "spacing": "log"}}, None
     curve = ecf(sample, freqs)
-    rule = default_rule(curve.n, eff, mode=args.bw_mode)
+    rule = default_rule(curve.n, eff)
     rule = replace(
         rule, C=rule.C if args.bw_C is None else args.bw_C,
         epsilon=rule.epsilon if args.bw_eps is None else args.bw_eps)
     h = select_bandwidth(curve, rule)
     return h, {"mode": "auto", "value": h, "C": rule.C,
                "epsilon": rule.epsilon, "effective_c": eff,
-               "window_mode": args.bw_mode,
                "threshold": noise_threshold(curve.n, rule.C)}, curve
 
 
@@ -322,6 +321,9 @@ def _load_scenario(args) -> Scenario:
         except (json.JSONDecodeError, UnicodeDecodeError,
                 iolib.ParseError) as exc:
             raise iolib.ParseError(f"{name}: invalid scenario JSON ({exc})")
+        if not isinstance(spec, dict):
+            raise iolib.ParseError(f"{name}: a scenario must be a JSON "
+                                   f"object, got {type(spec).__name__}")
         try:
             sc = Scenario.from_dict(spec)
         except (KeyError, TypeError) as exc:
@@ -385,8 +387,6 @@ def _add_rule_flags(p):
                    help="threshold constant (default 2)")
     p.add_argument("--bw-eps", type=_finite_float, default=None, dest="bw_eps",
                    help="window width (default max(1, log10 n))")
-    p.add_argument("--bw-mode", default="threshold", dest="bw_mode",
-                   choices=["threshold", "plateau"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,6 +41,10 @@ _SMALL_ARG = 1e-3
 _CHUNK = 1024
 # most points a kernel table may hold
 _MAX_TABLE_POINTS = 400_000
+# largest Gauss-Legendre rule of the smooth family: leggauss solves a
+# dense eigenproblem, cubic in the order (4096 nodes took about 4 s on a
+# 2-vCPU machine)
+_MAX_GL_ORDER = 4096
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,9 @@ def _gl_order(umax: float) -> int:
     # superexponential error regime kicks in; padded and capped
     n = int(np.ceil(0.7 * max(umax, 0.0))) + 64
     n = ((n + 31) // 32) * 32
-    if n > 60000:
-        raise QuadratureError(f"Gauss-Legendre order {n} over budget")
+    if n > _MAX_GL_ORDER:
+        raise QuadratureError(f"Gauss-Legendre order {n} exceeds the cap "
+                              f"of {_MAX_GL_ORDER} nodes")
     return n
 
 
@@ -319,7 +324,8 @@ def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
     tail = 1.0 - integrated_kernel(spec, t1) + integrated_kernel(spec, -t1)
     mass = core + tail
     if abs(mass - 1.0) > 10.0 * tol:
-        raise QuadratureError(f"kernel mass {mass!r} off unity beyond 10*tol")
+        raise QuadratureError(f"kernel mass {float(mass)!r} off unity "
+                              "beyond 10*tol")
 
 
 def build_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:

@@ -112,8 +112,11 @@ class Scenario:
         if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("eval_points must be nonempty and strictly "
                              "ascending")
-        if self.boundary is not None and not math.isfinite(self.boundary):
-            raise ValueError("boundary must be finite")
+        b = self.boundary
+        if b is not None and (isinstance(b, bool) or not isinstance(
+                b, numbers.Real) or not math.isfinite(b)):
+            raise ValueError(f"boundary must be a finite real number, "
+                             f"got {b!r}")
         sizes = tuple(_whole(n, "sample_sizes", 1, MAX_SAMPLE_SIZE)
                       for n in self.sample_sizes)
         if not sizes:

@@ -7,13 +7,13 @@ frozen as regression checks.
 """
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from ftcdf.bandwidth import (
-    PLATEAU,
-    THRESHOLD,
     BandwidthRule,
     EcfCurve,
     NoPlateauError,
@@ -101,8 +101,7 @@ class TestThresholdRule:
     def test_normal_population_curve(self):
         # oracle: exp(-t^2/2) = thr at t = sqrt(2 ln(1/thr)) ~ 1.5893
         grid = np.linspace(0.0, 4.0, 4001)
-        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75,
-                             mode=THRESHOLD)
+        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75)
         h = select_bandwidth(normal_curve(100, grid), rule)
         thr = noise_threshold(100, 2.0)
         t_root = np.sqrt(2.0 * np.log(1.0 / thr))
@@ -113,36 +112,34 @@ class TestThresholdRule:
         grid = np.linspace(0.0, 3.0, 301)
         mags = np.full(301, 1e-6)
         mags[0] = 1.0
-        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75,
-                             mode=THRESHOLD)
+        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75)
         h = select_bandwidth(EcfCurve(grid, mags, 100), rule)
         assert h == pytest.approx(0.75 / grid[1], rel=1e-15)
 
     def test_never_triggered_raises(self):
         grid = np.linspace(0.0, 3.0, 301)
         curve = EcfCurve(grid, np.ones(301), 100)
-        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75,
-                             mode=THRESHOLD)
+        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75)
         with pytest.raises(NoPlateauError):
             select_bandwidth(curve, rule)
 
     def test_window_must_fit_in_grid(self):
-        grid = np.linspace(0.0, 0.5, 51)
-        curve = EcfCurve(grid, np.full(51, 1e-6), 100)
-        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75,
-                             mode=THRESHOLD)
-        with pytest.raises(NoPlateauError):
-            select_bandwidth(curve, rule)
+        # a grid shorter than the window, and one whose spacing of 2
+        # leaves no grid point inside any window
+        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75)
+        for grid in (np.linspace(0.0, 0.5, 51), np.linspace(0.0, 10.0, 6)):
+            curve = EcfCurve(grid, np.full(grid.size, 1e-6), 100)
+            with pytest.raises(NoPlateauError):
+                select_bandwidth(curve, rule)
 
     def test_scale_equivariance_exact(self):
         lam = 4.0  # power of two keeps every float op exact
         rng = np.random.default_rng(21)
         x = rng.standard_normal(300)
         grid = np.linspace(0.0, 16.0, 1024)
-        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75,
-                             mode=THRESHOLD)
+        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75)
         rule_scaled = BandwidthRule(C=2.0, epsilon=1.0 / lam,
-                                    effective_c=0.75, mode=THRESHOLD)
+                                    effective_c=0.75)
         h1 = select_bandwidth(ecf(CensoredSample.uncensored(x), grid), rule)
         h2 = select_bandwidth(
             ecf(CensoredSample.uncensored(lam * x), grid / lam), rule_scaled)
@@ -154,8 +151,7 @@ class TestThresholdRule:
         grid = np.linspace(0.0, 12.0, 1024)
         curve = ecf(s, grid)
         hs = [select_bandwidth(
-            curve, BandwidthRule(C=C, epsilon=1.0, effective_c=0.75,
-                                 mode=THRESHOLD))
+            curve, BandwidthRule(C=C, epsilon=1.0, effective_c=0.75))
             for C in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a <= b for a, b in zip(hs, hs[1:]))
 
@@ -180,8 +176,7 @@ class TestThresholdRule:
     def test_band_limited_recovers_support_edge(self):
         # Polya-type data: |phi| vanishes beyond t=1, so t* -> 1 and the
         # error shrinks as n grows
-        rule = BandwidthRule(C=2.0, epsilon=0.5, effective_c=0.75,
-                             mode=THRESHOLD)
+        rule = BandwidthRule(C=2.0, epsilon=0.5, effective_c=0.75)
         grid = np.linspace(0.0, 4.0, 2001)
         err = {}
         for n in (1000, 100_000):
@@ -197,30 +192,13 @@ class TestThresholdRule:
         assert err[100_000] < err[1000]
 
 
-class TestPlateauRule:
-    def test_regression_value_on_normal_curve(self):
-        # frozen from a calibration run of the slope statistic
-        grid = np.linspace(0.0, 4.0, 4001)
-        rule = BandwidthRule(C=2.0, epsilon=1.0, effective_c=0.75,
-                             mode=PLATEAU)
-        h = select_bandwidth(normal_curve(100, grid), rule)
-        assert 0.75 / h == pytest.approx(1.485, abs=1e-3)
-
-    def test_steep_curve_raises(self):
-        grid = np.linspace(0.0, 2.0, 201)
-        curve = EcfCurve(grid, 1.0 - 0.45 * grid, 100)
-        rule = BandwidthRule(C=0.2, epsilon=1.0, effective_c=0.75,
-                             mode=PLATEAU)
-        with pytest.raises(NoPlateauError):
-            select_bandwidth(curve, rule)
-
-
 class TestDefaults:
     def test_default_rule(self):
         rule = default_rule(10_000, 0.75)
+        assert [f.name for f in fields(rule)] == ["C", "epsilon",
+                                                  "effective_c"]
         assert rule.C == 2.0
         assert rule.epsilon == pytest.approx(4.0)
-        assert rule.mode == THRESHOLD
         assert default_rule(10, 0.5).epsilon == 1.0
 
     def test_default_grid_covers_scaled_range(self):
@@ -249,8 +227,6 @@ class TestDefaults:
             BandwidthRule(C=0.0, epsilon=1.0, effective_c=0.75)
         with pytest.raises(ValueError):
             BandwidthRule(C=1.0, epsilon=1.0, effective_c=1.5)
-        with pytest.raises(ValueError):
-            BandwidthRule(C=1.0, epsilon=1.0, effective_c=0.75, mode="x")
 
 
 class TestCrossValidation:

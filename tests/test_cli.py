@@ -214,10 +214,14 @@ class TestEstimate:
                 "--grid", "-1:1:11")
         assert Path(sample_csv).read_bytes() == before
 
-    def test_usage_error_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate"])
-        assert exc.value.code == 2
+    def test_usage_error_exits_2(self, capsys, sample_csv):
+        # a missing --input, and a flag the parser does not know
+        for argv in (["estimate"],
+                     ["estimate", "--input", sample_csv, "--bw-mode",
+                      "plateau"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestSurvival:
@@ -457,6 +461,37 @@ class TestDeficiency:
                                "polynomial", "--n", "100")
         assert code == 5 and err["error"]["kind"] == "domain"
 
+    @pytest.mark.parametrize("argv,code,message", [
+        pytest.param(("--assumption", "polynomial", "--F", "0.5", "--f",
+                      "0.25", "--cross-moment", "0.19", "--a", "1"), 5,
+                     "--assumption polynomial needs --p", id="no-p"),
+        pytest.param(("--assumption", "exponential", "--d", "1", "--F",
+                      "0.5", "--f", "0.25", "--cross-moment", "0.19",
+                      "--a", "1"), 5,
+                     "--assumption exponential needs --d and --D",
+                     id="no-D"),
+        pytest.param(("--assumption", "band-limited", "--F", "0.5", "--f",
+                      "0.25", "--cross-moment", "0.19"), 5,
+                     "--assumption band-limited needs --b-limit",
+                     id="no-b-limit"),
+        pytest.param(("--assumption", "band-limited", "--b-limit", "1",
+                      "--F", "0.5", "--f", "0.25"), 5,
+                     "assumption mode needs --F, --f and --cross-moment",
+                     id="no-cross-moment"),
+        pytest.param(("--assumption", "exponential", "--d", "1", "--D", "1",
+                      "--F", "0.5", "--f", "0.25", "--cross-moment",
+                      "0.19"), 5,
+                     "polynomial and exponential assumptions need the "
+                     "bandwidth premultiplier --a", id="no-a"),
+        pytest.param(("--expansion-base", "1:1:1:log-factor"), 4,
+                     "pass either --assumption or both --expansion-base "
+                     "and --expansion-better", id="neither-mode")])
+    def test_missing_inputs_are_refused(self, capsys, argv, code, message):
+        got, doc, err = run_cli(capsys, "deficiency", *argv, "--n", "100")
+        assert got == code and doc is None
+        assert err["error"]["kind"] == ("domain" if code == 5 else "parse")
+        assert err["error"]["message"] == message
+
     def test_bad_expansion_text(self, capsys):
         code, _, err = run_cli(capsys, "deficiency",
                                "--expansion-base", "1:1",
@@ -507,6 +542,17 @@ class TestKernelTable:
         assert code == 5 and doc is None
         assert err["error"]["kind"] == "domain"
         assert "max_points=400000" in err["error"]["message"]
+
+    def test_gauss_legendre_order_cap_is_domain_error(self, capsys):
+        # the tail of this smooth kernel ends at 16384, which would need a
+        # rule of 11552 nodes; refused before the rule is built
+        code, doc, err = run_cli(capsys, "kernel-table", "--kernel",
+                                 "smooth", "--c", "0.7", "--effective-c",
+                                 "0.7")
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert err["error"]["message"] == ("Gauss-Legendre order 11552 "
+                                           "exceeds the cap of 4096 nodes")
 
 
 class TestSimulate:
@@ -564,10 +610,15 @@ class TestSimulate:
                                                **report.to_dict()}
 
     def test_invalid_scenario_json(self, capsys, tmp_path):
+        # malformed JSON, and well-formed JSON whose top level is no object
         p = tmp_path / "bad.json"
-        p.write_text("{nope")
-        code, _, err = run_cli(capsys, "simulate", "--scenario", str(p))
-        assert code == 4 and err["error"]["kind"] == "parse"
+        for text in ("{nope", "[1, 2]", "5", '"x"'):
+            p.write_text(text)
+            code, out, err = run_cli(capsys, "simulate", "--scenario",
+                                     str(p))
+            assert code == 4 and out is None
+            assert err["error"]["kind"] == "parse"
+            assert str(p) in err["error"]["message"]
 
     @pytest.mark.parametrize("key,value", [
         ("sample_sizes", "[10, 1e400]"), ("seed", "1e400"),
@@ -596,7 +647,8 @@ class TestSimulate:
         ("replications", '"2"'), ("sample_sizes", "[10.9]"),
         ("seed", "5.5"), ("seed", '"7"'), ("seed", "-3"),
         ("sample_sizes", "[10, 1000000000000000000]"),
-        ("replications", "100001"), ("eval_points", '["a"]')])
+        ("replications", "100001"), ("eval_points", '["a"]'),
+        ("boundary", "true"), ("boundary", '"0"')])
     def test_non_whole_scenario_count_is_domain_error(self, capsys,
                                                       monkeypatch, tmp_path,
                                                       key, value):

@@ -233,5 +233,14 @@ def test_grid_budget_edge(monkeypatch):
         build_table(TRAP, 1e-8)
 
 
+def test_mass_refusal_prints_a_plain_float():
+    # the reference smooth kernel's mass is off unity by about 1.8e-12
+    with pytest.raises(QuadratureError) as exc:
+        kernels._certify_mass(SMOOTH_REF, 256.0, 1e-15)
+    message = str(exc.value)
+    assert message.startswith("kernel mass 1.0000000000")
+    assert "np.float64" not in message
+
+
 def test_get_table_caches():
     assert get_table(TRAP, 1e-8) is get_table(TRAP, 1e-8)
