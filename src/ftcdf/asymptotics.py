@@ -1,9 +1,9 @@
 """Large-sample accuracy formulas.
 
 Second-order MSE expansions, the smoothness classes of the
-characteristic function with their rate-optimal bandwidth presets, and
-the sample-size deficiency implied by a pair of MSE expansions.  All
-formulas are analytic; nothing here touches data.
+characteristic function, and the sample-size deficiency implied by a
+pair of MSE expansions or by a smoothness class.  All formulas are
+analytic; nothing here touches data.
 """
 from __future__ import annotations
 
@@ -58,60 +58,25 @@ class SmoothnessClass:
     """Tail behaviour of the characteristic function.
 
     polynomial-tail: |phi(s)| decays like |s|^-p (p > 1/2).
-    exponential-tail: |phi(s)| <= D exp(-d|s|).  band-limited: phi
-    vanishes beyond |s|=b.
+    exponential-tail: |phi(s)| <= D exp(-d|s|) for some D.  band-limited:
+    phi vanishes beyond some |s| = b.  The deficiency reads only p and d,
+    so D and b are not stored.
     """
     kind: str
     p: float | None = None
     d: float | None = None
-    D: float | None = None
-    b: float | None = None
 
     def __post_init__(self):
-        given = {k: v for k, v in
-                 (("p", self.p), ("d", self.d), ("D", self.D),
-                  ("b", self.b)) if v is not None}
-        need = {POLYNOMIAL: {"p"}, EXPONENTIAL: {"d", "D"},
-                BAND_LIMITED: {"b"}}.get(self.kind)
+        given = {k: v for k, v in (("p", self.p), ("d", self.d))
+                 if v is not None}
+        need = {POLYNOMIAL: {"p"}, EXPONENTIAL: {"d"},
+                BAND_LIMITED: set()}.get(self.kind)
         if need is None:
             raise ValueError(f"unknown smoothness kind {self.kind!r}")
         if set(given) != need:
             raise ValueError(f"{self.kind} needs exactly {sorted(need)}")
         if any(v <= 0 for v in given.values()):
             raise ValueError("smoothness parameters must be positive")
-
-    @classmethod
-    def polynomial(cls, p: float) -> "SmoothnessClass":
-        return cls(POLYNOMIAL, p=p)
-
-    @classmethod
-    def exponential(cls, d: float, D: float) -> "SmoothnessClass":
-        return cls(EXPONENTIAL, d=d, D=D)
-
-    @classmethod
-    def band_limited(cls, b: float) -> "SmoothnessClass":
-        return cls(BAND_LIMITED, b=b)
-
-
-def optimal_bandwidth_preset(smoothness: SmoothnessClass, n,
-                             a: float) -> float:
-    """Rate-optimal bandwidth for the smoothness class.
-
-    polynomial-tail: a * n^(-1/(2p+1)); exponential-tail: a / log n with
-    a < 2d; band-limited: min(a, 1/b), a constant.  Real-valued n is
-    accepted; only its magnitude enters the rate arithmetic.
-    """
-    if not a > 0.0:
-        raise ValueError("preset constant a must be positive")
-    if smoothness.kind == BAND_LIMITED:
-        return min(a, 1.0 / smoothness.b)
-    if not n > 1:
-        raise ValueError("n must exceed 1")
-    if smoothness.kind == POLYNOMIAL:
-        return a * float(n) ** (-1.0 / (2.0 * smoothness.p + 1.0))
-    if not a < 2.0 * smoothness.d:
-        raise ValueError("exponential-tail preset needs a < 2d")
-    return a / math.log(n)
 
 
 def _require_comparable(s: MseExpansion, t: MseExpansion):
@@ -151,12 +116,15 @@ def edf_deficiency(smoothness: SmoothnessClass, F_t: float, f_t: float,
                    cross_moment: float, n, a: float) -> float:
     """Observations the unsmoothed estimator needs beyond the smoothed one.
 
-    With the rate-optimal preset bandwidth the gain factor is
+    With the rate-optimal bandwidth (a n^(-1/(2p+1)) for polynomial
+    tails, a / log n with a < 2d for exponential tails, a constant in the
+    band-limited case) the gain factor is
     g = 2 f(t) cross_moment / (F(1-F)); the deficiency is a*g*n^(2p/(2p+1))
     for polynomial tails, a*g*n/log n for exponential tails, and g*n in
-    the band-limited case (constant bandwidth, displayed at unit h).
-    n must exceed 1, F(t) must lie in (0, 1), and outside the
-    band-limited case a must be one the preset accepts.
+    the band-limited case (displayed at unit h, a ignored).  n must
+    exceed 1, F(t) must lie in (0, 1), and outside the band-limited case
+    a must be positive, and below 2d under exponential tails.
+    edf_deficiency_rate gives the growth in n as text.
     """
     if not 0.0 <= F_t <= 1.0:
         raise ValueError("F_t must lie in [0, 1]")
@@ -167,9 +135,10 @@ def edf_deficiency(smoothness: SmoothnessClass, F_t: float, f_t: float,
         raise ValueError("density value must be nonnegative")
     if not n > 1:
         raise ValueError("n must exceed 1")
-    if smoothness.kind != BAND_LIMITED:
-        # refuses a <= 0, and a >= 2d under exponential tails
-        optimal_bandwidth_preset(smoothness, n, a)
+    if smoothness.kind != BAND_LIMITED and not a > 0.0:
+        raise ValueError("preset constant a must be positive")
+    if smoothness.kind == EXPONENTIAL and not a < 2.0 * smoothness.d:
+        raise ValueError("exponential-tail preset needs a < 2d")
     gain = 2.0 * f_t * cross_moment / denom
     n = float(n)
     if smoothness.kind == POLYNOMIAL:
@@ -178,3 +147,10 @@ def edf_deficiency(smoothness: SmoothnessClass, F_t: float, f_t: float,
     if smoothness.kind == EXPONENTIAL:
         return a * gain * n / math.log(n)
     return gain * n
+
+
+def edf_deficiency_rate(smoothness: SmoothnessClass) -> str:
+    """The growth in n of edf_deficiency, as a descriptor string."""
+    if smoothness.kind == POLYNOMIAL:
+        return f"n^{2.0 * smoothness.p / (2.0 * smoothness.p + 1.0):g}"
+    return "n/log n" if smoothness.kind == EXPONENTIAL else "n"

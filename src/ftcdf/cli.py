@@ -7,7 +7,8 @@ any inline results, and writes requested CSV/JSON artifacts to the
 given paths.  Failures print an error JSON to stderr and exit with a
 distinct code per error class: 2 usage (argparse, including a float
 flag that is not finite), 3 I/O, 4 parse, 5 domain (including a kernel
-table that cannot be certified and a result that is not finite).
+table that cannot be certified, a result that is not finite, and a
+numpy overflow, invalid operation or division by zero).
 """
 from __future__ import annotations
 
@@ -21,14 +22,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import io as iolib
-from .asymptotics import (MseExpansion, SmoothnessClass, deficiency_rate,
-                          edf_deficiency, predicted_deficiency)
+from .asymptotics import (BAND_LIMITED, EXPONENTIAL, POLYNOMIAL,
+                          MseExpansion, SmoothnessClass, deficiency_rate,
+                          edf_deficiency, edf_deficiency_rate,
+                          predicted_deficiency)
 from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         default_freq_grid, default_rule, ecf, noise_threshold,
                         select_bandwidth)
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
-                      get_table)
+                      get_table, kernel)
 from .quadrature import QuadratureError
 from .simulate import (BUILTIN_SCENARIOS, ESTIMATORS, Scenario,
                        builtin_scenario, run_scenario)
@@ -37,6 +40,8 @@ from .survival import smoothed_survival_on_grid
 EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_DOMAIN = 5
+# version of the kernel-table JSON export
+TABLE_SCHEMA = 1
 
 GAUSSIAN = "gaussian"
 
@@ -104,6 +109,9 @@ def _resolve_grid(args, sample, h):
         return iolib.parse_grid(args.grid), args.grid
     lo = float(np.min(sample.times) - 3.0 * h)
     hi = float(np.max(sample.times) + 3.0 * h)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("the default grid (data range padded by 3h) is "
+                         "not finite; pass --grid")
     text = f"{lo!r}:{hi!r}:121"
     return np.linspace(lo, hi, 121), text
 
@@ -124,9 +132,9 @@ def _cmd_curve(args):
     if not survival and not np.all(sample.event):
         raise ValueError("estimate expects uncensored data; "
                          "use the survival subcommand for censored input")
-    kernel, desc = _kernel_from_args(args)
+    kern, desc = _kernel_from_args(args)
     h, bw = _resolve_bandwidth(args, sample, desc)
-    cfg = EstimatorConfig(kernel, h, boundary=args.boundary)
+    cfg = EstimatorConfig(kern, h, boundary=args.boundary)
     grid, grid_text = _resolve_grid(args, sample, h)
     fit = smoothed_survival_on_grid if survival else evaluate_on_grid
     values = fit(sample, cfg, grid)
@@ -216,24 +224,17 @@ def _cmd_deficiency(args):
         if args.assumption == "polynomial":
             if args.p is None:
                 raise ValueError("--assumption polynomial needs --p")
-            smooth = SmoothnessClass.polynomial(args.p)
-            rate = f"n^{2 * args.p / (2 * args.p + 1):g}"
+            smooth = SmoothnessClass(POLYNOMIAL, p=args.p)
         elif args.assumption == "exponential":
-            if args.d is None or args.D is None:
-                raise ValueError("--assumption exponential needs --d and "
-                                 "--D")
-            smooth = SmoothnessClass.exponential(args.d, args.D)
-            rate = "n/log n"
+            if args.d is None:
+                raise ValueError("--assumption exponential needs --d")
+            smooth = SmoothnessClass(EXPONENTIAL, d=args.d)
         else:
-            if args.b_limit is None:
-                raise ValueError("--assumption band-limited needs "
-                                 "--b-limit")
-            smooth = SmoothnessClass.band_limited(args.b_limit)
-            rate = "n"
+            smooth = SmoothnessClass(BAND_LIMITED)
         if args.F is None or args.f is None or args.cross_moment is None:
             raise ValueError("assumption mode needs --F, --f and "
                              "--cross-moment")
-        if smooth.kind != "band-limited" and args.a is None:
+        if smooth.kind != BAND_LIMITED and args.a is None:
             raise ValueError("polynomial and exponential assumptions need "
                              "the bandwidth premultiplier --a")
         values = [{"n": n,
@@ -241,18 +242,16 @@ def _cmd_deficiency(args):
                                                 args.cross_moment, n,
                                                 args.a)}
                   for n in ns]
-        payload = {
+        return {
             "command": "deficiency",
             "resolved_config": {
                 "assumption": args.assumption, "p": args.p, "d": args.d,
-                "D": args.D, "b_limit": args.b_limit, "F": args.F,
-                "f": args.f, "cross_moment": args.cross_moment,
+                "F": args.F, "f": args.f, "cross_moment": args.cross_moment,
                 "a": args.a, "n": args.n,
             },
-            "rate": rate,
+            "rate": edf_deficiency_rate(smooth),
             "values": values,
         }
-        return payload
     if args.expansion_base is None or args.expansion_better is None:
         raise iolib.ParseError("pass either --assumption or both "
                                "--expansion-base and --expansion-better")
@@ -276,21 +275,26 @@ def _cmd_kernel_table(args):
     if args.kernel == GAUSSIAN:
         raise ValueError("kernel-table exports flat-top tables; the "
                          "Gaussian kernel has closed forms")
-    kernel, desc = _kernel_from_args(args)
+    table, desc = _kernel_from_args(args)
+    # K is even: evaluated directly on the nonnegative half of the grid
+    k_half = kernel(table.spec, table.grid[table.grid.size // 2:])
+    k_values = np.concatenate([k_half[:0:-1], k_half])
     payload = {
         "command": "kernel-table",
         "resolved_config": {"kernel": desc, "output": args.output,
                             "json": args.json_out},
-        "points": int(kernel.grid.size),
-        "tail_cutoff": kernel.tail_cutoff,
+        "points": int(table.grid.size),
+        "tail_cutoff": table.tail_cutoff,
     }
     lines = ["x,k,kbar,kbar_rectified"]
-    for x, k, kb, kr in zip(kernel.grid, kernel.k_values, kernel.kbar_values,
-                            standardize_path(kernel.kbar_values)):
+    for x, k, kb, kr in zip(table.grid, k_values, table.kbar_values,
+                            standardize_path(table.kbar_values)):
         lines.append(f"{float(x)!r},{float(k)!r},{float(kb)!r},"
                      f"{float(kr)!r}")
-    payload["outputs"] = _write_artifacts(
-        args, "\n".join(lines) + "\n", kernel.to_dict())
+    doc = {**desc, "schema": TABLE_SCHEMA, "tail_cutoff": table.tail_cutoff,
+           "grid": table.grid.tolist(), "k_values": k_values.tolist(),
+           "kbar_values": table.kbar_values.tolist()}
+    payload["outputs"] = _write_artifacts(args, "\n".join(lines) + "\n", doc)
     return payload
 
 
@@ -430,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["polynomial", "exponential", "band-limited"])
     p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--d", type=_finite_float, default=None)
-    p.add_argument("--D", type=_finite_float, default=None)
-    p.add_argument("--b-limit", type=_finite_float, default=None,
-                   dest="b_limit")
     p.add_argument("--F", type=_finite_float, default=None,
                    help="target CDF value F(t)")
     p.add_argument("--f", type=_finite_float, default=None,
@@ -493,14 +494,17 @@ def _fail(kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # built here so that a non-finite result is a domain error
-        text = iolib.dump_json(args.func(args))
+        # numpy overflow, 0/0 and x/0 raise, so that no warning reaches
+        # stderr; the document is built here so that a non-finite result
+        # is a domain error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            text = iolib.dump_json(args.func(args))
     except iolib.ParseError as exc:
         return _fail("parse", str(exc), EXIT_PARSE)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
-    except (ValueError, NoPlateauError, QuadratureError,
-            RuntimeError) as exc:
+    except (ValueError, NoPlateauError, QuadratureError, RuntimeError,
+            FloatingPointError) as exc:
         return _fail("domain", str(exc), EXIT_DOMAIN)
     sys.stdout.write(text)
     return 0

@@ -2,7 +2,8 @@
 
 Three lifetime laws: the standard normal, the Weibull, and a Polya-type
 density (1 - cos x)/(pi x^2) whose characteristic function (1 - |t|)+
-vanishes beyond |t| = 1, making it the band-limited test case.  Normal
+vanishes beyond |t| = 1, making it the band-limited test case; it is
+the trapezoid kernel at c = 0, and is evaluated by the same code.  Normal
 and Weibull draws use one uniform per observation through the inverse
 CDF; Polya-type draws use rejection from a Cauchy envelope.
 """
@@ -12,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, sici
+from scipy.special import ndtr, ndtri
+
+from .kernels import _trap_kbar, _trap_kernel
 
 NORMAL = "normal"
 WEIBULL = "weibull"
@@ -21,7 +24,6 @@ POLYA = "polya"
 # sup over x of density ratio (1-cos x)(1+x^2)/x^2 against the Cauchy
 # envelope is ~2.2111, attained just below x = pi; 2.5 leaves margin
 _POLYA_ENVELOPE = 2.5
-_SMALL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -58,33 +60,16 @@ class DistSpec:
 
 
 def polya_density(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SMALL
-    xs = x[small] ** 2
-    out[small] = (0.5 - xs * (1.0 / 24.0 - xs / 720.0)) / np.pi
-    xb = x[~small]
-    out[~small] = (1.0 - np.cos(xb)) / (np.pi * xb * xb)
-    return out
+    """(1 - cos x)/(pi x^2): the trapezoid kernel at c = 0."""
+    return _trap_kernel(0, np.asarray(x, dtype=float))
 
 
 def polya_cdf(x):
-    """CDF of the Polya-type density, 1/2 + [(cos x - 1)/x + Si(x)]/pi."""
+    """CDF of the Polya-type density, 1/2 + [(cos x - 1)/x + Si(x)]/pi:
+    the trapezoid Kbar at c = 0."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    a = np.atleast_1d(x)
-    out = np.empty_like(a)
-    small = np.abs(a) < _SMALL
-    if np.any(small):
-        xs = a[small]
-        x2 = xs * xs
-        out[small] = 0.5 + xs * (0.5 - x2 * (1.0 / 72.0 - x2 / 3600.0)) / np.pi
-    big = ~small
-    if np.any(big):
-        xb = a[big]
-        out[big] = 0.5 + ((np.cos(xb) - 1.0) / xb + sici(xb)[0]) / np.pi
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    out = np.clip(_trap_kbar(0, np.atleast_1d(x)), 0.0, 1.0)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def _sample_polya(count: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,7 +33,6 @@ from .quadrature import QuadratureError, adaptive_quad, unit_gl_rule
 
 TRAPEZOID = "trapezoid"
 SMOOTH = "smooth"
-TABLE_SCHEMA = 1
 _DEFAULT_C = {TRAPEZOID: 0.75, SMOOTH: 0.05}
 
 # closed forms switch to series below this to dodge 0/0 cancellation
@@ -259,13 +258,10 @@ class KernelTable:
     lives in the oscillation, and flattening it would re-introduce a
     systematic error far above the table tolerance.  Path-level
     standardization (estimators.standardize_path) is the way to get a
-    valid CDF out of an estimate.  k_values are direct kernel values on
-    the same grid, kept for the kernel-table export; only Kbar is
-    interpolated.
+    valid CDF out of an estimate.
     """
     spec: FlatTopSpec
     grid: np.ndarray
-    k_values: np.ndarray
     kbar_values: np.ndarray
     tail_cutoff: float
     tol: float
@@ -285,20 +281,6 @@ class KernelTable:
         out[hi] = 1.0
         out[mid] = self._kbar_spline(a[mid])
         return float(out[0]) if scalar else out
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": TABLE_SCHEMA,
-            "family": self.spec.family,
-            "c": self.spec.c,
-            "b": self.spec.b,
-            "effective_c": self.spec.effective_c,
-            "tol": self.tol,
-            "tail_cutoff": self.tail_cutoff,
-            "grid": self.grid.tolist(),
-            "k_values": self.k_values.tolist(),
-            "kbar_values": self.kbar_values.tolist(),
-        }
 
 
 def _certify(table: KernelTable) -> None:
@@ -329,7 +311,7 @@ def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
 
 
 def build_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:
-    """Tabulate K and Kbar, densely enough for a Kbar spline error <= tol."""
+    """Tabulate Kbar, densely enough for a spline error <= tol."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if spec.family == TRAPEZOID:
@@ -338,14 +320,11 @@ def build_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:
         t_end = _smooth_tail_cutoff(spec, tol)
     decay = 3.0 / (np.pi * (1.0 - spec.c))
     pos = _positive_grid(t_end, tol, decay)
-    k_pos = kernel(spec, pos)
     kbar_pos = integrated_kernel(spec, pos)
     grid = np.concatenate([-pos[:0:-1], pos])
-    k_vals = np.concatenate([k_pos[:0:-1], k_pos])
     kbar_vals = np.concatenate([1.0 - kbar_pos[:0:-1], kbar_pos])
-    table = KernelTable(spec=spec, grid=grid, k_values=k_vals,
-                        kbar_values=kbar_vals, tail_cutoff=float(t_end),
-                        tol=tol)
+    table = KernelTable(spec=spec, grid=grid, kbar_values=kbar_vals,
+                        tail_cutoff=float(t_end), tol=tol)
     _certify(table)
     _certify_mass(spec, float(t_end), tol)
     return table

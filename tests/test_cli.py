@@ -359,7 +359,7 @@ class TestDeficiency:
     def test_assumption_mode(self, capsys):
         code, doc, _ = run_cli(
             capsys, "deficiency", "--assumption", "exponential",
-            "--d", "1", "--D", "1", "--F", "0.5", "--f", "0.25",
+            "--d", "1", "--F", "0.5", "--f", "0.25",
             "--cross-moment", "0.19", "--a", "1", "--n", "1e6")
         assert code == 0
         assert doc["rate"] == "n/log n"
@@ -370,7 +370,7 @@ class TestDeficiency:
     def test_band_limited_needs_no_premultiplier(self, capsys):
         code, doc, _ = run_cli(
             capsys, "deficiency", "--assumption", "band-limited",
-            "--b-limit", "1", "--F", "0.5", "--f", "0.25",
+            "--F", "0.5", "--f", "0.25",
             "--cross-moment", "0.19", "--n", "100")
         assert code == 0 and doc["rate"] == "n"
 
@@ -386,7 +386,7 @@ class TestDeficiency:
         assert doc["values"][0]["deficiency"] == pytest.approx(
             0.8 * 1000 / np.log(1000))
 
-    EXPONENTIAL = ("--assumption", "exponential", "--d", "1", "--D", "1",
+    EXPONENTIAL = ("--assumption", "exponential", "--d", "1",
                    "--F", "0.5", "--f", "0.25", "--cross-moment", "0.19",
                    "--a", "1")
     POLYNOMIAL = ("--assumption", "polynomial", "--p", "2", "--F", "0.5",
@@ -442,7 +442,7 @@ class TestDeficiency:
           "--a", "-1"), "positive"),
         (("--assumption", "polynomial", "--p", "2", "--F", "2",
           "--a", "1"), "F_t"),
-        (("--assumption", "exponential", "--d", "1", "--D", "1",
+        (("--assumption", "exponential", "--d", "1",
           "--F", "0.5", "--a", "5"), "a < 2d")])
     def test_assumption_refuses_inputs_its_formulas_refuse(self, capsys,
                                                            argv, match):
@@ -465,20 +465,14 @@ class TestDeficiency:
         pytest.param(("--assumption", "polynomial", "--F", "0.5", "--f",
                       "0.25", "--cross-moment", "0.19", "--a", "1"), 5,
                      "--assumption polynomial needs --p", id="no-p"),
-        pytest.param(("--assumption", "exponential", "--d", "1", "--F",
-                      "0.5", "--f", "0.25", "--cross-moment", "0.19",
-                      "--a", "1"), 5,
-                     "--assumption exponential needs --d and --D",
-                     id="no-D"),
-        pytest.param(("--assumption", "band-limited", "--F", "0.5", "--f",
-                      "0.25", "--cross-moment", "0.19"), 5,
-                     "--assumption band-limited needs --b-limit",
-                     id="no-b-limit"),
-        pytest.param(("--assumption", "band-limited", "--b-limit", "1",
+        pytest.param(("--assumption", "exponential", "--F", "0.5", "--f",
+                      "0.25", "--cross-moment", "0.19", "--a", "1"), 5,
+                     "--assumption exponential needs --d", id="no-d"),
+        pytest.param(("--assumption", "band-limited",
                       "--F", "0.5", "--f", "0.25"), 5,
                      "assumption mode needs --F, --f and --cross-moment",
                      id="no-cross-moment"),
-        pytest.param(("--assumption", "exponential", "--d", "1", "--D", "1",
+        pytest.param(("--assumption", "exponential", "--d", "1",
                       "--F", "0.5", "--f", "0.25", "--cross-moment",
                       "0.19"), 5,
                      "polynomial and exponential assumptions need the "
@@ -491,6 +485,58 @@ class TestDeficiency:
         assert got == code and doc is None
         assert err["error"]["kind"] == ("domain" if code == 5 else "parse")
         assert err["error"]["message"] == message
+
+    # values recorded before --D and --b-limit were dropped, with both
+    # flags passed; the formulas never read them
+    PINNED = [
+        pytest.param(
+            ("--assumption", "exponential", "--d", "1", "--F", "0.5",
+             "--f", "0.25", "--cross-moment", "0.1919", "--a", "1",
+             "--n", "1e6"),
+            "n/log n", None, [(1e6, 27780.37035907801)], id="exponential"),
+        pytest.param(
+            ("--assumption", "polynomial", "--p", "2", "--F", "0.3",
+             "--f", "0.2", "--cross-moment", "0.1919", "--a", "0.7",
+             "--n", "100,1e4"),
+            "n^0.8", None, [(100.0, 10.186235470562151),
+                            (1e4, 405.521338177717)], id="polynomial"),
+        pytest.param(
+            ("--assumption", "band-limited", "--F", "0.5",
+             "--f", "0.15915494309189535", "--cross-moment", "0.1919",
+             "--n", "100,1000"),
+            "n", None, [(100.0, 24.433466863467775),
+                        (1000.0, 244.33466863467774)], id="band-limited"),
+        pytest.param(
+            ("--expansion-base", "1:1:1:power:0.5",
+             "--expansion-better", "1:1:2.5:power:0.5", "--n", "100,1e4"),
+            "n^0.5", 1.5, [(100.0, 15.0), (1e4, 150.0)], id="power"),
+        pytest.param(
+            ("--expansion-base", "1:1:-0.5:log-factor",
+             "--expansion-better", "1:1:0.3:log-factor", "--n", "1000,1e6"),
+            "n/log n", 0.8, [(1000.0, 115.81186184086715),
+                             (1e6, 57905.93092043358)], id="log-factor"),
+    ]
+
+    @pytest.mark.parametrize("argv,rate,limit,values", PINNED)
+    def test_pinned_values(self, capsys, argv, rate, limit, values):
+        code, doc, _ = run_cli(capsys, "deficiency", *argv)
+        assert code == 0
+        assert doc["rate"] == rate
+        assert doc.get("limit") == limit
+        assert doc["values"] == [{"n": n, "deficiency": d}
+                                 for n, d in values]
+        if limit is None:
+            assert set(doc["resolved_config"]) == {
+                "assumption", "p", "d", "F", "f", "cross_moment", "a", "n"}
+
+    @pytest.mark.parametrize("flag", ["--D", "--b-limit"])
+    def test_dropped_class_parameters_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["deficiency", "--assumption", "exponential", "--d", "1",
+                  flag, "1", "--F", "0.5", "--f", "0.25", "--cross-moment",
+                  "0.19", "--a", "1", "--n", "100"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_expansion_text(self, capsys):
         code, _, err = run_cli(capsys, "deficiency",
@@ -713,6 +759,34 @@ class TestSimulate:
         assert code == 5 and err["error"]["kind"] == "domain"
 
 
+class TestFloatingPointErrors:
+    """numpy overflow, invalid and divide never warn on stderr: each is a
+    domain error, with one JSON document on stderr."""
+
+    @pytest.fixture()
+    def tiny_csv(self, tmp_path):
+        # magnitudes near 1e-310: the default frequency grid overflows
+        p = tmp_path / "tiny.csv"
+        p.write_text("time\n" + "".join(f"{k * 1e-310!r}\n"
+                                          for k in range(1, 11)))
+        return str(p)
+
+    @pytest.mark.parametrize("data,argv,message", [
+        ("sample_csv", ("estimate", "--bandwidth", "1e308"), "--grid"),
+        ("sample_csv", ("estimate", "--bandwidth", "1e-320", "--grid",
+                        "0:1:3"), "overflow"),
+        ("sample_csv", ("bandwidth", "--freq-grid", "0:1e308:5"),
+         "overflow"),
+        ("tiny_csv", ("estimate",), "overflow")])
+    def test_is_domain_error(self, capsys, request, data, argv, message):
+        code = main([*argv, "--input", request.getfixturevalue(data)])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        err = strict_json(captured.err)
+        assert err["error"]["kind"] == "domain"
+        assert message in err["error"]["message"]
+
+
 class TestFiniteFlags:
     def test_every_float_flag_uses_the_finite_type(self):
         parser = cli.build_parser()
@@ -732,7 +806,7 @@ class TestFiniteFlags:
         ("bandwidth", "--bw-C", "inf"),
         ("bandwidth", "--effective-c", "NaN"),
         ("kernel-table", "--tol", "1e400"),
-        ("deficiency", "--assumption", "band-limited", "--b-limit", "1",
+        ("deficiency", "--assumption", "band-limited",
          "--F", "0.5", "--f", "0.25", "--cross-moment", "nan", "--n", "10"),
     ])
     def test_non_finite_flag_is_usage_error(self, capsys, sample_csv, argv):

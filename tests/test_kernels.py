@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ftcdf.kernels as kernels
+from ftcdf.cli import main
 from ftcdf.kernels import (
     SMOOTH,
     TRAPEZOID,
@@ -34,6 +35,15 @@ SMOOTH_CROSS_MOMENT = 0.2602787213288  # two routes agreed to 3.0e-10
 # exact bits of kernel_cross_moment(SMOOTH_REF): its quadrature ends
 # where the smooth tail search shared with build_table stops, t = 512
 SMOOTH_CROSS_MOMENT_BITS = float.fromhex("0x1.0a86814e2cac2p-2")
+
+
+def exported_k(spec: FlatTopSpec, tmp_path) -> np.ndarray:
+    """The k column of `ftcdf kernel-table` for spec at tol 1e-8."""
+    out = tmp_path / "table.csv"
+    assert main(["kernel-table", "--kernel", spec.family, "--c",
+                 repr(spec.c), "--b", repr(spec.b), "--output",
+                 str(out)]) == 0
+    return np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
 
 
 def kernel_by_quad(spec: FlatTopSpec, x: float, tol: float) -> float:
@@ -144,29 +154,29 @@ def test_smooth_transforms_match_adaptive():
 
 
 @pytest.mark.parametrize("spec,npts", [(TRAP, 1000), (SMOOTH_REF, 500)])
-def test_table_matches_direct_eval(spec, npts):
+def test_table_matches_direct_eval(spec, npts, tmp_path):
     tab = get_table(spec, 1e-8)
     rng = np.random.default_rng(11)
     xs = rng.uniform(-tab.tail_cutoff, tab.tail_cutoff, npts)
     assert np.max(np.abs(tab.kbar(xs)
                          - integrated_kernel(spec, xs))) <= 1e-8
     # the exported K column holds direct evaluations
-    assert np.max(np.abs(tab.k_values
+    assert np.max(np.abs(exported_k(spec, tmp_path)
                          - kernel(spec, tab.grid))) <= tab.tol
 
 
 @pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
-def test_table_shape_contracts(spec):
+def test_table_shape_contracts(spec, tmp_path):
     tab = get_table(spec, 1e-8)
     assert np.all(np.diff(tab.grid) > 0)
     T = tab.tail_cutoff
     assert tab.kbar(-T) <= tab.tol
     assert tab.kbar(T) >= 1.0 - tab.tol
     assert tab.kbar(-T - 1.0) == 0.0 and tab.kbar(T + 1.0) == 1.0
-    # evenness of K on the stored grid
+    # evenness of the exported K column
+    k_values = exported_k(spec, tmp_path)
     n = (tab.grid.size - 1) // 2
-    assert np.allclose(tab.k_values[:n][::-1], tab.k_values[n + 1:],
-                       atol=tab.tol)
+    assert np.allclose(k_values[:n][::-1], k_values[n + 1:], atol=tab.tol)
     # raw evaluations genuinely overshoot on both sides of [0,1]
     xs = np.linspace(-T - 2, T + 2, 4001)
     raw = tab.kbar(xs)

@@ -1,14 +1,20 @@
-"""The Python examples of README.md run as written: every ```python block,
-in order, in one namespace, as a reader pasting them into one session."""
+"""The examples of README.md hold as written: every ```python block runs,
+in order, in one namespace, as a reader pasting them into one session,
+and every `ftcdf` command of a ```sh block parses."""
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from ftcdf.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+_SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def test_readme_python_examples_run(capsys):
@@ -22,3 +28,17 @@ def test_readme_python_examples_run(capsys):
     assert min(F_hat.min(), S_hat.min()) >= 0.0
     assert max(F_hat.max(), S_hat.max()) <= 1.0
     assert capsys.readouterr().out == namespace["report"].to_csv() + "\n"
+
+
+def test_readme_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    commands = [line for block in _SH_BLOCK.findall(text)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ftcdf ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
