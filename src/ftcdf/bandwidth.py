@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .estimators import CensoredSample, DegenerateSampleError
+from .estimators import (MAX_KERNEL_TERMS, CensoredSample,
+                         DegenerateSampleError)
 
 _ECF_BLOCK = 1 << 20
 # sizes of the default frequency and CV bandwidth grids, and of the
@@ -102,6 +103,10 @@ def ecf(sample: CensoredSample, freqs) -> EcfCurve:
     """
     freqs = np.asarray(freqs, dtype=float)
     step = sample.jumps
+    terms = freqs.size * step.locations.size
+    if terms > MAX_KERNEL_TERMS:
+        raise ValueError(f"the ECF needs {terms} terms (frequencies x "
+                         f"jumps), above the cap of {MAX_KERNEL_TERMS}")
     mags = np.empty(freqs.shape, dtype=float)
     rows = max(1, _ECF_BLOCK // max(1, step.locations.size))
     for i in range(0, freqs.size, rows):
@@ -116,8 +121,8 @@ def noise_threshold(n: int, C: float) -> float:
     return C * math.sqrt(math.log10(n) / n)
 
 
-def select_bandwidth(curve: EcfCurve, rule: BandwidthRule) -> float:
-    """Automatic bandwidth h = effective_c / t*.
+def threshold_frequency(curve: EcfCurve, rule: BandwidthRule) -> float:
+    """t* of the automatic rule, a frequency of curve's grid.
 
     t* is the smallest positive grid frequency such that every grid
     point strictly inside (t*, t* + epsilon) has magnitude under
@@ -138,7 +143,12 @@ def select_bandwidth(curve: EcfCurve, rule: BandwidthRule) -> float:
         raise NoPlateauError(
             "ECF magnitude never stays below the threshold across a full "
             "window; extend the frequency range")
-    return rule.effective_c / freqs[ok.argmax()]
+    return freqs[ok.argmax()]
+
+
+def select_bandwidth(curve: EcfCurve, rule: BandwidthRule) -> float:
+    """Automatic bandwidth h = effective_c / t*, t* from threshold_frequency."""
+    return rule.effective_c / threshold_frequency(curve, rule)
 
 
 def auto_bandwidth(sample: CensoredSample, effective_c: float) -> float:

@@ -28,7 +28,7 @@ from .asymptotics import (BAND_LIMITED, EXPONENTIAL, POLYNOMIAL,
                           predicted_deficiency)
 from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         default_freq_grid, default_rule, ecf, noise_threshold,
-                        select_bandwidth)
+                        select_bandwidth, threshold_frequency)
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table, kernel)
@@ -44,6 +44,9 @@ EXIT_DOMAIN = 5
 TABLE_SCHEMA = 1
 
 GAUSSIAN = "gaussian"
+# stages named in a numpy floating-point error, with the flags that set them
+_FREQ_STAGE = "default frequency grid (data scale)"
+_ECF_STAGE = "ECF (--freq-grid)"
 
 
 def _kernel_from_args(args):
@@ -51,57 +54,53 @@ def _kernel_from_args(args):
     family = args.kernel
     if family == GAUSSIAN:
         return GaussianKernel(), {"family": GAUSSIAN}
-    spec = FlatTopSpec(family, c=args.c, b=args.b, effective_c=args.effective_c)
+    spec = FlatTopSpec(family, c=args.c, effective_c=args.effective_c)
     table = get_table(spec, args.tol)
     desc = {"family": family, "c": spec.c, "b": spec.b,
             "effective_c": spec.effective_c, "tol": args.tol}
     return table, desc
 
 
-def _automatic_bandwidth(args, sample, method, eff, freqs):
-    """(h, config dict, ECF curve or None) of method "auto" or "cv".
+def _staged(stage: str, func, *args):
+    """func(*args), with a numpy floating-point error prefixed by stage."""
+    try:
+        return func(*args)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{stage}: {exc}") from exc
 
-    auto runs the rule of the --bw-* flags with radius eff on the ECF at
-    freqs; cv cross-validates and computes no ECF.
-    """
-    if method == "cv":
+
+def _automatic_bandwidth(sample, cv, eff, freqs):
+    """(h, config dict, ECF curve or None) of leave-one-out CV if cv, else
+    of the default rule with radius eff on the ECF at freqs."""
+    if cv:
         grid = default_cv_grid(sample)
         h = cv_bandwidth_km(sample, grid)
         return h, {"mode": "cv", "value": h,
                    "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
                               "points": int(grid.size),
                               "spacing": "log"}}, None
-    curve = ecf(sample, freqs)
+    curve = _staged(_ECF_STAGE, ecf, sample, freqs)
     rule = default_rule(curve.n, eff)
-    rule = replace(
-        rule, C=rule.C if args.bw_C is None else args.bw_C,
-        epsilon=rule.epsilon if args.bw_eps is None else args.bw_eps)
     h = select_bandwidth(curve, rule)
     return h, {"mode": "auto", "value": h, "C": rule.C,
                "epsilon": rule.epsilon, "effective_c": eff,
-               "threshold": noise_threshold(curve.n, rule.C)}, curve
+               "threshold": noise_threshold(curve.n, rule.C),
+               "t_star": threshold_frequency(curve, rule)}, curve
 
 
 def _resolve_bandwidth(args, sample, desc):
-    """Returns (h, bandwidth config dict) for estimate/survival."""
-    mode = args.bandwidth
+    """(h, bandwidth config dict) of the kernel's selector or the value."""
+    if args.bandwidth == "auto":
+        return _automatic_bandwidth(sample, desc["family"] == GAUSSIAN,
+                                    desc.get("effective_c"),
+                                    _staged(_FREQ_STAGE, default_freq_grid,
+                                            sample))[:2]
     try:
-        fixed = float(mode)
+        fixed = float(args.bandwidth)
     except ValueError:
-        fixed = None
-    if fixed is not None:
-        return fixed, {"mode": "fixed", "value": fixed}
-    if mode == "auto" and desc["family"] == GAUSSIAN:
-        raise ValueError("the automatic rule needs a flat-top kernel; "
-                         "use --bandwidth cv or a numeric value")
-    if mode == "cv" and desc["family"] != GAUSSIAN:
-        raise ValueError("cross-validation drives the Gaussian "
-                         "comparator; use --kernel gaussian")
-    if mode not in ("auto", "cv"):
-        raise iolib.ParseError(f"--bandwidth must be auto, cv, or a number, "
-                               f"got {mode!r}")
-    return _automatic_bandwidth(args, sample, mode, desc.get("effective_c"),
-                                default_freq_grid(sample))[:2]
+        raise iolib.ParseError(f"--bandwidth must be auto or a number, "
+                               f"got {args.bandwidth!r}")
+    return fixed, {"mode": "fixed", "value": fixed}
 
 
 def _resolve_grid(args, sample, h):
@@ -137,7 +136,8 @@ def _cmd_curve(args):
     cfg = EstimatorConfig(kern, h, boundary=args.boundary)
     grid, grid_text = _resolve_grid(args, sample, h)
     fit = smoothed_survival_on_grid if survival else evaluate_on_grid
-    values = fit(sample, cfg, grid)
+    values = _staged("kernel sum (--bandwidth, --grid)", fit, sample, cfg,
+                     grid)
     if args.standardize:
         values = standardize_path(values, decreasing=survival)
     payload = {
@@ -151,11 +151,12 @@ def _cmd_curve(args):
     }
     if survival:
         payload["censored"] = int(np.sum(~sample.event))
-    if not args.output:
+    if args.output:
+        iolib.write_text(args.output, iolib.curve_csv(grid, values))
+    else:
         payload["t"] = [float(t) for t in grid]
         payload["value"] = [float(v) for v in values]
-    payload["outputs"] = _write_artifacts(
-        args, iolib.curve_csv(grid, values), payload)
+    payload["outputs"] = {"csv": args.output}
     return payload
 
 
@@ -165,12 +166,10 @@ def _cmd_bandwidth(args):
         freqs = iolib.parse_grid(args.freq_grid)
         grid_text = args.freq_grid
     else:
-        freqs = default_freq_grid(sample)
+        freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
         grid_text = f"{float(freqs[0])!r}:{float(freqs[-1])!r}:{freqs.size}"
-    h, bw, curve = _automatic_bandwidth(args, sample, args.method,
+    h, bw, curve = _automatic_bandwidth(sample, args.method == "cv",
                                         args.effective_c, freqs)
-    if curve is not None:
-        bw["t_star"] = args.effective_c / h
     bw["freq_grid"] = grid_text
     payload = {
         "command": "bandwidth",
@@ -181,8 +180,7 @@ def _cmd_bandwidth(args):
         "h": h,
     }
     if args.ecf_out:
-        if curve is None:
-            curve = ecf(sample, freqs)
+        curve = curve or _staged(_ECF_STAGE, ecf, sample, freqs)
         iolib.write_text(args.ecf_out,
                          iolib.curve_csv(curve.freqs, curve.magnitudes,
                                          value_name="magnitude"))
@@ -286,11 +284,9 @@ def _cmd_kernel_table(args):
         "points": int(table.grid.size),
         "tail_cutoff": table.tail_cutoff,
     }
-    lines = ["x,k,kbar,kbar_rectified"]
-    for x, k, kb, kr in zip(table.grid, k_values, table.kbar_values,
-                            standardize_path(table.kbar_values)):
-        lines.append(f"{float(x)!r},{float(k)!r},{float(kb)!r},"
-                     f"{float(kr)!r}")
+    lines = ["x,k,kbar"]
+    for x, k, kb in zip(table.grid, k_values, table.kbar_values):
+        lines.append(f"{float(x)!r},{float(k)!r},{float(kb)!r}")
     doc = {**desc, "schema": TABLE_SCHEMA, "tail_cutoff": table.tail_cutoff,
            "grid": table.grid.tolist(), "k_values": k_values.tolist(),
            "kbar_values": table.kbar_values.tolist()}
@@ -377,20 +373,10 @@ def _add_kernel_flags(p):
     p.add_argument("--c", type=_finite_float, default=None,
                    help=f"flat radius (default {FlatTopSpec(TRAPEZOID).c} "
                         f"trapezoid, {FlatTopSpec(SMOOTH).c} smooth)")
-    p.add_argument("--b", type=_finite_float, default=1.0,
-                   help="smooth-family descent rate")
     p.add_argument("--effective-c", type=_finite_float, default=None,
                    dest="effective_c")
     p.add_argument("--tol", type=_finite_float, default=1e-8,
                    help="kernel table certification tolerance")
-
-
-def _add_rule_flags(p):
-    """Flags of the automatic rule, for estimate, survival, bandwidth."""
-    p.add_argument("--bw-C", type=_finite_float, default=None, dest="bw_C",
-                   help="threshold constant (default 2)")
-    p.add_argument("--bw-eps", type=_finite_float, default=None, dest="bw_eps",
-                   help="window width (default max(1, log10 n))")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,12 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--output", default=None, help="curve CSV path")
-        p.add_argument("--json", default=None, dest="json_out",
-                       help="also write the stdout document here")
         _add_kernel_flags(p)
         p.add_argument("--bandwidth", default="auto",
-                       help="auto, cv, or a finite positive number")
-        _add_rule_flags(p)
+                       help="auto (the ECF rule, or CV for --kernel "
+                            "gaussian) or a finite positive number")
         p.add_argument("--boundary", type=_finite_float, default=None)
         p.add_argument("--standardize", action="store_true")
         p.add_argument("--grid", default=None,
@@ -423,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effective-c", type=_finite_float,
                    default=FlatTopSpec(TRAPEZOID).effective_c,
                    dest="effective_c")
-    _add_rule_flags(p)
     p.add_argument("--freq-grid", default=None, dest="freq_grid")
     p.add_argument("--ecf-out", default=None, dest="ecf_out",
                    help="write the ECF curve CSV here")

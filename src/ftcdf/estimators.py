@@ -24,6 +24,8 @@ import numpy as np
 
 # keep grid-by-sample evaluation blocks at ~1M entries
 _BLOCK = 1 << 20
+# cap on points x jumps of one kernel sum or ECF: ~4 minutes at 25 ns a term
+MAX_KERNEL_TERMS = 10**10
 # how far below the smallest observation a standardized point path starts,
 # in bandwidth units; kernel oscillation beyond this is ~1e-4 and below
 # Monte Carlo resolution
@@ -221,6 +223,10 @@ def standardize_path(raw, decreasing: bool = False) -> np.ndarray:
 def _kbar_sum(locations, weights, kernel, h, points) -> np.ndarray:
     """sum_j w_j * Kbar((t - x_j)/h) for each t, blockwise."""
     points = np.asarray(points, dtype=float)
+    terms = points.size * locations.size
+    if terms > MAX_KERNEL_TERMS:
+        raise ValueError(f"the kernel sum needs {terms} terms (points x "
+                         f"jumps), above the cap of {MAX_KERNEL_TERMS}")
     out = np.empty(points.shape, dtype=float)
     rows = max(1, _BLOCK // max(1, locations.size))
     for i in range(0, points.size, rows):

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ftcdf.bandwidth as bandwidth
 import ftcdf.cli as cli
 import ftcdf.estimators as estimators
 import ftcdf.simulate as sim
-from ftcdf.bandwidth import auto_bandwidth, cv_bandwidth_km, default_cv_grid
+from ftcdf.bandwidth import (auto_bandwidth, cv_bandwidth_km, default_cv_grid,
+                             default_freq_grid)
 from ftcdf.cli import main
 from ftcdf.estimators import CensoredSample, EstimatorConfig, evaluate_on_grid
 from ftcdf.io import read_sample_csv
@@ -137,15 +139,19 @@ class TestEstimate:
         assert err["error"]["kind"] == "domain"
         assert "survival" in err["error"]["message"]
 
-    def test_gaussian_needs_explicit_bandwidth(self, capsys, sample_csv):
-        code, _, err = run_cli(capsys, "estimate", "--input", sample_csv,
-                               "--kernel", "gaussian")
-        assert code == 5 and err["error"]["kind"] == "domain"
-
-    def test_cv_requires_gaussian(self, capsys, sample_csv):
-        code, _, err = run_cli(capsys, "estimate", "--input", sample_csv,
-                               "--bandwidth", "cv")
-        assert code == 5 and err["error"]["kind"] == "domain"
+    @pytest.mark.parametrize("command", ["estimate", "survival"])
+    def test_gaussian_auto_is_cross_validation(self, capsys, sample_csv,
+                                               command):
+        code, doc, _ = run_cli(capsys, command, "--input", sample_csv,
+                               "--kernel", "gaussian", "--grid", "-1:1:5")
+        assert code == 0
+        bw = doc["resolved_config"]["bandwidth"]
+        sample = read_sample_csv(sample_csv)
+        grid = default_cv_grid(sample)
+        assert bw["mode"] == "cv"
+        assert bw["value"] == cv_bandwidth_km(sample, grid)
+        assert bw["h_grid"] == {"lo": grid[0], "hi": grid[-1], "points": 32,
+                                "spacing": "log"}
 
     @pytest.mark.parametrize("h", ["inf", "nan", "-1"])
     def test_bandwidth_must_be_finite_and_positive(self, capsys, sample_csv,
@@ -157,9 +163,13 @@ class TestEstimate:
         assert "finite and positive" in err["error"]["message"]
 
     def test_bad_bandwidth_token(self, capsys, sample_csv):
-        code, _, err = run_cli(capsys, "estimate", "--input", sample_csv,
-                               "--bandwidth", "nonsense")
-        assert code == 4 and err["error"]["kind"] == "parse"
+        # cv is no keyword: auto already cross-validates the Gaussian
+        for token in ("nonsense", "cv"):
+            code, _, err = run_cli(capsys, "estimate", "--input", sample_csv,
+                                   "--bandwidth", token)
+            assert code == 4 and err["error"]["kind"] == "parse"
+            assert err["error"]["message"] == (
+                f"--bandwidth must be auto or a number, got {token!r}")
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--input",
@@ -215,13 +225,36 @@ class TestEstimate:
         assert Path(sample_csv).read_bytes() == before
 
     def test_usage_error_exits_2(self, capsys, sample_csv):
-        # a missing --input, and a flag the parser does not know
+        # a missing --input, and flags the parser does not know
+        removed = [[command, "--input", sample_csv, flag, value]
+                   for command in ("estimate", "survival", "bandwidth")
+                   for flag, value in (("--bw-C", "2"), ("--bw-eps", "1"))]
+        removed += [[command, "--input", sample_csv, flag, value]
+                    for command in ("estimate", "survival")
+                    for flag, value in (("--b", "1"), ("--json", "d.json"))]
+        removed.append(["kernel-table", "--b", "1"])
         for argv in (["estimate"],
                      ["estimate", "--input", sample_csv, "--bw-mode",
-                      "plateau"]):
+                      "plateau"], *removed):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
-            assert exc.value.code == 2
+            assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--bandwidth", "0.5", "--grid", "0:1:1000"),
+        ("bandwidth", "--freq-grid", "0:5:1000"),
+    ])
+    def test_work_bound_is_domain_error(self, capsys, monkeypatch,
+                                        sample_csv, argv):
+        # 1000 points x 40 jumps = 40000 terms, one above each cap
+        monkeypatch.setattr(estimators, "MAX_KERNEL_TERMS", 39_999)
+        monkeypatch.setattr(bandwidth, "MAX_KERNEL_TERMS", 39_999)
+        code, doc, err = run_cli(capsys, *argv, "--input", sample_csv)
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert "needs 40000 terms" in err["error"]["message"]
+        assert "above the cap of 39999" in err["error"]["message"]
 
 
 class TestSurvival:
@@ -269,7 +302,22 @@ class TestBandwidth:
         sample = read_sample_csv(sample_csv)
         assert doc["h"] == auto_bandwidth(sample, 0.75)
         bw = doc["resolved_config"]["bandwidth"]
-        assert bw["t_star"] == 0.75 / doc["h"]
+        assert doc["h"] == 0.75 / bw["t_star"]
+
+    def test_t_star_is_a_grid_frequency(self, capsys, tmp_path):
+        # at seeds 18 and 31, effective_c / h does not round-trip to t*
+        path = tmp_path / "normal.csv"
+        for seed in range(40):
+            times = np.random.default_rng(seed).normal(size=300)
+            path.write_text("time\n" + "".join(f"{t!r}\n"
+                                              for t in times.tolist()))
+            freqs = default_freq_grid(read_sample_csv(str(path))).tolist()
+            for argv in (("bandwidth",), ("estimate", "--grid", "0:1:2")):
+                code, doc, _ = run_cli(capsys, *argv, "--input", str(path))
+                assert code == 0
+                bw = doc["resolved_config"]["bandwidth"]
+                assert bw["t_star"] in freqs, (seed, argv)
+                assert bw["value"] == 0.75 / bw["t_star"]
 
     def test_ecf_curve_written(self, capsys, tmp_path, sample_csv):
         out = str(tmp_path / "ecf.csv")
@@ -555,21 +603,19 @@ class TestKernelTable:
                                "--output", out, "--json", jout)
         assert code == 0
         lines = Path(out).read_text().splitlines()
-        assert lines[0] == "x,k,kbar,kbar_rectified"
+        assert lines[0] == "x,k,kbar"
         assert len(lines) == doc["points"] + 1
-        vals = [float(v) for v in lines[1].split(",")]
-        assert len(vals) == 4
-        # the fourth column is the standardized Kbar: a valid CDF path
         cols = np.array([[float(v) for v in ln.split(",")]
                          for ln in lines[1:]])
-        assert np.all(np.diff(cols[:, 3]) >= 0.0)
-        assert cols[:, 3].min() >= 0.0 and cols[:, 3].max() <= 1.0
-        assert cols[0, 3] == max(cols[0, 2], 0.0)
-        # while the raw Kbar column genuinely leaves [0, 1]
+        assert cols.shape == (doc["points"], 3)
+        # the raw Kbar column genuinely leaves [0, 1]
         assert cols[:, 2].max() > 1.0 and cols[:, 2].min() < 0.0
         table = json.loads(Path(jout).read_text())
         assert table["family"] == "trapezoid" and table["c"] == 0.5
         assert len(table["grid"]) == doc["points"]
+        np.testing.assert_array_equal(cols.T, [table["grid"],
+                                               table["k_values"],
+                                               table["kbar_values"]])
 
     @pytest.mark.parametrize("family,c", [("trapezoid", 0.75),
                                           ("smooth", 0.05)])
@@ -771,20 +817,28 @@ class TestFloatingPointErrors:
                                           for k in range(1, 11)))
         return str(p)
 
+    # each message names the stage that failed and the flags that set it
     @pytest.mark.parametrize("data,argv,message", [
-        ("sample_csv", ("estimate", "--bandwidth", "1e308"), "--grid"),
-        ("sample_csv", ("estimate", "--bandwidth", "1e-320", "--grid",
-                        "0:1:3"), "overflow"),
-        ("sample_csv", ("bandwidth", "--freq-grid", "0:1e308:5"),
-         "overflow"),
-        ("tiny_csv", ("estimate",), "overflow")])
+        pytest.param("sample_csv", ("estimate", "--bandwidth", "1e308"),
+                     "the default grid (data range padded by 3h) is not "
+                     "finite; pass --grid", id="sample_csv-argv0---grid"),
+        pytest.param("sample_csv", ("estimate", "--bandwidth", "1e-320",
+                                    "--grid", "0:1:3"),
+                     "kernel sum (--bandwidth, --grid): overflow",
+                     id="sample_csv-argv1-overflow"),
+        pytest.param("sample_csv", ("bandwidth", "--freq-grid", "0:1e308:5"),
+                     "ECF (--freq-grid): overflow",
+                     id="sample_csv-argv2-overflow"),
+        pytest.param("tiny_csv", ("estimate",),
+                     "default frequency grid (data scale): overflow",
+                     id="tiny_csv-argv3-overflow")])
     def test_is_domain_error(self, capsys, request, data, argv, message):
         code = main([*argv, "--input", request.getfixturevalue(data)])
         captured = capsys.readouterr()
         assert code == 5 and captured.out == ""
         err = strict_json(captured.err)
         assert err["error"]["kind"] == "domain"
-        assert message in err["error"]["message"]
+        assert err["error"]["message"].startswith(message)
 
 
 class TestFiniteFlags:
@@ -803,7 +857,7 @@ class TestFiniteFlags:
     @pytest.mark.parametrize("argv", [
         ("estimate", "--boundary", "nan"),
         ("survival", "--c=-inf"),
-        ("bandwidth", "--bw-C", "inf"),
+        ("survival", "--effective-c", "inf"),
         ("bandwidth", "--effective-c", "NaN"),
         ("kernel-table", "--tol", "1e400"),
         ("deficiency", "--assumption", "band-limited",
@@ -818,6 +872,32 @@ class TestFiniteFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "expected a finite number" in captured.err
+
+    def test_parser_surface(self):
+        # every settable value of each subcommand; a new knob is a
+        # deliberate edit here
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        curve = ["--bandwidth", "--boundary", "--c", "--effective-c",
+                 "--grid", "--input", "--kernel", "--output", "--standardize",
+                 "--tol"]
+        want = {
+            "estimate": curve,
+            "survival": curve,
+            "bandwidth": ["--ecf-out", "--effective-c", "--freq-grid",
+                          "--input", "--method"],
+            "deficiency": ["--F", "--a", "--assumption", "--cross-moment",
+                           "--d", "--expansion-base", "--expansion-better",
+                           "--f", "--n", "--p"],
+            "kernel-table": ["--c", "--effective-c", "--json", "--kernel",
+                             "--output", "--tol"],
+            "simulate": ["--estimators", "--json", "--n", "--output",
+                         "--reps", "--scenario", "--seed", "--workers"],
+        }
+        got = {command: sorted(s for a in p._actions for s in a.option_strings
+                               if s not in ("-h", "--help"))
+               for command, p in sub.choices.items()}
+        assert got == want
 
     def test_non_numeric_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -41,8 +41,7 @@ def exported_k(spec: FlatTopSpec, tmp_path) -> np.ndarray:
     """The k column of `ftcdf kernel-table` for spec at tol 1e-8."""
     out = tmp_path / "table.csv"
     assert main(["kernel-table", "--kernel", spec.family, "--c",
-                 repr(spec.c), "--b", repr(spec.b), "--output",
-                 str(out)]) == 0
+                 repr(spec.c), "--output", str(out)]) == 0
     return np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
 
 
