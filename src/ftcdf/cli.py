@@ -55,9 +55,10 @@ def _kernel_from_args(args):
     if family == GAUSSIAN:
         return GaussianKernel(), {"family": GAUSSIAN}
     spec = FlatTopSpec(family, c=args.c, effective_c=args.effective_c)
-    table = get_table(spec, args.tol)
+    # only kernel-table takes --tol; curve fits use the library's table
+    table = get_table(spec, args.tol) if "tol" in args else get_table(spec)
     desc = {"family": family, "c": spec.c, "b": spec.b,
-            "effective_c": spec.effective_c, "tol": args.tol}
+            "effective_c": spec.effective_c, "tol": table.tol}
     return table, desc
 
 
@@ -69,9 +70,9 @@ def _staged(stage: str, func, *args):
         raise FloatingPointError(f"{stage}: {exc}") from exc
 
 
-def _automatic_bandwidth(sample, cv, eff, freqs):
+def _automatic_bandwidth(sample, cv, eff, freqs=None):
     """(h, config dict, ECF curve or None) of leave-one-out CV if cv, else
-    of the default rule with radius eff on the ECF at freqs."""
+    of the default rule with radius eff on the ECF at freqs or data scale."""
     if cv:
         grid = default_cv_grid(sample)
         h = cv_bandwidth_km(sample, grid)
@@ -79,6 +80,8 @@ def _automatic_bandwidth(sample, cv, eff, freqs):
                    "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
                               "points": int(grid.size),
                               "spacing": "log"}}, None
+    if freqs is None:
+        freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
     curve = _staged(_ECF_STAGE, ecf, sample, freqs)
     rule = default_rule(curve.n, eff)
     h = select_bandwidth(curve, rule)
@@ -92,9 +95,7 @@ def _resolve_bandwidth(args, sample, desc):
     """(h, bandwidth config dict) of the kernel's selector or the value."""
     if args.bandwidth == "auto":
         return _automatic_bandwidth(sample, desc["family"] == GAUSSIAN,
-                                    desc.get("effective_c"),
-                                    _staged(_FREQ_STAGE, default_freq_grid,
-                                            sample))[:2]
+                                    desc.get("effective_c"))[:2]
     try:
         fixed = float(args.bandwidth)
     except ValueError:
@@ -375,8 +376,6 @@ def _add_kernel_flags(p):
                         f"trapezoid, {FlatTopSpec(SMOOTH).c} smooth)")
     p.add_argument("--effective-c", type=_finite_float, default=None,
                    dest="effective_c")
-    p.add_argument("--tol", type=_finite_float, default=1e-8,
-                   help="kernel table certification tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, dest="json_out",
                    help="table JSON path")
     _add_kernel_flags(p)
+    p.add_argument("--tol", type=_finite_float, default=1e-8,
+                   help="kernel table certification tolerance")
     p.set_defaults(func=_cmd_kernel_table)
 
     p = sub.add_parser("simulate")

@@ -38,19 +38,17 @@ SURVIVAL = "survival"
 ESTIMATORS = ("edf", "gauss-cv", "trap-auto", "smooth-auto")
 RAW_SUFFIX = "+raw"
 
-TRAP_SPEC = FlatTopSpec(TRAPEZOID)
-SMOOTH_SPEC = FlatTopSpec(SMOOTH)
-_FLAT_TOP = {"trap-auto": TRAP_SPEC, "smooth-auto": SMOOTH_SPEC}
+_FLAT_TOP = {"trap-auto": FlatTopSpec(TRAPEZOID),
+             "smooth-auto": FlatTopSpec(SMOOTH)}
 
-# threshold constants for the flat-top rules inside simulation studies.
-# The iid studies need a lower cutoff than the module default or the
+# threshold constant for the flat-top rules inside iid simulation
+# studies.  They need a lower cutoff than the module default or the
 # rule fires before the characteristic function has decayed into its
 # noise floor; the Kaplan-Meier ECF sits on a higher floor, and a low
 # threshold there stalls the window search far past the spectrum edge
 # (producing severely undersmoothed stragglers), so censored studies
 # keep the default.
 _STUDY_THRESHOLD_C = 1.4
-_STUDY_THRESHOLD_C_CENSORED = 2.0
 
 _PURPOSE_LIFETIME = 0
 _PURPOSE_CENSOR = 1
@@ -343,23 +341,19 @@ def _stream(seed: int, rep: int, purpose: int,
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _kernel_for(estimator: str):
+def _fit(estimator: str, sample: CensoredSample, curve,
+         boundary) -> EstimatorConfig:
+    """Kernel and bandwidth of one smoothed arm; flat-top arms read the
+    ECF curve."""
     if estimator == "gauss-cv":
-        return GaussianKernel()
-    if estimator in _FLAT_TOP:
-        return get_table(_FLAT_TOP[estimator])
-    raise ValueError(f"unknown estimator {estimator!r}")
-
-
-def _select_bandwidth(estimator: str, sample: CensoredSample, curve) -> float:
-    """Bandwidth of one smoothed arm; flat-top arms read the ECF curve."""
-    if estimator == "gauss-cv":
-        return cv_bandwidth_km(sample, default_cv_grid(sample))
-    effective_c = _FLAT_TOP[estimator].effective_c
-    C = _STUDY_THRESHOLD_C if np.all(sample.event) \
-        else _STUDY_THRESHOLD_C_CENSORED
-    rule = replace(default_rule(sample.n, effective_c), C=C)
-    return select_bandwidth(curve, rule)
+        h = cv_bandwidth_km(sample, default_cv_grid(sample))
+        return EstimatorConfig(GaussianKernel(), h, boundary=boundary)
+    spec = _FLAT_TOP[estimator]
+    rule = default_rule(sample.n, spec.effective_c)
+    if np.all(sample.event):
+        rule = replace(rule, C=_STUDY_THRESHOLD_C)
+    h = select_bandwidth(curve, rule)
+    return EstimatorConfig(get_table(spec), h, boundary=boundary)
 
 
 def _replicate(scenario: Scenario, estimators, n: int, rep: int):
@@ -386,9 +380,7 @@ def _replicate(scenario: Scenario, estimators, n: int, rep: int):
                     v = step.survival(pts) if survival else step.cdf(pts)
                     vals[e, :, 0] = vals[e, :, 1] = v
                     continue
-                h = _select_bandwidth(name, sample, curve)
-                cfg = EstimatorConfig(_kernel_for(name), h,
-                                      boundary=scenario.boundary)
+                cfg = _fit(name, sample, curve, scenario.boundary)
                 raw, std = smoothed_paths(sample, cfg, pts, survival)
                 vals[e, :, 0] = raw
                 vals[e, :, 1] = std
@@ -503,7 +495,7 @@ def zero_bias_experiment(n: int, h: float, reps: int,
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be positive")
     pts = np.asarray(_ZERO_BIAS_POINTS)
-    cfg = EstimatorConfig(get_table(TRAP_SPEC), h)
+    cfg = EstimatorConfig(get_table(FlatTopSpec(TRAPEZOID)), h)
     truth = polya_cdf(pts)
     errors = np.empty((reps, pts.size))
     for rep in range(reps):

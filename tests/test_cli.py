@@ -231,7 +231,8 @@ class TestEstimate:
                    for flag, value in (("--bw-C", "2"), ("--bw-eps", "1"))]
         removed += [[command, "--input", sample_csv, flag, value]
                     for command in ("estimate", "survival")
-                    for flag, value in (("--b", "1"), ("--json", "d.json"))]
+                    for flag, value in (("--b", "1"), ("--json", "d.json"),
+                                        ("--tol", "1e-8"))]
         removed.append(["kernel-table", "--b", "1"])
         for argv in (["estimate"],
                      ["estimate", "--input", sample_csv, "--bw-mode",
@@ -840,6 +841,17 @@ class TestFloatingPointErrors:
         assert err["error"]["kind"] == "domain"
         assert err["error"]["message"].startswith(message)
 
+    @pytest.mark.parametrize("command", ["estimate", "survival"])
+    def test_gaussian_fit_builds_no_frequency_grid(self, capsys, tiny_csv,
+                                                   command):
+        # cross-validation reads no ECF, so the grid that overflows for
+        # the threshold rule is never built
+        code = main([command, "--kernel", "gaussian", "--input", tiny_csv])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        bw = strict_json(captured.out)["resolved_config"]["bandwidth"]
+        assert bw["mode"] == "cv" and 0.0 < bw["value"] < 1e-308
+
 
 class TestFiniteFlags:
     def test_every_float_flag_uses_the_finite_type(self):
@@ -879,8 +891,7 @@ class TestFiniteFlags:
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         curve = ["--bandwidth", "--boundary", "--c", "--effective-c",
-                 "--grid", "--input", "--kernel", "--output", "--standardize",
-                 "--tol"]
+                 "--grid", "--input", "--kernel", "--output", "--standardize"]
         want = {
             "estimate": curve,
             "survival": curve,

@@ -287,7 +287,7 @@ class TestPool:
 class TestRetries:
     def test_failed_selection_is_retried_and_counted(self, monkeypatch):
         calls = {"count": 0}
-        real = sim._select_bandwidth
+        real = sim._fit
 
         def flaky(*args):
             calls["count"] += 1
@@ -295,7 +295,7 @@ class TestRetries:
                 raise NoPlateauError("forced")
             return real(*args)
 
-        monkeypatch.setattr(sim, "_select_bandwidth", flaky)
+        monkeypatch.setattr(sim, "_fit", flaky)
         sc = builtin_scenario("normal-iid", seed=3, replications=4,
                               sample_sizes=(15,))
         rep = run_scenario(sc, estimators=("trap-auto",))
@@ -306,7 +306,7 @@ class TestRetries:
         def hopeless(*args):
             raise NoPlateauError("forced")
 
-        monkeypatch.setattr(sim, "_select_bandwidth", hopeless)
+        monkeypatch.setattr(sim, "_fit", hopeless)
         sc = builtin_scenario("normal-iid", seed=3, replications=1,
                               sample_sizes=(15,))
         with pytest.raises(RuntimeError, match="failed"):
@@ -314,7 +314,7 @@ class TestRetries:
 
     def test_degenerate_draw_is_retried(self, monkeypatch):
         calls = {"count": 0}
-        real = sim._select_bandwidth
+        real = sim._fit
 
         def degenerate_once(*args):
             calls["count"] += 1
@@ -322,7 +322,7 @@ class TestRetries:
                 raise DegenerateSampleError("forced")
             return real(*args)
 
-        monkeypatch.setattr(sim, "_select_bandwidth", degenerate_once)
+        monkeypatch.setattr(sim, "_fit", degenerate_once)
         sc = builtin_scenario("normal-iid", seed=3, replications=2,
                               sample_sizes=(15,))
         rep = run_scenario(sc, estimators=("gauss-cv",))
@@ -335,7 +335,7 @@ class TestRetries:
             calls["count"] += 1
             raise ValueError("bug")
 
-        monkeypatch.setattr(sim, "_select_bandwidth", buggy)
+        monkeypatch.setattr(sim, "_fit", buggy)
         sc = builtin_scenario("normal-iid", seed=3, replications=1,
                               sample_sizes=(15,))
         with pytest.raises(ValueError, match="^bug$"):
@@ -442,7 +442,7 @@ class TestBlasGuard:
                                                  match):
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         if patch is not None:
-            monkeypatch.setattr(sim, "_select_bandwidth", patch)
+            monkeypatch.setattr(sim, "_fit", patch)
         sc = builtin_scenario("normal-iid", seed=3, replications=2,
                               sample_sizes=(15,))
         with pytest.raises(error, match=match):
@@ -455,14 +455,14 @@ class TestBlasGuard:
                                                   workers):
         # each call appends the counts it sees to a file of its process,
         # so calls made in forked workers are seen here too
-        real = sim._select_bandwidth
+        real = sim._fit
 
         def recording(*args):
             with open(tmp_path / f"{os.getpid()}.txt", "a") as fh:
                 fh.write(" ".join(map(str, _threads())) + "\n")
             return real(*args)
 
-        monkeypatch.setattr(sim, "_select_bandwidth", recording)
+        monkeypatch.setattr(sim, "_fit", recording)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         sc = builtin_scenario("normal-iid", seed=3, replications=4,
                               sample_sizes=(15, 30))
