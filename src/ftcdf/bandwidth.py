@@ -59,16 +59,20 @@ class BandwidthRule:
     """Parameters of the automatic rule; defaults via default_rule()."""
     C: float
     epsilon: float
-    effective_c: float
+    effective_c: float | None
 
     def __post_init__(self):
         if not self.C > 0 or not self.epsilon > 0:
             raise ValueError("C and epsilon must be positive")
+        if self.effective_c is None:
+            raise ValueError(
+                "effective_c has no default for smooth family away from "
+                "(b=1, c=0.05); pass it explicitly")
         if not 0.0 < self.effective_c <= 1.0:
             raise ValueError("effective_c must lie in (0, 1]")
 
 
-def default_rule(n: int, effective_c: float) -> BandwidthRule:
+def default_rule(n: int, effective_c: float | None) -> BandwidthRule:
     # epsilon grows slowly with n but stays o(log n)-compatible
     return BandwidthRule(C=2.0, epsilon=max(1.0, math.log10(max(n, 2))),
                          effective_c=effective_c)
@@ -180,17 +184,27 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
                                     "events")
     step = sample.jumps
     loc, s = step.locations, step.heights
+    terms = loc.size * _CV_QUAD_POINTS * h_grid.size
+    if terms > MAX_KERNEL_TERMS:
+        raise ValueError(f"the CV needs {terms} terms (jumps x grid points x "
+                         f"bandwidths), above the cap of {MAX_KERNEL_TERMS}")
     w = s / np.unique(events, return_counts=True)[1]
     rest = (step.total_mass - w)[:, None]
+    # quadrature points per block: arrays of about _ECF_BLOCK values
+    cols = max(1, _ECF_BLOCK // loc.size)
+    sq = np.empty(_CV_QUAD_POINTS)
     best_h, best_cv = None, np.inf
     for h in h_grid:
         grid = np.linspace(loc.min() - 3.0 * h, loc.max() + 3.0 * h,
                            _CV_QUAD_POINTS)
-        phi = ndtr((grid[None, :] - loc[:, None]) / h)
-        total = (s[:, None] * phi).sum(axis=0)
-        loo = (total[None, :] - w[:, None] * phi) / rest
-        resid = (loc[:, None] <= grid[None, :]).astype(float) - loo
-        cv = float(np.trapezoid(s @ (resid ** 2), grid))
+        for j in range(0, grid.size, cols):
+            g = grid[None, j:j + cols]
+            phi = ndtr((g - loc[:, None]) / h)
+            total = (s[:, None] * phi).sum(axis=0)
+            loo = (total[None, :] - w[:, None] * phi) / rest
+            resid = (loc[:, None] <= g).astype(float) - loo
+            sq[j:j + cols] = s @ (resid ** 2)
+        cv = float(np.trapezoid(sq, grid))
         if cv < best_cv:
             best_h, best_cv = float(h), cv
     return best_h

@@ -31,7 +31,7 @@ from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         select_bandwidth, threshold_frequency)
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
-                      get_table, kernel)
+                      get_table, kernel, kernel_cross_moment)
 from .quadrature import QuadratureError
 from .simulate import (BUILTIN_SCENARIOS, ESTIMATORS, Scenario,
                        builtin_scenario, run_scenario)
@@ -54,8 +54,9 @@ def _kernel_from_args(args):
     family = args.kernel
     if family == GAUSSIAN:
         return GaussianKernel(), {"family": GAUSSIAN}
-    spec = FlatTopSpec(family, c=args.c, effective_c=args.effective_c)
-    # only kernel-table takes --tol; curve fits use the library's table
+    # curve fits take --effective-c; only kernel-table takes --tol
+    spec = FlatTopSpec(family, c=args.c,
+                       effective_c=getattr(args, "effective_c", None))
     table = get_table(spec, args.tol) if "tol" in args else get_table(spec)
     desc = {"family": family, "c": spec.c, "b": spec.b,
             "effective_c": spec.effective_c, "tol": table.tol}
@@ -80,10 +81,10 @@ def _automatic_bandwidth(sample, cv, eff, freqs=None):
                    "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
                               "points": int(grid.size),
                               "spacing": "log"}}, None
+    rule = default_rule(sample.n, eff)
     if freqs is None:
         freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
     curve = _staged(_ECF_STAGE, ecf, sample, freqs)
-    rule = default_rule(curve.n, eff)
     h = select_bandwidth(curve, rule)
     return h, {"mode": "auto", "value": h, "C": rule.C,
                "epsilon": rule.epsilon, "effective_c": eff,
@@ -230,23 +231,27 @@ def _cmd_deficiency(args):
             smooth = SmoothnessClass(EXPONENTIAL, d=args.d)
         else:
             smooth = SmoothnessClass(BAND_LIMITED)
-        if args.F is None or args.f is None or args.cross_moment is None:
-            raise ValueError("assumption mode needs --F, --f and "
-                             "--cross-moment")
+        if args.F is None or args.f is None:
+            raise ValueError("assumption mode needs --F and --f")
         if smooth.kind != BAND_LIMITED and args.a is None:
             raise ValueError("polynomial and exponential assumptions need "
                              "the bandwidth premultiplier --a")
+        if args.kernel == GAUSSIAN:
+            raise ValueError("the deficiency formulas assume a flat-top "
+                             "kernel; the Gaussian kernel is not one")
+        spec = FlatTopSpec(args.kernel, c=args.c)
+        cross_moment = kernel_cross_moment(spec)
         values = [{"n": n,
                    "deficiency": edf_deficiency(smooth, args.F, args.f,
-                                                args.cross_moment, n,
-                                                args.a)}
+                                                cross_moment, n, args.a)}
                   for n in ns]
         return {
             "command": "deficiency",
             "resolved_config": {
                 "assumption": args.assumption, "p": args.p, "d": args.d,
-                "F": args.F, "f": args.f, "cross_moment": args.cross_moment,
-                "a": args.a, "n": args.n,
+                "F": args.F, "f": args.f,
+                "kernel": {"family": spec.family, "c": spec.c},
+                "cross_moment": cross_moment, "a": args.a, "n": args.n,
             },
             "rate": edf_deficiency_rate(smooth),
             "values": values,
@@ -374,8 +379,6 @@ def _add_kernel_flags(p):
     p.add_argument("--c", type=_finite_float, default=None,
                    help=f"flat radius (default {FlatTopSpec(TRAPEZOID).c} "
                         f"trapezoid, {FlatTopSpec(SMOOTH).c} smooth)")
-    p.add_argument("--effective-c", type=_finite_float, default=None,
-                   dest="effective_c")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True)
         p.add_argument("--output", default=None, help="curve CSV path")
         _add_kernel_flags(p)
+        p.add_argument("--effective-c", type=_finite_float)
         p.add_argument("--bandwidth", default="auto",
                        help="auto (the ECF rule, or CV for --kernel "
                             "gaussian) or a finite positive number")
@@ -404,11 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--method", default="auto", choices=["auto", "cv"])
     p.add_argument("--effective-c", type=_finite_float,
-                   default=FlatTopSpec(TRAPEZOID).effective_c,
-                   dest="effective_c")
-    p.add_argument("--freq-grid", default=None, dest="freq_grid")
-    p.add_argument("--ecf-out", default=None, dest="ecf_out",
-                   help="write the ECF curve CSV here")
+                   default=FlatTopSpec(TRAPEZOID).effective_c)
+    p.add_argument("--freq-grid")
+    p.add_argument("--ecf-out", help="write the ECF curve CSV here")
     p.set_defaults(func=_cmd_bandwidth)
 
     p = sub.add_parser("deficiency")
@@ -420,14 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target CDF value F(t)")
     p.add_argument("--f", type=_finite_float, default=None,
                    help="target density value f(t)")
-    p.add_argument("--cross-moment", type=_finite_float, default=None,
-                   dest="cross_moment")
+    _add_kernel_flags(p)
     p.add_argument("--a", type=_finite_float, default=None,
                    help="bandwidth premultiplier")
-    p.add_argument("--expansion-base", default=None, dest="expansion_base",
-                   help="c:r:const:kind[:delta]")
-    p.add_argument("--expansion-better", default=None,
-                   dest="expansion_better")
+    p.add_argument("--expansion-base", help="c:r:const:kind[:delta]")
+    p.add_argument("--expansion-better")
     p.add_argument("--n", required=True,
                    help="comma-separated sample sizes, each above 1")
     p.set_defaults(func=_cmd_deficiency)

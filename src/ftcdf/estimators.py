@@ -24,7 +24,7 @@ import numpy as np
 
 # keep grid-by-sample evaluation blocks at ~1M entries
 _BLOCK = 1 << 20
-# cap on points x jumps of one kernel sum or ECF: ~4 minutes at 25 ns a term
+# cap on the terms of one kernel sum, ECF or CV: ~4 minutes at 25 ns a term
 MAX_KERNEL_TERMS = 10**10
 # how far below the smallest observation a standardized point path starts,
 # in bandwidth units; kernel oscillation beyond this is ~1e-4 and below

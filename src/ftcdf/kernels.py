@@ -57,8 +57,8 @@ class FlatTopSpec:
     b: descent-rate parameter, used by the smooth family only.
     effective_c: radius used by the bandwidth rule h = effective_c / t*.
         Defaults: c for the trapezoid family; 0.5 for the smooth family
-        at its reference parameters (b=1, c=0.05).  Other smooth
-        parameterizations must state it explicitly.
+        at its reference parameters (b=1, c=0.05).  Elsewhere it stays
+        None, and only the rule (BandwidthRule) refuses it.
     """
     family: str
     c: float | None = None
@@ -75,15 +75,12 @@ class FlatTopSpec:
         if self.family == SMOOTH and not self.b > 0.0:
             raise ValueError("smooth family needs b > 0")
         eff = self.effective_c
-        if eff is None:
-            if self.family == TRAPEZOID:
-                eff = self.c
-            elif (self.b, self.c) == (1.0, _DEFAULT_C[SMOOTH]):
-                eff = 0.5
-            else:
-                raise ValueError(
-                    "effective_c has no default for smooth family away from "
-                    "(b=1, c=0.05); pass it explicitly")
+        if eff is None and self.family == TRAPEZOID:
+            eff = self.c
+        elif eff is None and (self.b, self.c) == (1.0, _DEFAULT_C[SMOOTH]):
+            eff = 0.5
+        elif eff is None:
+            return  # no default; only the bandwidth rule needs one
         if not self.c <= eff <= 1.0:
             raise ValueError("effective_c must lie in [c, 1]")
         object.__setattr__(self, "effective_c", float(eff))
@@ -375,7 +372,7 @@ def _flattop_cross_moment(spec: FlatTopSpec) -> float:
         c = spec.c
         tail = (np.cos(t_end) / t_end ** 2
                 - np.cos(c * t_end) / (c ** 2 * t_end ** 2)) / (np.pi * (1 - c))
-        return value + tail
+        return float(value + tail)
     return adaptive_quad(f, 0.0, _smooth_tail_cutoff(spec, 2e-12), 1e-10)
 
 

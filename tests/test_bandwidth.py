@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import ftcdf.bandwidth as bandwidth
 from ftcdf.bandwidth import (
     BandwidthRule,
     EcfCurve,
@@ -293,6 +294,36 @@ class TestCrossValidation:
                            np.array([True, True, False]))
         h = cv_bandwidth_km(s, np.array([0.05, 0.1, 0.2, 0.4, 0.8]))
         assert h == 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blocked_quadrature_grid_keeps_h(self, monkeypatch, seed):
+        # a 200-jump sample in blocks of 1, 3 and 13 quadrature points
+        rng = np.random.default_rng(seed)
+        t = rng.weibull(1.5, 200)
+        c = 1.3 * rng.weibull(2.0, 200)
+        samples = (CensoredSample.uncensored(rng.standard_normal(200)),
+                   CensoredSample(np.minimum(t, c), t <= c))
+        assert samples[1].jumps.locations.size < 200
+        one_block = [cv_bandwidth_km(s, default_cv_grid(s))
+                     for s in samples]
+        for block in (1, 600, 2600):
+            monkeypatch.setattr(bandwidth, "_ECF_BLOCK", block)
+            assert [cv_bandwidth_km(s, default_cv_grid(s))
+                    for s in samples] == one_block
+
+    def test_term_cap_refuses_before_any_work(self, monkeypatch):
+        # 40 jumps x 256 quadrature points x 32 bandwidths
+        s = CensoredSample.uncensored(np.arange(40.0))
+        monkeypatch.setattr(bandwidth, "MAX_KERNEL_TERMS", 327_679)
+
+        def no_ndtr(x):
+            raise AssertionError("the CV evaluated the kernel")
+
+        monkeypatch.setattr(bandwidth, "ndtr", no_ndtr)
+        with pytest.raises(ValueError, match="the CV needs 327680 terms "
+                           r"\(jumps x grid points x bandwidths\), above "
+                           "the cap of 327679"):
+            cv_bandwidth_km(s, default_cv_grid(s))
 
     def test_km_variant_runs_on_censored_data(self):
         rng = np.random.default_rng(8)

@@ -16,7 +16,10 @@ from ftcdf.bandwidth import (auto_bandwidth, cv_bandwidth_km, default_cv_grid,
 from ftcdf.cli import main
 from ftcdf.estimators import CensoredSample, EstimatorConfig, evaluate_on_grid
 from ftcdf.io import read_sample_csv
-from ftcdf.kernels import TRAPEZOID, FlatTopSpec, get_table
+from ftcdf.asymptotics import (BAND_LIMITED, EXPONENTIAL, POLYNOMIAL,
+                               SmoothnessClass, edf_deficiency)
+from ftcdf.kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, get_table,
+                           kernel_cross_moment)
 from ftcdf.simulate import builtin_scenario, run_scenario
 from ftcdf.survival import smoothed_survival_on_grid
 
@@ -153,6 +156,37 @@ class TestEstimate:
         assert bw["h_grid"] == {"lo": grid[0], "hi": grid[-1], "points": 32,
                                 "spacing": "log"}
 
+    @pytest.mark.parametrize("command", ["estimate", "survival"])
+    def test_fixed_bandwidth_needs_no_rule_radius(self, capsys, sample_csv,
+                                                  command):
+        # only the threshold rule reads effective_c, and a smooth kernel
+        # off its reference (b=1, c=0.05) has no default for it
+        code, doc, _ = run_cli(capsys, command, "--input", sample_csv,
+                               "--kernel", "smooth", "--c", "0.1",
+                               "--bandwidth", "0.3", "--grid", "-1:1:5")
+        assert code == 0
+        assert doc["resolved_config"]["kernel"]["effective_c"] is None
+        table = get_table(FlatTopSpec(SMOOTH, 0.1))
+        fit = smoothed_survival_on_grid if command == "survival" \
+            else evaluate_on_grid
+        want = fit(read_sample_csv(sample_csv), EstimatorConfig(table, 0.3),
+                   np.linspace(-1, 1, 5))
+        assert doc["value"] == want.tolist()
+
+    def test_rule_without_radius_is_refused_before_the_ecf(
+            self, capsys, monkeypatch, sample_csv):
+        def no_ecf(*args):
+            raise AssertionError("the ECF was computed")
+
+        monkeypatch.setattr(cli, "ecf", no_ecf)
+        code, doc, err = run_cli(capsys, "estimate", "--input", sample_csv,
+                                 "--kernel", "smooth", "--c", "0.1")
+        assert code == 5 and doc is None
+        assert err["error"] == {
+            "kind": "domain",
+            "message": "effective_c has no default for smooth family away "
+                       "from (b=1, c=0.05); pass it explicitly"}
+
     @pytest.mark.parametrize("h", ["inf", "nan", "-1"])
     def test_bandwidth_must_be_finite_and_positive(self, capsys, sample_csv,
                                                    h):
@@ -234,6 +268,12 @@ class TestEstimate:
                     for flag, value in (("--b", "1"), ("--json", "d.json"),
                                         ("--tol", "1e-8"))]
         removed.append(["kernel-table", "--b", "1"])
+        # the rule radius is read by fits only, and deficiency works out
+        # the cross moment from its kernel flags
+        removed.append(["kernel-table", "--effective-c", "0.5"])
+        removed.append(["deficiency", "--assumption", "band-limited",
+                        "--F", "0.5", "--f", "0.25", "--cross-moment",
+                        "0.19", "--n", "100"])
         for argv in (["estimate"],
                      ["estimate", "--input", sample_csv, "--bw-mode",
                       "plateau"], *removed):
@@ -256,6 +296,20 @@ class TestEstimate:
         assert err["error"]["kind"] == "domain"
         assert "needs 40000 terms" in err["error"]["message"]
         assert "above the cap of 39999" in err["error"]["message"]
+
+
+    def test_cv_work_bound_is_domain_error(self, capsys, monkeypatch,
+                                           sample_csv):
+        # 40 jumps x 256 quadrature points x 32 bandwidths = 327680 terms
+        monkeypatch.setattr(bandwidth, "MAX_KERNEL_TERMS", 327_679)
+        code, doc, err = run_cli(capsys, "estimate", "--kernel", "gaussian",
+                                 "--input", sample_csv)
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert err["error"]["message"].startswith("the CV needs 327680 terms")
+        monkeypatch.setattr(bandwidth, "MAX_KERNEL_TERMS", 327_680)
+        assert run_cli(capsys, "estimate", "--kernel", "gaussian",
+                       "--input", sample_csv)[0] == 0
 
 
 class TestSurvival:
@@ -408,19 +462,59 @@ class TestDeficiency:
     def test_assumption_mode(self, capsys):
         code, doc, _ = run_cli(
             capsys, "deficiency", "--assumption", "exponential",
-            "--d", "1", "--F", "0.5", "--f", "0.25",
-            "--cross-moment", "0.19", "--a", "1", "--n", "1e6")
+            "--d", "1", "--F", "0.5", "--f", "0.25", "--a", "1",
+            "--n", "1e6")
         assert code == 0
         assert doc["rate"] == "n/log n"
         n = 1e6
-        want = 1 * (2 * 0.25 * 0.19 / 0.25) * n / np.log(n)
+        cm = kernel_cross_moment(FlatTopSpec(TRAPEZOID))
+        want = 1 * (2 * 0.25 * cm / 0.25) * n / np.log(n)
         assert doc["values"][0]["deficiency"] == pytest.approx(want)
+        assert doc["resolved_config"]["cross_moment"] == cm
+        assert doc["resolved_config"]["kernel"] == {"family": "trapezoid",
+                                                    "c": 0.75}
+
+    @pytest.mark.parametrize("assumption", [
+        ("--assumption", "exponential", "--d", "1", "--a", "1"),
+        ("--assumption", "polynomial", "--p", "2", "--a", "0.7"),
+        ("--assumption", "band-limited")])
+    @pytest.mark.parametrize("kernel,c", [("trapezoid", None),
+                                          ("trapezoid", 0.3),
+                                          ("smooth", None), ("smooth", 0.1)])
+    def test_values_use_the_kernels_cross_moment(self, capsys, assumption,
+                                                  kernel, c):
+        argv = [*assumption, "--F", "0.3", "--f", "0.2", "--kernel", kernel,
+                "--n", "100,1e4"]
+        if c is not None:
+            argv += ["--c", repr(c)]
+        code, doc, _ = run_cli(capsys, "deficiency", *argv)
+        assert code == 0
+        spec = FlatTopSpec(kernel, c=c)
+        cm = kernel_cross_moment(spec)
+        config = doc["resolved_config"]
+        assert config["kernel"] == {"family": kernel, "c": spec.c}
+        assert config["cross_moment"] == cm
+        smooth = {"exponential": SmoothnessClass(EXPONENTIAL, d=1.0),
+                  "polynomial": SmoothnessClass(POLYNOMIAL, p=2.0),
+                  "band-limited": SmoothnessClass(BAND_LIMITED)}[
+                      assumption[1]]
+        assert doc["values"] == [
+            {"n": n, "deficiency": edf_deficiency(smooth, 0.3, 0.2, cm, n,
+                                                  config["a"])}
+            for n in (100.0, 1e4)]
+
+    def test_gaussian_kernel_is_domain_error(self, capsys):
+        code, doc, err = run_cli(capsys, "deficiency", "--assumption",
+                                 "band-limited", "--F", "0.5", "--f", "0.25",
+                                 "--kernel", "gaussian", "--n", "100")
+        assert code == 5 and doc is None
+        assert err["error"]["kind"] == "domain"
+        assert "flat-top" in err["error"]["message"]
 
     def test_band_limited_needs_no_premultiplier(self, capsys):
         code, doc, _ = run_cli(
             capsys, "deficiency", "--assumption", "band-limited",
-            "--F", "0.5", "--f", "0.25",
-            "--cross-moment", "0.19", "--n", "100")
+            "--F", "0.5", "--f", "0.25", "--n", "100")
         assert code == 0 and doc["rate"] == "n"
 
     def test_expansion_mode(self, capsys):
@@ -436,10 +530,9 @@ class TestDeficiency:
             0.8 * 1000 / np.log(1000))
 
     EXPONENTIAL = ("--assumption", "exponential", "--d", "1",
-                   "--F", "0.5", "--f", "0.25", "--cross-moment", "0.19",
-                   "--a", "1")
+                   "--F", "0.5", "--f", "0.25", "--a", "1")
     POLYNOMIAL = ("--assumption", "polynomial", "--p", "2", "--F", "0.5",
-                  "--f", "0.25", "--cross-moment", "0.19", "--a", "1")
+                  "--f", "0.25", "--a", "1")
     LOG_PAIR = ("--expansion-base", "1:1:1:log-factor",
                 "--expansion-better", "1:1:2:log-factor")
     POWER_PAIR = ("--expansion-base", "1:1:1:power:0.5",
@@ -496,7 +589,7 @@ class TestDeficiency:
     def test_assumption_refuses_inputs_its_formulas_refuse(self, capsys,
                                                            argv, match):
         code, doc, err = run_cli(capsys, "deficiency", *argv, "--f", "0.3",
-                                 "--cross-moment", "0.1", "--n", "100")
+                                 "--n", "100")
         assert code == 5 and doc is None
         assert err["error"]["kind"] == "domain"
         assert match in err["error"]["message"]
@@ -512,18 +605,15 @@ class TestDeficiency:
 
     @pytest.mark.parametrize("argv,code,message", [
         pytest.param(("--assumption", "polynomial", "--F", "0.5", "--f",
-                      "0.25", "--cross-moment", "0.19", "--a", "1"), 5,
+                      "0.25", "--a", "1"), 5,
                      "--assumption polynomial needs --p", id="no-p"),
         pytest.param(("--assumption", "exponential", "--F", "0.5", "--f",
-                      "0.25", "--cross-moment", "0.19", "--a", "1"), 5,
+                      "0.25", "--a", "1"), 5,
                      "--assumption exponential needs --d", id="no-d"),
-        pytest.param(("--assumption", "band-limited",
-                      "--F", "0.5", "--f", "0.25"), 5,
-                     "assumption mode needs --F, --f and --cross-moment",
-                     id="no-cross-moment"),
+        pytest.param(("--assumption", "band-limited", "--F", "0.5"), 5,
+                     "assumption mode needs --F and --f", id="no-f"),
         pytest.param(("--assumption", "exponential", "--d", "1",
-                      "--F", "0.5", "--f", "0.25", "--cross-moment",
-                      "0.19"), 5,
+                      "--F", "0.5", "--f", "0.25"), 5,
                      "polynomial and exponential assumptions need the "
                      "bandwidth premultiplier --a", id="no-a"),
         pytest.param(("--expansion-base", "1:1:1:log-factor"), 4,
@@ -535,26 +625,23 @@ class TestDeficiency:
         assert err["error"]["kind"] == ("domain" if code == 5 else "parse")
         assert err["error"]["message"] == message
 
-    # values recorded before --D and --b-limit were dropped, with both
-    # flags passed; the formulas never read them
+    # assumption-mode values use the reference trapezoid's cross moment,
+    # 0.1919132193379367, which the command works out
     PINNED = [
         pytest.param(
             ("--assumption", "exponential", "--d", "1", "--F", "0.5",
-             "--f", "0.25", "--cross-moment", "0.1919", "--a", "1",
-             "--n", "1e6"),
-            "n/log n", None, [(1e6, 27780.37035907801)], id="exponential"),
+             "--f", "0.25", "--a", "1", "--n", "1e6"),
+            "n/log n", None, [(1e6, 27782.28405425145)], id="exponential"),
         pytest.param(
             ("--assumption", "polynomial", "--p", "2", "--F", "0.3",
-             "--f", "0.2", "--cross-moment", "0.1919", "--a", "0.7",
-             "--n", "100,1e4"),
-            "n^0.8", None, [(100.0, 10.186235470562151),
-                            (1e4, 405.521338177717)], id="polynomial"),
+             "--f", "0.2", "--a", "0.7", "--n", "100,1e4"),
+            "n^0.8", None, [(100.0, 10.186937165658497),
+                            (1e4, 405.54927316265673)], id="polynomial"),
         pytest.param(
             ("--assumption", "band-limited", "--F", "0.5",
-             "--f", "0.15915494309189535", "--cross-moment", "0.1919",
-             "--n", "100,1000"),
-            "n", None, [(100.0, 24.433466863467775),
-                        (1000.0, 244.33466863467774)], id="band-limited"),
+             "--f", "0.15915494309189535", "--n", "100,1000"),
+            "n", None, [(100.0, 24.435150001849397),
+                        (1000.0, 244.35150001849397)], id="band-limited"),
         pytest.param(
             ("--expansion-base", "1:1:1:power:0.5",
              "--expansion-better", "1:1:2.5:power:0.5", "--n", "100,1e4"),
@@ -576,14 +663,15 @@ class TestDeficiency:
                                  for n, d in values]
         if limit is None:
             assert set(doc["resolved_config"]) == {
-                "assumption", "p", "d", "F", "f", "cross_moment", "a", "n"}
+                "assumption", "p", "d", "F", "f", "kernel", "cross_moment",
+                "a", "n"}
 
     @pytest.mark.parametrize("flag", ["--D", "--b-limit"])
     def test_dropped_class_parameters_are_usage_errors(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["deficiency", "--assumption", "exponential", "--d", "1",
-                  flag, "1", "--F", "0.5", "--f", "0.25", "--cross-moment",
-                  "0.19", "--a", "1", "--n", "100"])
+                  flag, "1", "--F", "0.5", "--f", "0.25", "--a", "1",
+                  "--n", "100"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
@@ -624,6 +712,21 @@ class TestKernelTable:
         code, doc, _ = run_cli(capsys, "kernel-table", "--kernel", family)
         assert code == 0 and doc["resolved_config"]["kernel"]["c"] == c
 
+    def test_smooth_kernel_off_reference_needs_no_rule_radius(self, capsys,
+                                                              tmp_path):
+        # the table never depended on the rule radius
+        out, jout = tmp_path / "tab.csv", tmp_path / "tab.json"
+        code, doc, _ = run_cli(capsys, "kernel-table", "--kernel", "smooth",
+                               "--c", "0.1", "--output", str(out),
+                               "--json", str(jout))
+        assert code == 0
+        assert doc["resolved_config"]["kernel"]["effective_c"] is None
+        assert json.loads(jout.read_text())["effective_c"] is None
+        table = get_table(FlatTopSpec(SMOOTH, 0.1, effective_c=0.5))
+        cols = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert cols[:, 0].tobytes() == table.grid.tobytes()
+        assert cols[:, 2].tobytes() == table.kbar_values.tobytes()
+
     def test_gaussian_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kernel-table", "--kernel",
                                "gaussian")
@@ -640,8 +743,7 @@ class TestKernelTable:
         # the tail of this smooth kernel ends at 16384, which would need a
         # rule of 11552 nodes; refused before the rule is built
         code, doc, err = run_cli(capsys, "kernel-table", "--kernel",
-                                 "smooth", "--c", "0.7", "--effective-c",
-                                 "0.7")
+                                 "smooth", "--c", "0.7")
         assert code == 5 and doc is None
         assert err["error"]["kind"] == "domain"
         assert err["error"]["message"] == ("Gauss-Legendre order 11552 "
@@ -873,7 +975,7 @@ class TestFiniteFlags:
         ("bandwidth", "--effective-c", "NaN"),
         ("kernel-table", "--tol", "1e400"),
         ("deficiency", "--assumption", "band-limited",
-         "--F", "0.5", "--f", "0.25", "--cross-moment", "nan", "--n", "10"),
+         "--F", "0.5", "--f", "0.25", "--c", "nan", "--n", "10"),
     ])
     def test_non_finite_flag_is_usage_error(self, capsys, sample_csv, argv):
         if argv[0] in ("estimate", "survival", "bandwidth"):
@@ -897,11 +999,11 @@ class TestFiniteFlags:
             "survival": curve,
             "bandwidth": ["--ecf-out", "--effective-c", "--freq-grid",
                           "--input", "--method"],
-            "deficiency": ["--F", "--a", "--assumption", "--cross-moment",
-                           "--d", "--expansion-base", "--expansion-better",
-                           "--f", "--n", "--p"],
-            "kernel-table": ["--c", "--effective-c", "--json", "--kernel",
-                             "--output", "--tol"],
+            "deficiency": ["--F", "--a", "--assumption", "--c", "--d",
+                           "--expansion-base", "--expansion-better",
+                           "--f", "--kernel", "--n", "--p"],
+            "kernel-table": ["--c", "--json", "--kernel", "--output",
+                             "--tol"],
             "simulate": ["--estimators", "--json", "--n", "--output",
                          "--reps", "--scenario", "--seed", "--workers"],
         }

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ftcdf.kernels as kernels
+from ftcdf.bandwidth import default_rule
 from ftcdf.cli import main
 from ftcdf.kernels import (
     SMOOTH,
@@ -82,9 +84,16 @@ def test_spec_validation():
         FlatTopSpec(SMOOTH, 0.05, b=-1.0)
     with pytest.raises(ValueError):
         FlatTopSpec("boxcar", 0.5)
-    with pytest.raises(ValueError):
-        # away from the reference parameters the flat radius must be stated
-        FlatTopSpec(SMOOTH, 0.2, b=2.0)
+    # away from the reference parameters there is no rule radius, and
+    # only the bandwidth rule refuses its absence
+    assert FlatTopSpec(SMOOTH, 0.2, b=2.0).effective_c is None
+    assert FlatTopSpec(SMOOTH, 0.1).effective_c is None
+    with pytest.raises(ValueError, match=re.escape(
+            "effective_c has no default for smooth family away from "
+            "(b=1, c=0.05); pass it explicitly")):
+        default_rule(30, None)
+    with pytest.raises(ValueError, match=r"effective_c must lie in \[c, 1\]"):
+        FlatTopSpec(SMOOTH, 0.2, b=2.0, effective_c=0.1)
     assert FlatTopSpec(SMOOTH, 0.2, b=2.0, effective_c=0.4).effective_c == 0.4
     assert FlatTopSpec(TRAPEZOID, 0.3).effective_c == 0.3
     assert SMOOTH_REF.effective_c == 0.5
@@ -201,6 +210,7 @@ def test_cross_moment_gaussian():
 def test_cross_moment_flattop_frozen():
     cm_t = kernel_cross_moment(TRAP)
     cm_s = kernel_cross_moment(SMOOTH_REF)
+    assert type(cm_t) is float and type(cm_s) is float
     assert cm_t > 0.0 and cm_s > 0.0
     assert cm_t == pytest.approx(TRAP_CROSS_MOMENT, abs=1e-8)
     assert cm_s == pytest.approx(SMOOTH_CROSS_MOMENT, abs=1e-8)

@@ -52,8 +52,11 @@ BANDWIDTH_VARIANTS = (
 )
 DEFICIENCY = (
     ("assumption", ["--assumption", "exponential", "--d", "1", "--F", "0.5",
-                    "--f", "0.25", "--cross-moment", "0.1919", "--a", "1",
-                    "--n", "1e3,1e6"]),
+                    "--f", "0.25", "--a", "1", "--n", "1e3,1e6"]),
+    ("assumption-smooth", ["--assumption", "exponential", "--d", "1",
+                           "--F", "0.5", "--f", "0.25", "--a", "1",
+                           "--n", "1e3,1e6", "--kernel", "smooth",
+                           "--c", "0.1"]),
     ("expansion", ["--expansion-base", "1:1:2:log-factor",
                    "--expansion-better", "1:1:1:log-factor",
                    "--n", "100,1000"]),
@@ -84,6 +87,13 @@ def commands():
             yield (f"kernel-table-{family}-{tol}",
                    ["kernel-table", "--kernel", family, "--tol", tol,
                     "--output", "OUT/table.csv", "--json", "OUT/table.json"])
+    # a smooth kernel off the reference, which has no rule radius
+    yield ("kernel-table-smooth-c0.1",
+           ["kernel-table", "--kernel", "smooth", "--c", "0.1",
+            "--output", "OUT/table.csv", "--json", "OUT/table.json"])
+    yield ("estimate-smooth-c0.1-fixed-normal",
+           ["estimate", "--input", "inputs/normal.csv", "--kernel", "smooth",
+            "--c", "0.1", "--bandwidth", "0.3", "--output", "OUT/curve.csv"])
     for data in INPUTS:
         source = ["--input", f"inputs/{data}.csv"]
         for command in ("estimate", "survival"):
