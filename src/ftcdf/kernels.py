@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.special import ndtr, sici
 
 from .quadrature import QuadratureError, adaptive_quad, unit_gl_rule
@@ -44,6 +44,14 @@ _MAX_TABLE_POINTS = 400_000
 # dense eigenproblem, cubic in the order (4096 nodes took about 4 s on a
 # 2-vCPU machine)
 _MAX_GL_ORDER = 4096
+# points per block of a table's kbar lookup
+_LOOKUP_BLOCK = 1 << 14
+# width of a lookup bucket, in units of the least interior knot spacing
+# in u = sign(x) sqrt|x|
+_BUCKET_SCALE = 1.0
+# Gauss-Legendre panels, and nodes per panel, of the kernel mass check
+_MASS_PANELS = 60
+_MASS_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -212,6 +220,9 @@ def _trap_tail_cutoff(c: float, tol: float) -> float:
 def _smooth_tail_cutoff(spec, tol: float) -> float:
     t = 32.0
     while t <= 2.2e5:
+        # a cutoff the smooth transforms cannot reach is refused here,
+        # before any quadrature at t
+        _gl_order(t)
         gap = abs(1.0 - integrated_kernel_by_quad(spec, t, tol=tol / 20))
         if gap < 0.5 * tol:
             gap2 = abs(1.0 - integrated_kernel_by_quad(spec, 2 * t, tol=tol / 20))
@@ -245,6 +256,96 @@ def _positive_grid(t_end: float, tol: float, decay_const: float) -> np.ndarray:
     return np.concatenate([np.arange(0.0, t_core, delta0), tail, [t_end]])
 
 
+def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients, shape (4, n-1), of the not-a-knot cubic
+    spline through (x, y), highest power first.
+
+    The arithmetic of scipy's CubicSpline for n > 3 knots: the same
+    banded system for the knot slopes, with the same not-a-knot end rows
+    and the same solve_banded call, then the cubic Hermite form.  Every
+    coefficient carries CubicSpline's bits.
+    """
+    n = x.size
+    if n < 4:
+        raise ValueError("a not-a-knot spline needs at least 4 knots")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    band = np.zeros((3, n))
+    rhs = np.empty(n)
+    band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    band[0, 2:] = dx[:-1]
+    band[-1, :-2] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    band[1, 0] = dx[1]
+    band[0, 1] = d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    band[1, -1] = dx[-2]
+    band[-1, -2] = d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2]
+               + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), band, rhs.reshape(n, 1), overwrite_ab=True,
+                     overwrite_b=True, check_finite=False).reshape(n)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+class _KbarSpline:
+    """Not-a-knot cubic spline on a table grid, valued as scipy's PPoly.
+
+    The interval of v is the i with x[i] <= v < x[i+1], the last knot
+    belonging to the last interval, and the value is the power sum in
+    ascending order.  The interval comes from a lookup in
+    u = sign(v) sqrt|v|, where the grid's knots are spread about evenly
+    (a uniform core, then spacing growing like sqrt(t)): a bucket starts
+    at the last knot of the buckets below it, and points step up past
+    the knots inside their own bucket.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.coef = _not_a_knot_coefficients(x, y)
+        self.knots = x
+        u = np.copysign(np.sqrt(np.abs(x)), x)
+        self._u0 = u[0]
+        self._inv_width = 1.0 / (_BUCKET_SCALE * np.min(np.diff(u)[1:-1]))
+        buckets = int((u[-1] - u[0]) * self._inv_width) + 1
+        self._top = float(buckets - 1)
+        below = np.searchsorted(self._bucket(x), np.arange(buckets))
+        self._start = np.maximum(below - 1, 0)
+        # the knot that ends each interval; the last interval takes all
+        self._end = np.append(x[1:-1], np.inf)
+
+    def _bucket(self, v: np.ndarray) -> np.ndarray:
+        # monotone in v, so a knot in a lower bucket lies below v; fmax
+        # and fmin also send NaN to bucket 0, where it stays NaN
+        q = (np.copysign(np.sqrt(np.abs(v)), v) - self._u0) * self._inv_width
+        return np.fmin(np.fmax(q, 0.0), self._top).astype(np.intp)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """Spline values at 1-d v, which lies within the knots (or is NaN)."""
+        i = np.take(self._start, self._bucket(v))
+        up = np.flatnonzero(v >= np.take(self._end, i))
+        while up.size:
+            i[up] += 1
+            up = up[v[up] >= np.take(self._end, i[up])]
+        c = self.coef
+        s = v - np.take(self.knots, i)
+        # c3 + c2 s + c1 (s s) + c0 ((s s) s), summed in that order
+        out = np.take(c[2], i)
+        out *= s
+        out += np.take(c[3], i)
+        term = np.take(c[1], i)
+        s_pow = s * s
+        term *= s_pow
+        out += term
+        s_pow *= s
+        np.take(c[0], i, out=term)
+        term *= s_pow
+        out += term
+        return out
+
+
 @dataclass
 class KernelTable:
     """Tabulated Kbar, made and certified only by build_table.
@@ -264,20 +365,23 @@ class KernelTable:
     tol: float
 
     def __post_init__(self):
-        self._kbar_spline = CubicSpline(self.grid, self.kbar_values)
+        self._kbar_spline = _KbarSpline(self.grid, self.kbar_values)
 
     def kbar(self, x):
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         a = np.atleast_1d(arr)
-        out = np.empty_like(a)
-        lo = a < -self.tail_cutoff
-        hi = a > self.tail_cutoff
-        mid = ~(lo | hi)
-        out[lo] = 0.0
-        out[hi] = 1.0
-        out[mid] = self._kbar_spline(a[mid])
-        return float(out[0]) if scalar else out
+        flat = a.ravel()
+        out = np.empty(flat.shape)
+        T = self.tail_cutoff
+        # in blocks, so the lookup's temporaries stay small
+        for i in range(0, flat.size, _LOOKUP_BLOCK):
+            v = flat[i:i + _LOOKUP_BLOCK]
+            values = self._kbar_spline(np.clip(v, -T, T))
+            values[v < -T] = 0.0
+            values[v > T] = 1.0
+            out[i:i + _LOOKUP_BLOCK] = values
+        return float(out[0]) if scalar else out.reshape(a.shape)
 
 
 def _certify(table: KernelTable) -> None:
@@ -292,14 +396,18 @@ def _certify(table: KernelTable) -> None:
 def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
     """Total mass of K must be 1 within 10*tol.
 
-    Dense trapezoidal sum of direct kernel values over the core, plus the
-    closed-form tail mass 1 - Kbar(T1) + Kbar(-T1); the two routes share
-    no code with the spline tables.
+    Gauss-Legendre panels of direct kernel values over the core, plus
+    the closed-form tail mass 1 - Kbar(T1) + Kbar(-T1); the two routes
+    share no code with the spline tables.  K is entire and band-limited
+    (the taper vanishes beyond |s| = 1), so the panel rule converges
+    geometrically.
     """
     t1 = min(60.0, tail_cutoff)
-    step = 2e-4 if spec.family == TRAPEZOID else 1e-3
-    xs = np.linspace(-t1, t1, int(2 * t1 / step) + 1)
-    core = np.trapezoid(kernel(spec, xs), xs)
+    width = 2.0 * t1 / _MASS_PANELS
+    nodes, wts = unit_gl_rule(_MASS_NODES)
+    starts = -t1 + width * np.arange(_MASS_PANELS)
+    xs = (starts[:, None] + width * nodes).ravel()
+    core = width * np.sum(kernel(spec, xs).reshape(_MASS_PANELS, -1) @ wts)
     tail = 1.0 - integrated_kernel(spec, t1) + integrated_kernel(spec, -t1)
     mass = core + tail
     if abs(mass - 1.0) > 10.0 * tol:

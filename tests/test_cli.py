@@ -740,13 +740,14 @@ class TestKernelTable:
         assert "max_points=400000" in err["error"]["message"]
 
     def test_gauss_legendre_order_cap_is_domain_error(self, capsys):
-        # the tail of this smooth kernel ends at 16384, which would need a
-        # rule of 11552 nodes; refused before the rule is built
+        # the tail search of this smooth kernel passes t = 8192, which
+        # would need a rule of 5824 nodes; refused there, before the
+        # rule is built
         code, doc, err = run_cli(capsys, "kernel-table", "--kernel",
                                  "smooth", "--c", "0.7")
         assert code == 5 and doc is None
         assert err["error"]["kind"] == "domain"
-        assert err["error"]["message"] == ("Gauss-Legendre order 11552 "
+        assert err["error"]["message"] == ("Gauss-Legendre order 5824 "
                                            "exceeds the cap of 4096 nodes")
 
 

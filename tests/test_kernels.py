@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import ftcdf.kernels as kernels
 from ftcdf.bandwidth import default_rule
@@ -253,12 +258,96 @@ def test_grid_budget_edge(monkeypatch):
 
 
 def test_mass_refusal_prints_a_plain_float():
-    # the reference smooth kernel's mass is off unity by about 1.8e-12
+    # the reference trapezoid's panel mass is off unity by about 1.3e-14
     with pytest.raises(QuadratureError) as exc:
-        kernels._certify_mass(SMOOTH_REF, 256.0, 1e-15)
+        kernels._certify_mass(TRAP, get_table(TRAP, 1e-8).tail_cutoff, 1e-16)
     message = str(exc.value)
-    assert message.startswith("kernel mass 1.0000000000")
+    assert message.startswith("kernel mass 0.99999999999998")
     assert "np.float64" not in message
+
+
+@pytest.mark.parametrize("spec", [
+    FlatTopSpec(SMOOTH, 0.05), FlatTopSpec(SMOOTH, 0.3),
+    FlatTopSpec(TRAPEZOID, 0.05), FlatTopSpec(TRAPEZOID, 0.3), TRAP])
+def test_panel_mass_is_unity_to_rounding(spec):
+    # refused beyond 10*tol, so this passes only if |mass - 1| <= 1e-13
+    kernels._certify_mass(spec, get_table(spec, 1e-8).tail_cutoff, 1e-14)
+
+
+def test_smooth_kernel_at_a_large_radius_is_refused_at_once():
+    # the tail search stops where the transforms' order passes the cap
+    with pytest.raises(QuadratureError,
+                       match="Gauss-Legendre order 5824 exceeds the cap"):
+        build_table(FlatTopSpec(SMOOTH, 0.75))
+
+
+def _oracle_kbar(tab, args: np.ndarray) -> np.ndarray:
+    """kbar through scipy's CubicSpline, clamped beyond the tail cutoff."""
+    out = CubicSpline(tab.grid, tab.kbar_values)(args)
+    out[args < -tab.tail_cutoff] = 0.0
+    out[args > tab.tail_cutoff] = 1.0
+    return out
+
+
+def _spline_arguments(tab, seed: int) -> np.ndarray:
+    """Every knot and midpoint, +-T and beyond, normal draws, and rows
+    of descending arguments as the estimators' kernel sum makes them."""
+    rng = np.random.default_rng(seed)
+    T = tab.tail_cutoff
+    points = np.linspace(-4.0, 4.0, 40)
+    locations = np.sort(rng.normal(size=300))
+    rows = (points[:, None] - locations[None, :]) / 0.05
+    return np.concatenate([
+        tab.grid, 0.5 * (tab.grid[:-1] + tab.grid[1:]),
+        [-T, T, np.nextafter(-T, 0.0), np.nextafter(T, 0.0), -T - 1.0,
+         T + 1.0, 0.0, -0.0],
+        rng.normal(0.0, 3.0, 100_000), rng.normal(0.0, 30.0, 100_000),
+        rows.ravel()])
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
+def test_spline_is_scipys_not_a_knot_bit_for_bit(spec, tol):
+    tab = get_table(spec, tol)
+    oracle = CubicSpline(tab.grid, tab.kbar_values)
+    assert tab._kbar_spline.coef.tobytes() == oracle.c.tobytes()
+    args = _spline_arguments(tab, 5)
+    assert tab.kbar(args).tobytes() == _oracle_kbar(tab, args).tobytes()
+    # 2-d arguments keep their shape and their bits
+    rows = args[:40 * 300].reshape(40, 300)
+    assert tab.kbar(rows).tobytes() == _oracle_kbar(tab, rows).tobytes()
+
+
+@pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
+def test_coarse_buckets_step_up_to_the_same_bits(spec, monkeypatch):
+    fine = get_table(spec, 1e-8)
+    monkeypatch.setattr(kernels, "_BUCKET_SCALE", 64.0)
+    coarse = kernels._KbarSpline(fine.grid, fine.kbar_values)
+    # buckets now hold dozens of knots, which the points step up past
+    assert coarse._start.size * 16 < fine.grid.size
+    args = _spline_arguments(fine, 6)
+    mid = np.abs(args) <= fine.tail_cutoff
+    oracle = CubicSpline(fine.grid, fine.kbar_values)
+    assert coarse(args[mid]).tobytes() == oracle(args[mid]).tobytes()
+
+
+def test_nan_argument_stays_nan():
+    tab = get_table(TRAP, 1e-8)
+    out = tab.kbar(np.array([0.5, np.nan, -0.5]))
+    assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+
+
+def test_tables_import_no_scipy_interpolate():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, ftcdf.cli\n"
+            "from ftcdf.kernels import FlatTopSpec, get_table\n"
+            "get_table(FlatTopSpec('trapezoid')); get_table(FlatTopSpec('smooth'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('scipy.interpolate')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_get_table_caches():

@@ -36,10 +36,10 @@ RUNS = (
     ["bandwidth", "--method", "cv"],
 )
 # flat radii drawn for the kernels; a small set keeps tables and cross
-# moments cached.  The smooth family at c = 0.75 is left out: its table
-# and cross moment are refused (exit 5) after 10 to 11 s each.
+# moments cached.  The smooth family at c = 0.75 is refused (exit 5):
+# its tail reaches past what its Gauss-Legendre transforms can resolve.
 RADII = (0.05, 0.1, 0.3, 0.75)
-SMOOTH_RADII = RADII[:3]
+SMOOTH_RADII = RADII
 
 
 def _choices(command: str, flag: str):
@@ -108,15 +108,16 @@ def test_cli_contract_on_random_samples(text, c):
             assert all(0.0 <= v <= 1.0 for v in values), argv
         sample = read_sample_csv(str(path))
         # a smooth kernel off the reference has no rule radius, and a
-        # fixed bandwidth needs none; only a sample without events, or
-        # censored data passed to estimate, is refused
+        # fixed bandwidth needs none; only a sample without events,
+        # censored data passed to estimate, or the untabulable c = 0.75
+        # is refused
         for command in ("estimate", "survival"):
             argv = [command, "--input", str(path), "--kernel", "smooth",
                     "--c", repr(c), "--bandwidth", "0.3", "--grid",
                     "-1:1:9"]
             code, out, err = _run(argv)
-            fits = sample.event.any() and (command == "survival"
-                                           or sample.event.all())
+            fits = c != 0.75 and sample.event.any() and (
+                command == "survival" or sample.event.all())
             assert code == (0 if fits else 5), (argv, code, err)
             doc = _one_document(out if fits else err)
             if fits:

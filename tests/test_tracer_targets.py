@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = ROOT / "src"
 
-# stale entries the benchmark still lists; see ROADMAP item 5
+# stale entries the benchmark still lists; see ROADMAP item 1
 KNOWN_MISSING = {("ftcdf.bandwidth", "cv_bandwidth_gaussian")}
 
 

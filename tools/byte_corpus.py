@@ -91,6 +91,10 @@ def commands():
     yield ("kernel-table-smooth-c0.1",
            ["kernel-table", "--kernel", "smooth", "--c", "0.1",
             "--output", "OUT/table.csv", "--json", "OUT/table.json"])
+    # a smooth kernel whose flat radius is too large to tabulate: refused
+    yield ("kernel-table-smooth-c0.75",
+           ["kernel-table", "--kernel", "smooth", "--c", "0.75",
+            "--output", "OUT/table.csv", "--json", "OUT/table.json"])
     yield ("estimate-smooth-c0.1-fixed-normal",
            ["estimate", "--input", "inputs/normal.csv", "--kernel", "smooth",
             "--c", "0.1", "--bandwidth", "0.3", "--output", "OUT/curve.csv"])
