@@ -18,7 +18,13 @@ from scipy.special import ndtr
 from .estimators import (MAX_KERNEL_TERMS, CensoredSample,
                          DegenerateSampleError)
 
-_ECF_BLOCK = 1 << 20
+# complex values per array of the ECF; blocks that stay in cache made
+# the exp about twice as fast as blocks of 2**20
+_ECF_BLOCK = 1 << 16
+# frequencies per block of the ECF's phase recurrence on a linspace grid
+_ECF_ROWS = 64
+# values per array of the cross-validation
+_CV_BLOCK = 1 << 20
 # sizes of the default frequency and CV bandwidth grids, and of the
 # trapezoidal grid each CV score integrates over
 _FREQ_POINTS = 512
@@ -34,6 +40,13 @@ class NoPlateauError(Exception):
     """
 
 
+def _check_freqs(freqs: np.ndarray, shape) -> None:
+    if freqs.ndim != 1 or freqs.size == 0 or freqs.shape != shape:
+        raise ValueError("freqs/magnitudes must be matching 1d arrays")
+    if freqs[0] < 0.0 or not np.all(np.diff(freqs) > 0):
+        raise ValueError("freqs must be nonnegative strictly ascending")
+
+
 @dataclass(frozen=True)
 class EcfCurve:
     """|ECF| sampled on an ascending nonnegative frequency grid."""
@@ -44,10 +57,7 @@ class EcfCurve:
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
         mags = np.asarray(self.magnitudes, dtype=float)
-        if freqs.ndim != 1 or freqs.size == 0 or freqs.shape != mags.shape:
-            raise ValueError("freqs/magnitudes must be matching 1d arrays")
-        if freqs[0] < 0.0 or not np.all(np.diff(freqs) > 0):
-            raise ValueError("freqs must be nonnegative strictly ascending")
+        _check_freqs(freqs, mags.shape)
         if self.n < 1:
             raise ValueError("n must be positive")
         object.__setattr__(self, "freqs", freqs)
@@ -104,19 +114,46 @@ def ecf(sample: CensoredSample, freqs) -> EcfCurve:
     Uncensored data uses the normalized (1/n) sum; censored data weights
     each distinct event time by its Kaplan-Meier jump mass, without
     renormalizing when the total mass is below 1.
+
+    On a linspace grid of spacing dt, blocks of _ECF_ROWS frequencies
+    start from a direct exp(i t0 x) and step by powers w**k of
+    w = exp(i dt x); the magnitudes agree with the direct sum to about
+    1e-15 (1e-14 max|t x| at worst).  Any other grid takes one row per
+    block, which is the direct sum.
     """
     freqs = np.asarray(freqs, dtype=float)
     step = sample.jumps
-    terms = freqs.size * step.locations.size
+    x, heights = step.locations, step.heights
+    terms = freqs.size * x.size
     if terms > MAX_KERNEL_TERMS:
         raise ValueError(f"the ECF needs {terms} terms (frequencies x "
                          f"jumps), above the cap of {MAX_KERNEL_TERMS}")
-    mags = np.empty(freqs.shape, dtype=float)
-    rows = max(1, _ECF_BLOCK // max(1, step.locations.size))
-    for i in range(0, freqs.size, rows):
-        blk = freqs[i:i + rows]
-        phases = np.exp(1j * blk[:, None] * step.locations[None, :])
-        mags[i:i + rows] = np.abs(phases @ step.heights)
+    _check_freqs(freqs, freqs.shape)
+    # the blocks never form the largest phase freqs[-1] max|x|; form it,
+    # so that an overflow raises under np.errstate(over="raise")
+    np.multiply(freqs[-1:], np.max(np.abs(x), initial=0.0))
+    uniform = np.array_equal(
+        freqs, np.linspace(freqs[0], freqs[-1], freqs.size))
+    rows = min(_ECF_ROWS if uniform else 1, freqs.size)
+    dt = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
+    starts = freqs[::rows]
+    # sums[k, b] is the ECF at frequency starts[b] + k dt
+    sums = np.zeros((rows, starts.size), dtype=complex)
+    cols = max(1, _ECF_BLOCK // max(rows, starts.size))
+    for j in range(0, x.size, cols):
+        xj = x[j:j + cols]
+        # powers[k] holds heights times w**k
+        powers = np.empty((rows, xj.size), dtype=complex)
+        powers[0] = heights[j:j + cols]
+        w, k = np.exp(1j * (dt * xj)), 1
+        while k < rows:
+            # rows k .. 2k-1 are rows 0 .. k-1 times w**k
+            m = min(k, rows - k)
+            np.multiply(powers[:m], w, out=powers[k:k + m])
+            w *= w
+            k *= 2
+        sums += powers @ np.exp((1j * starts[:, None]) * xj).T
+    mags = np.abs(sums.T.ravel()[:freqs.size])
     np.clip(mags, 0.0, 1.0, out=mags)
     return EcfCurve(freqs, mags, sample.n)
 
@@ -190,8 +227,8 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
                          f"bandwidths), above the cap of {MAX_KERNEL_TERMS}")
     w = s / np.unique(events, return_counts=True)[1]
     rest = (step.total_mass - w)[:, None]
-    # quadrature points per block: arrays of about _ECF_BLOCK values
-    cols = max(1, _ECF_BLOCK // loc.size)
+    # quadrature points per block: arrays of about _CV_BLOCK values
+    cols = max(1, _CV_BLOCK // loc.size)
     sq = np.empty(_CV_QUAD_POINTS)
     best_h, best_cv = None, np.inf
     for h in h_grid:

@@ -222,7 +222,12 @@ def _smooth_tail_cutoff(spec, tol: float) -> float:
     while t <= 2.2e5:
         # a cutoff the smooth transforms cannot reach is refused here,
         # before any quadrature at t
-        _gl_order(t)
+        try:
+            _gl_order(t)
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"smooth kernel at c={float(spec.c)!r}: {exc}; --c is too "
+                "large for the smooth family") from exc
         gap = abs(1.0 - integrated_kernel_by_quad(spec, t, tol=tol / 20))
         if gap < 0.5 * tol:
             gap2 = abs(1.0 - integrated_kernel_by_quad(spec, 2 * t, tol=tol / 20))

@@ -55,6 +55,31 @@ def cv_bandwidth_gaussian(sample: CensoredSample, h_grid,
     return best_h
 
 
+def direct_ecf(sample: CensoredSample, freqs: np.ndarray) -> np.ndarray:
+    """Oracle: |sum_j s_j exp(i t x_j)|, one complex exp per term."""
+    step = sample.jumps
+    return np.abs(np.exp(1j * np.outer(freqs, step.locations))
+                  @ step.heights)
+
+
+def assert_matches_direct(sample: CensoredSample, freqs) -> None:
+    freqs = np.asarray(freqs, dtype=float)
+    got = ecf(sample, freqs).magnitudes
+    phases = np.outer(freqs, sample.jumps.locations)
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(phases))))
+    assert got.shape == freqs.shape
+    assert np.max(np.abs(got - np.clip(direct_ecf(sample, freqs), 0.0, 1.0))
+                  ) <= tol
+
+
+def mixed_samples():
+    """An iid sample and a censored one with ties, both of scale 3."""
+    rng = np.random.default_rng(17)
+    x = np.round(3.0 * rng.standard_normal(400), 2)
+    return (CensoredSample.uncensored(x),
+            CensoredSample(x, rng.random(400) < 0.6))
+
+
 def normal_curve(n: int, grid: np.ndarray) -> EcfCurve:
     return EcfCurve(grid, np.exp(-grid ** 2 / 2.0), n)
 
@@ -85,6 +110,45 @@ class TestEcf:
                            np.array([True, True, False]))
         curve = ecf(s, np.array([0.0]))
         assert curve.magnitudes[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lo", [0.0, 0.7])
+    @pytest.mark.parametrize("points", [1, 2, 63, 64, 65, 512])
+    def test_uniform_grid_matches_direct_sum(self, points, lo):
+        for sample in mixed_samples():
+            assert_matches_direct(sample, np.linspace(lo, lo + 9.0, points))
+
+    @pytest.mark.parametrize("freqs", [
+        [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0],
+        [0.25, 7.5],
+        np.sort(np.random.default_rng(5).uniform(0.0, 12.0, 130))])
+    def test_comma_list_grid_matches_direct_sum(self, freqs):
+        for sample in mixed_samples():
+            assert_matches_direct(sample, freqs)
+
+    @pytest.mark.parametrize("block", [1, 64 * 7, 1000])
+    def test_column_chunks_match_direct_sum(self, monkeypatch, block):
+        # the sample's jumps are split into chunks of block // 64 columns
+        # on a uniform grid and block // 130 on the 130-point list
+        monkeypatch.setattr(bandwidth, "_ECF_BLOCK", block)
+        grid = np.sort(np.random.default_rng(5).uniform(0.0, 12.0, 130))
+        for sample in mixed_samples():
+            assert_matches_direct(sample, np.linspace(0.0, 9.0, 200))
+            assert_matches_direct(sample, grid)
+
+    def test_largest_phase_overflow_raises(self):
+        s = CensoredSample.uncensored(np.array([-2.0, 0.5, 3.0]))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                ecf(s, np.linspace(0.0, 1e308, 5))
+            with pytest.raises(FloatingPointError):
+                ecf(s, np.array([0.0, 1.0, 1e308]))
+
+    @pytest.mark.parametrize("freqs", [[1.0, 0.5], [-1.0, 0.5], [0.0, 0.0],
+                                       [], [[0.0, 1.0]]])
+    def test_grid_is_validated(self, freqs):
+        s = CensoredSample.uncensored(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            ecf(s, np.array(freqs, dtype=float))
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -307,7 +371,7 @@ class TestCrossValidation:
         one_block = [cv_bandwidth_km(s, default_cv_grid(s))
                      for s in samples]
         for block in (1, 600, 2600):
-            monkeypatch.setattr(bandwidth, "_ECF_BLOCK", block)
+            monkeypatch.setattr(bandwidth, "_CV_BLOCK", block)
             assert [cv_bandwidth_km(s, default_cv_grid(s))
                     for s in samples] == one_block
 

@@ -747,8 +747,9 @@ class TestKernelTable:
                                  "smooth", "--c", "0.7")
         assert code == 5 and doc is None
         assert err["error"]["kind"] == "domain"
-        assert err["error"]["message"] == ("Gauss-Legendre order 5824 "
-                                           "exceeds the cap of 4096 nodes")
+        assert err["error"]["message"] == (
+            "smooth kernel at c=0.7: Gauss-Legendre order 5824 exceeds the "
+            "cap of 4096 nodes; --c is too large for the smooth family")
 
 
 class TestSimulate:

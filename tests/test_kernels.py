@@ -276,8 +276,10 @@ def test_panel_mass_is_unity_to_rounding(spec):
 
 def test_smooth_kernel_at_a_large_radius_is_refused_at_once():
     # the tail search stops where the transforms' order passes the cap
-    with pytest.raises(QuadratureError,
-                       match="Gauss-Legendre order 5824 exceeds the cap"):
+    with pytest.raises(QuadratureError, match=(
+            r"^smooth kernel at c=0\.75: Gauss-Legendre order 5824 exceeds "
+            r"the cap of 4096 nodes; --c is too large for the smooth "
+            r"family$")):
         build_table(FlatTopSpec(SMOOTH, 0.75))
 
 

@@ -4,10 +4,12 @@ on random inputs the CLI accepts.
 Samples of 1 to 60 rows, with ties, 0-100 % censoring and magnitudes
 from 1e-310 to 1e300, go through estimate and survival (default kernel
 and Gaussian, standardized; and smooth kernels off the reference at a
-fixed bandwidth) and bandwidth (auto and cv), in process.  deficiency
-takes argv drawn from the parser's own choices, with valid and invalid
-values.  Each run exits 0, 4 or 5, never with a traceback, and writes
-exactly one strict JSON document: to stdout on success, else to stderr.
+fixed bandwidth) and bandwidth (auto and cv, also on a drawn
+--freq-grid with --ecf-out, whose magnitudes must lie in [0, 1]), in
+process.  deficiency takes argv drawn from the parser's own choices,
+with valid and invalid values.  Each run exits 0, 4 or 5, never with a
+traceback, and writes exactly one strict JSON document: to stdout on
+success, else to stderr.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from ftcdf.cli import build_parser, main
 from ftcdf.estimators import edf
-from ftcdf.io import read_sample_csv
+from ftcdf.io import parse_grid, read_sample_csv
 from ftcdf.survival import kaplan_meier
 
 RUNS = (
@@ -128,6 +130,43 @@ def test_cli_contract_on_random_samples(text, c):
         km, ecdf = kaplan_meier(sample), edf(sample)
         assert km.locations.tobytes() == ecdf.locations.tobytes()
         assert km.heights.tobytes() == ecdf.heights.tobytes()
+
+
+@st.composite
+def freq_grids(draw) -> str:
+    """--freq-grid text: lo:hi:count, or a short comma list, ascending
+    unless drawn otherwise; negative, reversed, empty and overflowing
+    grids are among them."""
+    edge = st.sampled_from((-1.0, 0.0, 1e308))
+    if draw(st.booleans()):
+        lo = draw(st.one_of(st.floats(0.0, 2.0), edge))
+        hi = draw(st.one_of(st.floats(4.0, 40.0), edge))
+        return f"{lo!r}:{hi!r}:{draw(st.integers(0, 600))}"
+    points = draw(st.lists(st.one_of(st.floats(0.0, 20.0), edge),
+                           min_size=1, max_size=12, unique=True))
+    if draw(st.integers(0, 3)):
+        points.sort()
+    return ",".join(map(repr, points))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sample_csvs(), freq_grids(),
+       st.sampled_from(_choices("bandwidth", "--method")))
+def test_bandwidth_freq_grid_contract(text, grid, method):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, curve = Path(tmp) / "sample.csv", Path(tmp) / "ecf.csv"
+        path.write_text(text)
+        argv = ["bandwidth", "--input", str(path), "--method", method,
+                f"--freq-grid={grid}", "--ecf-out", str(curve)]
+        code, out, err = _run(argv)
+        assert code in (0, 4, 5), (argv, code, err)
+        _one_document(out if code == 0 else err)
+        assert (err if code == 0 else out) == "", argv
+        if code == 0:
+            rows = np.loadtxt(curve, delimiter=",", skiprows=1, ndmin=2)
+            assert rows[:, 0].tobytes() == parse_grid(grid).tobytes(), argv
+            assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0)), argv
 
 
 _VALUES = st.one_of(st.none(), st.sampled_from((0.0, 0.5, 1.0, 2.0, -1.0)),

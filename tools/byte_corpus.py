@@ -49,6 +49,9 @@ BANDWIDTH_VARIANTS = (
     ("cv", ["--method", "cv"]),
     ("cv-freq-grid-ecf-out", ["--method", "cv", "--freq-grid", "0:5:11",
                               "--ecf-out", "OUT/ecf.csv"]),
+    # a comma list that is not a linspace: the ECF's one-row blocks
+    ("freq-list-ecf-out", ["--freq-grid", "0,0.25,0.5,1,1.5,2,3,4,5,6,8,10",
+                           "--ecf-out", "OUT/ecf.csv"]),
 )
 DEFICIENCY = (
     ("assumption", ["--assumption", "exponential", "--d", "1", "--F", "0.5",
