@@ -3,12 +3,12 @@
 Subcommands: estimate, survival, bandwidth, deficiency, simulate,
 kernel-table.  Every successful run prints one JSON document to stdout
 holding the fully resolved configuration (all defaults filled in) plus
-any inline results, and writes requested CSV/JSON artifacts to the
-given paths.  Failures print an error JSON to stderr and exit with a
-distinct code per error class: 2 usage (argparse, including a float
-flag that is not finite), 3 I/O, 4 parse, 5 domain (including a kernel
-table that cannot be certified, a result that is not finite, and a
-numpy overflow, invalid operation or division by zero).
+any inline results, and writes at most one CSV, to the path given.
+Failures print an error JSON to stderr and exit with a distinct code
+per error class: 2 usage (argparse, including a float flag that is not
+finite), 3 I/O, 4 parse, 5 domain (including a kernel table that
+cannot be certified, a result that is not finite, and a numpy
+overflow, invalid operation or division by zero).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from .survival import smoothed_survival_on_grid
 EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_DOMAIN = 5
-# version of the kernel-table JSON export
-TABLE_SCHEMA = 1
 
 GAUSSIAN = "gaussian"
 # stages named in a numpy floating-point error, with the flags that set them
@@ -117,15 +115,6 @@ def _resolve_grid(args, sample, h):
     return np.linspace(lo, hi, 121), text
 
 
-def _write_artifacts(args, csv_text, json_doc):
-    """Writes --output and --json if given; returns the outputs entry."""
-    if args.output:
-        iolib.write_text(args.output, csv_text)
-    if args.json_out:
-        iolib.write_text(args.json_out, iolib.dump_json(json_doc))
-    return {"csv": args.output, "json": args.json_out}
-
-
 def _cmd_curve(args):
     """estimate and survival: a smoothed CDF or survival curve."""
     survival = args.command == "survival"
@@ -166,6 +155,9 @@ def _cmd_bandwidth(args):
     sample = iolib.read_sample_csv(args.input)
     if args.freq_grid is not None:
         freqs = iolib.parse_grid(args.freq_grid)
+        if freqs[0] < 0.0:
+            raise iolib.ParseError(f"--freq-grid {args.freq_grid!r}: "
+                                   "frequencies must be nonnegative")
         grid_text = args.freq_grid
     else:
         freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
@@ -280,24 +272,21 @@ def _cmd_kernel_table(args):
         raise ValueError("kernel-table exports flat-top tables; the "
                          "Gaussian kernel has closed forms")
     table, desc = _kernel_from_args(args)
-    # K is even: evaluated directly on the nonnegative half of the grid
-    k_half = kernel(table.spec, table.grid[table.grid.size // 2:])
-    k_values = np.concatenate([k_half[:0:-1], k_half])
-    payload = {
+    if args.output:
+        # K is even: evaluated directly on the nonnegative half of the grid
+        k_half = kernel(table.spec, table.grid[table.grid.size // 2:])
+        k_values = np.concatenate([k_half[:0:-1], k_half])
+        lines = ["x,k,kbar"]
+        for x, k, kb in zip(table.grid, k_values, table.kbar_values):
+            lines.append(f"{float(x)!r},{float(k)!r},{float(kb)!r}")
+        iolib.write_text(args.output, "\n".join(lines) + "\n")
+    return {
         "command": "kernel-table",
-        "resolved_config": {"kernel": desc, "output": args.output,
-                            "json": args.json_out},
+        "resolved_config": {"kernel": desc, "output": args.output},
         "points": int(table.grid.size),
         "tail_cutoff": table.tail_cutoff,
+        "outputs": {"csv": args.output},
     }
-    lines = ["x,k,kbar"]
-    for x, k, kb in zip(table.grid, k_values, table.kbar_values):
-        lines.append(f"{float(x)!r},{float(k)!r},{float(kb)!r}")
-    doc = {**desc, "schema": TABLE_SCHEMA, "tail_cutoff": table.tail_cutoff,
-           "grid": table.grid.tolist(), "k_values": k_values.tolist(),
-           "kbar_values": table.kbar_values.tolist()}
-    payload["outputs"] = _write_artifacts(args, "\n".join(lines) + "\n", doc)
-    return payload
 
 
 def _finite_json_number(text: str) -> float:
@@ -349,14 +338,14 @@ def _cmd_simulate(args):
         "resolved_config": {"scenario": sc.to_dict(),
                             "estimators": list(estimators),
                             "workers": args.workers,
-                            "output": args.output,
-                            "json": args.json_out},
+                            "output": args.output},
         "retries": [list(r) for r in report.retries],
     }
-    doc = report.to_dict()
-    if not args.output and not args.json_out:
-        payload["cells"] = doc["cells"]
-    payload["outputs"] = _write_artifacts(args, report.to_csv(), doc)
+    if args.output:
+        iolib.write_text(args.output, report.to_csv())
+    else:
+        payload["cells"] = [asdict(c) for c in report.cells]
+    payload["outputs"] = {"csv": args.output}
     payload["diagnostics"] = {"blas": report.blas.to_dict()}
     return payload
 
@@ -433,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-table")
     p.add_argument("--output", default=None, help="table CSV path")
-    p.add_argument("--json", default=None, dest="json_out",
-                   help="table JSON path")
     _add_kernel_flags(p)
     p.add_argument("--tol", type=_finite_float, default=1e-8,
                    help="kernel table certification tolerance")
@@ -456,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "OpenBLAS at one thread and then restores the "
                         "caller's setting")
     p.add_argument("--output", default=None, help="MseReport CSV path")
-    p.add_argument("--json", default=None, dest="json_out")
     p.set_defaults(func=_cmd_simulate)
 
     # grid specs like -3:3:121 start with a dash; without this argparse

@@ -97,7 +97,8 @@ def read_sample_csv(path: str) -> CensoredSample:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Evaluation grid from `lo:hi:count` or a comma list of finite points."""
+    """Evaluation grid from `lo:hi:count` or a comma list: finite,
+    strictly ascending points in either form."""
     s = text.strip()
     if ":" in s:
         parts = s.split(":")
@@ -128,11 +129,12 @@ def parse_grid(text: str) -> np.ndarray:
         if pts.size > MAX_GRID_POINTS:
             raise ParseError(f"grid of {pts.size} points: at most "
                              f"{MAX_GRID_POINTS} are allowed")
-        if np.any(np.diff(pts) <= 0):
-            raise ParseError(f"grid {text!r}: points must be strictly "
-                             "ascending")
     if not np.all(np.isfinite(pts)):
         raise ParseError(f"grid {text!r}: points must be finite")
+    # compared, not subtracted: the gap between finite points can overflow
+    if np.any(pts[1:] <= pts[:-1]):
+        raise ParseError(f"grid {text!r}: points must be strictly "
+                         "ascending")
     return pts
 
 

@@ -243,21 +243,6 @@ class MseReport:
                          f"{c.bias!r},{c.variance!r},{se},{c.reps}")
         return "\n".join(lines) + "\n"
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "scenario": self.scenario,
-            "estimand": self.estimand,
-            "seed": self.seed,
-            "replications": self.replications,
-            "retries": [list(r) for r in self.retries],
-            "cells": [{
-                "estimator": c.estimator, "t": c.t, "n": c.n,
-                "mse": c.mse, "bias": c.bias, "variance": c.variance,
-                "se": c.se, "reps": c.reps,
-            } for c in self.cells],
-        }
-
 
 def _loaded_openblas_paths() -> list:
     """Paths of the OpenBLAS libraries mapped into this process."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from ftcdf.io import read_sample_csv
 from ftcdf.asymptotics import (BAND_LIMITED, EXPONENTIAL, POLYNOMIAL,
                                SmoothnessClass, edf_deficiency)
 from ftcdf.kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, get_table,
-                           kernel_cross_moment)
+                           kernel, kernel_cross_moment)
 from ftcdf.simulate import builtin_scenario, run_scenario
 from ftcdf.survival import smoothed_survival_on_grid
 
@@ -224,13 +225,23 @@ class TestEstimate:
         assert code == 4 and err["error"]["kind"] == "parse"
         assert "line 4" in err["error"]["message"]
 
-    @pytest.mark.parametrize("grid", ["nan", "0,nan", "nan:1:5", "0:inf:3"])
+    @pytest.mark.parametrize("grid", ["nan", "0,nan", "nan:1:5", "0:inf:3",
+                                      "inf,inf"])
     def test_nonfinite_grid_is_parse_error(self, capsys, sample_csv, grid):
         code, doc, err = run_cli(capsys, "estimate", "--input", sample_csv,
                                  "--grid", grid)
         assert code == 4 and doc is None
         assert err["error"]["kind"] == "parse"
         assert grid in err["error"]["message"]
+
+    def test_repeated_range_grid_is_parse_error(self, capsys, sample_csv):
+        # lo == hi with count > 1 repeats a point, as "0,0,0" does
+        code, doc, err = run_cli(capsys, "estimate", "--input", sample_csv,
+                                 "--grid", "0:0:3")
+        assert code == 4 and doc is None
+        assert err["error"] == {"kind": "parse", "message":
+                                "grid '0:0:3': points must be strictly "
+                                "ascending"}
 
     def test_oversized_grid_is_parse_error(self, capsys, sample_csv):
         code, doc, err = run_cli(capsys, "estimate", "--input", sample_csv,
@@ -268,6 +279,10 @@ class TestEstimate:
                     for flag, value in (("--b", "1"), ("--json", "d.json"),
                                         ("--tol", "1e-8"))]
         removed.append(["kernel-table", "--b", "1"])
+        # the stdout document and the CSV are the whole record of a run
+        removed.append(["kernel-table", "--json", "F"])
+        removed.append(["simulate", "--scenario", "normal-iid",
+                        "--json", "F"])
         # the rule radius is read by fits only, and deficiency works out
         # the cross moment from its kernel flags
         removed.append(["kernel-table", "--effective-c", "0.5"])
@@ -437,6 +452,19 @@ class TestBandwidth:
                                  "--method", method, "--freq-grid", "0:5:x")
         assert code == 4 and doc is None
         assert err["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("method", ["auto", "cv"])
+    @pytest.mark.parametrize("grid,message", [
+        ("-1:1:5", "--freq-grid '-1:1:5': frequencies must be nonnegative"),
+        ("-1,0.5", "--freq-grid '-1,0.5': frequencies must be nonnegative"),
+        ("0:0:5", "grid '0:0:5': points must be strictly ascending")])
+    def test_refused_freq_grid_is_parse_error(self, capsys, sample_csv,
+                                              method, grid, message):
+        # refused as it is read, whether or not the method reads an ECF
+        code, doc, err = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                                 "--method", method, f"--freq-grid={grid}")
+        assert code == 4 and doc is None
+        assert err["error"] == {"kind": "parse", "message": message}
 
     def test_cv_method_on_censored_input(self, capsys, censored_csv):
         code, doc, _ = run_cli(capsys, "bandwidth", "--input", censored_csv,
@@ -684,13 +712,16 @@ class TestDeficiency:
 
 
 class TestKernelTable:
-    def test_csv_and_json_artifacts(self, capsys, tmp_path):
+    def test_csv_artifact(self, capsys, tmp_path):
         out = str(tmp_path / "tab.csv")
-        jout = str(tmp_path / "tab.json")
         code, doc, _ = run_cli(capsys, "kernel-table", "--kernel",
                                "trapezoid", "--c", "0.5", "--tol", "1e-4",
-                               "--output", out, "--json", jout)
+                               "--output", out)
         assert code == 0
+        assert doc["outputs"] == {"csv": out}
+        assert doc["resolved_config"]["kernel"] == {
+            "family": "trapezoid", "c": 0.5, "b": 1.0, "effective_c": 0.5,
+            "tol": 1e-4}
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "x,k,kbar"
         assert len(lines) == doc["points"] + 1
@@ -699,12 +730,12 @@ class TestKernelTable:
         assert cols.shape == (doc["points"], 3)
         # the raw Kbar column genuinely leaves [0, 1]
         assert cols[:, 2].max() > 1.0 and cols[:, 2].min() < 0.0
-        table = json.loads(Path(jout).read_text())
-        assert table["family"] == "trapezoid" and table["c"] == 0.5
-        assert len(table["grid"]) == doc["points"]
-        np.testing.assert_array_equal(cols.T, [table["grid"],
-                                               table["k_values"],
-                                               table["kbar_values"]])
+        table = get_table(FlatTopSpec(TRAPEZOID, 0.5), 1e-4)
+        assert doc["tail_cutoff"] == table.tail_cutoff
+        assert cols[:, 0].tobytes() == table.grid.tobytes()
+        assert cols[:, 1].tobytes() == kernel(table.spec,
+                                              table.grid).tobytes()
+        assert cols[:, 2].tobytes() == table.kbar_values.tobytes()
 
     @pytest.mark.parametrize("family,c", [("trapezoid", 0.75),
                                           ("smooth", 0.05)])
@@ -715,13 +746,11 @@ class TestKernelTable:
     def test_smooth_kernel_off_reference_needs_no_rule_radius(self, capsys,
                                                               tmp_path):
         # the table never depended on the rule radius
-        out, jout = tmp_path / "tab.csv", tmp_path / "tab.json"
+        out = tmp_path / "tab.csv"
         code, doc, _ = run_cli(capsys, "kernel-table", "--kernel", "smooth",
-                               "--c", "0.1", "--output", str(out),
-                               "--json", str(jout))
+                               "--c", "0.1", "--output", str(out))
         assert code == 0
         assert doc["resolved_config"]["kernel"]["effective_c"] is None
-        assert json.loads(jout.read_text())["effective_c"] is None
         table = get_table(FlatTopSpec(SMOOTH, 0.1, effective_c=0.5))
         cols = np.loadtxt(out, delimiter=",", skiprows=1)
         assert cols[:, 0].tobytes() == table.grid.tobytes()
@@ -773,7 +802,9 @@ class TestSimulate:
         assert code == 0
         assert doc["resolved_config"]["scenario"]["name"] == \
             "polya-bandlimited"
-        assert doc["cells"]
+        # without --output the cells are the stdout document's
+        assert doc["outputs"] == {"csv": None}
+        assert doc["cells"] == [asdict(c) for c in run_scenario(sc).cells]
 
     def test_estimator_subset(self, capsys, tmp_path):
         out = str(tmp_path / "sub.csv")
@@ -790,10 +821,10 @@ class TestSimulate:
         if not found:
             monkeypatch.setattr(sim, "_loaded_openblas_paths", lambda: [])
         libs = sim._blas_libraries()
-        out, js = str(tmp_path / "sim.csv"), str(tmp_path / "sim.json")
+        out = str(tmp_path / "sim.csv")
         code, doc, _ = run_cli(capsys, "simulate", "--scenario",
                                "normal-iid", "--n", "15", "--reps", "4",
-                               "--seed", "9", "--output", out, "--json", js)
+                               "--seed", "9", "--output", out)
         assert code == 0
         assert doc["diagnostics"] == {"blas": {
             "libraries": [name for name, _, _ in libs],
@@ -801,10 +832,8 @@ class TestSimulate:
             "study_threads": 1 if libs else None}}
         sc = builtin_scenario("normal-iid", seed=9, replications=4,
                               sample_sizes=(15,))
-        report = run_scenario(sc)
-        assert Path(out).read_text() == report.to_csv()
-        assert json.loads(Path(js).read_text()) == {"schema": 1,
-                                               **report.to_dict()}
+        assert Path(out).read_text() == run_scenario(sc).to_csv()
+        assert "cells" not in doc
 
     def test_invalid_scenario_json(self, capsys, tmp_path):
         # malformed JSON, and well-formed JSON whose top level is no object
@@ -1004,9 +1033,8 @@ class TestFiniteFlags:
             "deficiency": ["--F", "--a", "--assumption", "--c", "--d",
                            "--expansion-base", "--expansion-better",
                            "--f", "--kernel", "--n", "--p"],
-            "kernel-table": ["--c", "--json", "--kernel", "--output",
-                             "--tol"],
-            "simulate": ["--estimators", "--json", "--n", "--output",
+            "kernel-table": ["--c", "--kernel", "--output", "--tol"],
+            "simulate": ["--estimators", "--n", "--output",
                          "--reps", "--scenario", "--seed", "--workers"],
         }
         got = {command: sorted(s for a in p._actions for s in a.option_strings

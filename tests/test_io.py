@@ -144,6 +144,20 @@ class TestParseGrid:
 
     def test_single_point_range(self):
         assert parse_grid("2:2:1").tolist() == [2.0]
+        assert parse_grid("0:0:1").tolist() == [0.0]
+
+    @pytest.mark.parametrize("text", ["0:0:3", "2:2:2", "0,0,0",
+                                      "0:1e-320:5000"])
+    def test_repeated_points_rejected(self, text):
+        # a range repeats a point when lo == hi, or when its step is
+        # below the spacing of floats near lo
+        with pytest.raises(ParseError, match=f"grid {text!r}: points must"):
+            parse_grid(text)
+
+    def test_widest_finite_comma_list(self):
+        # the gap between the points overflows; they are compared only
+        with np.errstate(over="raise"):
+            assert parse_grid("-1e308,1e308").tolist() == [-1e308, 1e308]
 
     def test_comma_list(self):
         assert parse_grid("0.75,1.25,1.75").tolist() == [0.75, 1.25, 1.75]

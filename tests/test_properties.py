@@ -7,9 +7,10 @@ and Gaussian, standardized; and smooth kernels off the reference at a
 fixed bandwidth) and bandwidth (auto and cv, also on a drawn
 --freq-grid with --ecf-out, whose magnitudes must lie in [0, 1]), in
 process.  deficiency takes argv drawn from the parser's own choices,
-with valid and invalid values.  Each run exits 0, 4 or 5, never with a
-traceback, and writes exactly one strict JSON document: to stdout on
-success, else to stderr.
+with valid and invalid values, and kernel-table runs every --kernel
+choice at four flat radii and three tolerances.  Each run exits 0, 4 or
+5, never with a traceback, and writes exactly one strict JSON document:
+to stdout on success, else to stderr.
 """
 from __future__ import annotations
 
@@ -21,12 +22,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ftcdf.cli import build_parser, main
 from ftcdf.estimators import edf
 from ftcdf.io import parse_grid, read_sample_csv
+from ftcdf.kernels import FlatTopSpec, get_table
 from ftcdf.survival import kaplan_meier
 
 RUNS = (
@@ -210,3 +213,25 @@ def test_deficiency_contract_on_parser_choices(argv):
     if code == 0:
         values = [v["deficiency"] for v in doc["values"]]
         assert values and np.all(np.isfinite(values)), argv
+
+
+@pytest.mark.parametrize("tol", (1e-4, 1e-6, 1e-8))
+@pytest.mark.parametrize("c", RADII)
+@pytest.mark.parametrize("kernel", _choices("kernel-table", "--kernel"))
+def test_kernel_table_contract_on_parser_choices(tmp_path, kernel, c, tol):
+    out = tmp_path / "table.csv"
+    argv = ["kernel-table", "--kernel", kernel, "--c", repr(c),
+            "--tol", repr(tol), "--output", str(out)]
+    code, stdout, err = _run(argv)
+    assert code in (0, 5), (argv, code, err)
+    doc = _one_document(stdout if code == 0 else err)
+    assert (err if code == 0 else stdout) == "", argv
+    if code == 0:
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,k,kbar", argv
+        rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        assert rows.shape == (doc["points"], 3), argv
+        x = rows[:, 0]
+        assert np.all(x[1:] > x[:-1]) and np.array_equal(x, -x[::-1]), argv
+        table = get_table(FlatTopSpec(kernel, c), tol)
+        assert rows[:, 2].tobytes() == table.kbar_values.tobytes(), argv

@@ -197,12 +197,6 @@ class TestRunScenario:
         assert first[0] == "edf"
         assert float(first[3]) == small_report.cells[0].mse
 
-    def test_dict_schema(self, small_report):
-        d = small_report.to_dict()
-        assert d["schema"] == 1
-        assert d["replications"] == 20
-        assert len(d["cells"]) == len(small_report.cells)
-
     def test_censored_scenario_rows(self):
         sc = builtin_scenario("weibull-censored", seed=4, replications=8,
                               sample_sizes=(20,))

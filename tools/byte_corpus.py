@@ -65,6 +65,20 @@ DEFICIENCY = (
                    "--n", "100,1000"]),
 )
 
+# refused runs: a removed flag (exit 2), a range grid that repeats a
+# point and negative frequencies (exit 4)
+REFUSALS = (
+    ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
+    ("estimate-grid-repeated", ["estimate", "--input", "inputs/normal.csv",
+                                "--grid", "0:0:3"]),
+    ("bandwidth-freq-grid-negative", ["bandwidth", "--input",
+                                      "inputs/normal.csv",
+                                      "--freq-grid=-1:1:5"]),
+    ("bandwidth-cv-freq-grid-negative", ["bandwidth", "--input",
+                                         "inputs/normal.csv", "--method",
+                                         "cv", "--freq-grid=-1:1:5"]),
+)
+
 
 def write_inputs(inputs: Path) -> None:
     """A 300-row N(0,1) sample, a 300-row censored Weibull sample and a
@@ -89,15 +103,15 @@ def commands():
         for tol in ("1e-6", "1e-8", "1e-10"):
             yield (f"kernel-table-{family}-{tol}",
                    ["kernel-table", "--kernel", family, "--tol", tol,
-                    "--output", "OUT/table.csv", "--json", "OUT/table.json"])
+                    "--output", "OUT/table.csv"])
     # a smooth kernel off the reference, which has no rule radius
     yield ("kernel-table-smooth-c0.1",
            ["kernel-table", "--kernel", "smooth", "--c", "0.1",
-            "--output", "OUT/table.csv", "--json", "OUT/table.json"])
+            "--output", "OUT/table.csv"])
     # a smooth kernel whose flat radius is too large to tabulate: refused
     yield ("kernel-table-smooth-c0.75",
            ["kernel-table", "--kernel", "smooth", "--c", "0.75",
-            "--output", "OUT/table.csv", "--json", "OUT/table.json"])
+            "--output", "OUT/table.csv"])
     yield ("estimate-smooth-c0.1-fixed-normal",
            ["estimate", "--input", "inputs/normal.csv", "--kernel", "smooth",
             "--c", "0.1", "--bandwidth", "0.3", "--output", "OUT/curve.csv"])
@@ -113,10 +127,11 @@ def commands():
             yield (f"simulate-{scenario}-workers{workers}",
                    ["simulate", "--scenario", scenario, "--n", "15,30",
                     "--reps", "60", "--seed", "7", "--workers", workers,
-                    "--output", "OUT/report.csv", "--json",
-                    "OUT/report.json"])
+                    "--output", "OUT/report.csv"])
     for mode, args in DEFICIENCY:
         yield f"deficiency-{mode}", ["deficiency", *args]
+    for name, args in REFUSALS:
+        yield f"refused-{name}", args
 
 
 def main(argv) -> int:
