@@ -47,18 +47,20 @@ _FREQ_STAGE = "default frequency grid (data scale)"
 _ECF_STAGE = "ECF (--freq-grid)"
 
 
-def _kernel_from_args(args):
-    """Build the kernel object plus its resolved-config description."""
-    family = args.kernel
-    if family == GAUSSIAN:
-        return GaussianKernel(), {"family": GAUSSIAN}
-    # curve fits take --effective-c; only kernel-table takes --tol
-    spec = FlatTopSpec(family, c=args.c,
-                       effective_c=getattr(args, "effective_c", None))
-    table = get_table(spec, args.tol) if "tol" in args else get_table(spec)
-    desc = {"family": family, "c": spec.c, "b": spec.b,
+def _table_desc(table) -> dict:
+    """resolved-config description of a flat-top kernel table."""
+    spec = table.spec
+    return {"family": spec.family, "c": spec.c, "b": spec.b,
             "effective_c": spec.effective_c, "tol": table.tol}
-    return table, desc
+
+
+def _kernel_from_args(args):
+    """The curve commands' kernel plus its resolved-config description."""
+    if args.kernel == GAUSSIAN:
+        return GaussianKernel(), {"family": GAUSSIAN}
+    table = get_table(FlatTopSpec(args.kernel, c=args.c,
+                                  effective_c=args.effective_c))
+    return table, _table_desc(table)
 
 
 def _staged(stage: str, func, *args):
@@ -90,11 +92,12 @@ def _automatic_bandwidth(sample, cv, eff, freqs=None):
                "t_star": threshold_frequency(curve, rule)}, curve
 
 
-def _resolve_bandwidth(args, sample, desc):
+def _resolve_bandwidth(args, sample, kern):
     """(h, bandwidth config dict) of the kernel's selector or the value."""
     if args.bandwidth == "auto":
-        return _automatic_bandwidth(sample, desc["family"] == GAUSSIAN,
-                                    desc.get("effective_c"))[:2]
+        cv = isinstance(kern, GaussianKernel)
+        eff = None if cv else kern.spec.effective_c
+        return _automatic_bandwidth(sample, cv, eff)[:2]
     try:
         fixed = float(args.bandwidth)
     except ValueError:
@@ -123,7 +126,7 @@ def _cmd_curve(args):
         raise ValueError("estimate expects uncensored data; "
                          "use the survival subcommand for censored input")
     kern, desc = _kernel_from_args(args)
-    h, bw = _resolve_bandwidth(args, sample, desc)
+    h, bw = _resolve_bandwidth(args, sample, kern)
     cfg = EstimatorConfig(kern, h, boundary=args.boundary)
     grid, grid_text = _resolve_grid(args, sample, h)
     fit = smoothed_survival_on_grid if survival else evaluate_on_grid
@@ -153,17 +156,18 @@ def _cmd_curve(args):
 
 def _cmd_bandwidth(args):
     sample = iolib.read_sample_csv(args.input)
+    cv = args.method == "cv"
+    freqs, grid_text = None, args.freq_grid
     if args.freq_grid is not None:
         freqs = iolib.parse_grid(args.freq_grid)
         if freqs[0] < 0.0:
             raise iolib.ParseError(f"--freq-grid {args.freq_grid!r}: "
                                    "frequencies must be nonnegative")
-        grid_text = args.freq_grid
-    else:
+    elif args.ecf_out or not cv:
+        # CV reads no ECF: its default grid is built only for --ecf-out
         freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
         grid_text = f"{float(freqs[0])!r}:{float(freqs[-1])!r}:{freqs.size}"
-    h, bw, curve = _automatic_bandwidth(sample, args.method == "cv",
-                                        args.effective_c, freqs)
+    h, bw, curve = _automatic_bandwidth(sample, cv, args.effective_c, freqs)
     bw["freq_grid"] = grid_text
     payload = {
         "command": "bandwidth",
@@ -228,9 +232,6 @@ def _cmd_deficiency(args):
         if smooth.kind != BAND_LIMITED and args.a is None:
             raise ValueError("polynomial and exponential assumptions need "
                              "the bandwidth premultiplier --a")
-        if args.kernel == GAUSSIAN:
-            raise ValueError("the deficiency formulas assume a flat-top "
-                             "kernel; the Gaussian kernel is not one")
         spec = FlatTopSpec(args.kernel, c=args.c)
         cross_moment = kernel_cross_moment(spec)
         values = [{"n": n,
@@ -268,10 +269,7 @@ def _cmd_deficiency(args):
 
 
 def _cmd_kernel_table(args):
-    if args.kernel == GAUSSIAN:
-        raise ValueError("kernel-table exports flat-top tables; the "
-                         "Gaussian kernel has closed forms")
-    table, desc = _kernel_from_args(args)
+    table = get_table(FlatTopSpec(args.kernel, c=args.c), args.tol)
     if args.output:
         # K is even: evaluated directly on the nonnegative half of the grid
         k_half = kernel(table.spec, table.grid[table.grid.size // 2:])
@@ -282,7 +280,8 @@ def _cmd_kernel_table(args):
         iolib.write_text(args.output, "\n".join(lines) + "\n")
     return {
         "command": "kernel-table",
-        "resolved_config": {"kernel": desc, "output": args.output},
+        "resolved_config": {"kernel": _table_desc(table),
+                            "output": args.output},
         "points": int(table.grid.size),
         "tail_cutoff": table.tail_cutoff,
         "outputs": {"csv": args.output},
@@ -362,9 +361,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_kernel_flags(p):
-    p.add_argument("--kernel", default=TRAPEZOID,
-                   choices=[TRAPEZOID, SMOOTH, GAUSSIAN])
+def _add_kernel_flags(p, families):
+    p.add_argument("--kernel", default=TRAPEZOID, choices=families)
     p.add_argument("--c", type=_finite_float, default=None,
                    help=f"flat radius (default {FlatTopSpec(TRAPEZOID).c} "
                         f"trapezoid, {FlatTopSpec(SMOOTH).c} smooth)")
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--output", default=None, help="curve CSV path")
-        _add_kernel_flags(p)
+        _add_kernel_flags(p, [TRAPEZOID, SMOOTH, GAUSSIAN])
         p.add_argument("--effective-c", type=_finite_float)
         p.add_argument("--bandwidth", default="auto",
                        help="auto (the ECF rule, or CV for --kernel "
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target CDF value F(t)")
     p.add_argument("--f", type=_finite_float, default=None,
                    help="target density value f(t)")
-    _add_kernel_flags(p)
+    _add_kernel_flags(p, [TRAPEZOID, SMOOTH])
     p.add_argument("--a", type=_finite_float, default=None,
                    help="bandwidth premultiplier")
     p.add_argument("--expansion-base", help="c:r:const:kind[:delta]")
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-table")
     p.add_argument("--output", default=None, help="table CSV path")
-    _add_kernel_flags(p)
+    _add_kernel_flags(p, [TRAPEZOID, SMOOTH])
     p.add_argument("--tol", type=_finite_float, default=1e-8,
                    help="kernel table certification tolerance")
     p.set_defaults(func=_cmd_kernel_table)

@@ -211,6 +211,11 @@ def integrated_kernel_by_quad(spec: FlatTopSpec, t: float,
 # lookup tables
 
 
+def _kernel_name(spec: FlatTopSpec) -> str:
+    """How a refusal names the kernel, e.g. 'smooth kernel at c=0.6'."""
+    return f"{spec.family} kernel at c={float(spec.c)!r}"
+
+
 def _trap_tail_cutoff(c: float, tol: float) -> float:
     # |1 - Kbar(t)| <= (2/c + 2) / (pi (1-c) t^2), by parts twice
     c2 = (2.0 / c + 2.0) / (np.pi * (1.0 - c))
@@ -226,8 +231,8 @@ def _smooth_tail_cutoff(spec, tol: float) -> float:
             _gl_order(t)
         except QuadratureError as exc:
             raise QuadratureError(
-                f"smooth kernel at c={float(spec.c)!r}: {exc}; --c is too "
-                "large for the smooth family") from exc
+                f"{_kernel_name(spec)}: {exc}; --c is too large for the "
+                "smooth family") from exc
         gap = abs(1.0 - integrated_kernel_by_quad(spec, t, tol=tol / 20))
         if gap < 0.5 * tol:
             gap2 = abs(1.0 - integrated_kernel_by_quad(spec, 2 * t, tol=tol / 20))
@@ -395,7 +400,8 @@ def _certify(table: KernelTable) -> None:
     err = np.max(np.abs(table.kbar(mids) - integrated_kernel(table.spec, mids)))
     if err > table.tol:
         raise QuadratureError(
-            f"table interpolation error {err:.3g} exceeds tol {table.tol:.3g}")
+            f"{_kernel_name(table.spec)}: table interpolation error "
+            f"{err:.3g} exceeds tol {table.tol:.3g}")
 
 
 def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
@@ -416,8 +422,8 @@ def _certify_mass(spec: FlatTopSpec, tail_cutoff: float, tol: float) -> None:
     tail = 1.0 - integrated_kernel(spec, t1) + integrated_kernel(spec, -t1)
     mass = core + tail
     if abs(mass - 1.0) > 10.0 * tol:
-        raise QuadratureError(f"kernel mass {float(mass)!r} off unity "
-                              "beyond 10*tol")
+        raise QuadratureError(f"{_kernel_name(spec)}: kernel mass "
+                              f"{float(mass)!r} off unity beyond 10*tol")
 
 
 def build_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:

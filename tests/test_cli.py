@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -415,6 +416,8 @@ class TestBandwidth:
         assert code == 0
         sample = read_sample_csv(sample_csv)
         assert doc["h"] == cv_bandwidth_km(sample, default_cv_grid(sample))
+        # CV reads no ECF, so no frequency grid is built or echoed
+        assert doc["resolved_config"]["bandwidth"]["freq_grid"] is None
 
     @pytest.mark.parametrize("method", ["auto", "cv"])
     def test_freq_grid_feeds_ecf_out(self, capsys, tmp_path, sample_csv,
@@ -531,13 +534,17 @@ class TestDeficiency:
                                                   config["a"])}
             for n in (100.0, 1e4)]
 
-    def test_gaussian_kernel_is_domain_error(self, capsys):
-        code, doc, err = run_cli(capsys, "deficiency", "--assumption",
-                                 "band-limited", "--F", "0.5", "--f", "0.25",
-                                 "--kernel", "gaussian", "--n", "100")
-        assert code == 5 and doc is None
-        assert err["error"]["kind"] == "domain"
-        assert "flat-top" in err["error"]["message"]
+    def test_gaussian_kernel_is_usage_error(self, capsys):
+        # the formulas assume a flat-top kernel, so the parser offers no
+        # other
+        with pytest.raises(SystemExit) as exc:
+            main(["deficiency", "--assumption", "band-limited", "--F", "0.5",
+                  "--f", "0.25", "--kernel", "gaussian", "--n", "100"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("argument --kernel: invalid choice: 'gaussian' (choose from "
+                "'trapezoid', 'smooth')") in captured.err
 
     def test_band_limited_needs_no_premultiplier(self, capsys):
         code, doc, _ = run_cli(
@@ -757,9 +764,32 @@ class TestKernelTable:
         assert cols[:, 2].tobytes() == table.kbar_values.tobytes()
 
     def test_gaussian_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "kernel-table", "--kernel",
-                               "gaussian")
-        assert code == 5 and err["error"]["kind"] == "domain"
+        # the Gaussian kernel has closed forms, so the parser offers only
+        # the flat-top families
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel-table", "--kernel", "gaussian"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("argument --kernel: invalid choice: 'gaussian' (choose from "
+                "'trapezoid', 'smooth')") in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel-table",),
+        ("estimate", "--bandwidth", "0.5", "--grid", "-1:1:3")])
+    def test_uncertifiable_table_names_kernel_and_c(self, capsys, sample_csv,
+                                                    argv):
+        # near c = 0.6 the smooth table's spline misses tol at a panel
+        # midpoint
+        if argv[0] == "estimate":
+            argv += ("--input", sample_csv)
+        code, doc, err = run_cli(capsys, *argv, "--kernel", "smooth",
+                                 "--c", "0.6")
+        assert code == 5 and doc is None
+        assert err["error"] == {
+            "kind": "domain",
+            "message": "smooth kernel at c=0.6: table interpolation error "
+                       "1.41e-08 exceeds tol 1e-08"}
 
     def test_uncertifiable_tol_is_domain_error(self, capsys):
         code, doc, err = run_cli(capsys, "kernel-table", "--kernel",
@@ -965,7 +995,12 @@ class TestFloatingPointErrors:
                      id="sample_csv-argv2-overflow"),
         pytest.param("tiny_csv", ("estimate",),
                      "default frequency grid (data scale): overflow",
-                     id="tiny_csv-argv3-overflow")])
+                     id="tiny_csv-argv3-overflow"),
+        # CV reads no ECF, but --ecf-out asks for it on the default grid
+        pytest.param("tiny_csv", ("bandwidth", "--method", "cv",
+                                  "--ecf-out", os.devnull),
+                     "default frequency grid (data scale): overflow",
+                     id="tiny_csv-argv4-overflow")])
     def test_is_domain_error(self, capsys, request, data, argv, message):
         code = main([*argv, "--input", request.getfixturevalue(data)])
         captured = capsys.readouterr()
@@ -974,16 +1009,21 @@ class TestFloatingPointErrors:
         assert err["error"]["kind"] == "domain"
         assert err["error"]["message"].startswith(message)
 
-    @pytest.mark.parametrize("command", ["estimate", "survival"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("estimate", "--kernel", "gaussian"), id="estimate"),
+        pytest.param(("survival", "--kernel", "gaussian"), id="survival"),
+        pytest.param(("bandwidth", "--method", "cv"), id="bandwidth-cv")])
     def test_gaussian_fit_builds_no_frequency_grid(self, capsys, tiny_csv,
-                                                   command):
+                                                   argv):
         # cross-validation reads no ECF, so the grid that overflows for
         # the threshold rule is never built
-        code = main([command, "--kernel", "gaussian", "--input", tiny_csv])
+        code = main([*argv, "--input", tiny_csv])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
-        bw = strict_json(captured.out)["resolved_config"]["bandwidth"]
+        doc = strict_json(captured.out)
+        bw = doc["resolved_config"]["bandwidth"]
         assert bw["mode"] == "cv" and 0.0 < bw["value"] < 1e-308
+        assert bw.get("freq_grid") is None
 
 
 class TestFiniteFlags:

@@ -262,7 +262,8 @@ def test_mass_refusal_prints_a_plain_float():
     with pytest.raises(QuadratureError) as exc:
         kernels._certify_mass(TRAP, get_table(TRAP, 1e-8).tail_cutoff, 1e-16)
     message = str(exc.value)
-    assert message.startswith("kernel mass 0.99999999999998")
+    assert message.startswith(
+        "trapezoid kernel at c=0.75: kernel mass 0.99999999999998")
     assert "np.float64" not in message
 
 

@@ -8,9 +8,13 @@ fixed bandwidth) and bandwidth (auto and cv, also on a drawn
 --freq-grid with --ecf-out, whose magnitudes must lie in [0, 1]), in
 process.  deficiency takes argv drawn from the parser's own choices,
 with valid and invalid values, and kernel-table runs every --kernel
-choice at four flat radii and three tolerances.  Each run exits 0, 4 or
-5, never with a traceback, and writes exactly one strict JSON document:
-to stdout on success, else to stderr.
+choice of the CLI at four flat radii and three tolerances.  Each run
+exits 0, 4 or 5 (2 for a kernel kernel-table does not offer), never
+with a traceback, and writes exactly one strict JSON document: to
+stdout on success, else to stderr.  On uncensored samples survival is
+the EDF's total mass minus estimate, bit for bit, for every kernel,
+bandwidth and boundary; and small drawn studies write the same CSV at
+one and two workers.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ftcdf.cli import build_parser, main
@@ -60,7 +64,7 @@ ASSUMPTIONS = _choices("deficiency", "--assumption")
 
 
 @st.composite
-def sample_csvs(draw) -> str:
+def sample_csvs(draw, censoring=st.floats(0.0, 1.0)) -> str:
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # rounding to few digits makes ties
@@ -70,7 +74,7 @@ def sample_csvs(draw) -> str:
     # are drawn as often as all the others together
     scale = 10.0 ** draw(st.one_of(st.sampled_from((0, 0, -310, 300)),
                                    st.integers(-310, 300)))
-    censored = rng.random(n) < draw(st.floats(0.0, 1.0))
+    censored = rng.random(n) < draw(censoring)
     return "time,event\n" + "".join(f"{t * scale!r},{int(not c)}\n"
                                     for t, c in zip(x.tolist(), censored))
 
@@ -88,7 +92,10 @@ def _one_document(text: str) -> dict:
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -135,6 +142,44 @@ def test_cli_contract_on_random_samples(text, c):
         assert km.heights.tobytes() == ecdf.heights.tobytes()
 
 
+def _normal_csv(n: int, seed: int) -> str:
+    x = np.random.default_rng(seed).standard_normal(n)
+    return "time\n" + "".join(f"{t!r}\n" for t in x.tolist())
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sample_csvs(censoring=st.just(0.0)))
+# drawn samples are mostly refused by the threshold rule (heavy ties or
+# a scale far from 1); this one is selected from
+@example(_normal_csv(37, 0))
+def test_survival_is_total_mass_minus_estimate(text):
+    # without censoring the Kaplan-Meier measure is the EDF bit for bit,
+    # and the survival path is its total mass minus the smoothed CDF
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        path.write_text(text)
+        sample = read_sample_csv(str(path))
+        total = edf(sample).total_mass
+        lowest = repr(float(np.min(sample.times)))
+        for kernel in _choices("estimate", "--kernel"):
+            for bandwidth in ("auto", "0.5"):
+                for boundary in ([], ["--boundary", lowest]):
+                    argv = ["--input", str(path), "--kernel", kernel,
+                            "--bandwidth", bandwidth, *boundary]
+                    code, out, err = _run(["estimate", *argv])
+                    assert code in (0, 5), (argv, code, err)
+                    s_code, s_out, s_err = _run(["survival", *argv])
+                    assert (s_code, s_err) == (code, err), argv
+                    if code != 0:
+                        continue
+                    cdf, surv = _one_document(out), _one_document(s_out)
+                    assert surv["t"] == cdf["t"], argv
+                    want = total - np.array(cdf["value"])
+                    assert np.array(surv["value"]).tobytes() == \
+                        want.tobytes(), argv
+
+
 @st.composite
 def freq_grids(draw) -> str:
     """--freq-grid text: lo:hi:count, or a short comma list, ascending
@@ -170,6 +215,55 @@ def test_bandwidth_freq_grid_contract(text, grid, method):
             rows = np.loadtxt(curve, delimiter=",", skiprows=1, ndmin=2)
             assert rows[:, 0].tobytes() == parse_grid(grid).tobytes(), argv
             assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0)), argv
+
+
+@st.composite
+def scenarios(draw) -> dict:
+    """A small study as scenario JSON: up to two sizes of at most 30,
+    at most 4 replications, drawn evaluation points, with or without
+    censoring."""
+    law = draw(st.sampled_from((
+        {"kind": "normal"}, {"kind": "polya"},
+        {"kind": "weibull", "shape": 3.0, "scale": 1.5})))
+    censored = draw(st.booleans())
+    points = draw(st.lists(st.floats(-2.0, 4.0, width=32), min_size=1,
+                           max_size=4, unique=True))
+    survival = censored or draw(st.booleans())
+    return {
+        "name": "drawn",
+        "lifetime_dist": law,
+        "censor_dist": ({"kind": "weibull", "shape": 4.0, "scale": 3.0}
+                        if censored else None),
+        "eval_points": sorted(points),
+        "sample_sizes": draw(st.lists(st.integers(5, 30), min_size=1,
+                                      max_size=2)),
+        "replications": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 2 ** 32 - 1)),
+        "estimand": "survival" if survival else "cdf",
+        # positive lifetimes only: a boundary above a draw is refused
+        "boundary": (draw(st.sampled_from((None, 0.0)))
+                     if law["kind"] == "weibull" else None),
+    }
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_study_csv_does_not_depend_on_workers(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        runs = []
+        for workers in ("1", "2"):
+            csv = Path(tmp) / f"workers{workers}.csv"
+            code, out, err = _run(["simulate", "--scenario", str(path),
+                                   "--workers", workers, "--output",
+                                   str(csv)])
+            assert code in (0, 5), (scenario, code, err)
+            doc = _one_document(out if code == 0 else err)
+            runs.append((code, doc.get("retries"), doc.get("error"),
+                         csv.read_bytes() if code == 0 else None))
+        assert runs[0] == runs[1], scenario
 
 
 _VALUES = st.one_of(st.none(), st.sampled_from((0.0, 0.5, 1.0, 2.0, -1.0)),
@@ -217,12 +311,18 @@ def test_deficiency_contract_on_parser_choices(argv):
 
 @pytest.mark.parametrize("tol", (1e-4, 1e-6, 1e-8))
 @pytest.mark.parametrize("c", RADII)
-@pytest.mark.parametrize("kernel", _choices("kernel-table", "--kernel"))
+@pytest.mark.parametrize("kernel", _choices("estimate", "--kernel"))
 def test_kernel_table_contract_on_parser_choices(tmp_path, kernel, c, tol):
+    # every kernel of the CLI: one that kernel-table does not offer is a
+    # usage error
     out = tmp_path / "table.csv"
     argv = ["kernel-table", "--kernel", kernel, "--c", repr(c),
             "--tol", repr(tol), "--output", str(out)]
     code, stdout, err = _run(argv)
+    if kernel not in _choices("kernel-table", "--kernel"):
+        assert code == 2 and stdout == "" and not out.exists(), argv
+        assert f"invalid choice: {kernel!r}" in err, argv
+        return
     assert code in (0, 5), (argv, code, err)
     doc = _one_document(stdout if code == 0 else err)
     assert (err if code == 0 else stdout) == "", argv

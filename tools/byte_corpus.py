@@ -65,10 +65,18 @@ DEFICIENCY = (
                    "--n", "100,1000"]),
 )
 
-# refused runs: a removed flag (exit 2), a range grid that repeats a
-# point and negative frequencies (exit 4)
+# refused runs: a removed flag and a kernel the command does not offer
+# (exit 2), a range grid that repeats a point and negative frequencies
+# (exit 4), and a smooth table that misses its tol (exit 5)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
+    ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
+    ("deficiency-gaussian", ["deficiency", "--assumption", "band-limited",
+                             "--F", "0.5", "--f", "0.25", "--kernel",
+                             "gaussian", "--n", "100"]),
+    ("kernel-table-smooth-c0.6", ["kernel-table", "--kernel", "smooth",
+                                  "--c", "0.6", "--output",
+                                  "OUT/table.csv"]),
     ("estimate-grid-repeated", ["estimate", "--input", "inputs/normal.csv",
                                 "--grid", "0:0:3"]),
     ("bandwidth-freq-grid-negative", ["bandwidth", "--input",
