@@ -4,6 +4,9 @@ Subcommands: estimate, survival, bandwidth, deficiency, simulate,
 kernel-table.  Every successful run prints one JSON document to stdout
 holding the fully resolved configuration (all defaults filled in) plus
 any inline results, and writes at most one CSV, to the path given.
+Every command runs OpenBLAS at one thread and gives the caller's
+thread count back afterwards; the document reports both as
+diagnostics.blas.
 Failures print an error JSON to stderr and exit with a distinct code
 per error class: 2 usage (argparse, including a float flag that is not
 finite), 3 I/O, 4 parse, 5 domain (including a kernel table that
@@ -29,6 +32,7 @@ from .asymptotics import (BAND_LIMITED, EXPONENTIAL, POLYNOMIAL,
 from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         default_freq_grid, default_rule, ecf, noise_threshold,
                         select_bandwidth, threshold_frequency)
+from .blas import _one_blas_thread
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table, kernel, kernel_cross_moment)
@@ -345,7 +349,6 @@ def _cmd_simulate(args):
     else:
         payload["cells"] = [asdict(c) for c in report.cells]
     payload["outputs"] = {"csv": args.output}
-    payload["diagnostics"] = {"blas": report.blas.to_dict()}
     return payload
 
 
@@ -437,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="process count, at least 1; one pool per study "
                         "of min(workers, tasks, CPUs) processes, and the "
-                        "output is the same for any value; the study runs "
-                        "OpenBLAS at one thread and then restores the "
-                        "caller's setting")
+                        "output is the same for any value")
     p.add_argument("--output", default=None, help="MseReport CSV path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -461,11 +462,16 @@ def _fail(kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # numpy overflow, 0/0 and x/0 raise, so that no warning reaches
-        # stderr; the document is built here so that a non-finite result
-        # is a domain error
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            text = iolib.dump_json(args.func(args))
+        # every loaded OpenBLAS runs the command at one thread, so that
+        # its bits do not depend on the caller's setting, which comes
+        # back on every way out; numpy overflow, 0/0 and x/0 raise, so
+        # that no warning reaches stderr; the document is built here so
+        # that a non-finite result is a domain error
+        with _one_blas_thread() as blas, \
+                np.errstate(over="raise", invalid="raise", divide="raise"):
+            payload = args.func(args)
+            payload["diagnostics"] = {"blas": blas.to_dict()}
+            text = iolib.dump_json(payload)
     except iolib.ParseError as exc:
         return _fail("parse", str(exc), EXIT_PARSE)
     except OSError as exc:

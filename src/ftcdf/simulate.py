@@ -11,12 +11,10 @@ back afterwards.
 """
 from __future__ import annotations
 
-import ctypes
 import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import product, repeat
 
@@ -25,6 +23,7 @@ import numpy as np
 from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         default_freq_grid, default_rule, ecf,
                         select_bandwidth)
+from .blas import BlasSetting, _blas_libraries, _one_blas_thread
 from .distributions import (DistSpec, dist_cdf, dist_survival, polya_cdf,
                             sample_distribution)
 from .estimators import (CensoredSample, DegenerateSampleError,
@@ -58,17 +57,6 @@ _ZERO_BIAS_POINTS = (0.0, 2.0, 5.0)
 # before anything is drawn or allocated
 MAX_SAMPLE_SIZE = 1_000_000
 MAX_REPLICATIONS = 100_000
-
-# (getter, setter) names of the thread count in the OpenBLAS builds
-# numpy and scipy bundle (64-bit and 32-bit integer interfaces) and in a
-# plain OpenBLAS
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
 
 def _whole(value, name: str, lo: int, hi: int | None = None) -> int:
     """value as a Python int in [lo, hi]: an integer that is not a bool,
@@ -197,26 +185,6 @@ class CellStats:
 
 
 @dataclass(frozen=True)
-class BlasSetting:
-    """The OpenBLAS libraries a study found and the thread counts it saw.
-
-    caller_threads lines up with libraries; study_threads is 1, or None
-    when no library was found and the study left BLAS as it was.
-    """
-    libraries: tuple = ()
-    caller_threads: tuple = ()
-
-    @property
-    def study_threads(self) -> int | None:
-        return 1 if self.libraries else None
-
-    def to_dict(self) -> dict:
-        return {"libraries": list(self.libraries),
-                "caller_threads": list(self.caller_threads),
-                "study_threads": self.study_threads}
-
-
-@dataclass(frozen=True)
 class MseReport:
     scenario: str
     estimand: str
@@ -242,67 +210,6 @@ class MseReport:
             lines.append(f"{c.estimator},{c.t!r},{c.n},{c.mse!r},"
                          f"{c.bias!r},{c.variance!r},{se},{c.reps}")
         return "\n".join(lines) + "\n"
-
-
-def _loaded_openblas_paths() -> list:
-    """Paths of the OpenBLAS libraries mapped into this process."""
-    paths = set()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.split(maxsplit=5)  # the 6th is the path
-                if (len(fields) == 6 and "openblas" in
-                        os.path.basename(fields[5]).lower()):
-                    paths.add(fields[5].rstrip("\n"))
-    except OSError:
-        return []
-    return sorted(paths)
-
-
-def _blas_controls(lib):
-    """(get, set) thread-count functions of a loaded library, or None."""
-    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-        get = getattr(lib, get_name, None)
-        set_ = getattr(lib, set_name, None)
-        if get is not None and set_ is not None:
-            get.restype = ctypes.c_int
-            get.argtypes = ()
-            set_.restype = None
-            set_.argtypes = (ctypes.c_int,)
-            return get, set_
-    return None
-
-
-def _blas_libraries() -> list:
-    """(basename, get, set) for each loaded OpenBLAS with a thread knob."""
-    found = []
-    for path in _loaded_openblas_paths():
-        try:
-            controls = _blas_controls(ctypes.CDLL(path))
-        except OSError:
-            continue
-        if controls is not None:
-            found.append((os.path.basename(path), *controls))
-    return found
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS at one thread.
-
-    Pool workers set their own in _pool_worker_init.  Yields the
-    BlasSetting; the caller's thread counts come back on every way out.
-    Does nothing when no OpenBLAS is found.
-    """
-    libs = _blas_libraries()
-    saved = tuple(get() for _, get, _ in libs)
-    for _, _, set_ in libs:
-        set_(1)
-    try:
-        yield BlasSetting(tuple(name for name, _, _ in libs), saved)
-    finally:
-        for (_, _, set_), threads in zip(libs, saved):
-            set_(threads)
 
 
 def _pool_worker_init():

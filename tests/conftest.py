@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-import ftcdf.simulate as sim
+import ftcdf.blas as blas
 
 
 @pytest.fixture()
@@ -23,7 +23,7 @@ def spy(monkeypatch):
 
 
 def _blas_threads() -> dict:
-    return {name: get() for name, get, _ in sim._blas_libraries()}
+    return {name: get() for name, get, _ in blas._blas_libraries()}
 
 
 @pytest.fixture(autouse=True)
@@ -38,3 +38,28 @@ def blas_threads_unchanged():
                for name in before.keys() & after.keys()
                if before[name] != after[name]}
     assert not changed, f"BLAS thread count (before, after) {changed}"
+
+
+@pytest.fixture()
+def blas_threads_at():
+    """blas_threads_at(k) puts every loaded OpenBLAS at k threads for the
+    rest of the test and returns the counts set, in library order; the
+    counts the test started with come back at teardown."""
+    libs = blas._blas_libraries()
+    saved = [get() for _, get, _ in libs]
+
+    def set_all(threads):
+        for _, _, set_ in libs:
+            set_(threads)
+        return [threads] * len(libs)
+
+    yield set_all
+    for (_, _, set_), old in zip(libs, saved):
+        set_(old)
+
+
+@pytest.fixture()
+def caller_threads(blas_threads_at):
+    """Runs the test with every loaded OpenBLAS at 3 threads, a count
+    that is neither 1 nor this machine's default."""
+    return blas_threads_at(3)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,9 +12,9 @@ import numpy as np
 import pytest
 
 import ftcdf.bandwidth as bandwidth
+import ftcdf.blas as blas
 import ftcdf.cli as cli
 import ftcdf.estimators as estimators
-import ftcdf.simulate as sim
 from ftcdf.bandwidth import (auto_bandwidth, cv_bandwidth_km, default_cv_grid,
                              default_freq_grid)
 from ftcdf.cli import main
@@ -845,26 +847,6 @@ class TestSimulate:
         rows = Path(out).read_text().splitlines()[1:]
         assert rows and all(r.startswith("edf,") for r in rows)
 
-    @pytest.mark.parametrize("found", [True, False])
-    def test_blas_diagnostics_only_on_stdout(self, capsys, monkeypatch,
-                                             tmp_path, found):
-        if not found:
-            monkeypatch.setattr(sim, "_loaded_openblas_paths", lambda: [])
-        libs = sim._blas_libraries()
-        out = str(tmp_path / "sim.csv")
-        code, doc, _ = run_cli(capsys, "simulate", "--scenario",
-                               "normal-iid", "--n", "15", "--reps", "4",
-                               "--seed", "9", "--output", out)
-        assert code == 0
-        assert doc["diagnostics"] == {"blas": {
-            "libraries": [name for name, _, _ in libs],
-            "caller_threads": [get() for _, get, _ in libs],
-            "study_threads": 1 if libs else None}}
-        sc = builtin_scenario("normal-iid", seed=9, replications=4,
-                              sample_sizes=(15,))
-        assert Path(out).read_text() == run_scenario(sc).to_csv()
-        assert "cells" not in doc
-
     def test_invalid_scenario_json(self, capsys, tmp_path):
         # malformed JSON, and well-formed JSON whose top level is no object
         p = tmp_path / "bad.json"
@@ -967,6 +949,136 @@ class TestSimulate:
                                "normal-iid", "--reps", "2", "--n", "10",
                                "--estimators", "magic")
         assert code == 5 and err["error"]["kind"] == "domain"
+
+
+def _threads():
+    return [get() for _, get, _ in blas._blas_libraries()]
+
+
+needs_openblas = pytest.mark.skipif(not blas._blas_libraries(),
+                                    reason="no OpenBLAS loaded")
+
+# one quick run of each command; CSV and CENSORED name the inputs, OUT
+# the CSV path
+_EVERY_COMMAND = {
+    "estimate": ["estimate", "--input", "CSV", "--grid", "-3:3:11",
+                 "--output", "OUT"],
+    "survival": ["survival", "--input", "CENSORED", "--output", "OUT"],
+    "bandwidth": ["bandwidth", "--input", "CSV", "--ecf-out", "OUT"],
+    "deficiency": ["deficiency", "--expansion-base", "1:1:2:log-factor",
+                   "--expansion-better", "1:1:1:log-factor", "--n", "100"],
+    "kernel-table": ["kernel-table", "--output", "OUT"],
+    "simulate": ["simulate", "--scenario", "normal-iid", "--n", "15",
+                 "--reps", "4", "--seed", "9", "--output", "OUT"],
+}
+
+
+def _repo_src_env(**extra):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": str(src), **extra}
+
+
+class TestBlasGuard:
+    """cli.main runs every command with each loaded OpenBLAS at one
+    thread, reports that on stdout, and gives the caller's count back."""
+
+    @pytest.mark.parametrize("found", [True, False])
+    @pytest.mark.parametrize("command", list(_EVERY_COMMAND))
+    def test_blas_diagnostics_only_on_stdout(self, capsys, monkeypatch,
+                                             tmp_path, sample_csv,
+                                             censored_csv, command, found):
+        argv = _EVERY_COMMAND[command]
+
+        def run(out):
+            names = {"CSV": sample_csv, "CENSORED": censored_csv,
+                     "OUT": str(out)}
+            return run_cli(capsys, *(names.get(a, a) for a in argv))
+
+        # the CSV is the same whether or not the guard found a library
+        guarded = tmp_path / "guarded.csv"
+        assert run(guarded)[0] == 0
+        if not found:
+            monkeypatch.setattr(blas, "_loaded_openblas_paths", lambda: [])
+        libs = blas._blas_libraries()
+        out = tmp_path / "out.csv"
+        code, doc, _ = run(out)
+        assert code == 0
+        assert doc["diagnostics"] == {"blas": {
+            "libraries": [name for name, _, _ in libs],
+            "caller_threads": [get() for _, get, _ in libs],
+            "threads": 1 if libs else None}}
+        if "OUT" in argv:
+            assert not doc.keys() & {"t", "value", "cells"}
+            assert out.read_text() == guarded.read_text()
+            assert "blas" not in out.read_text()
+
+    @needs_openblas
+    @pytest.mark.parametrize("rows, code", [
+        (None, 0), ("missing", 3), ("time\n1.0\nabc\n", 4),
+        ("time,event\n1.0,1\n2.0,0\n3.0,1\n", 5)],
+        ids=["ok", "io", "parse", "domain"])
+    def test_one_thread_during_a_command_and_restored_after(
+            self, capsys, monkeypatch, tmp_path, sample_csv, caller_threads,
+            rows, code):
+        if rows is None:
+            path = sample_csv
+        else:
+            path = str(tmp_path / "in.csv")
+            if rows != "missing":
+                Path(path).write_text(rows)
+        seen = []
+        real = cli.iolib.read_sample_csv
+
+        def recording(*args):
+            seen.append(_threads())
+            return real(*args)
+
+        monkeypatch.setattr(cli.iolib, "read_sample_csv", recording)
+        assert run_cli(capsys, "estimate", "--input", path)[0] == code
+        assert seen == [[1] * len(caller_threads)]
+        assert _threads() == caller_threads
+
+    @needs_openblas
+    def test_import_leaves_the_thread_count(self):
+        code = ("import numpy, scipy.linalg, scipy.special\n"
+                "from ftcdf import blas\n"
+                "libs = blas._blas_libraries()\n"
+                "for _, _, set_ in libs: set_(3)\n"
+                "import ftcdf.cli\n"
+                "print([get() for _, get, _ in libs])\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=_repo_src_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{[3] * len(_threads())}\n"
+
+    def test_same_bytes_at_one_and_two_threads(self, tmp_path):
+        # at the OpenBLAS default this input printed 13 of 257 rows with
+        # other bits at one and at two threads, by up to 4.4e-16
+        # (OpenBLAS 0.3.31, 2-vCPU x86-64)
+        x = np.random.default_rng(5).standard_normal(20000)
+        data = tmp_path / "normal.csv"
+        data.write_text("time\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+        docs, curves = [], []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / threads
+            run_dir.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-m", "ftcdf.cli", "estimate", "--input",
+                 str(data), "--bandwidth", "0.2", "--grid", "-5:5:257",
+                 "--output", "curve.csv"],
+                capture_output=True, text=True, cwd=run_dir,
+                env=_repo_src_env(OPENBLAS_NUM_THREADS=threads))
+            assert done.returncode == 0, done.stderr
+            doc = strict_json(done.stdout)
+            blas_doc = doc["diagnostics"]["blas"]
+            assert blas_doc["threads"] == (1 if blas_doc["libraries"]
+                                           else None)
+            blas_doc.pop("caller_threads")
+            docs.append(doc)
+            curves.append((run_dir / "curve.csv").read_bytes())
+        assert docs[0] == docs[1]
+        assert curves[0] == curves[1]
 
 
 class TestFloatingPointErrors:

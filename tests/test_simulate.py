@@ -10,19 +10,20 @@ import ctypes.util
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 import pytest
 
+import ftcdf.blas as blas
 import ftcdf.estimators as estimators
 import ftcdf.simulate as sim
 from ftcdf.bandwidth import NoPlateauError
+from ftcdf.blas import BlasSetting
 from ftcdf.distributions import DistSpec
 from ftcdf.estimators import DegenerateSampleError
 from ftcdf.simulate import (BUILTIN_SCENARIOS, MAX_REPLICATIONS,
-                            MAX_SAMPLE_SIZE, BlasSetting, MseReport,
+                            MAX_SAMPLE_SIZE, MseReport,
                             Scenario, builtin_scenario, run_scenario,
                             zero_bias_experiment)
 
@@ -356,36 +357,12 @@ class TestRetries:
         assert len(ecf_calls) == len(measure_calls) == attempt + 1
 
 
-_CALLER_THREADS = 3
-
-needs_openblas = pytest.mark.skipif(not sim._blas_libraries(),
+needs_openblas = pytest.mark.skipif(not blas._blas_libraries(),
                                     reason="no OpenBLAS loaded")
 
 
 def _threads():
-    return [get() for _, get, _ in sim._blas_libraries()]
-
-
-@contextmanager
-def _blas_at(threads):
-    """Every loaded OpenBLAS at `threads` inside, as it was outside."""
-    libs = sim._blas_libraries()
-    saved = [get() for _, get, _ in libs]
-    for _, _, set_ in libs:
-        set_(threads)
-    try:
-        yield [threads] * len(libs)
-    finally:
-        for (_, _, set_), old in zip(libs, saved):
-            set_(old)
-
-
-@pytest.fixture()
-def caller_threads():
-    """Runs the test with every loaded OpenBLAS at _CALLER_THREADS, a
-    count that is neither 1 nor this machine's default."""
-    with _blas_at(_CALLER_THREADS) as threads:
-        yield threads
+    return [get() for _, get, _ in blas._blas_libraries()]
 
 
 def _probe_threads(probe_dir, fn, *args):
@@ -416,11 +393,11 @@ class TestBlasGuard:
                               sample_sizes=(15,))
         rep = run_scenario(sc, estimators=("edf",), workers=workers)
         assert _threads() == caller_threads
-        names = tuple(name for name, _, _ in sim._blas_libraries())
+        names = tuple(name for name, _, _ in blas._blas_libraries())
         assert rep.blas == BlasSetting(names, tuple(caller_threads))
         assert rep.blas.to_dict() == {"libraries": list(names),
                                       "caller_threads": caller_threads,
-                                      "study_threads": 1}
+                                      "threads": 1}
 
     @pytest.mark.parametrize("workers, estimators, patch, error, match", [
         (0, ("edf",), None, ValueError, "workers must be >= 1"),
@@ -503,7 +480,7 @@ class TestBlasGuard:
         assert pooled.to_csv() == run_scenario(sc, workers=1).to_csv()
 
     def test_worker_count_invariance_where_threads_move_bits(
-            self, monkeypatch):
+            self, monkeypatch, blas_threads_at):
         # n = 2500 is the smallest size found at which the flat-top arms
         # of normal-iid print other bits at one and at two OpenBLAS
         # threads (OpenBLAS 0.3.31, 2-vCPU x86-64; 100 to 2400 did not,
@@ -513,9 +490,9 @@ class TestBlasGuard:
         sc = builtin_scenario("normal-iid", replications=2,
                               sample_sizes=(2500,))
         arms = ("trap-auto", "smooth-auto")
-        with _blas_at(2):
-            serial = run_scenario(sc, estimators=arms, workers=1)
-            pooled = run_scenario(sc, estimators=arms, workers=2)
+        blas_threads_at(2)
+        serial = run_scenario(sc, estimators=arms, workers=1)
+        pooled = run_scenario(sc, estimators=arms, workers=2)
         assert pooled.to_csv() == serial.to_csv()
 
 
@@ -524,28 +501,28 @@ class TestBlasDiscovery:
         sc = builtin_scenario("weibull-censored", seed=4, replications=3,
                               sample_sizes=(15,))
         guarded = run_scenario(sc, workers=1)
-        monkeypatch.setattr(sim, "_loaded_openblas_paths", lambda: [])
+        monkeypatch.setattr(blas, "_loaded_openblas_paths", lambda: [])
         before = _threads()
         bare = run_scenario(sc, workers=1)
         assert _threads() == before
         assert bare.to_csv() == guarded.to_csv()
         assert bare.blas == BlasSetting()
         assert bare.blas.to_dict() == {"libraries": [], "caller_threads": [],
-                                       "study_threads": None}
+                                       "threads": None}
 
     def test_symbol_lookup_never_raises(self, monkeypatch):
         libc = ctypes.util.find_library("c")
-        assert sim._blas_controls(ctypes.CDLL(libc)) is None
-        monkeypatch.setattr(sim, "_loaded_openblas_paths",
+        assert blas._blas_controls(ctypes.CDLL(libc)) is None
+        monkeypatch.setattr(blas, "_loaded_openblas_paths",
                             lambda: [libc, "/no/such/libopenblas.so"])
-        assert sim._blas_libraries() == []
+        assert blas._blas_libraries() == []
 
     def test_maps_without_procfs(self, monkeypatch):
         def no_procfs(*args, **kwargs):
             raise FileNotFoundError("/proc/self/maps")
 
-        monkeypatch.setattr(sim, "open", no_procfs, raising=False)
-        assert sim._loaded_openblas_paths() == []
+        monkeypatch.setattr(blas, "open", no_procfs, raising=False)
+        assert blas._loaded_openblas_paths() == []
 
 
 class TestZeroBias:

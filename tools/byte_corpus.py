@@ -13,7 +13,10 @@ wrote.  The commands run one at a time.
 
 To compare two checkouts, run the script from each (copy it into a
 checkout that predates it) into two directories and ``diff -r`` them:
-the difference is the byte report.
+the difference is the byte report.  The CLI runs every command with
+OpenBLAS at one thread, so no BLAS variable needs setting; a checkout
+from before it did needs ``OPENBLAS_NUM_THREADS=1`` in the environment
+for its corpus to be comparable.
 """
 from __future__ import annotations
 
@@ -89,8 +92,9 @@ REFUSALS = (
 
 
 def write_inputs(inputs: Path) -> None:
-    """A 300-row N(0,1) sample, a 300-row censored Weibull sample and a
-    10-row sample of subnormal times near 1e-310."""
+    """A 300-row N(0,1) sample, a 300-row censored Weibull sample, a
+    10-row sample of subnormal times near 1e-310 and a 20 000-row N(0,1)
+    sample."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -103,6 +107,9 @@ def write_inputs(inputs: Path) -> None:
         "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
     (inputs / "tiny.csv").write_text(
         "time\n" + "".join(f"{k * 1e-311!r}\n" for k in range(10, 20)))
+    large = np.random.default_rng(5).standard_normal(20000)
+    (inputs / "normal20k.csv").write_text(
+        "time\n" + "".join(f"{v!r}\n" for v in large.tolist()))
 
 
 def commands():
@@ -123,6 +130,10 @@ def commands():
     yield ("estimate-smooth-c0.1-fixed-normal",
            ["estimate", "--input", "inputs/normal.csv", "--kernel", "smooth",
             "--c", "0.1", "--bandwidth", "0.3", "--output", "OUT/curve.csv"])
+    # a kernel sum whose last bits once followed the OpenBLAS thread count
+    yield ("estimate-fixed-normal20k",
+           ["estimate", "--input", "inputs/normal20k.csv", "--bandwidth",
+            "0.2", "--grid", "-5:5:257", "--output", "OUT/curve.csv"])
     for data in INPUTS:
         source = ["--input", f"inputs/{data}.csv"]
         for command in ("estimate", "survival"):
