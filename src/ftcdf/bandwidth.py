@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._special import ndtr
 from .estimators import (MAX_KERNEL_TERMS, CensoredSample,
                          DegenerateSampleError)
 

@@ -1,11 +1,13 @@
 """OpenBLAS thread count of this process.
 
-numpy and scipy bundle OpenBLAS, which runs a matrix product on as many
-threads as it was told to at load time.  On a small machine the extra
-threads spin without saving wall time, and the thread count moves the
-last bits of a sum.  _one_blas_thread runs a body with every OpenBLAS
-mapped into the process at one thread and gives the caller's counts
-back afterwards.  Nothing here runs at import.
+numpy bundles OpenBLAS, which runs every matrix product ftcdf makes on
+as many threads as it was told to at load time.  On a small machine the
+extra threads spin without saving wall time, and the thread count moves
+the last bits of a sum.  scipy bundles a second build, which loads with
+scipy.special and carries no ftcdf arithmetic.  _one_blas_thread runs a
+body with every OpenBLAS mapped into the process at one thread and
+gives the caller's counts back afterwards.  Nothing here runs at
+import.
 """
 from __future__ import annotations
 

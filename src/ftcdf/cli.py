@@ -4,9 +4,11 @@ Subcommands: estimate, survival, bandwidth, deficiency, simulate,
 kernel-table.  Every successful run prints one JSON document to stdout
 holding the fully resolved configuration (all defaults filled in) plus
 any inline results, and writes at most one CSV, to the path given.
-Every command runs OpenBLAS at one thread and gives the caller's
+Every command runs each OpenBLAS loaded when it starts (numpy's, which
+runs ftcdf's matrix products) at one thread and gives the caller's
 thread count back afterwards; the document reports both as
-diagnostics.blas.
+diagnostics.blas.  No scipy module is imported here: scipy.special
+loads only in the commands that evaluate a special function.
 Failures print an error JSON to stderr and exit with a distinct code
 per error class: 2 usage (argparse, including a float flag that is not
 finite), 3 I/O, 4 parse, 5 domain (including a kernel table that
@@ -460,7 +462,16 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "kernel", None) == GAUSSIAN:
+        # a Gaussian fit reads neither flat-top flag, so giving one is a
+        # usage error, as a flag the command does not take is
+        for flag, value in (("--c", args.c),
+                            ("--effective-c", args.effective_c)):
+            if value is not None:
+                parser.error(f"argument {flag}: not allowed with argument "
+                             "--kernel gaussian")
     try:
         # every loaded OpenBLAS runs the command at one thread, so that
         # its bits do not depend on the caller's setting, which comes

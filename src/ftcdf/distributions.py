@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .kernels import _trap_kbar, _trap_kernel
 
 NORMAL = "normal"

@@ -18,6 +18,8 @@ the kernel's mass.  Tables hold the raw, non-monotone Kbar: valid CDF
 paths come from standardizing an estimate, not the kernel.  K itself
 is evaluated directly, never interpolated.  The Gaussian kernel is
 included as a comparator: like a table, it offers kbar and tail_cutoff.
+Only the trapezoid's sine integral and the Gaussian's normal CDF load
+scipy.special; the smooth family and the tables' spline need no scipy.
 """
 from __future__ import annotations
 
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtr, sici
 
+from ._special import ndtr, sici
 from .quadrature import QuadratureError, adaptive_quad, unit_gl_rule
 
 TRAPEZOID = "trapezoid"
@@ -266,13 +267,58 @@ def _positive_grid(t_end: float, tol: float, decay_const: float) -> np.ndarray:
     return np.concatenate([np.arange(0.0, t_core, delta0), tail, [t_end]])
 
 
+def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
+    """x with A x = b, for the tridiagonal A of order n >= 2 with
+    subdiagonal dl, diagonal d and superdiagonal du (lists of floats);
+    overwrites all four.
+
+    LAPACK dgtsv for one right-hand side, operation for operation, which
+    is what scipy.linalg.solve_banded runs for (1, 1) bands, so x
+    carries its bits: Gaussian elimination with partial pivoting, where
+    a row interchange fills a second superdiagonal kept in dl (the last
+    step has none to fill), then back substitution.  A zero pivot
+    raises LinAlgError, as solve_banded does for a singular matrix.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no row interchange
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Power-basis coefficients, shape (4, n-1), of the not-a-knot cubic
     spline through (x, y), highest power first.
 
     The arithmetic of scipy's CubicSpline for n > 3 knots: the same
-    banded system for the knot slopes, with the same not-a-knot end rows
-    and the same solve_banded call, then the cubic Hermite form.  Every
+    tridiagonal system for the knot slopes, with the same not-a-knot end
+    rows, solved by _solve_tridiagonal, the LAPACK routine CubicSpline
+    reaches through solve_banded, then the cubic Hermite form.  Every
     coefficient carries CubicSpline's bits.
     """
     n = x.size
@@ -280,23 +326,21 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("a not-a-knot spline needs at least 4 knots")
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    band = np.zeros((3, n))
+    diag = np.empty(n)
     rhs = np.empty(n)
-    band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    band[0, 2:] = dx[:-1]
-    band[-1, :-2] = dx[1:]
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     d = x[2] - x[0]
-    band[1, 0] = dx[1]
-    band[0, 1] = d
+    diag[0] = dx[1]
+    upper = [float(d), *dx[:-1].tolist()]
     rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]
-    band[1, -1] = dx[-2]
-    band[-1, -2] = d
+    diag[-1] = dx[-2]
+    lower = [*dx[1:].tolist(), float(d)]
     rhs[-1] = (dx[-1] ** 2 * slope[-2]
                + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), band, rhs.reshape(n, 1), overwrite_ab=True,
-                     overwrite_b=True, check_finite=False).reshape(n)
+    s = np.array(_solve_tridiagonal(lower, diag.tolist(), upper,
+                                    rhs.tolist()))
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
@@ -473,12 +517,6 @@ class GaussianKernel:
         return "GaussianKernel()"
 
 
-@lru_cache(maxsize=1)
-def _gaussian_cross_moment() -> float:
-    f = lambda u: ndtr(u) * (1.0 - ndtr(u))
-    return adaptive_quad(f, 0.0, 40.0, 1e-12)
-
-
 @lru_cache(maxsize=32)
 def _flattop_cross_moment(spec: FlatTopSpec) -> float:
     # int u K Kbar du rewritten by parts as (1/2) int Kbar (1 - Kbar):
@@ -496,9 +534,8 @@ def _flattop_cross_moment(spec: FlatTopSpec) -> float:
 
 
 def kernel_cross_moment(kern) -> float:
-    """The constant int u K(u) Kbar(u) du in the second-order variance term."""
-    if isinstance(kern, GaussianKernel):
-        return _gaussian_cross_moment()
+    """The constant int u K(u) Kbar(u) du of a flat-top kernel's spec, in
+    the second-order variance term."""
     if isinstance(kern, FlatTopSpec):
         return _flattop_cross_moment(kern)
     raise TypeError(f"no cross moment for {type(kern).__name__}")

@@ -23,6 +23,7 @@ import numpy as np
 from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         default_freq_grid, default_rule, ecf,
                         select_bandwidth)
+from ._special import load as load_special
 from .blas import BlasSetting, _blas_libraries, _one_blas_thread
 from .distributions import (DistSpec, dist_cdf, dist_survival, polya_cdf,
                             sample_distribution)
@@ -219,8 +220,10 @@ def _pool_worker_init():
     under spawn and forkserver too.  The worker exits with the pool, so
     nothing is restored.  A forked worker already reads 1 and is left
     alone: setting the count after a fork restarts OpenBLAS's thread
-    pool, whose idle threads would spin for nothing.
+    pool, whose idle threads would spin for nothing.  scipy.special is
+    imported first, so that its OpenBLAS is among the libraries set.
     """
+    load_special()
     for _, get, set_ in _blas_libraries():
         if get() != 1:
             set_(1)
@@ -309,6 +312,8 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     min(workers, tasks, CPUs) processes opened once for the study.
     Either way OpenBLAS runs at one thread, so results do not depend on
     the thread count, and the caller's setting is restored afterwards.
+    scipy.special, which a study's draws and fits may call, is imported
+    once before that, so that its OpenBLAS is set too.
     """
     for name in estimators:
         if name not in ESTIMATORS:
@@ -323,6 +328,7 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     tasks = list(product(sizes, range(reps)))
     args = (repeat(scenario), repeat(estimators), *zip(*tasks))
     procs = min(workers, len(tasks), os.cpu_count() or 1)
+    load_special()
     with _one_blas_thread() as blas:
         if procs == 1:
             results = list(map(_replicate, *args))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import ftcdf.blas as blas
+from ftcdf._special import load as load_special
 
 
 @pytest.fixture()
@@ -44,7 +45,10 @@ def blas_threads_unchanged():
 def blas_threads_at():
     """blas_threads_at(k) puts every loaded OpenBLAS at k threads for the
     rest of the test and returns the counts set, in library order; the
-    counts the test started with come back at teardown."""
+    counts the test started with come back at teardown.  scipy.special,
+    whose OpenBLAS ftcdf loads on first use, is loaded first, so that the
+    counts cover every library a test may run."""
+    load_special()
     libs = blas._blas_libraries()
     saved = [get() for _, get, _ in libs]
 

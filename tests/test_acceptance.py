@@ -24,13 +24,14 @@ from ftcdf.bandwidth import (BandwidthRule, auto_bandwidth, default_freq_grid,
 from ftcdf.cli import main
 from ftcdf.estimators import (CensoredSample, EstimatorConfig, edf,
                               evaluate_on_grid, standardize_path)
-from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, GaussianKernel, get_table,
+from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, get_table,
                            integrated_kernel, integrated_kernel_by_quad,
-                           kernel, kernel_cross_moment, window)
+                           kernel, window)
 from ftcdf.quadrature import adaptive_quad
 from ftcdf.simulate import (ESTIMATORS, builtin_scenario, run_scenario,
                             zero_bias_experiment)
 from ftcdf.survival import kaplan_meier
+from oracles import gaussian_cross_moment
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 SEED = 42
@@ -121,7 +122,7 @@ def test_criterion_4_kernel_identities():
     fine = np.linspace(table.grid[0], table.grid[-1], 2_000_001)
     mass = np.trapezoid(kernel(TRAP, fine), fine)
     assert 1.0 - 1e-6 <= mass <= 1.0 + 1e-6
-    gauss_cm = kernel_cross_moment(GaussianKernel())
+    gauss_cm = gaussian_cross_moment()
     assert abs(gauss_cm - 1.0 / (2.0 * math.sqrt(math.pi))) <= 1e-8
 
 

@@ -160,6 +160,22 @@ class TestEstimate:
         assert bw["h_grid"] == {"lo": grid[0], "hi": grid[-1], "points": 32,
                                 "spacing": "log"}
 
+    @pytest.mark.parametrize("flags", [("--c", "0.3"),
+                                       ("--effective-c", "0.9"),
+                                       ("--c", "0.3", "--effective-c", "0.9")])
+    @pytest.mark.parametrize("command", ["estimate", "survival"])
+    def test_gaussian_refuses_flat_top_flags(self, capsys, sample_csv,
+                                             command, flags):
+        # a Gaussian fit reads neither flag, so neither is dropped unseen
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", sample_csv, "--kernel", "gaussian",
+                  *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument {flags[0]}: not allowed with argument --kernel "
+                "gaussian") in captured.err
+
     @pytest.mark.parametrize("command", ["estimate", "survival"])
     def test_fixed_bandwidth_needs_no_rule_radius(self, capsys, sample_csv,
                                                   command):
@@ -1079,6 +1095,47 @@ class TestBlasGuard:
             curves.append((run_dir / "curve.csv").read_bytes())
         assert docs[0] == docs[1]
         assert curves[0] == curves[1]
+
+
+class TestScipyLoad:
+    """scipy loads only where a special function is evaluated: ndtr and
+    ndtri (Gaussian kernel and normal draws) and sici (trapezoid)."""
+
+    def _loaded(self, code):
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=_repo_src_env())
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        assert self._loaded(
+            "import json, sys, ftcdf.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')))\n") == []
+
+    def test_smooth_commands_load_no_scipy(self, tmp_path, sample_csv,
+                                           censored_csv):
+        runs = [
+            ["survival", "--input", censored_csv, "--kernel", "smooth",
+             "--boundary", "0", "--standardize", "--grid", "0:3:31"],
+            ["estimate", "--input", sample_csv, "--kernel", "smooth"],
+            ["bandwidth", "--input", sample_csv, "--ecf-out",
+             str(tmp_path / "ecf.csv")],
+            ["kernel-table", "--kernel", "smooth", "--output",
+             str(tmp_path / "table.csv")],
+            ["deficiency", "--expansion-base", "1:1:2:log-factor",
+             "--expansion-better", "1:1:1:log-factor", "--n", "100"]]
+        code = ("import contextlib, io, json, sys\n"
+                "from ftcdf.cli import main\n"
+                "seen = []\n"
+                f"for argv in {runs!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv) == 0, argv\n"
+                "    seen.append([argv[0], sorted(\n"
+                "        m for m in sys.modules if m.split('.')[0] == 'scipy')])\n"
+                "print(json.dumps(seen))\n")
+        assert self._loaded(code) == [[argv[0], []] for argv in runs]
 
 
 class TestFloatingPointErrors:

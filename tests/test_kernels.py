@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 import ftcdf.kernels as kernels
 from ftcdf.bandwidth import default_rule
@@ -28,6 +29,7 @@ from ftcdf.kernels import (
     window,
 )
 from ftcdf.quadrature import QuadratureError, adaptive_quad
+from oracles import gaussian_cross_moment
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 SMOOTH_REF = FlatTopSpec(SMOOTH, 0.05, 1.0)
@@ -208,7 +210,7 @@ def test_kernel_total_mass(spec):
 
 
 def test_cross_moment_gaussian():
-    assert kernel_cross_moment(GaussianKernel()) == pytest.approx(
+    assert gaussian_cross_moment() == pytest.approx(
         1.0 / (2.0 * np.sqrt(np.pi)), abs=1e-8)
 
 
@@ -235,8 +237,9 @@ def test_cross_moment_symmetry_identity():
 
 
 def test_cross_moment_rejects_unknown():
-    # a table is refused too: callers pass its spec
-    for kern in ("gaussian", get_table(TRAP, 1e-8)):
+    # a table is refused too: callers pass its spec; the Gaussian
+    # constant is a test oracle, since no command reads it
+    for kern in ("gaussian", get_table(TRAP, 1e-8), GaussianKernel()):
         with pytest.raises(TypeError):
             kernel_cross_moment(kern)
 
@@ -319,6 +322,70 @@ def test_spline_is_scipys_not_a_knot_bit_for_bit(spec, tol):
     # 2-d arguments keep their shape and their bits
     rows = args[:40 * 300].reshape(40, 300)
     assert tab.kbar(rows).tobytes() == _oracle_kbar(tab, rows).tobytes()
+
+
+def _banded(dl, d, du, b) -> np.ndarray:
+    """Oracle of the tridiagonal port: scipy.linalg.solve_banded((1, 1))."""
+    band = np.zeros((3, d.size))
+    band[0, 1:], band[1], band[2, :-1] = du, d, dl
+    return solve_banded((1, 1), band, b)
+
+
+def _ported(dl, d, du, b) -> np.ndarray:
+    return np.array(kernels._solve_tridiagonal(
+        dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+
+
+@pytest.mark.parametrize("spec, tol", [
+    *((spec, tol) for spec in (TRAP, SMOOTH_REF)
+      for tol in (1e-6, 1e-8, 1e-10)),
+    *((FlatTopSpec(TRAPEZOID, c), 1e-8) for c in (0.1, 0.3, 0.5, 0.9))])
+def test_port_solves_the_table_systems_as_solve_banded(spec, tol,
+                                                       monkeypatch):
+    tab = get_table(spec, tol)
+    systems = []
+    real = kernels._solve_tridiagonal
+
+    def recording(*lists):
+        system = [np.array(v) for v in lists]  # before they are overwritten
+        x = np.array(real(*lists))
+        systems.append((system, x))
+        return x.tolist()
+
+    monkeypatch.setattr(kernels, "_solve_tridiagonal", recording)
+    coef = kernels._not_a_knot_coefficients(tab.grid, tab.kbar_values)
+    assert coef.tobytes() == tab._kbar_spline.coef.tobytes()
+    [(system, x)] = systems
+    assert system[1].size == tab.grid.size
+    assert x.tobytes() == _banded(*system).tobytes()
+
+
+def test_port_solves_random_systems_as_solve_banded():
+    rng = np.random.default_rng(11)
+    swapped = 0
+    for k in range(1200):
+        n = int(rng.integers(2, 40))
+        dl, du, b = (rng.normal(size=n - 1), rng.normal(size=n - 1),
+                     rng.normal(size=n))
+        # a small diagonal makes |d| < |dl| and forces row interchanges
+        d = rng.normal(size=n) * (0.05 if k % 2 else 4.0)
+        swapped += bool(np.any(np.abs(d[:-1]) < np.abs(dl)))
+        assert _ported(dl, d, du, b).tobytes() == \
+            _banded(dl, d, du, b).tobytes(), k
+    assert swapped > 500
+
+
+@pytest.mark.parametrize("dl, d, du", [
+    ([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0]),  # first column zero
+    ([1.0], [1.0, 1.0], [1.0]),                 # last pivot zero
+    ([1.0, 0.0], [0.0, 2.0, 0.0], [1.0, 3.0])])  # zero after an interchange
+def test_port_refuses_a_zero_pivot_as_solve_banded(dl, d, du):
+    dl, d, du = map(np.array, (dl, d, du))
+    b = np.ones(d.size)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _banded(dl, d, du, b)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _ported(dl, d, du, b)
 
 
 @pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])

@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +482,31 @@ class TestBlasGuard:
             assert [line[-1] for line in seen] == ["1"] * 8
         assert os.getpid() not in {int(f.stem) for f in files}
         assert pooled.to_csv() == run_scenario(sc, workers=1).to_csv()
+
+    @needs_openblas
+    def test_fresh_study_sets_scipys_openblas_too(self):
+        # nothing loads scipy.special before this study starts, so the
+        # report names scipy's OpenBLAS only if the study loads it before
+        # opening its guard and pool
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import json, sys\n"
+                "from ftcdf import blas\n"
+                "from ftcdf.simulate import builtin_scenario, run_scenario\n"
+                "names = lambda: [n for n, _, _ in blas._blas_libraries()]\n"
+                "before = names()\n"
+                "sc = builtin_scenario('weibull-censored', seed=3,\n"
+                "                      replications=4, sample_sizes=(15,))\n"
+                "report = run_scenario(sc, workers=2)\n"
+                "print(json.dumps([before, list(report.blas.libraries),\n"
+                "                  names()]))\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        before, reported, after = json.loads(done.stdout)
+        # numpy's build, loaded before the study, and scipy's, loaded by it
+        assert reported == after
+        assert set(before) < set(after) and len(after) == len(before) + 1
 
     def test_worker_count_invariance_where_threads_move_bits(
             self, monkeypatch, blas_threads_at):

@@ -68,15 +68,19 @@ DEFICIENCY = (
                    "--n", "100,1000"]),
 )
 
-# refused runs: a removed flag and a kernel the command does not offer
-# (exit 2), a range grid that repeats a point and negative frequencies
-# (exit 4), and a smooth table that misses its tol (exit 5)
+# refused runs: a removed flag, a kernel the command does not offer and
+# flat-top flags with the Gaussian kernel (exit 2), a range grid that
+# repeats a point and negative frequencies (exit 4), and a smooth table
+# that misses its tol (exit 5)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
     ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
     ("deficiency-gaussian", ["deficiency", "--assumption", "band-limited",
                              "--F", "0.5", "--f", "0.25", "--kernel",
                              "gaussian", "--n", "100"]),
+    ("estimate-gaussian-c", ["estimate", "--input", "inputs/normal.csv",
+                             "--kernel", "gaussian", "--c", "0.3",
+                             "--effective-c", "0.9"]),
     ("kernel-table-smooth-c0.6", ["kernel-table", "--kernel", "smooth",
                                   "--c", "0.6", "--output",
                                   "OUT/table.csv"]),
