@@ -77,33 +77,33 @@ def _staged(stage: str, func, *args):
         raise FloatingPointError(f"{stage}: {exc}") from exc
 
 
-def _automatic_bandwidth(sample, cv, eff, freqs=None):
-    """(h, config dict, ECF curve or None) of leave-one-out CV if cv, else
-    of the default rule with radius eff on the ECF at freqs or data scale."""
-    if cv:
-        grid = default_cv_grid(sample)
-        h = cv_bandwidth_km(sample, grid)
-        return h, {"mode": "cv", "value": h,
-                   "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
-                              "points": int(grid.size),
-                              "spacing": "log"}}, None
-    rule = default_rule(sample.n, eff)
-    if freqs is None:
-        freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
-    curve = _staged(_ECF_STAGE, ecf, sample, freqs)
+def _cv_bandwidth(sample):
+    """(h, config dict) of leave-one-out CV on the default bandwidth grid."""
+    grid = default_cv_grid(sample)
+    h = cv_bandwidth_km(sample, grid)
+    return h, {"mode": "cv", "value": h,
+               "h_grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
+                          "points": int(grid.size), "spacing": "log"}}
+
+
+def _rule_bandwidth(curve, rule):
+    """(h, config dict) of the threshold rule on the ECF curve."""
     h = select_bandwidth(curve, rule)
     return h, {"mode": "auto", "value": h, "C": rule.C,
-               "epsilon": rule.epsilon, "effective_c": eff,
+               "epsilon": rule.epsilon, "effective_c": rule.effective_c,
                "threshold": noise_threshold(curve.n, rule.C),
-               "t_star": threshold_frequency(curve, rule)}, curve
+               "t_star": threshold_frequency(curve, rule)}
 
 
 def _resolve_bandwidth(args, sample, kern):
     """(h, bandwidth config dict) of the kernel's selector or the value."""
     if args.bandwidth == "auto":
-        cv = isinstance(kern, GaussianKernel)
-        eff = None if cv else kern.spec.effective_c
-        return _automatic_bandwidth(sample, cv, eff)[:2]
+        if isinstance(kern, GaussianKernel):
+            return _cv_bandwidth(sample)
+        # the rule is checked before any frequency is computed
+        rule = default_rule(sample.n, kern.spec.effective_c)
+        freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
+        return _rule_bandwidth(_staged(_ECF_STAGE, ecf, sample, freqs), rule)
     try:
         fixed = float(args.bandwidth)
     except ValueError:
@@ -163,17 +163,23 @@ def _cmd_curve(args):
 def _cmd_bandwidth(args):
     sample = iolib.read_sample_csv(args.input)
     cv = args.method == "cv"
+    # CV reads no ECF: it builds one, and the default grid, only for
+    # --ecf-out
+    wants_ecf = args.ecf_out or not cv
     freqs, grid_text = None, args.freq_grid
     if args.freq_grid is not None:
         freqs = iolib.parse_grid(args.freq_grid)
         if freqs[0] < 0.0:
             raise iolib.ParseError(f"--freq-grid {args.freq_grid!r}: "
                                    "frequencies must be nonnegative")
-    elif args.ecf_out or not cv:
-        # CV reads no ECF: its default grid is built only for --ecf-out
+    elif wants_ecf:
         freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
         grid_text = f"{float(freqs[0])!r}:{float(freqs[-1])!r}:{freqs.size}"
-    h, bw, curve = _automatic_bandwidth(sample, cv, args.effective_c, freqs)
+    eff = (FlatTopSpec(TRAPEZOID).effective_c if args.effective_c is None
+           else args.effective_c)
+    rule = None if cv else default_rule(sample.n, eff)
+    curve = _staged(_ECF_STAGE, ecf, sample, freqs) if wants_ecf else None
+    h, bw = _cv_bandwidth(sample) if cv else _rule_bandwidth(curve, rule)
     bw["freq_grid"] = grid_text
     payload = {
         "command": "bandwidth",
@@ -184,7 +190,6 @@ def _cmd_bandwidth(args):
         "h": h,
     }
     if args.ecf_out:
-        curve = curve or _staged(_ECF_STAGE, ecf, sample, freqs)
         iolib.write_text(args.ecf_out,
                          iolib.curve_csv(curve.freqs, curve.magnitudes,
                                          value_name="magnitude"))
@@ -223,16 +228,19 @@ def _parse_n_list(text: str):
 def _cmd_deficiency(args):
     ns = _parse_n_list(args.n)
     if args.assumption is not None:
-        if args.assumption == "polynomial":
-            if args.p is None:
-                raise ValueError("--assumption polynomial needs --p")
-            smooth = SmoothnessClass(POLYNOMIAL, p=args.p)
-        elif args.assumption == "exponential":
-            if args.d is None:
-                raise ValueError("--assumption exponential needs --d")
-            smooth = SmoothnessClass(EXPONENTIAL, d=args.d)
-        else:
-            smooth = SmoothnessClass(BAND_LIMITED)
+        kind, takes = {"polynomial": (POLYNOMIAL, "p"),
+                       "exponential": (EXPONENTIAL, "d"),
+                       "band-limited": (BAND_LIMITED, None)}[args.assumption]
+        given = {"p": args.p, "d": args.d,
+                 "expansion-base": args.expansion_base,
+                 "expansion-better": args.expansion_better}
+        for name, value in given.items():
+            if value is not None and name != takes:
+                raise ValueError(f"--assumption {args.assumption} does not "
+                                 f"take --{name}")
+        if takes is not None and given[takes] is None:
+            raise ValueError(f"--assumption {args.assumption} needs --{takes}")
+        smooth = SmoothnessClass(kind, p=args.p, d=args.d)
         if args.F is None or args.f is None:
             raise ValueError("assumption mode needs --F and --f")
         if smooth.kind != BAND_LIMITED and args.a is None:
@@ -399,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bandwidth")
     p.add_argument("--input", required=True)
     p.add_argument("--method", default="auto", choices=["auto", "cv"])
-    p.add_argument("--effective-c", type=_finite_float,
-                   default=FlatTopSpec(TRAPEZOID).effective_c)
+    p.add_argument("--effective-c", type=_finite_float)
     p.add_argument("--freq-grid")
     p.add_argument("--ecf-out", help="write the ECF curve CSV here")
     p.set_defaults(func=_cmd_bandwidth)
@@ -464,14 +471,15 @@ def _fail(kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kernel", None) == GAUSSIAN:
-        # a Gaussian fit reads neither flat-top flag, so giving one is a
-        # usage error, as a flag the command does not take is
-        for flag, value in (("--c", args.c),
-                            ("--effective-c", args.effective_c)):
-            if value is not None:
-                parser.error(f"argument {flag}: not allowed with argument "
-                             "--kernel gaussian")
+    # a Gaussian fit reads neither flat-top flag, and cross-validation
+    # no rule radius, so giving one is a usage error, as a flag the
+    # command does not take is
+    mode = ("--kernel gaussian" if getattr(args, "kernel", None) == GAUSSIAN
+            else "--method cv" if getattr(args, "method", None) == "cv"
+            else None)
+    for flag, name in (("--c", "c"), ("--effective-c", "effective_c")):
+        if mode and getattr(args, name, None) is not None:
+            parser.error(f"argument {flag}: not allowed with argument {mode}")
     try:
         # every loaded OpenBLAS runs the command at one thread, so that
         # its bits do not depend on the caller's setting, which comes

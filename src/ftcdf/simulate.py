@@ -25,10 +25,10 @@ from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         select_bandwidth)
 from ._special import load as load_special
 from .blas import BlasSetting, _blas_libraries, _one_blas_thread
-from .distributions import (DistSpec, dist_cdf, dist_survival, polya_cdf,
+from .distributions import (DistSpec, dist_cdf, dist_survival,
                             sample_distribution)
 from .estimators import (CensoredSample, DegenerateSampleError,
-                         EstimatorConfig, evaluate_on_grid, smoothed_paths)
+                         EstimatorConfig, smoothed_paths)
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table)
 
@@ -53,7 +53,6 @@ _STUDY_THRESHOLD_C = 1.4
 _PURPOSE_LIFETIME = 0
 _PURPOSE_CENSOR = 1
 _MAX_ATTEMPTS = 100
-_ZERO_BIAS_POINTS = (0.0, 2.0, 5.0)
 # largest sample size and replication count a Scenario accepts, checked
 # before anything is drawn or allocated
 MAX_SAMPLE_SIZE = 1_000_000
@@ -279,14 +278,15 @@ def _replicate(scenario: Scenario, estimators, n: int, rep: int):
                 raw, std = smoothed_paths(sample, cfg, pts, survival)
                 vals[e, :, 0] = raw
                 vals[e, :, 1] = std
-        except (NoPlateauError, DegenerateSampleError):
+        except (NoPlateauError, DegenerateSampleError) as exc:
             # bandwidth selection failed or the draw has too few events;
             # retry the whole replication on a fresh substream
+            last = exc
             continue
         return vals, attempt
     raise RuntimeError(f"replication {rep} failed {_MAX_ATTEMPTS} times; "
-                       "the frequency grid likely never crosses the "
-                       "threshold for this data law")
+                       f"the last attempt raised {type(last).__name__}: "
+                       f"{last}") from last
 
 
 def _truth(scenario: Scenario, pts: np.ndarray) -> np.ndarray:
@@ -304,8 +304,10 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     the estimator as defined) and with a "+raw" suffix (the unshaped
     kernel sum, kept as a diagnostic).  Replications whose bandwidth
     selection fails, or whose draw has too few events, are retried on
-    fresh substreams and counted in `retries`; any other error
-    propagates.
+    fresh substreams and counted in `retries`; a replication that fails
+    _MAX_ATTEMPTS times raises RuntimeError naming its last error, and
+    any other error propagates.  An unknown or repeated estimator name
+    is refused before anything is drawn.
 
     The replications of every sample size form one task list.  It runs
     in this process when one process suffices, else in one pool of
@@ -315,10 +317,12 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     scipy.special, which a study's draws and fits may call, is imported
     once before that, so that its OpenBLAS is set too.
     """
-    for name in estimators:
+    for k, name in enumerate(estimators):
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; "
                              f"choose from {ESTIMATORS}")
+        if name in estimators[:k]:
+            raise ValueError(f"estimator {name!r} is named twice")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     pts = np.asarray(scenario.eval_points)
@@ -361,51 +365,3 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
                                            mse, bias, variance, se, reps))
     return MseReport(scenario.name, scenario.estimand, scenario.seed,
                      reps, tuple(cells), tuple(retries), blas)
-
-
-@dataclass(frozen=True)
-class ZeroBiasPoint:
-    t: float
-    bias: float
-    se: float | None
-
-
-@dataclass(frozen=True)
-class ZeroBiasReport:
-    n: int
-    bandwidth: float
-    seed: int
-    replications: int
-    insufficient_replications: bool
-    points: tuple
-
-
-def zero_bias_experiment(n: int, h: float, reps: int,
-                         seed: int) -> ZeroBiasReport:
-    """Empirical bias of the fixed-h trapezoid estimator on band-limited
-    data, at t = 0, 2 and 5.
-
-    The data law's characteristic function vanishes beyond 1, so for
-    h <= effective_c the estimator is exactly unbiased; larger h serves
-    as a control arm.  With one replication the standard error is
-    undefined and the report says so.
-    """
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be positive")
-    pts = np.asarray(_ZERO_BIAS_POINTS)
-    cfg = EstimatorConfig(get_table(FlatTopSpec(TRAPEZOID)), h)
-    truth = polya_cdf(pts)
-    errors = np.empty((reps, pts.size))
-    for rep in range(reps):
-        rng = _stream(seed, rep, _PURPOSE_LIFETIME, 0)
-        sample = CensoredSample.uncensored(
-            sample_distribution(DistSpec("polya"), n, rng))
-        errors[rep] = evaluate_on_grid(sample, cfg, pts) - truth
-    insufficient = reps < 2
-    points = []
-    for p in range(pts.size):
-        se = None if insufficient else \
-            float(np.std(errors[:, p], ddof=1) / np.sqrt(reps))
-        points.append(ZeroBiasPoint(float(pts[p]),
-                                    float(np.mean(errors[:, p])), se))
-    return ZeroBiasReport(n, h, seed, reps, insufficient, tuple(points))

@@ -22,14 +22,15 @@ from ftcdf.asymptotics import MseExpansion
 from ftcdf.bandwidth import (BandwidthRule, auto_bandwidth, default_freq_grid,
                              ecf, select_bandwidth)
 from ftcdf.cli import main
+from ftcdf.distributions import DistSpec, polya_cdf, sample_distribution
 from ftcdf.estimators import (CensoredSample, EstimatorConfig, edf,
                               evaluate_on_grid, standardize_path)
 from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, get_table,
                            integrated_kernel, integrated_kernel_by_quad,
                            kernel, window)
 from ftcdf.quadrature import adaptive_quad
-from ftcdf.simulate import (ESTIMATORS, builtin_scenario, run_scenario,
-                            zero_bias_experiment)
+from ftcdf.simulate import (ESTIMATORS, _stream, builtin_scenario,
+                            run_scenario)
 from ftcdf.survival import kaplan_meier
 from oracles import gaussian_cross_moment
 
@@ -96,13 +97,34 @@ def test_criterion_2_censored_table_reproduction(weibull_study):
     assert elapsed < 120.0, f"censored study took {elapsed:.1f}s"
 
 
+ZERO_BIAS_POINTS = (0.0, 2.0, 5.0)
+
+
+def polya_bias_and_se(h: float, n: int = 200, reps: int = 2000):
+    """(t, bias, SE) at each of ZERO_BIAS_POINTS of the reference
+    trapezoid estimator at fixed h, over reps Polya samples of size n
+    drawn from the studies' streams."""
+    pts = np.asarray(ZERO_BIAS_POINTS)
+    cfg = EstimatorConfig(get_table(FlatTopSpec(TRAPEZOID)), h)
+    truth = polya_cdf(pts)
+    errors = np.empty((reps, pts.size))
+    for rep in range(reps):
+        sample = CensoredSample.uncensored(sample_distribution(
+            DistSpec("polya"), n, _stream(SEED, rep, 0, 0)))
+        errors[rep] = evaluate_on_grid(sample, cfg, pts) - truth
+    return [(t, float(np.mean(errors[:, p])),
+             float(np.std(errors[:, p], ddof=1) / np.sqrt(reps)))
+            for p, t in enumerate(ZERO_BIAS_POINTS)]
+
+
 def test_criterion_3_exact_zero_bias_on_bandlimited_data():
-    report = zero_bias_experiment(200, 0.5, 2000, SEED)
-    for p in report.points:
-        assert abs(p.bias) <= 2.0 * p.se, \
-            f"bias {p.bias:.2e} exceeds 2 SE at t={p.t}"
-    control = zero_bias_experiment(200, 5.0, 2000, SEED)
-    assert any(abs(p.bias) > 3.0 * p.se for p in control.points), \
+    # the Polya characteristic function vanishes beyond 1, so at
+    # h <= effective_c the estimator is exactly unbiased; h = 5 is the
+    # control arm
+    for t, bias, se in polya_bias_and_se(0.5):
+        assert abs(bias) <= 2.0 * se, f"bias {bias:.2e} exceeds 2 SE at t={t}"
+    control = polya_bias_and_se(5.0)
+    assert any(abs(bias) > 3.0 * se for _, bias, se in control), \
         "oversized bandwidth control arm shows no detectable bias"
 
 

@@ -487,6 +487,26 @@ class TestBandwidth:
         assert code == 4 and doc is None
         assert err["error"] == {"kind": "parse", "message": message}
 
+    @pytest.mark.parametrize("extra", [(), ("--ecf-out", os.devnull)])
+    def test_cv_method_refuses_rule_radius(self, capsys, sample_csv, extra):
+        # cross-validation reads no rule radius
+        with pytest.raises(SystemExit) as exc:
+            main(["bandwidth", "--input", sample_csv, "--method", "cv",
+                  "--effective-c", "0.9", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("argument --effective-c: not allowed with argument "
+                "--method cv") in captured.err
+
+    def test_auto_method_takes_rule_radius(self, capsys, sample_csv):
+        code, doc, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,
+                               "--effective-c", "0.5")
+        assert code == 0
+        bw = doc["resolved_config"]["bandwidth"]
+        assert bw["effective_c"] == 0.5
+        assert doc["h"] == 0.5 / bw["t_star"]
+
     def test_cv_method_on_censored_input(self, capsys, censored_csv):
         code, doc, _ = run_cli(capsys, "bandwidth", "--input", censored_csv,
                                "--method", "cv")
@@ -565,10 +585,13 @@ class TestDeficiency:
                 "'trapezoid', 'smooth')") in captured.err
 
     def test_band_limited_needs_no_premultiplier(self, capsys):
-        code, doc, _ = run_cli(
-            capsys, "deficiency", "--assumption", "band-limited",
-            "--F", "0.5", "--f", "0.25", "--n", "100")
+        argv = ["deficiency", "--assumption", "band-limited", "--F", "0.5",
+                "--f", "0.25", "--n", "100"]
+        code, doc, _ = run_cli(capsys, *argv)
         assert code == 0 and doc["rate"] == "n"
+        # shown at unit bandwidth, so a given --a is ignored
+        code, with_a, _ = run_cli(capsys, *argv, "--a", "3")
+        assert code == 0 and with_a["values"] == doc["values"]
 
     def test_expansion_mode(self, capsys):
         code, doc, _ = run_cli(
@@ -718,6 +741,36 @@ class TestDeficiency:
             assert set(doc["resolved_config"]) == {
                 "assumption", "p", "d", "F", "f", "kernel", "cross_moment",
                 "a", "n"}
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(("--assumption", "polynomial", "--p", "2", "--d", "1",
+                      "--a", "1"),
+                     "--assumption polynomial does not take --d",
+                     id="polynomial-d"),
+        pytest.param(("--assumption", "exponential", "--d", "1", "--p", "2",
+                      "--a", "1"),
+                     "--assumption exponential does not take --p",
+                     id="exponential-p"),
+        pytest.param(("--assumption", "band-limited", "--p", "2"),
+                     "--assumption band-limited does not take --p",
+                     id="band-limited-p"),
+        pytest.param(("--assumption", "band-limited", "--d", "1"),
+                     "--assumption band-limited does not take --d",
+                     id="band-limited-d"),
+        pytest.param(("--assumption", "band-limited",
+                      "--expansion-base", "1:1:2:log-factor"),
+                     "--assumption band-limited does not take "
+                     "--expansion-base", id="expansion-base"),
+        pytest.param(("--assumption", "exponential", "--d", "1", "--a", "1",
+                      "--expansion-better", "1:1:1:log-factor"),
+                     "--assumption exponential does not take "
+                     "--expansion-better", id="expansion-better")])
+    def test_assumption_refuses_flags_it_does_not_take(self, capsys, argv,
+                                                       message):
+        code, doc, err = run_cli(capsys, "deficiency", *argv, "--F", "0.5",
+                                 "--f", "0.25", "--n", "100")
+        assert code == 5 and doc is None
+        assert err["error"] == {"kind": "domain", "message": message}
 
     @pytest.mark.parametrize("flag", ["--D", "--b-limit"])
     def test_dropped_class_parameters_are_usage_errors(self, capsys, flag):
@@ -965,6 +1018,26 @@ class TestSimulate:
                                "normal-iid", "--reps", "2", "--n", "10",
                                "--estimators", "magic")
         assert code == 5 and err["error"]["kind"] == "domain"
+
+    def test_repeated_estimator_is_domain_error(self, capsys, tmp_path):
+        out = tmp_path / "report.csv"
+        code, doc, err = run_cli(capsys, "simulate", "--scenario",
+                                 "normal-iid", "--reps", "2", "--n", "15",
+                                 "--estimators", "edf,edf", "--output",
+                                 str(out))
+        assert code == 5 and doc is None and not out.exists()
+        assert err["error"] == {"kind": "domain",
+                                "message": "estimator 'edf' is named twice"}
+
+    def test_give_up_names_the_last_error(self, capsys):
+        code, doc, err = run_cli(capsys, "simulate", "--scenario",
+                                 "normal-iid", "--reps", "1", "--n", "1")
+        assert code == 5 and doc is None
+        assert err["error"] == {
+            "kind": "domain",
+            "message": "replication 0 failed 100 times; the last attempt "
+                       "raised DegenerateSampleError: leave-one-out needs "
+                       "at least two events"}
 
 
 def _threads():

@@ -1,20 +1,22 @@
 """Properties of the bandwidth stage, the curve commands and deficiency
 on random inputs the CLI accepts.
 
-Samples of 1 to 60 rows, with ties, 0-100 % censoring and magnitudes
-from 1e-310 to 1e300, go through estimate and survival (default kernel
-and Gaussian, standardized; and smooth kernels off the reference at a
-fixed bandwidth) and bandwidth (auto and cv, also on a drawn
---freq-grid with --ecf-out, whose magnitudes must lie in [0, 1]), in
-process.  deficiency takes argv drawn from the parser's own choices,
-with valid and invalid values, and kernel-table runs every --kernel
-choice of the CLI at four flat radii and three tolerances.  Each run
-exits 0, 4 or 5 (2 for a kernel kernel-table does not offer), never
-with a traceback, and writes exactly one strict JSON document: to
-stdout on success, else to stderr.  On uncensored samples survival is
-the EDF's total mass minus estimate, bit for bit, for every kernel,
-bandwidth and boundary; and small drawn studies write the same CSV at
-one and two workers.
+Samples of 1 to 500 rows (mostly at most 60), with ties, 0-100 %
+censoring and magnitudes from 1e-310 to 1e300, go through estimate and
+survival (default kernel and Gaussian, standardized; smooth kernels off
+the reference at a fixed bandwidth; and every kernel with a --boundary
+at, below or just above the sample minimum) and bandwidth (auto and cv,
+also on a drawn --freq-grid with --ecf-out, whose magnitudes must lie
+in [0, 1]), in process.  deficiency takes argv drawn from the parser's
+own choices, with valid and invalid values, and kernel-table runs every
+--kernel choice of the CLI at four flat radii and three tolerances.
+Each run exits 0, 4 or 5 (2 for a kernel kernel-table does not offer),
+never with a traceback, and writes exactly one strict JSON document: to
+stdout on success, else to stderr.  A boundary above the sample minimum
+is refused; at or below it, the CDF path is exactly 0 below the
+boundary.  On uncensored samples survival is the EDF's total mass minus
+estimate, bit for bit, for every kernel, bandwidth and boundary; and
+small drawn studies write the same CSV at one and two workers.
 """
 from __future__ import annotations
 
@@ -65,7 +67,10 @@ ASSUMPTIONS = _choices("deficiency", "--assumption")
 
 @st.composite
 def sample_csvs(draw, censoring=st.floats(0.0, 1.0)) -> str:
-    n = draw(st.integers(1, 60))
+    # mostly small samples, which reach the edge cases; one in eight is
+    # larger, up to 500 rows
+    n = draw(st.integers(61, 500) if draw(st.integers(0, 7)) == 0
+             else st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # rounding to few digits makes ties
     x = np.round(rng.standard_normal(n), draw(st.integers(0, 17)))
@@ -178,6 +183,48 @@ def test_survival_is_total_mass_minus_estimate(text):
                     want = total - np.array(cdf["value"])
                     assert np.array(surv["value"]).tobytes() == \
                         want.tobytes(), argv
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sample_csvs(), st.sampled_from(("at", "just below", "below",
+                                        "above")),
+       st.sampled_from(_choices("estimate", "--kernel")))
+def test_boundary_contract(text, where, kernel):
+    # at or below the sample minimum the fit runs, and the CDF path is
+    # exactly 0 below the boundary (the survival path its total mass);
+    # above it the sample is refused
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        path.write_text(text)
+        sample = read_sample_csv(str(path))
+        lo, hi = float(np.min(sample.times)), float(np.max(sample.times))
+        boundary = float({"at": lo, "just below": np.nextafter(lo, -np.inf),
+                          "below": lo - (hi - lo),
+                          "above": np.nextafter(lo, np.inf)}[where])
+        # a fixed bandwidth on the data's scale: no selector can refuse
+        h = (max(hi - lo, abs(lo), abs(hi)) or 1.0) / 4.0
+        for command in ("estimate", "survival"):
+            argv = [command, "--input", str(path), "--kernel", kernel,
+                    "--bandwidth", repr(h), "--boundary", repr(boundary),
+                    "--grid", f"{boundary - 2.0 * h!r}:{hi + 2.0 * h!r}:41"]
+            code, out, err = _run(argv)
+            uncensored = command == "survival" or sample.event.all()
+            fits = where != "above" and sample.event.any() and uncensored
+            assert code == (0 if fits else 5), (argv, code, err)
+            doc = _one_document(out if fits else err)
+            if where == "above" and uncensored:
+                assert doc["error"]["message"] == (
+                    "observations fall below the stated boundary"), argv
+            if not fits:
+                continue
+            t, value = np.array(doc["t"]), np.array(doc["value"])
+            assert t[0] < boundary, argv
+            below = value[t < boundary]
+            want = kaplan_meier(sample).total_mass \
+                if command == "survival" else 0.0
+            assert np.all(below == want), argv
+            assert np.all(np.isfinite(value)), argv
 
 
 @st.composite

@@ -28,8 +28,7 @@ from ftcdf.distributions import DistSpec
 from ftcdf.estimators import DegenerateSampleError
 from ftcdf.simulate import (BUILTIN_SCENARIOS, MAX_REPLICATIONS,
                             MAX_SAMPLE_SIZE, MseReport,
-                            Scenario, builtin_scenario, run_scenario,
-                            zero_bias_experiment)
+                            Scenario, builtin_scenario, run_scenario)
 
 
 class TestScenario:
@@ -174,6 +173,30 @@ class TestRunScenario:
         sc = builtin_scenario("normal-iid", replications=2)
         with pytest.raises(ValueError, match="unknown estimator"):
             run_scenario(sc, estimators=("epanechnikov",))
+
+    @pytest.mark.parametrize("names", [("edf", "edf"),
+                                       ("trap-auto", "edf", "trap-auto")])
+    def test_repeated_estimator_refused_before_any_draw(self, monkeypatch,
+                                                        names):
+        # MseReport.cell could not tell the copies apart
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(sim, "_stream", no_draw)
+        sc = builtin_scenario("normal-iid", replications=2)
+        with pytest.raises(ValueError,
+                           match=f"estimator '{names[-1]}' is named twice"):
+            run_scenario(sc, estimators=names)
+
+    def test_give_up_names_the_last_error(self):
+        # one observation: every attempt fails in the CV arm
+        sc = builtin_scenario("normal-iid", replications=1, sample_sizes=(1,))
+        with pytest.raises(RuntimeError) as info:
+            run_scenario(sc, estimators=("gauss-cv",))
+        assert str(info.value) == (
+            "replication 0 failed 100 times; the last attempt raised "
+            "DegenerateSampleError: leave-one-out needs at least two events")
+        assert isinstance(info.value.__cause__, DegenerateSampleError)
 
     def test_standardized_no_worse_than_raw(self, small_report):
         for name in ("trap-auto", "smooth-auto", "gauss-cv"):
@@ -553,37 +576,3 @@ class TestBlasDiscovery:
         monkeypatch.setattr(blas, "open", no_procfs, raising=False)
         assert blas._loaded_openblas_paths() == []
 
-
-class TestZeroBias:
-    def test_report_contract(self):
-        rep = zero_bias_experiment(100, 0.5, 40, seed=12)
-        assert rep.n == 100 and rep.replications == 40
-        assert not rep.insufficient_replications
-        assert [p.t for p in rep.points] == [0.0, 2.0, 5.0]
-        for p in rep.points:
-            assert p.se is not None and p.se > 0.0
-            # crude sanity: bias of a consistent estimator at reps=40
-            assert abs(p.bias) < 0.1
-
-    def test_single_replication_flagged(self):
-        rep = zero_bias_experiment(50, 0.5, 1, seed=12)
-        assert rep.insufficient_replications
-        assert all(p.se is None for p in rep.points)
-
-    def test_deterministic(self):
-        a = zero_bias_experiment(60, 0.5, 5, seed=9)
-        b = zero_bias_experiment(60, 0.5, 5, seed=9)
-        assert a == b
-
-    def test_control_arm_allowed(self):
-        # h far above the band limit must still run; it is the control
-        rep = zero_bias_experiment(60, 5.0, 5, seed=9)
-        assert rep.bandwidth == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            zero_bias_experiment(0, 0.5, 5, seed=1)
-        with pytest.raises(ValueError):
-            zero_bias_experiment(10, 0.5, 0, seed=1)
-        with pytest.raises(ValueError):
-            zero_bias_experiment(10, -0.5, 5, seed=1)

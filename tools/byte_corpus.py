@@ -68,10 +68,12 @@ DEFICIENCY = (
                    "--n", "100,1000"]),
 )
 
-# refused runs: a removed flag, a kernel the command does not offer and
-# flat-top flags with the Gaussian kernel (exit 2), a range grid that
-# repeats a point and negative frequencies (exit 4), and a smooth table
-# that misses its tol (exit 5)
+# refused runs: a removed flag, a kernel the command does not offer,
+# flat-top flags with the Gaussian kernel and a rule radius with
+# cross-validation (exit 2), a range grid that repeats a point and
+# negative frequencies (exit 4), a smooth table that misses its tol, a
+# class parameter the deficiency assumption does not take and an
+# estimator named twice (exit 5)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
     ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
@@ -92,6 +94,15 @@ REFUSALS = (
     ("bandwidth-cv-freq-grid-negative", ["bandwidth", "--input",
                                          "inputs/normal.csv", "--method",
                                          "cv", "--freq-grid=-1:1:5"]),
+    ("bandwidth-cv-effective-c", ["bandwidth", "--input",
+                                  "inputs/normal.csv", "--method", "cv",
+                                  "--effective-c", "0.9"]),
+    ("deficiency-stray-d", ["deficiency", "--assumption", "polynomial",
+                            "--p", "2", "--d", "1", "--F", "0.5",
+                            "--f", "0.25", "--a", "1", "--n", "100"]),
+    ("simulate-estimators-repeated", ["simulate", "--scenario", "normal-iid",
+                                      "--n", "15", "--reps", "2",
+                                      "--estimators", "edf,edf"]),
 )
 
 
