@@ -19,9 +19,9 @@ def load():
     return scipy.special
 
 
-def ndtr(x):
-    """Standard normal CDF: scipy.special.ndtr."""
-    return load().ndtr(x)
+def ndtr(x, out=None):
+    """Standard normal CDF: scipy.special.ndtr, into out when given."""
+    return load().ndtr(x, out=out)
 
 
 def ndtri(p):

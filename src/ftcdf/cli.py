@@ -246,7 +246,7 @@ def _cmd_deficiency(args):
         if smooth.kind != BAND_LIMITED and args.a is None:
             raise ValueError("polynomial and exponential assumptions need "
                              "the bandwidth premultiplier --a")
-        spec = FlatTopSpec(args.kernel, c=args.c)
+        spec = FlatTopSpec(args.kernel or TRAPEZOID, c=args.c)
         cross_moment = kernel_cross_moment(spec)
         values = [{"n": n,
                    "deficiency": edf_deficiency(smooth, args.F, args.f,
@@ -266,6 +266,9 @@ def _cmd_deficiency(args):
     if args.expansion_base is None or args.expansion_better is None:
         raise iolib.ParseError("pass either --assumption or both "
                                "--expansion-base and --expansion-better")
+    for name in ("p", "d", "F", "f", "a", "kernel", "c"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"expansion mode does not take --{name}")
     base = _parse_expansion(args.expansion_base)
     better = _parse_expansion(args.expansion_better)
     limit, rate = deficiency_rate(base, better)
@@ -374,8 +377,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_kernel_flags(p, families):
-    p.add_argument("--kernel", default=TRAPEZOID, choices=families)
+def _add_kernel_flags(p, families, default=TRAPEZOID):
+    p.add_argument("--kernel", default=default, choices=families)
     p.add_argument("--c", type=_finite_float, default=None,
                    help=f"flat radius (default {FlatTopSpec(TRAPEZOID).c} "
                         f"trapezoid, {FlatTopSpec(SMOOTH).c} smooth)")
@@ -421,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target CDF value F(t)")
     p.add_argument("--f", type=_finite_float, default=None,
                    help="target density value f(t)")
-    _add_kernel_flags(p, [TRAPEZOID, SMOOTH])
+    # no default here, so that expansion mode can refuse a given --kernel;
+    # assumption mode takes the trapezoid when none is given
+    _add_kernel_flags(p, [TRAPEZOID, SMOOTH], default=None)
     p.add_argument("--a", type=_finite_float, default=None,
                    help="bandwidth premultiplier")
     p.add_argument("--expansion-base", help="c:r:const:kind[:delta]")
@@ -459,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = neg
     for sp in sub.choices.values():
         sp._negative_number_matcher = neg
+        # a usage error found after parsing prints the subcommand's usage
+        sp.set_defaults(usage_error=sp.error)
     return parser
 
 
@@ -479,7 +486,8 @@ def main(argv=None) -> int:
             else None)
     for flag, name in (("--c", "c"), ("--effective-c", "effective_c")):
         if mode and getattr(args, name, None) is not None:
-            parser.error(f"argument {flag}: not allowed with argument {mode}")
+            args.usage_error(
+                f"argument {flag}: not allowed with argument {mode}")
     try:
         # every loaded OpenBLAS runs the command at one thread, so that
         # its bits do not depend on the caller's setting, which comes

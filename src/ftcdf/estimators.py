@@ -79,9 +79,10 @@ class CensoredSample:
 class EstimatorConfig:
     """Kernel, bandwidth and left boundary of the smoothed estimators.
 
-    kernel must expose kbar(x) (vectorized integrated kernel) and a
-    tail_cutoff; KernelTable and GaussianKernel both qualify.  Raw paths
-    are made valid by standardize_path, or by smoothed_paths.
+    kernel must expose kbar(x, out=None) (vectorized integrated kernel,
+    written into out when given) and a tail_cutoff; KernelTable and
+    GaussianKernel both qualify.  Raw paths are made valid by
+    standardize_path, or by smoothed_paths.
     """
     kernel: object
     bandwidth: float
@@ -221,7 +222,8 @@ def standardize_path(raw, decreasing: bool = False) -> np.ndarray:
 
 
 def _kbar_sum(locations, weights, kernel, h, points) -> np.ndarray:
-    """sum_j w_j * Kbar((t - x_j)/h) for each t, blockwise."""
+    """sum_j w_j * Kbar((t - x_j)/h) for each t, in blocks of at most
+    _BLOCK terms that share one buffer."""
     points = np.asarray(points, dtype=float)
     terms = points.size * locations.size
     if terms > MAX_KERNEL_TERMS:
@@ -229,10 +231,14 @@ def _kbar_sum(locations, weights, kernel, h, points) -> np.ndarray:
                          f"jumps), above the cap of {MAX_KERNEL_TERMS}")
     out = np.empty(points.shape, dtype=float)
     rows = max(1, _BLOCK // max(1, locations.size))
+    # one block of arguments, overwritten by their Kbar values
+    buf = np.empty((min(rows, points.size), locations.size))
     for i in range(0, points.size, rows):
         blk = points[i:i + rows]
-        args = (blk[:, None] - locations[None, :]) / h
-        out[i:i + rows] = kernel.kbar(args) @ weights
+        args = buf[:blk.size]
+        np.subtract(blk[:, None], locations, out=args)
+        args /= h
+        out[i:i + rows] = kernel.kbar(args, out=args) @ weights
     return out
 
 

@@ -167,9 +167,13 @@ def _smooth_transforms(spec, x, want_kernel: bool):
     trig, coef = ((np.cos, kap * wts) if want_kernel
                   else (np.sin, kap * wts / nodes))
     out = np.empty_like(x)
+    # one chunk x nodes buffer holds the phases, then their trig values
+    buf = np.empty((min(_CHUNK, x.size), nodes.size))
     for i in range(0, x.size, _CHUNK):
         blk = x[i:i + _CHUNK, None]
-        out[i:i + _CHUNK] = trig(blk * nodes) @ coef
+        phase = buf[:blk.shape[0]]
+        np.multiply(blk, nodes, out=phase)
+        out[i:i + _CHUNK] = trig(phase, out=phase) @ coef
     return out / np.pi if want_kernel else 0.5 + out / np.pi
 
 
@@ -421,21 +425,27 @@ class KernelTable:
     def __post_init__(self):
         self._kbar_spline = _KbarSpline(self.grid, self.kbar_values)
 
-    def kbar(self, x):
+    def kbar(self, x, out=None):
+        """Kbar at x; into out, a C-contiguous float array of x's shape,
+        when given (out may be x itself), and then returns out."""
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
+        scalar = arr.ndim == 0 and out is None
         a = np.atleast_1d(arr)
-        flat = a.ravel()
-        out = np.empty(flat.shape)
+        if out is None:
+            out = np.empty(a.shape)
+        elif out.shape != arr.shape or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous array of x's shape")
+        flat, dest = a.ravel(), out.reshape(-1)
         T = self.tail_cutoff
-        # in blocks, so the lookup's temporaries stay small
+        # in blocks, so the lookup's temporaries stay small; a block is
+        # read in full before it is written, so out may alias x
         for i in range(0, flat.size, _LOOKUP_BLOCK):
             v = flat[i:i + _LOOKUP_BLOCK]
             values = self._kbar_spline(np.clip(v, -T, T))
             values[v < -T] = 0.0
             values[v > T] = 1.0
-            out[i:i + _LOOKUP_BLOCK] = values
-        return float(out[0]) if scalar else out.reshape(a.shape)
+            dest[i:i + _LOOKUP_BLOCK] = values
+        return float(out[0]) if scalar else out
 
 
 def _certify(table: KernelTable) -> None:
@@ -510,8 +520,8 @@ class GaussianKernel:
 
     tail_cutoff = 40.0
 
-    def kbar(self, x):
-        return ndtr(np.asarray(x, dtype=float))
+    def kbar(self, x, out=None):
+        return ndtr(np.asarray(x, dtype=float), out=out)
 
     def __repr__(self):
         return "GaussianKernel()"

@@ -29,6 +29,7 @@ from ftcdf.bandwidth import (
 )
 from ftcdf.distributions import DistSpec, sample_distribution
 from ftcdf.estimators import CensoredSample, DegenerateSampleError
+from oracles import cv_bandwidth_loop
 
 
 def cv_bandwidth_gaussian(sample: CensoredSample, h_grid,
@@ -374,6 +375,32 @@ class TestCrossValidation:
             monkeypatch.setattr(bandwidth, "_CV_BLOCK", block)
             assert [cv_bandwidth_km(s, default_cv_grid(s))
                     for s in samples] == one_block
+
+    @pytest.mark.parametrize("group", [1, 3, 32])
+    def test_bandwidth_groups_keep_h(self, monkeypatch, group):
+        # groups of 1, 3 and all 32 bandwidths of a 30-jump sample
+        rng = np.random.default_rng(group)
+        x = rng.standard_normal(30)
+        s = CensoredSample(np.round(x, 1), rng.random(30) < 0.8)
+        want = cv_bandwidth_loop(s, default_cv_grid(s))
+        monkeypatch.setattr(bandwidth, "_CV_GROUP",
+                            group * 256 * s.jumps.locations.size)
+        assert cv_bandwidth_km(s, default_cv_grid(s)) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 128, 129, 4097])
+    def test_matches_the_per_bandwidth_loop(self, n):
+        # jump counts on both sides of the group sizes: 64 and more
+        # bandwidths per array, 2, 1 of 256 columns, then column blocks
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        samples = [CensoredSample.uncensored(x)]
+        if n < 4097:
+            # ties, and about 20 % censoring
+            samples += [CensoredSample.uncensored(np.round(x, 1)),
+                        CensoredSample(x, np.arange(n) % 5 != 4)]
+        for s in samples:
+            hg = default_cv_grid(s)
+            assert cv_bandwidth_km(s, hg) == cv_bandwidth_loop(s, hg)
 
     def test_term_cap_refuses_before_any_work(self, monkeypatch):
         # 40 jumps x 256 quadrature points x 32 bandwidths

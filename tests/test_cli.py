@@ -173,6 +173,9 @@ class TestEstimate:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        # the usage line is the subcommand's, which shows its flags
+        assert captured.err.startswith(f"usage: ftcdf {command} [-h] "
+                                       "--input INPUT")
         assert (f"argument {flags[0]}: not allowed with argument --kernel "
                 "gaussian") in captured.err
 
@@ -496,6 +499,8 @@ class TestBandwidth:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: ftcdf bandwidth [-h] "
+                                       "--input INPUT")
         assert ("argument --effective-c: not allowed with argument "
                 "--method cv") in captured.err
 
@@ -771,6 +776,22 @@ class TestDeficiency:
                                  "--f", "0.25", "--n", "100")
         assert code == 5 and doc is None
         assert err["error"] == {"kind": "domain", "message": message}
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--p", "2"), ("--d", "1"), ("--F", "0.5"), ("--f", "0.25"),
+        ("--a", "1"), ("--kernel", "trapezoid"), ("--kernel", "smooth"),
+        ("--c", "0.1")])
+    def test_expansion_mode_refuses_flags_it_does_not_take(self, capsys,
+                                                           flag, value):
+        # the expansions fix the deficiency, so a class parameter, a
+        # target value or a kernel, even the default one, goes unread
+        code, doc, err = run_cli(capsys, "deficiency",
+                                 "--expansion-base", "1:1:2:log-factor",
+                                 "--expansion-better", "1:1:1:log-factor",
+                                 "--n", "100", flag, value)
+        assert code == 5 and doc is None
+        assert err["error"] == {"kind": "domain", "message":
+                                f"expansion mode does not take {flag}"}
 
     @pytest.mark.parametrize("flag", ["--D", "--b-limit"])
     def test_dropped_class_parameters_are_usage_errors(self, capsys, flag):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ftcdf.estimators as estimators
+from ftcdf._special import load as load_special
 from ftcdf.estimators import (CensoredSample, EstimatorConfig, StepEstimate,
                               edf, evaluate_on_grid, smoothed_paths,
                               standardize_path)
-from ftcdf.kernels import (TRAPEZOID, FlatTopSpec, GaussianKernel, get_table,
-                           integrated_kernel)
+from ftcdf.kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
+                           get_table, integrated_kernel)
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 
@@ -225,3 +229,46 @@ def test_standardized_point_is_study_path_value(boundary):
         assert r == pytest.approx(evaluate_on_grid(s, cfg, [t])[0],
                                   abs=1e-14)
     assert np.all(np.diff(std) >= 0.0)
+
+
+def _kernel_sum_case(kind):
+    """A kernel, and 201 points over the 18 650 jumps of a censored
+    Weibull sample of 20 000: 56 rows of points per block of the sum."""
+    kern = GaussianKernel() if kind == "gaussian" else get_table(
+        FlatTopSpec(kind))
+    rng = np.random.default_rng(11)
+    locations = np.sort(1.5 * rng.weibull(3.0, 18_650))
+    weights = np.full(locations.size, 1.0 / 20_000)
+    return kern, locations, weights, np.linspace(0.0, 4.0, 201)
+
+
+@pytest.mark.parametrize("kind", [TRAPEZOID, SMOOTH, "gaussian"])
+def test_kernel_sum_holds_one_block(kind):
+    kern, locations, weights, points = _kernel_sum_case(kind)
+    # scipy.special and the first ndtr and lookup calls allocate once
+    load_special()
+    estimators._kbar_sum(locations[:10], weights[:10], kern, 0.05, points)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimators._kbar_sum(locations, weights, kern, 0.05, points)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * estimators._BLOCK + 2 * 2**20
+
+
+@pytest.mark.parametrize("kind", [TRAPEZOID, "gaussian"])
+@pytest.mark.parametrize("block", [1, 4000, 1 << 20])
+def test_kernel_sum_is_the_blockwise_product(monkeypatch, kind, block):
+    # the sum of each block of rows is one matrix-vector product of
+    # that block's Kbar values, as when each block had arrays of its own
+    kern, locations, weights, points = _kernel_sum_case(kind)
+    locations, weights = locations[::50], weights[::50]
+    monkeypatch.setattr(estimators, "_BLOCK", block)
+    rows = max(1, block // locations.size)
+    want = np.concatenate([
+        kern.kbar((points[i:i + rows, None] - locations[None, :]) / 0.05)
+        @ weights for i in range(0, points.size, rows)])
+    got = estimators._kbar_sum(locations, weights, kern, 0.05, points)
+    assert got.tobytes() == want.tobytes()

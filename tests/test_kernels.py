@@ -422,3 +422,21 @@ def test_tables_import_no_scipy_interpolate():
 
 def test_get_table_caches():
     assert get_table(TRAP, 1e-8) is get_table(TRAP, 1e-8)
+
+
+@pytest.mark.parametrize("kind", [TRAPEZOID, SMOOTH, "gaussian"])
+def test_kbar_into_its_argument_keeps_the_bits(kind):
+    kern = GaussianKernel() if kind == "gaussian" else get_table(
+        FlatTopSpec(kind))
+    T = kern.tail_cutoff
+    rng = np.random.default_rng(3)
+    # 2-d arguments across several lookup blocks, beyond +-T, and NaN
+    x = rng.normal(0.0, T, (7, 5000))
+    x[0, :6] = [-T - 1.0, T + 1.0, -T, T, np.nan, 0.0]
+    want = kern.kbar(x)
+    got = x.copy()
+    assert kern.kbar(got, out=got) is got
+    assert got.tobytes() == want.tobytes()
+    out = np.empty_like(x)
+    assert kern.kbar(x, out=out) is out
+    assert out.tobytes() == want.tobytes()

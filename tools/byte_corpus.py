@@ -72,8 +72,9 @@ DEFICIENCY = (
 # flat-top flags with the Gaussian kernel and a rule radius with
 # cross-validation (exit 2), a range grid that repeats a point and
 # negative frequencies (exit 4), a smooth table that misses its tol, a
-# class parameter the deficiency assumption does not take and an
-# estimator named twice (exit 5)
+# class parameter the deficiency assumption does not take, flags the
+# deficiency expansion mode does not take and an estimator named twice
+# (exit 5)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
     ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
@@ -100,6 +101,13 @@ REFUSALS = (
     ("deficiency-stray-d", ["deficiency", "--assumption", "polynomial",
                             "--p", "2", "--d", "1", "--F", "0.5",
                             "--f", "0.25", "--a", "1", "--n", "100"]),
+    ("deficiency-expansion-stray-flags", ["deficiency", "--expansion-base",
+                                          "1:1:2:log-factor",
+                                          "--expansion-better",
+                                          "1:1:1:log-factor", "--n", "100",
+                                          "--p", "2", "--F", "0.5",
+                                          "--kernel", "smooth", "--c",
+                                          "0.1"]),
     ("simulate-estimators-repeated", ["simulate", "--scenario", "normal-iid",
                                       "--n", "15", "--reps", "2",
                                       "--estimators", "edf,edf"]),
@@ -108,8 +116,8 @@ REFUSALS = (
 
 def write_inputs(inputs: Path) -> None:
     """A 300-row N(0,1) sample, a 300-row censored Weibull sample, a
-    10-row sample of subnormal times near 1e-310 and a 20 000-row N(0,1)
-    sample."""
+    10-row sample of subnormal times near 1e-310, a 20 000-row N(0,1)
+    sample and a 20 000-row censored Weibull sample."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -125,6 +133,12 @@ def write_inputs(inputs: Path) -> None:
     large = np.random.default_rng(5).standard_normal(20000)
     (inputs / "normal20k.csv").write_text(
         "time\n" + "".join(f"{v!r}\n" for v in large.tolist()))
+    rng = np.random.default_rng(11)
+    life = 1.5 * rng.weibull(3.0, 20000)
+    cens = 3.0 * rng.weibull(4.0, 20000)
+    rows = zip(np.minimum(life, cens).tolist(), (life <= cens).tolist())
+    (inputs / "weibull20k.csv").write_text(
+        "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
 
 
 def commands():
@@ -149,6 +163,12 @@ def commands():
     yield ("estimate-fixed-normal20k",
            ["estimate", "--input", "inputs/normal20k.csv", "--bandwidth",
             "0.2", "--grid", "-5:5:257", "--output", "OUT/curve.csv"])
+    # a censored fit whose kernel sum takes several blocks, each side of
+    # the boundary reflection
+    yield ("survival-smooth-boundary-weibull20k",
+           ["survival", "--input", "inputs/weibull20k.csv", "--kernel",
+            "smooth", "--boundary", "0", "--standardize", "--grid",
+            "0:4:201", "--output", "OUT/curve.csv"])
     for data in INPUTS:
         source = ["--input", f"inputs/{data}.csv"]
         for command in ("estimate", "survival"):
@@ -162,6 +182,11 @@ def commands():
                    ["simulate", "--scenario", scenario, "--n", "15,30",
                     "--reps", "60", "--seed", "7", "--workers", workers,
                     "--output", "OUT/report.csv"])
+    # 200 jumps: the CV evaluates one bandwidth at a time, in column
+    # blocks
+    yield ("simulate-normal-iid-n200",
+           ["simulate", "--scenario", "normal-iid", "--n", "200", "--reps",
+            "10", "--seed", "7", "--output", "OUT/report.csv"])
     for mode, args in DEFICIENCY:
         yield f"deficiency-{mode}", ["deficiency", *args]
     for name, args in REFUSALS:
