@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from io import BytesIO
 
 import numpy as np
 
@@ -32,7 +33,64 @@ def read_sample_csv(path: str) -> CensoredSample:
     row may have no more fields than the header names (two without a
     header).  Blank lines are skipped.  The file is UTF-8, with or without
     a byte-order mark.
+
+    A plain file (see _plain_sample) is parsed in one np.loadtxt pass;
+    every other file, and every malformed one, row by row.  Both give
+    the same values, and the row parser names the line of any error.
     """
+    with open(path, "rb") as fh:
+        sample = _plain_sample(fh.read())
+    return sample if sample is not None else _read_rows(path)
+
+
+# the bytes a plain file's rows are made of
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+_PLAIN_HEADERS = (b"time\n", b"time,event\n")
+
+
+def _plain_sample(raw: bytes) -> CensoredSample | None:
+    """The sample held in raw, or None unless raw is a plain file.
+
+    A plain file has LF line endings, the header `time` or `time,event`
+    or none, no blank line, and rows of a time made of `0-9 . e E + -`
+    only, either alone or followed by one comma and an event of exactly
+    0 or 1.  np.loadtxt converts such a time with the correctly rounded
+    conversion float() uses, so it reads the values _read_rows reads; a
+    time either refuses is returned as None, as is a non-finite one.
+    The checks are linear passes over the bytes, not a row regex.
+    """
+    header = next((h for h in _PLAIN_HEADERS if raw.startswith(h)), b"")
+    start = len(header)
+    # translate keeps the header's non-row bytes: the rest must have none
+    if (start == len(raw) or raw.translate(None, _PLAIN_BYTES)
+            != header.translate(None, _PLAIN_BYTES)):
+        return None
+    rows = raw.count(b"\n", start) + (not raw.endswith(b"\n"))
+    commas = raw.count(b",", start)
+    if commas:
+        # each row ends in ,0 or ,1 and holds one comma; this also rules
+        # out blank lines
+        events = (raw.count(b",0\n", start) + raw.count(b",1\n", start)
+                  + raw.endswith((b",0", b",1")))
+        if header == b"time\n" or not commas == events == rows:
+            return None
+    elif raw.startswith(b"\n", start) or raw.find(b"\n\n", start) >= 0:
+        # loadtxt would skip a blank line
+        return None
+    try:
+        values = np.loadtxt(BytesIO(raw), delimiter=",", comments=None,
+                            skiprows=int(start > 0), ndmin=2)
+    except ValueError:
+        return None
+    times = values[:, 0]
+    if not np.all(np.isfinite(times)):
+        return None
+    event = values[:, 1] == 1.0 if commas else np.ones(rows, dtype=bool)
+    return CensoredSample(times, event)
+
+
+def _read_rows(path: str) -> CensoredSample:
+    """read_sample_csv row by row, naming the line of any error."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()

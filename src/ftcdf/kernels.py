@@ -184,7 +184,8 @@ def _dispatch(spec, x, want_kernel):
     if spec.family == TRAPEZOID:
         out = _trap_kernel(spec.c, a) if want_kernel else _trap_kbar(spec.c, a)
     else:
-        out = _smooth_transforms(spec, a, want_kernel)
+        out = _smooth_transforms(spec, a.ravel(),
+                                 want_kernel).reshape(a.shape)
     return float(out[0]) if scalar else out
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ftcdf.io as iolib
 from ftcdf.io import (ParseError, curve_csv, dump_json, parse_grid,
                       parse_int_list, read_sample_csv, write_text)
 
@@ -134,6 +135,88 @@ class TestReadSampleCsv:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_sample_csv(str(tmp_path / "nope.csv"))
+
+
+def _sample_bits(sample):
+    return sample.times.tobytes(), sample.event.tobytes()
+
+
+class TestReadPaths:
+    """Plain files take one np.loadtxt pass; every other file the row
+    parser, which names the line of an error."""
+
+    @pytest.fixture()
+    def row_parser(self, monkeypatch):
+        """The row parser, which read_sample_csv may no longer reach."""
+        real = iolib._read_rows
+
+        def refuse(path):
+            raise AssertionError(f"row parser reached for {path}")
+        monkeypatch.setattr(iolib, "_read_rows", refuse)
+        return real
+
+    @staticmethod
+    def benchmark_input(name, n=500):
+        # the shapes perfbench writes: repr floats, LF, a header
+        rng = np.random.default_rng(11)
+        if name == "iid":
+            x = rng.standard_normal(n).tolist()
+            return "time\n" + "".join(f"{t!r}\n" for t in x)
+        life = 1.5 * rng.weibull(3.0, n)
+        cens = 3.0 * rng.weibull(4.0, n)
+        rows = zip(np.minimum(life, cens).tolist(), (life <= cens).tolist())
+        return "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows)
+
+    @pytest.mark.parametrize("text", [
+        benchmark_input("iid"), benchmark_input("censored"),
+        "1.5\n-2.5e-3\n+.5\n", "1.5,1\n2.5,0\n", "time\n1.0\n2.0",
+        "time,event\n1.0,1\n2.0,0", "time,event\n1.0\n2.0\n",
+        "time\n-0\n5e-324\n9007199254740993\n1.7976931348623157e308\n",
+    ], ids=["benchmark-iid", "benchmark-censored", "headerless",
+            "headerless-events", "no-final-newline",
+            "events-no-final-newline", "event-header-times-only", "edges"])
+    def test_plain_files_take_one_pass(self, tmp_path, row_parser, text):
+        path = write(tmp_path, text)
+        assert _sample_bits(read_sample_csv(path)) == \
+            _sample_bits(row_parser(path))
+
+    @pytest.mark.parametrize("raw", [
+        b"\xef\xbb\xbftime,event\n1.0,1\n2.0,0\n",      # byte-order mark
+        b"time,event\r\n1.0,1\r\n2.0,0\r\n",            # CRLF
+        b"time\r1.0\r2.0\r",                             # CR
+        b"time\n1.0\n\n2.0\n",                           # blank line
+        b"\ntime\n1.0\n",
+        b"time,event\n1.0,1\n\n2.0,0\n",
+        b"time, event\n1.0, 1\n 2.0,0\n",                # padding
+        b"time\n1.0 \n",
+        b"event,time\n0,1.0\n1,2.0\n",                   # column order
+        b"TIME\n1.0\n",
+        b"time,event\n1.0,\n2.0,0\n",                    # empty event
+        b"time\n1_0\n2.0\n",                             # underscore
+        b"time\n1.0\nnan\n",
+        b"time\ninf\n",
+        b"time\n1e400\n",                                # overflows
+        b"time,event\n1.0,1\n2.0,0\n3.0,2\n",            # bad event
+        b"time,event\n1.0,1\n2.0,01\n",
+        b"time,event\n1.0,1,0\n",                         # extra field
+        b"time\n1.0,1\n",
+        b"time\n1.0\n1.5e\n",                            # bad number
+        b"time\n", b"", b"\n\n",                           # no rows
+    ])
+    def test_other_files_reach_the_row_parser(self, tmp_path, spy, raw):
+        p = tmp_path / "data.csv"
+        p.write_bytes(raw)
+        calls = spy(iolib, "_read_rows")
+        try:
+            got = _sample_bits(read_sample_csv(str(p)))
+        except ParseError as exc:
+            got = str(exc)
+        assert calls == [(str(p),)]
+        try:
+            want = _sample_bits(iolib._read_rows(str(p)))
+        except ParseError as exc:
+            want = str(exc)
+        assert got == want
 
 
 class TestParseGrid:

@@ -137,6 +137,19 @@ def test_kernel_even():
                        atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
+@pytest.mark.parametrize("x", [
+    np.array([[0.5, 1.0], [2.0, 3.0]]),
+    np.random.default_rng(5).uniform(-40.0, 40.0, (3, 1, 4)),
+])
+def test_any_shape_is_elementwise(spec, x):
+    # an argument of any shape gets the values of its flattened copy
+    for func in (kernel, integrated_kernel):
+        got = func(spec, x)
+        assert got.shape == x.shape
+        assert got.tobytes() == func(spec, x.ravel()).tobytes()
+
+
 def test_series_switch_is_seamless():
     # closed form just outside the series region vs series just inside
     for x in (9.999e-4, 1.0001e-3):

@@ -16,7 +16,10 @@ stdout on success, else to stderr.  A boundary above the sample minimum
 is refused; at or below it, the CDF path is exactly 0 below the
 boundary.  On uncensored samples survival is the EDF's total mass minus
 estimate, bit for bit, for every kernel, bandwidth and boundary; and
-small drawn studies write the same CSV at one and two workers.
+small drawn studies write the same CSV at one and two workers.  Drawn
+CSV files, plain or not, read to the row parser's bits or its error;
+and scaling a sample, its grid, bandwidth and boundary by 2**k maps
+the fixed-bandwidth curves, the ECF and the CV bandwidth bit for bit.
 """
 from __future__ import annotations
 
@@ -26,15 +29,17 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import ftcdf.io as iolib
 from ftcdf.cli import build_parser, main
 from ftcdf.estimators import edf
-from ftcdf.io import parse_grid, read_sample_csv
+from ftcdf.io import ParseError, parse_grid, read_sample_csv
 from ftcdf.kernels import FlatTopSpec, get_table
 from ftcdf.survival import kaplan_meier
 
@@ -227,6 +232,77 @@ def test_boundary_contract(text, where, kernel):
             assert np.all(np.isfinite(value)), argv
 
 
+_NUMBER_BYTES = "0123456789.eE+-"
+
+
+@st.composite
+def time_fields(draw, plain: bool) -> str:
+    """A time field: a float's repr or a decimal literal with an exponent
+    from -320 to 308; unless plain, also an edge value or the bytes of a
+    number run together."""
+    kind = draw(st.integers(0, 1 if plain else 3))
+    if kind == 0:
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == 1:
+        digits = str(draw(st.integers(0, 10 ** 20)))
+        point = draw(st.integers(0, len(digits)))
+        return (draw(st.sampled_from(("", "-", "+"))) + digits[:point] + "."
+                + digits[point:] + draw(st.sampled_from("eE"))
+                + str(draw(st.integers(-320, 308))))
+    if kind == 2:
+        return draw(st.sampled_from((
+            "9007199254740993", "5e-324", "2.2250738585072011e-308",
+            "1.7976931348623157e308", "1.8e308", "1e400", "-0", "+.5", "1.",
+            ".", "1e", "1_0", "nan", "inf", "-inf", "")))
+    return draw(st.text(_NUMBER_BYTES, min_size=1, max_size=8))
+
+
+@st.composite
+def sample_files(draw) -> bytes:
+    """CSV bytes: half of them plain in form, half with the forms the
+    row parser alone reads or refuses drawn in (other headers, events
+    other than 0 and 1, padding, extra fields, blank lines, CR line
+    ends and a byte-order mark)."""
+    plain, two = draw(st.booleans()), draw(st.booleans())
+    header = draw(st.sampled_from(
+        (None, "time,event") + (() if two else ("time",)) if plain
+        else (None, "time", "time,event", "event,time", "TIME")))
+    rows = [f"{t},{draw(st.sampled_from('01'))}" if two else t
+            for t in draw(st.lists(time_fields(plain), max_size=8))]
+    if rows and not plain:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.sampled_from((
+            " " + rows[i], rows[i] + " ", rows[i] + ",", rows[i] + ",1",
+            rows[i] + ",2", rows[i] + ",01", "", rows[i])))
+    lines = ([header] if header else []) + rows
+    end = "\n" if plain else draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    bom = b"" if plain else draw(st.sampled_from((b"", b"\xef\xbb\xbf")))
+    return bom + text.encode()
+
+
+def _read_outcome(read, path):
+    try:
+        sample = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return sample.times.tobytes(), sample.event.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(sample_files())
+def test_one_pass_read_is_the_row_parser(raw):
+    # the same bits, or the same error with the same line number, under
+    # the floating-point checks the CLI reads with
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="raise"):
+        path = str(Path(tmp) / "sample.csv")
+        Path(path).write_bytes(raw)
+        event("one pass" if iolib._plain_sample(raw) is not None
+              else "row parser")
+        assert _read_outcome(read_sample_csv, path) == \
+            _read_outcome(iolib._read_rows, path)
+
+
 @st.composite
 def freq_grids(draw) -> str:
     """--freq-grid text: lo:hi:count, or a short comma list, ascending
@@ -262,6 +338,97 @@ def test_bandwidth_freq_grid_contract(text, grid, method):
             rows = np.loadtxt(curve, delimiter=",", skiprows=1, ndmin=2)
             assert rows[:, 0].tobytes() == parse_grid(grid).tobytes(), argv
             assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0)), argv
+
+
+@st.composite
+def power_of_two_samples(draw):
+    """(times, censored, k): a sample of 2 to 80 rows, with ties and 0-90 %
+    censoring, and a power of two 2**k, |k| <= 900, that takes no step
+    of a fit into overflow or subnormals."""
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.round(rng.standard_normal(n) + draw(st.sampled_from((0.0, 3.0))),
+                 draw(st.integers(0, 17)))
+    censored = rng.random(n) < draw(st.floats(0.0, 0.9))
+    # without an IQR the data scale is the standard deviation, which
+    # squares the data: k stays where the squares are normal numbers
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    bound = 900 if q75 > q25 else 400
+    return x, censored, draw(st.integers(-bound, bound))
+
+
+def _scaled_fits(tmp, x, censored, s):
+    """{run: (exit code, t or frequencies, values, h)} of the fixed-h curve
+    commands and the bandwidth selectors on the sample x * s, with every
+    length flag scaled by s and every frequency by 1/s; a refusal is
+    (exit code, message)."""
+    path, ecf = tmp / f"{s!r}.csv", tmp / f"ecf-{s!r}.csv"
+    path.write_text("time,event\n" + "".join(
+        f"{t * s!r},{int(not c)}\n" for t, c in zip(x.tolist(),
+                                                   censored.tolist())))
+    lo, hi = float(np.min(x)), float(np.max(x))
+    grid = f"{(lo - 1.0) * s!r}:{(hi + 1.0) * s!r}:41"
+    fixed = ["--bandwidth", repr(0.5 * s), "--grid", grid]
+    runs = {}
+    for name, argv in (
+            ("estimate", ["estimate", *fixed]),
+            ("survival", ["survival", *fixed]),
+            ("survival-boundary", ["survival", *fixed, "--boundary",
+                                   repr((lo - 0.25) * s)]),
+            ("estimate-smooth", ["estimate", "--kernel", "smooth", *fixed,
+                                 "--boundary", repr(lo * s)]),
+            ("cv", ["bandwidth", "--method", "cv",
+                    f"--freq-grid=0:{8.0 / s!r}:64", "--ecf-out", str(ecf)]),
+            ("auto", ["bandwidth", "--method", "auto"])):
+        code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
+        doc = _one_document(out if code == 0 else err)
+        if code != 0:
+            runs[name] = (code, doc["error"]["message"].replace(str(path),
+                                                               "PATH"))
+        elif argv[0] == "bandwidth":
+            rows = (np.loadtxt(ecf, delimiter=",", skiprows=1, ndmin=2)
+                    if name == "cv" else np.zeros((0, 2)))
+            runs[name] = (0, rows[:, 0] * s, rows[:, 1].tobytes(),
+                          doc["h"] / s)
+        else:
+            runs[name] = (0, np.array(doc["t"]) / s,
+                          np.array(doc["value"]).tobytes(), None)
+    return runs
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(power_of_two_samples())
+def test_power_of_two_scaling_is_bitwise(drawn):
+    # multiplying data, grid, bandwidth and boundary by 2**k is exact,
+    # and every step of a fit is relative to the data's scale, so the
+    # curves, the ECF and the CV bandwidth map bit for bit; the scaled
+    # files are plain, so they take the one-pass read
+    x, censored, k = drawn
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(iolib, "_read_rows", side_effect=AssertionError):
+        base = _scaled_fits(Path(tmp), x, censored, 1.0)
+        scaled = _scaled_fits(Path(tmp), x, censored, 2.0 ** k)
+    # a sample whose times are all equal has the fixed data scale 1, so
+    # the selectors' h does not scale with it (CHANGES.md FOUND)
+    spread = np.min(x) < np.max(x)
+    for name in ("estimate", "survival", "survival-boundary",
+                 "estimate-smooth", "cv"):
+        got, want = scaled[name], base[name]
+        if name == "cv" and not spread:
+            got, want = got[:3], want[:3]
+        assert got[0] == want[0] and all(
+            np.array_equal(a, b) for a, b in zip(got[1:], want[1:])), (
+            name, k, got, want)
+    # the threshold rule's window is in absolute frequency units, so it
+    # refuses samples whose scale is outside about [0.01, 4] (ROADMAP
+    # item 6, CHANGES.md FOUND); where it runs at both scales, h maps
+    # exactly
+    auto, scaled_auto = base["auto"], scaled["auto"]
+    if auto[0] == scaled_auto[0] == 0 and spread:
+        assert scaled_auto[3] == auto[3], k
+    else:
+        event("threshold rule refused at one scale, or no spread")
 
 
 @st.composite

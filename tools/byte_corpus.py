@@ -3,7 +3,7 @@ writes.
 
 Usage: python3 tools/byte_corpus.py OUT_DIR
 
-Writes three seeded inputs to OUT_DIR/inputs, then runs each command of
+Writes seeded inputs to OUT_DIR/inputs, then runs each command of
 the corpus in a fresh interpreter that imports ftcdf from the ``src``
 directory of the checkout holding this script, with OUT_DIR as the
 working directory, so that the paths a command echoes are the same
@@ -34,6 +34,14 @@ CHECK = ("import sys, ftcdf.cli; from pathlib import Path; "
          "Path(sys.argv[1]))")
 
 INPUTS = ("normal", "weibull", "tiny")
+# one sample written in each form the reader takes: plain files, which
+# are parsed in one pass, then a byte-order mark, CRLF, blank lines,
+# another column order, padding, 1_0, empty event fields (all read row
+# by row), and a time that overflows and an event 2 on the last line
+# (refused, naming the line)
+READ_FORMS = ("headerless", "time", "time-event-headerless", "time-event",
+              "bom", "crlf", "blank-lines", "event-time", "padded",
+              "underscore", "empty-event", "overflow", "bad-event-late")
 # (name, arguments) of the estimate and survival variants; OUT is the
 # command's own directory
 CURVE_VARIANTS = (
@@ -117,7 +125,7 @@ REFUSALS = (
 def write_inputs(inputs: Path) -> None:
     """A 300-row N(0,1) sample, a 300-row censored Weibull sample, a
     10-row sample of subnormal times near 1e-310, a 20 000-row N(0,1)
-    sample and a 20 000-row censored Weibull sample."""
+    sample, a 20 000-row censored Weibull sample and the READ_FORMS."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -139,6 +147,41 @@ def write_inputs(inputs: Path) -> None:
     rows = zip(np.minimum(life, cens).tolist(), (life <= cens).tolist())
     (inputs / "weibull20k.csv").write_text(
         "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
+    write_read_forms(inputs)
+
+
+def write_read_forms(inputs: Path) -> None:
+    """A 60-row censored Weibull sample as form-NAME.csv for each NAME of
+    READ_FORMS."""
+    rng = np.random.default_rng(26)
+    life = 1.5 * rng.weibull(3.0, 60)
+    cens = 3.0 * rng.weibull(4.0, 60)
+    times = [repr(t) for t in np.minimum(life, cens).tolist()]
+    events = [str(int(e)) for e in (life <= cens).tolist()]
+    pairs = [f"{t},{e}" for t, e in zip(times, events)]
+    forms = {
+        "headerless": times,
+        "time": ["time", *times],
+        "time-event-headerless": pairs,
+        "time-event": ["time,event", *pairs],
+        "bom": ["\ufefftime,event", *pairs],
+        "crlf": ["time,event", *pairs],
+        "blank-lines": ["time,event", "", *pairs[:30], "", "", *pairs[30:]],
+        "event-time": ["event,time",
+                       *(f"{e},{t}" for t, e in zip(times, events))],
+        "padded": [" time , event",
+                   *(f" {t} ,{e} " for t, e in zip(times, events))],
+        "underscore": ["time", *times[:-1], "1_0"],
+        "empty-event": ["time,event", *(f"{t}," if i % 7 == 0 else p
+                                        for i, (t, p) in
+                                        enumerate(zip(times, pairs)))],
+        "overflow": ["time", *times[:40], "1e400", *times[40:]],
+        "bad-event-late": ["time,event", *pairs[:-1], f"{times[-1]},2"],
+    }
+    for name in READ_FORMS:
+        end = "\r\n" if name == "crlf" else "\n"
+        (inputs / f"form-{name}.csv").write_bytes(
+            (end.join(forms[name]) + end).encode())
 
 
 def commands():
@@ -176,6 +219,11 @@ def commands():
                 yield f"{command}-{variant}-{data}", [command, *source, *args]
         for variant, args in BANDWIDTH_VARIANTS:
             yield f"bandwidth-{variant}-{data}", ["bandwidth", *source, *args]
+    for form in READ_FORMS:
+        for command in ("estimate", "survival"):
+            yield (f"{command}-form-{form}",
+                   [command, "--input", f"inputs/form-{form}.csv",
+                    "--bandwidth", "0.25", "--grid", "0:4:41"])
     for scenario in ("normal-iid", "weibull-censored", "polya-bandlimited"):
         for workers in ("1", "2"):
             yield (f"simulate-{scenario}-workers{workers}",
