@@ -204,23 +204,6 @@ def auto_bandwidth(sample: CensoredSample, effective_c: float) -> float:
                             default_rule(sample.n, effective_c))
 
 
-def _cv_quadrature_grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Row b is np.linspace(lo[b], hi[b], _CV_QUAD_POINTS), by linspace's
-    own arithmetic: k * step + lo, or (k / div) * delta + lo where the
-    step underflows to 0, and the last point set to hi."""
-    div = _CV_QUAD_POINTS - 1
-    k = np.arange(float(_CV_QUAD_POINTS))
-    delta = (hi - lo)[:, None]
-    step = delta / div
-    grids = k * step
-    zero = (step == 0.0)[:, 0]
-    if zero.any():
-        grids[zero] = k / div * delta[zero]
-    grids += lo[:, None]
-    grids[:, -1] = hi
-    return grids
-
-
 def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
     """Leave-one-out CV bandwidth for the Gaussian-kernel estimate.
 
@@ -250,8 +233,17 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
                          f"bandwidths), above the cap of {MAX_KERNEL_TERMS}")
     w = s / np.unique(events, return_counts=True)[1]
     rest = (step.total_mass - w)[:, None]
-    grids = _cv_quadrature_grids(loc.min() - 3.0 * h_grid,
-                                 loc.max() + 3.0 * h_grid)
+    lo, hi = loc.min() - 3.0 * h_grid, loc.max() + 3.0 * h_grid
+    if np.all((hi - lo) / (_CV_QUAD_POINTS - 1) != 0.0):
+        # in rows: linspace along the last axis is a transposed view,
+        # which the loop below would read strided
+        grids = np.ascontiguousarray(
+            np.linspace(lo, hi, _CV_QUAD_POINTS, axis=-1))
+    else:
+        # a step that underflows to 0 moves every row of one linspace
+        # call to another formula; row by row, each row keeps its own
+        grids = np.array([np.linspace(a, b, _CV_QUAD_POINTS)
+                          for a, b in zip(lo, hi)])
     sq = np.empty(grids.shape)
     # arrays of `group` bandwidths x jumps x `cols` quadrature points
     per_h = loc.size * _CV_QUAD_POINTS
@@ -277,11 +269,5 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
             np.subtract(t, p, out=p)
             np.square(p, out=p)
             sq[k:k + group, j:j + cols] = s @ p
-    # np.trapezoid(sq[b], grids[b]) for every row b, by its arithmetic
-    d = np.diff(grids, axis=1)
-    cvs = (d * (sq[:, 1:] + sq[:, :-1]) / 2.0).sum(axis=1)
-    best_h, best_cv = None, np.inf
-    for h, cv in zip(h_grid.tolist(), cvs.tolist()):
-        if cv < best_cv:
-            best_h, best_cv = h, cv
-    return best_h
+    cvs = np.trapezoid(sq, grids, axis=1)
+    return float(h_grid[np.argmin(cvs)])

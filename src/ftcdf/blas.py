@@ -14,7 +14,6 @@ from __future__ import annotations
 import ctypes
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 # (getter, setter) names of the thread count in the OpenBLAS builds
 # numpy and scipy bundle (64-bit and 32-bit integer interfaces) and in a
@@ -25,27 +24,6 @@ _BLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-
-
-@dataclass(frozen=True)
-class BlasSetting:
-    """The OpenBLAS libraries a guard found and the thread counts it saw.
-
-    caller_threads lines up with libraries; threads is the count the
-    guarded body ran at: 1, or None when no library was found and BLAS
-    was left as it was.
-    """
-    libraries: tuple = ()
-    caller_threads: tuple = ()
-
-    @property
-    def threads(self) -> int | None:
-        return 1 if self.libraries else None
-
-    def to_dict(self) -> dict:
-        return {"libraries": list(self.libraries),
-                "caller_threads": list(self.caller_threads),
-                "threads": self.threads}
 
 
 def _loaded_openblas_paths() -> list:
@@ -94,8 +72,10 @@ def _blas_libraries() -> list:
 def _one_blas_thread():
     """Run the body with every loaded OpenBLAS at one thread.
 
-    Yields the BlasSetting; the caller's thread counts come back on
-    every way out.  Does nothing when no OpenBLAS is found.  Libraries
+    Yields the dict diagnostics.blas prints: the libraries found, the
+    caller's thread counts in the same order, and the count the body
+    runs at, 1, or None when no library was found and BLAS is left as
+    it was.  The caller's counts come back on every way out.  Libraries
     loaded inside the body are left as they load.
     """
     libs = _blas_libraries()
@@ -103,7 +83,9 @@ def _one_blas_thread():
     for _, _, set_ in libs:
         set_(1)
     try:
-        yield BlasSetting(tuple(name for name, _, _ in libs), saved)
+        yield {"libraries": [name for name, _, _ in libs],
+               "caller_threads": list(saved),
+               "threads": 1 if libs else None}
     finally:
         for (_, _, set_), threads in zip(libs, saved):
             set_(threads)

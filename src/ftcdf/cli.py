@@ -497,7 +497,7 @@ def main(argv=None) -> int:
         with _one_blas_thread() as blas, \
                 np.errstate(over="raise", invalid="raise", divide="raise"):
             payload = args.func(args)
-            payload["diagnostics"] = {"blas": blas.to_dict()}
+            payload["diagnostics"] = {"blas": blas}
             text = iolib.dump_json(payload)
     except iolib.ParseError as exc:
         return _fail("parse", str(exc), EXIT_PARSE)

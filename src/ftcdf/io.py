@@ -39,8 +39,9 @@ def read_sample_csv(path: str) -> CensoredSample:
     the same values, and the row parser names the line of any error.
     """
     with open(path, "rb") as fh:
-        sample = _plain_sample(fh.read())
-    return sample if sample is not None else _read_rows(path)
+        raw = fh.read()
+    sample = _plain_sample(raw)
+    return sample if sample is not None else _read_rows(path, raw)
 
 
 # the bytes a plain file's rows are made of
@@ -89,11 +90,11 @@ def _plain_sample(raw: bytes) -> CensoredSample | None:
     return CensoredSample(times, event)
 
 
-def _read_rows(path: str) -> CensoredSample:
-    """read_sample_csv row by row, naming the line of any error."""
+def _read_rows(path: str, raw: bytes) -> CensoredSample:
+    """read_sample_csv on raw, the bytes of path, row by row, naming the
+    line of any error."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+        lines = raw.decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})")
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
@@ -138,14 +139,14 @@ def _read_rows(path: str) -> CensoredSample:
         if event_col == -1 or event_col >= len(fields):
             e = 1
         else:
-            raw = fields[event_col]
-            if raw == "":
+            flag = fields[event_col]
+            if flag == "":
                 e = 1
-            elif raw in ("0", "1"):
-                e = int(raw)
+            elif flag in ("0", "1"):
+                e = int(flag)
             else:
                 raise ParseError(f"{path} line {lineno}: event must be 0 "
-                                 f"or 1, got {raw!r}")
+                                 f"or 1, got {flag!r}")
         times.append(t)
         events.append(bool(e))
     try:

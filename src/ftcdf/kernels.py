@@ -529,7 +529,9 @@ class GaussianKernel:
 
 
 @lru_cache(maxsize=32)
-def _flattop_cross_moment(spec: FlatTopSpec) -> float:
+def kernel_cross_moment(spec: FlatTopSpec) -> float:
+    """The constant int u K(u) Kbar(u) du of a flat-top kernel's spec, in
+    the second-order variance term."""
     # int u K Kbar du rewritten by parts as (1/2) int Kbar (1 - Kbar):
     # absolutely convergent and even, so integrate once over [0, T]
     f = lambda u: integrated_kernel(spec, u) * (1.0 - integrated_kernel(spec, u))
@@ -542,11 +544,3 @@ def _flattop_cross_moment(spec: FlatTopSpec) -> float:
                 - np.cos(c * t_end) / (c ** 2 * t_end ** 2)) / (np.pi * (1 - c))
         return float(value + tail)
     return adaptive_quad(f, 0.0, _smooth_tail_cutoff(spec, 2e-12), 1e-10)
-
-
-def kernel_cross_moment(kern) -> float:
-    """The constant int u K(u) Kbar(u) du of a flat-top kernel's spec, in
-    the second-order variance term."""
-    if isinstance(kern, FlatTopSpec):
-        return _flattop_cross_moment(kern)
-    raise TypeError(f"no cross moment for {type(kern).__name__}")

@@ -24,7 +24,7 @@ from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
                         default_freq_grid, default_rule, ecf,
                         select_bandwidth)
 from ._special import load as load_special
-from .blas import BlasSetting, _blas_libraries, _one_blas_thread
+from .blas import _blas_libraries, _one_blas_thread
 from .distributions import (DistSpec, dist_cdf, dist_survival,
                             sample_distribution)
 from .estimators import (CensoredSample, DegenerateSampleError,
@@ -192,8 +192,9 @@ class MseReport:
     replications: int
     cells: tuple
     retries: tuple  # ((n, retry count), ...) in sample-size order
-    # how the study ran BLAS; not part of the report's values
-    blas: BlasSetting = field(default=BlasSetting(), compare=False)
+    # how the study ran BLAS, as diagnostics.blas prints it; not part of
+    # the report's values
+    blas: dict = field(compare=False)
 
     CSV_HEADER = "estimator,t,n,mse,bias,var,se,reps"
 

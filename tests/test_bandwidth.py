@@ -402,6 +402,22 @@ class TestCrossValidation:
             hg = default_cv_grid(s)
             assert cv_bandwidth_km(s, hg) == cv_bandwidth_loop(s, hg)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_subnormal_steps_keep_each_rows_own_grid(self, seed):
+        # times (100 + k) * 5e-324: the quadrature step (hi - lo) / 255
+        # underflows to 0 at the small bandwidths and not at the large
+        # ones; one linspace call over all rows would give every row the
+        # underflow formula, which on seeds 0 and 2 moves h when the
+        # grid descends
+        rng = np.random.default_rng(seed)
+        t = (100 + rng.integers(0, 50, 25)) * 5e-324
+        s = CensoredSample(t, rng.random(25) < 0.8)
+        hg = np.geomspace(1e-323, 1e-320, 16)
+        steps = (np.ptp(s.jumps.locations) + 6.0 * hg) / 255
+        assert (steps == 0.0).any() and (steps > 0.0).any()
+        for grid in (hg, hg[::-1]):
+            assert cv_bandwidth_km(s, grid) == cv_bandwidth_loop(s, grid)
+
     def test_term_cap_refuses_before_any_work(self, monkeypatch):
         # 40 jumps x 256 quadrature points x 32 bandwidths
         s = CensoredSample.uncensored(np.arange(40.0))

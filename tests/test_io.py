@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,10 +151,10 @@ class TestReadPaths:
         """The row parser, which read_sample_csv may no longer reach."""
         real = iolib._read_rows
 
-        def refuse(path):
+        def refuse(path, raw):
             raise AssertionError(f"row parser reached for {path}")
         monkeypatch.setattr(iolib, "_read_rows", refuse)
-        return real
+        return lambda path: real(path, Path(path).read_bytes())
 
     @staticmethod
     def benchmark_input(name, n=500):
@@ -211,12 +212,56 @@ class TestReadPaths:
             got = _sample_bits(read_sample_csv(str(p)))
         except ParseError as exc:
             got = str(exc)
-        assert calls == [(str(p),)]
+        assert calls == [(str(p), raw)]
         try:
-            want = _sample_bits(iolib._read_rows(str(p)))
+            want = _sample_bits(iolib._read_rows(str(p), raw))
         except ParseError as exc:
             want = str(exc)
         assert got == want
+
+    @pytest.mark.parametrize("raw", [
+        b"time,event\n1.0,1\n2.0,0\n",                   # one pass
+        b"time,event\r\n1.0,1\r\n2.0,0\r\n",             # row parser
+        b"\xef\xbb\xbftime,event\n1.0,1\n2.0,0\n",
+    ], ids=["plain", "crlf", "bom"])
+    def test_file_is_opened_once(self, tmp_path, monkeypatch, raw):
+        p = tmp_path / "data.csv"
+        p.write_bytes(raw)
+        opened = []
+
+        def counted(*args, **kwargs):
+            opened.append(args)
+            return open(*args, **kwargs)
+        monkeypatch.setattr(iolib, "open", counted, raising=False)
+        s = read_sample_csv(str(p))
+        assert opened == [(str(p), "rb")]
+        assert s.times.tolist() == [1.0, 2.0]
+        assert s.event.tolist() == [True, False]
+
+    @pytest.mark.parametrize("raw, where", [
+        (b"\xef\xbb\xbftime\n1.0\n\xff2.0\n",
+         "byte 0xff in position 9: invalid start byte"),
+        (b"time\n" + b"1.0\n" * 2300 + b"\xff2.0\n",
+         "byte 0xff in position 9205: invalid start byte"),
+        (b"\xef\xbb\xbftime\n" + b"1.0\n" * 2300 + b"2.0\xc3\n",
+         "byte 0xc3 in position 9208: invalid continuation byte"),
+    ], ids=["bom", "after-8kb", "bom-after-8kb"])
+    def test_decode_error_names_the_byte(self, tmp_path, raw, where):
+        # positions count from after the byte-order mark
+        p = tmp_path / "data.csv"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError) as exc:
+            read_sample_csv(str(p))
+        assert str(exc.value) == (f"{p}: not UTF-8 text ('utf-8' codec "
+                                  f"can't decode {where})")
+
+    def test_line_ends_number_the_lines(self, tmp_path):
+        # CRLF, CR and U+2028 each end one line, as in a text-mode read
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"time\r\n1.0\r2.0\xe2\x80\xa83.0\nx\n")
+        with pytest.raises(ParseError) as exc:
+            read_sample_csv(str(p))
+        assert str(exc.value) == f"{p} line 5: bad time value in 'x'"
 
 
 class TestParseGrid:

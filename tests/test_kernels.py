@@ -249,14 +249,6 @@ def test_cross_moment_symmetry_identity():
     assert route_u - T * kb * (kb - 1.0) == pytest.approx(route_sq, abs=1e-9)
 
 
-def test_cross_moment_rejects_unknown():
-    # a table is refused too: callers pass its spec; the Gaussian
-    # constant is a test oracle, since no command reads it
-    for kern in ("gaussian", get_table(TRAP, 1e-8), GaussianKernel()):
-        with pytest.raises(TypeError):
-            kernel_cross_moment(kern)
-
-
 def test_over_budget_tol_fails_before_building_the_grid():
     # at tol 1e-16 the full grid would take about 1.5e8 loop steps
     for tol in (1e-12, 1e-16):

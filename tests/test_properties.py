@@ -7,8 +7,13 @@ survival (default kernel and Gaussian, standardized; smooth kernels off
 the reference at a fixed bandwidth; and every kernel with a --boundary
 at, below or just above the sample minimum) and bandwidth (auto and cv,
 also on a drawn --freq-grid with --ecf-out, whose magnitudes must lie
-in [0, 1]), in process.  deficiency takes argv drawn from the parser's
-own choices, with valid and invalid values, and kernel-table runs every
+in [0, 1]), in process.  estimate and survival also take --standardize,
+--boundary, --bandwidth, --grid and --output drawn from the parser's
+choices, and bandwidth an --effective-c inside and outside (0, 1]
+under both methods; each such run exits with its documented code, and
+a success's diagnostics.blas holds exactly libraries, caller_threads
+and threads.  deficiency takes argv drawn from the parser's own
+choices, with valid and invalid values, and kernel-table runs every
 --kernel choice of the CLI at four flat radii and three tolerances.
 Each run exits 0, 4 or 5 (2 for a kernel kernel-table does not offer),
 never with a traceback, and writes exactly one strict JSON document: to
@@ -232,6 +237,144 @@ def test_boundary_contract(text, where, kernel):
             assert np.all(np.isfinite(value)), argv
 
 
+def _check_documents(argv, code, out, err) -> dict:
+    """The one document a run prints: on stdout, with the BLAS report,
+    after exit 0; on stderr, as an error, after any other exit."""
+    doc = _one_document(out if code == 0 else err)
+    assert (err if code == 0 else out) == "", argv
+    if code == 0:
+        assert set(doc["diagnostics"]["blas"]) == {
+            "libraries", "caller_threads", "threads"}, argv
+    else:
+        assert set(doc) == {"schema", "error"}, argv
+    return doc
+
+
+@st.composite
+def curve_flags(draw) -> dict:
+    """estimate/survival flags beyond the kernel, from the parser's own
+    choices: where the boundary lies, auto or a drawn bandwidth, the
+    default grid, a range or a list, and a CSV or inline output."""
+    return {
+        "command": draw(st.sampled_from(("estimate", "survival"))),
+        "kernel": draw(st.sampled_from(_choices("estimate", "--kernel"))),
+        "standardize": draw(st.booleans()),
+        "boundary": draw(st.sampled_from((None, "below", "at", "above"))),
+        # one in four is refused: not positive, not finite, not a number
+        "bandwidth": draw(st.sampled_from(("auto", "scale"))
+                          if draw(st.integers(0, 3))
+                          else st.sampled_from(("0", "-1", "inf", "x"))),
+        "grid": draw(st.sampled_from(("default", "range", "list"))),
+        "output": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sample_csvs(censoring=st.just(0.0) | st.floats(0.0, 1.0)),
+       curve_flags())
+def test_curve_flags_contract(text, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, csv = Path(tmp) / "sample.csv", Path(tmp) / "curve.csv"
+        path.write_text(text)
+        sample = read_sample_csv(str(path))
+        lo, hi = float(np.min(sample.times)), float(np.max(sample.times))
+        h = (max(hi - lo, abs(lo), abs(hi)) or 1.0) / 4.0
+        argv = [flags["command"], "--input", str(path),
+                "--kernel", flags["kernel"], "--bandwidth",
+                repr(h) if flags["bandwidth"] == "scale"
+                else flags["bandwidth"]]
+        if flags["standardize"]:
+            argv.append("--standardize")
+        where = flags["boundary"]
+        if where is not None:
+            boundary = {"below": lo - h, "at": lo,
+                        "above": float(np.nextafter(lo, np.inf))}[where]
+            argv += ["--boundary", repr(boundary)]
+        points = 121  # the default grid
+        if flags["grid"] == "range":
+            points = 17
+            argv += ["--grid", f"{lo - 2.0 * h!r}:{hi + 2.0 * h!r}:17"]
+        elif flags["grid"] == "list":
+            grid = np.unique([lo - h, lo, (lo + hi) / 2.0, hi, hi + h])
+            points = grid.size
+            argv += ["--grid", ",".join(map(repr, grid.tolist()))]
+        if flags["output"]:
+            argv += ["--output", str(csv)]
+        code, out, err = _run(argv)
+        event(f"exit {code}")
+        doc = _check_documents(argv, code, out, err)
+        # in the order the command checks them: censored data passed to
+        # estimate, then the bandwidth, then the boundary and the events
+        if flags["command"] == "estimate" and not sample.event.all():
+            want = {5}
+        elif flags["bandwidth"] == "x":
+            want = {4}
+        elif (flags["bandwidth"] in ("0", "-1", "inf") or where == "above"
+              or not sample.event.any()):
+            want = {5}
+        else:
+            # a selector may refuse; a bandwidth on the data's scale fits
+            want = {0} if flags["bandwidth"] == "scale" else {0, 5}
+        assert code in want, (argv, code, err)
+        if code != 0:
+            assert not csv.exists(), argv
+            return
+        if flags["output"]:
+            assert "t" not in doc and "value" not in doc, argv
+            rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            values = rows[:, 1]
+        else:
+            assert not csv.exists(), argv
+            assert len(doc["t"]) == points, argv
+            values = np.array(doc["value"])
+        assert values.size == points, argv
+        assert np.all(np.isfinite(values)), argv
+        if flags["standardize"]:
+            steps = np.diff(values)
+            assert np.all(steps <= 0 if flags["command"] == "survival"
+                          else steps >= 0), argv
+            assert np.all((values >= 0.0) & (values <= 1.0)), argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sample_csvs(), st.sampled_from(_choices("bandwidth", "--method")),
+       st.none() | st.floats(0.0, 1.0, exclude_min=True).map(repr)
+       | st.sampled_from(("0", "-0.5", "1.0000000000000002", "1.5", "1e300",
+                          "nan", "-inf")))
+def test_bandwidth_effective_c_contract(text, method, eff):
+    # --effective-c inside and outside (0, 1]: argparse refuses one that
+    # is not finite, the CV takes none (both usage errors), and the rule
+    # refuses one outside (0, 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        path.write_text(text)
+        argv = ["bandwidth", "--input", str(path), "--method", method]
+        if eff is not None:
+            argv.append(f"--effective-c={eff}")
+        code, out, err = _run(argv)
+        event(f"exit {code}")
+        if eff is not None and not np.isfinite(float(eff)):
+            assert code == 2 and out == "", argv
+            assert "--effective-c: expected a finite number" in err, argv
+            return
+        if eff is not None and method == "cv":
+            assert code == 2 and out == "", argv
+            assert ("argument --effective-c: not allowed with argument "
+                    "--method cv") in err, argv
+            return
+        doc = _check_documents(argv, code, out, err)
+        if eff is not None and not 0.0 < float(eff) <= 1.0:
+            assert code == 5, (argv, code, err)
+            assert doc["error"]["message"] == \
+                "effective_c must lie in (0, 1]", argv
+            return
+        assert code in (0, 5), (argv, code, err)
+        if code == 0:
+            assert 0.0 < doc["h"] < np.inf, argv
+
+
 _NUMBER_BYTES = "0123456789.eE+-"
 
 
@@ -300,7 +443,7 @@ def test_one_pass_read_is_the_row_parser(raw):
         event("one pass" if iolib._plain_sample(raw) is not None
               else "row parser")
         assert _read_outcome(read_sample_csv, path) == \
-            _read_outcome(iolib._read_rows, path)
+            _read_outcome(lambda p: iolib._read_rows(p, raw), path)
 
 
 @st.composite

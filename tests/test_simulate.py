@@ -23,7 +23,6 @@ import ftcdf.blas as blas
 import ftcdf.estimators as estimators
 import ftcdf.simulate as sim
 from ftcdf.bandwidth import NoPlateauError
-from ftcdf.blas import BlasSetting
 from ftcdf.distributions import DistSpec
 from ftcdf.estimators import DegenerateSampleError
 from ftcdf.simulate import (BUILTIN_SCENARIOS, MAX_REPLICATIONS,
@@ -420,11 +419,9 @@ class TestBlasGuard:
                               sample_sizes=(15,))
         rep = run_scenario(sc, estimators=("edf",), workers=workers)
         assert _threads() == caller_threads
-        names = tuple(name for name, _, _ in blas._blas_libraries())
-        assert rep.blas == BlasSetting(names, tuple(caller_threads))
-        assert rep.blas.to_dict() == {"libraries": list(names),
-                                      "caller_threads": caller_threads,
-                                      "threads": 1}
+        names = [name for name, _, _ in blas._blas_libraries()]
+        assert rep.blas == {"libraries": names,
+                            "caller_threads": caller_threads, "threads": 1}
 
     @pytest.mark.parametrize("workers, estimators, patch, error, match", [
         (0, ("edf",), None, ValueError, "workers must be >= 1"),
@@ -520,7 +517,7 @@ class TestBlasGuard:
                 "sc = builtin_scenario('weibull-censored', seed=3,\n"
                 "                      replications=4, sample_sizes=(15,))\n"
                 "report = run_scenario(sc, workers=2)\n"
-                "print(json.dumps([before, list(report.blas.libraries),\n"
+                "print(json.dumps([before, report.blas['libraries'],\n"
                 "                  names()]))\n")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True,
@@ -558,9 +555,8 @@ class TestBlasDiscovery:
         bare = run_scenario(sc, workers=1)
         assert _threads() == before
         assert bare.to_csv() == guarded.to_csv()
-        assert bare.blas == BlasSetting()
-        assert bare.blas.to_dict() == {"libraries": [], "caller_threads": [],
-                                       "threads": None}
+        assert bare.blas == {"libraries": [], "caller_threads": [],
+                             "threads": None}
 
     def test_symbol_lookup_never_raises(self, monkeypatch):
         libc = ctypes.util.find_library("c")
