@@ -163,6 +163,10 @@ def _cmd_curve(args):
 def _cmd_bandwidth(args):
     sample = iolib.read_sample_csv(args.input)
     cv = args.method == "cv"
+    # the rule is checked before any frequency is computed
+    eff = (FlatTopSpec(TRAPEZOID).effective_c if args.effective_c is None
+           else args.effective_c)
+    rule = None if cv else default_rule(sample.n, eff)
     # CV reads no ECF: it builds one, and the default grid, only for
     # --ecf-out
     wants_ecf = args.ecf_out or not cv
@@ -175,9 +179,6 @@ def _cmd_bandwidth(args):
     elif wants_ecf:
         freqs = _staged(_FREQ_STAGE, default_freq_grid, sample)
         grid_text = f"{float(freqs[0])!r}:{float(freqs[-1])!r}:{freqs.size}"
-    eff = (FlatTopSpec(TRAPEZOID).effective_c if args.effective_c is None
-           else args.effective_c)
-    rule = None if cv else default_rule(sample.n, eff)
     curve = _staged(_ECF_STAGE, ecf, sample, freqs) if wants_ecf else None
     h, bw = _cv_bandwidth(sample) if cv else _rule_bandwidth(curve, rule)
     bw["freq_grid"] = grid_text
@@ -458,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="MseReport CSV path")
     p.set_defaults(func=_cmd_simulate)
 
-    # grid specs like -3:3:121 start with a dash; without this argparse
-    # refuses them as unknown options
-    neg = re.compile(r"^-\d")
+    # grid specs like -3:3:121 or -.5:1:3 start with a dash; without this
+    # argparse refuses them as unknown options
+    neg = re.compile(r"^-\.?\d")
     parser._negative_number_matcher = neg
     for sp in sub.choices.values():
         sp._negative_number_matcher = neg

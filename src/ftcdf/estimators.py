@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-# keep grid-by-sample evaluation blocks at ~1M entries
+# rows of grid-by-sample evaluation per block, ~1M entries: the block
+# partition fixes every kernel sum's bits, since OpenBLAS's gemv sums a
+# block's rows in groups of 4 and its 1-3 leftover rows by another path
 _BLOCK = 1 << 20
+# values per chunk of a block, the most the kernel sum holds at once
+_CHUNK = 1 << 17
 # cap on the terms of one kernel sum, ECF or CV: ~4 minutes at 25 ns a term
 MAX_KERNEL_TERMS = 10**10
 # how far below the smallest observation a standardized point path starts,
@@ -179,24 +182,24 @@ def _km_heights(deaths: list, at_risk: list) -> list:
     Python's int true division is correctly rounded and rounding is
     monotone, so when the bounds round to one float the exact jump rounds
     to it too.  Otherwise the jump is recomputed exactly and the bounds
-    restart from the exact S_i.  The exact product is carried forward
-    from the previous fallback, so all fallbacks together do about the
-    work of one exact pass.
+    restart from the exact S_i.  The exact S is carried forward from the
+    previous fallback as an unreduced ratio of ints, so all fallbacks
+    together multiply each factor in once, by product trees.
     """
     bits = _KM_BITS
     one = 1 << bits
     lo = hi = one
-    exact, known = Fraction(1), 0  # S at event index `known`, exactly
+    num, den, known = 1, 1, 0  # S at event index `known` is num / den
     heights = []
     for i, (d, r) in enumerate(zip(deaths, at_risk)):
         scale = r << bits
         height = d * lo / scale
         if height != d * hi / scale:
-            exact = _exact_survival(deaths, at_risk, known, i, exact)
+            num, den = _exact_survival(deaths, at_risk, known, i, num, den)
             known = i
-            height = float(exact * Fraction(d, r))
-            lo = math.floor(exact * one)
-            hi = math.ceil(exact * one)
+            height = num * d / (den * r)
+            lo = (num << bits) // den
+            hi = -((-num << bits) // den)
         heights.append(height)
         lo = lo * (r - d) // r
         hi = -(-hi * (r - d) // r)
@@ -204,11 +207,21 @@ def _km_heights(deaths: list, at_risk: list) -> list:
 
 
 def _exact_survival(deaths: list, at_risk: list, start: int, stop: int,
-                    surv: Fraction) -> Fraction:
-    """S just before event index stop, from S = surv before index start."""
-    kept = math.prod(r - d for d, r in zip(deaths[start:stop],
-                                            at_risk[start:stop]))
-    return surv * Fraction(kept, math.prod(at_risk[start:stop]))
+                    num: int, den: int) -> tuple:
+    """S just before event index stop, as an unreduced (numerator,
+    denominator) pair, from S = num / den before index start."""
+    kept = _product([r - d for d, r in zip(deaths[start:stop],
+                                            at_risk[start:stop])])
+    return num * kept, den * _product(at_risk[start:stop])
+
+
+def _product(factors: list) -> int:
+    """Product of ints by a balanced tree: near-linear in the size of the
+    result, where a running product is quadratic."""
+    while len(factors) > 1:
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] \
+            + factors[len(factors) & ~1:]
+    return factors[0] if factors else 1
 
 
 def standardize_path(raw, decreasing: bool = False) -> np.ndarray:
@@ -223,22 +236,32 @@ def standardize_path(raw, decreasing: bool = False) -> np.ndarray:
 
 def _kbar_sum(locations, weights, kernel, h, points) -> np.ndarray:
     """sum_j w_j * Kbar((t - x_j)/h) for each t, in blocks of at most
-    _BLOCK terms that share one buffer."""
+    _BLOCK terms.
+
+    Each block is summed in chunks of about _CHUNK terms that share one
+    buffer.  Chunks start at multiples of 4 rows from the block's start
+    and the last one takes the block's 1-3 leftover rows, so every row
+    is summed by the same gemv path as a product of the whole block.
+    """
     points = np.asarray(points, dtype=float)
     terms = points.size * locations.size
     if terms > MAX_KERNEL_TERMS:
         raise ValueError(f"the kernel sum needs {terms} terms (points x "
                          f"jumps), above the cap of {MAX_KERNEL_TERMS}")
     out = np.empty(points.shape, dtype=float)
-    rows = max(1, _BLOCK // max(1, locations.size))
-    # one block of arguments, overwritten by their Kbar values
-    buf = np.empty((min(rows, points.size), locations.size))
+    jumps = max(1, locations.size)
+    rows = max(1, _BLOCK // jumps)
+    step = 4 * max(1, _CHUNK // (4 * jumps))
+    # one chunk of arguments, overwritten by their Kbar values
+    buf = np.empty((min(step + 3, rows, points.size), locations.size))
     for i in range(0, points.size, rows):
-        blk = points[i:i + rows]
-        args = buf[:blk.size]
-        np.subtract(blk[:, None], locations, out=args)
-        args /= h
-        out[i:i + rows] = kernel.kbar(args, out=args) @ weights
+        stop = min(i + rows, points.size)
+        cuts = [i, *range(i + step, stop - 3, step), stop]
+        for lo, hi in zip(cuts, cuts[1:]):
+            args = buf[:hi - lo]
+            np.subtract(points[lo:hi, None], locations, out=args)
+            args /= h
+            out[lo:hi] = kernel.kbar(args, out=args) @ weights
     return out
 
 

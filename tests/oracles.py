@@ -2,6 +2,8 @@
 routes that no command takes."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.special import ndtr
 
@@ -44,3 +46,19 @@ def cv_bandwidth_loop(sample, h_grid) -> float:
         if cv < best_cv:
             best_h, best_cv = float(h), cv
     return best_h
+
+
+def exact_km(sample):
+    """The product-limit loop in exact rationals, one rounding per jump:
+    (locations, heights) that kaplan_meier must reproduce bitwise."""
+    times = sample.times
+    order = np.sort(times)
+    event_times, d = np.unique(times[sample.event], return_counts=True)
+    at_risk = sample.n - np.searchsorted(order, event_times, side="left")
+    surv = Fraction(1)
+    heights = np.empty(event_times.size, dtype=float)
+    for i in range(event_times.size):
+        jump = surv * Fraction(int(d[i]), int(at_risk[i]))
+        heights[i] = float(jump)
+        surv -= jump
+    return event_times, heights

@@ -15,6 +15,7 @@ import ftcdf.bandwidth as bandwidth
 import ftcdf.blas as blas
 import ftcdf.cli as cli
 import ftcdf.estimators as estimators
+from ftcdf._special import load as load_special
 from ftcdf.bandwidth import (auto_bandwidth, cv_bandwidth_km, default_cv_grid,
                              default_freq_grid)
 from ftcdf.cli import main
@@ -319,6 +320,42 @@ class TestEstimate:
             assert exc.value.code == 2, argv
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag,value", [("--grid", "-.5:1:3"),
+                                            ("--boundary", "-.5"),
+                                            ("--grid", "-3:3:5")])
+    def test_negative_value_after_a_space(self, capsys, tmp_path, flag,
+                                          value):
+        # a value that starts with a dash, with or without a digit after
+        # it, is read the same after a space as after "="
+        p = tmp_path / "positive.csv"
+        p.write_text("time\n0.5\n1.25\n2\n3.5\n")
+        # both runs see the same BLAS libraries in diagnostics.blas
+        load_special()
+        outs = []
+        for spelling in ([flag, value], [f"{flag}={value}"]):
+            code = main(["estimate", "--input", str(p), "--bandwidth",
+                         "0.5", *spelling])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == "", spelling
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--grid", "-h"], "argument --grid: expected one argument"),
+        (["--boundary", "--grid", "0:1:3"],
+         "argument --boundary: expected one argument")])
+    def test_dash_options_stay_options(self, capsys, sample_csv, argv,
+                                       message):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", sample_csv, *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ftcdf estimate")
+
     @pytest.mark.parametrize("argv", [
         ("estimate", "--bandwidth", "0.5", "--grid", "0:1:1000"),
         ("bandwidth", "--freq-grid", "0:5:1000"),
@@ -511,6 +548,22 @@ class TestBandwidth:
         bw = doc["resolved_config"]["bandwidth"]
         assert bw["effective_c"] == 0.5
         assert doc["h"] == 0.5 / bw["t_star"]
+
+    def test_rule_radius_is_checked_before_any_frequency(self, capsys,
+                                                         tmp_path):
+        # the default frequency grid of these times overflows, so the
+        # radius must be refused first, as estimate refuses it
+        p = tmp_path / "tiny.csv"
+        p.write_text("time\n0\n1e-308\n-1e-308\n2e-308\n-2e-308\n-0\n"
+                     "1e-308\n")
+        code, doc, err = run_cli(capsys, "bandwidth", "--input", str(p),
+                                 "--effective-c=0")
+        assert code == 5 and doc is None
+        assert err["error"] == {"kind": "domain", "message":
+                                "effective_c must lie in (0, 1]"}
+        code, _, err = run_cli(capsys, "bandwidth", "--input", str(p))
+        assert code == 5 and err["error"]["message"].startswith(
+            "default frequency grid (data scale): overflow")
 
     def test_cv_method_on_censored_input(self, capsys, censored_csv):
         code, doc, _ = run_cli(capsys, "bandwidth", "--input", censored_csv,

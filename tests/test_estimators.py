@@ -231,15 +231,25 @@ def test_standardized_point_is_study_path_value(boundary):
     assert np.all(np.diff(std) >= 0.0)
 
 
-def _kernel_sum_case(kind):
-    """A kernel, and 201 points over the 18 650 jumps of a censored
-    Weibull sample of 20 000: 56 rows of points per block of the sum."""
+def _kernel_sum_case(kind, jumps=18_650, points=201):
+    """A kernel, and points over 0..4 on the sorted jumps of a censored
+    Weibull sample of 20 000; by default 201 points over 18 650 jumps,
+    56 rows of points per block of the sum."""
     kern = GaussianKernel() if kind == "gaussian" else get_table(
         FlatTopSpec(kind))
     rng = np.random.default_rng(11)
-    locations = np.sort(1.5 * rng.weibull(3.0, 18_650))
+    locations = np.sort(1.5 * rng.weibull(3.0, jumps))
     weights = np.full(locations.size, 1.0 / 20_000)
-    return kern, locations, weights, np.linspace(0.0, 4.0, 201)
+    return kern, locations, weights, np.linspace(0.0, 4.0, points)
+
+
+def _blockwise_product(kern, locations, weights, points, h):
+    """The kernel sum as one matrix-vector product per block of rows, as
+    when each block had arrays of its own."""
+    rows = max(1, estimators._BLOCK // locations.size)
+    return np.concatenate([
+        kern.kbar((points[i:i + rows, None] - locations[None, :]) / h)
+        @ weights for i in range(0, points.size, rows)])
 
 
 @pytest.mark.parametrize("kind", [TRAPEZOID, SMOOTH, "gaussian"])
@@ -255,20 +265,38 @@ def test_kernel_sum_holds_one_block(kind):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * estimators._BLOCK + 2 * 2**20
+    # a chunk holds at most _CHUNK + 3 rows of values; a table lookup
+    # adds about 1 MiB of temporaries, 8 arrays of one lookup block
+    chunk = 8 * (estimators._CHUNK + 3 * locations.size)
+    assert peak <= chunk + 2**20
 
 
 @pytest.mark.parametrize("kind", [TRAPEZOID, "gaussian"])
 @pytest.mark.parametrize("block", [1, 4000, 1 << 20])
 def test_kernel_sum_is_the_blockwise_product(monkeypatch, kind, block):
-    # the sum of each block of rows is one matrix-vector product of
-    # that block's Kbar values, as when each block had arrays of its own
     kern, locations, weights, points = _kernel_sum_case(kind)
     locations, weights = locations[::50], weights[::50]
     monkeypatch.setattr(estimators, "_BLOCK", block)
-    rows = max(1, block // locations.size)
-    want = np.concatenate([
-        kern.kbar((points[i:i + rows, None] - locations[None, :]) / 0.05)
-        @ weights for i in range(0, points.size, rows)])
+    want = _blockwise_product(kern, locations, weights, points, 0.05)
     got = estimators._kbar_sum(locations, weights, kern, 0.05, points)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [TRAPEZOID, "gaussian"])
+@pytest.mark.parametrize("jumps,points", [
+    # rows per block (_BLOCK // jumps) and the last block's rows
+    (19_500, 112),  # 53 = 1 mod 4, then 6
+    (30_000, 71),   # 34 = 2 mod 4, then 3
+    (18_900, 62),   # 55 = 3 mod 4, then 7
+    (18_650, 745),  # 56 = 0 mod 4, then 17
+])
+def test_kernel_sum_chunks_keep_the_blockwise_bits(
+        monkeypatch, blas_threads_at, kind, jumps, points):
+    # in 4-row chunks, a block's 1-3 leftover rows must join its last
+    # chunk: a gemv of the leftover rows alone sums them by another path
+    blas_threads_at(1)
+    kern, locations, weights, grid = _kernel_sum_case(kind, jumps, points)
+    monkeypatch.setattr(estimators, "_CHUNK", 1)
+    want = _blockwise_product(kern, locations, weights, grid, 0.05)
+    got = estimators._kbar_sum(locations, weights, kern, 0.05, grid)
     assert got.tobytes() == want.tobytes()

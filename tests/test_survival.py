@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from ftcdf.estimators import (CensoredSample, DegenerateSampleError,
                               standardize_path)
 from ftcdf.kernels import TRAPEZOID, FlatTopSpec, GaussianKernel, get_table
 from ftcdf.survival import kaplan_meier, smoothed_survival_on_grid
+from oracles import exact_km
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 
@@ -31,22 +33,6 @@ def textbook_km(times, event):
         s *= 1.0 - d / at_risk
         surv.append(s)
     return tgrid, np.asarray(surv)
-
-
-def exact_km(sample):
-    """The product-limit loop in exact rationals, one rounding per jump:
-    (locations, heights) that kaplan_meier must reproduce bitwise."""
-    times = sample.times
-    order = np.sort(times)
-    event_times, d = np.unique(times[sample.event], return_counts=True)
-    at_risk = sample.n - np.searchsorted(order, event_times, side="left")
-    surv = Fraction(1)
-    heights = np.empty(event_times.size, dtype=float)
-    for i in range(event_times.size):
-        jump = surv * Fraction(int(d[i]), int(at_risk[i]))
-        heights[i] = float(jump)
-        surv -= jump
-    return event_times, heights
 
 
 def assert_km_is_exact(sample):
@@ -123,6 +109,27 @@ def test_km_exact_fallback_keeps_the_bits(monkeypatch, spy):
         if event.any():
             assert_km_is_exact(CensoredSample(times, event))
     assert len(calls) > 100
+
+
+def test_km_fallbacks_on_a_large_sample_keep_the_bits(monkeypatch, spy):
+    # at 60 bits the bounds of some of the 1423 heights round apart, so
+    # the exact survival is carried from fallback to fallback, up to
+    # dozens of events apart
+    monkeypatch.setattr(estimators, "_KM_BITS", 60)
+    calls = spy(estimators, "_exact_survival")
+    rng = np.random.default_rng(7)
+    life = 1.5 * rng.weibull(3.0, 3000)
+    cens = 3.0 * rng.weibull(4.0, 3000)
+    times = np.round(np.minimum(life, cens), 3)  # ties as well
+    assert_km_is_exact(CensoredSample(times, life <= cens))
+    gaps = np.diff([args[3] for args in calls])
+    assert len(calls) > 100 and gaps.max() > 50
+
+
+@pytest.mark.parametrize("size", range(10))
+def test_product_tree_is_the_product(size):
+    factors = [3 ** k + k for k in range(size)]
+    assert estimators._product(factors) == math.prod(factors)
 
 
 def test_km_requires_an_event():

@@ -124,8 +124,9 @@ REFUSALS = (
 
 def write_inputs(inputs: Path) -> None:
     """A 300-row N(0,1) sample, a 300-row censored Weibull sample, a
-    10-row sample of subnormal times near 1e-310, a 20 000-row N(0,1)
-    sample, a 20 000-row censored Weibull sample and the READ_FORMS."""
+    10-row sample of subnormal times near 1e-310, a 20 000-row and a
+    30 000-row N(0,1) sample, a 20 000-row censored Weibull sample and
+    the READ_FORMS."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -140,6 +141,9 @@ def write_inputs(inputs: Path) -> None:
         "time\n" + "".join(f"{k * 1e-311!r}\n" for k in range(10, 20)))
     large = np.random.default_rng(5).standard_normal(20000)
     (inputs / "normal20k.csv").write_text(
+        "time\n" + "".join(f"{v!r}\n" for v in large.tolist()))
+    large = np.random.default_rng(30).standard_normal(30000)
+    (inputs / "normal30k.csv").write_text(
         "time\n" + "".join(f"{v!r}\n" for v in large.tolist()))
     rng = np.random.default_rng(11)
     life = 1.5 * rng.weibull(3.0, 20000)
@@ -205,6 +209,11 @@ def commands():
     # a kernel sum whose last bits once followed the OpenBLAS thread count
     yield ("estimate-fixed-normal20k",
            ["estimate", "--input", "inputs/normal20k.csv", "--bandwidth",
+            "0.2", "--grid", "-5:5:257", "--output", "OUT/curve.csv"])
+    # 34 rows a block, 2 mod 4: the kernel sum's last 4-row chunk of each
+    # block takes its 2 leftover rows, and of the last block (19 rows) 3
+    yield ("estimate-fixed-normal30k",
+           ["estimate", "--input", "inputs/normal30k.csv", "--bandwidth",
             "0.2", "--grid", "-5:5:257", "--output", "OUT/curve.csv"])
     # a censored fit whose kernel sum takes several blocks, each side of
     # the boundary reflection
