@@ -25,7 +25,8 @@ import numpy as np
 # partition fixes every kernel sum's bits, since OpenBLAS's gemv sums a
 # block's rows in groups of 4 and its 1-3 leftover rows by another path
 _BLOCK = 1 << 20
-# values per chunk of a block, the most the kernel sum holds at once
+# about the values of one chunk of a block: the kernel sum holds one
+# chunk's buffer at a time
 _CHUNK = 1 << 17
 # cap on the terms of one kernel sum, ECF or CV: ~4 minutes at 25 ns a term
 MAX_KERNEL_TERMS = 10**10
@@ -207,7 +208,7 @@ def _km_heights(deaths: list, at_risk: list) -> list:
 
 
 def _exact_survival(deaths: list, at_risk: list, start: int, stop: int,
-                    num: int, den: int) -> tuple:
+                    num: int, den: int) -> tuple[int, int]:
     """S just before event index stop, as an unreduced (numerator,
     denominator) pair, from S = num / den before index start."""
     kept = _product([r - d for d, r in zip(deaths[start:stop],
@@ -219,8 +220,8 @@ def _product(factors: list) -> int:
     """Product of ints by a balanced tree: near-linear in the size of the
     result, where a running product is quadratic."""
     while len(factors) > 1:
-        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] \
-            + factors[len(factors) & ~1:]
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[2 * len(pairs):]
     return factors[0] if factors else 1
 
 
