@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 POWER = "power"
 LOG_FACTOR = "log-factor"
 
@@ -44,13 +42,6 @@ class MseExpansion:
                 raise ValueError("log-factor expansion takes no delta")
         else:
             raise ValueError(f"unknown second_kind {self.second_kind!r}")
-
-    def mse(self, n) -> float:
-        n = np.asarray(n, dtype=float)
-        lead = self.c * n ** -self.r
-        if self.second_kind == POWER:
-            return lead + self.second_const * n ** -(self.r + self.delta)
-        return lead + self.second_const * n ** -self.r / np.log(n)
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,20 @@ def default_rule(n: int, effective_c: float | None) -> BandwidthRule:
 
 
 def _robust_scale(sample: CensoredSample) -> float:
-    """IQR/1.349, falling back to the standard deviation, then to 1."""
-    q75, q25 = np.percentile(sample.times, [75.0, 25.0])
+    """IQR/1.349, falling back to the standard deviation, then to 1.
+
+    A sample whose times are all equal has the scale max|time|, so that
+    h scales with it, and 1 only when every time is zero; its standard
+    deviation is 0 or rounding noise (about 1e-17 for three times of
+    0.1), not a scale.
+    """
+    times = sample.times
+    if np.min(times) == np.max(times):
+        return abs(float(times[0])) or 1.0
+    q75, q25 = np.percentile(times, [75.0, 25.0])
     scale = (q75 - q25) / 1.349
     if scale <= 0.0:
-        scale = float(np.std(sample.times))
+        scale = float(np.std(times))
     return scale if scale > 0.0 else 1.0
 
 

@@ -4,6 +4,11 @@ Subcommands: estimate, survival, bandwidth, deficiency, simulate,
 kernel-table.  Every successful run prints one JSON document to stdout
 holding the fully resolved configuration (all defaults filled in) plus
 any inline results, and writes at most one CSV, to the path given.
+Importing this module before numpy sets OPENBLAS_NUM_THREADS to 1 in
+os.environ, unless the caller set it, so that each OpenBLAS loads at
+one thread: numpy's here, scipy's with scipy.special, and those of
+spawned pool workers, which inherit the variable.  A process that
+loaded numpy first, or set the variable, keeps its own setting.
 Every command runs each OpenBLAS loaded when it starts (numpy's, which
 runs ftcdf's matrix products) at one thread and gives the caller's
 thread count back afterwards; the document reports both as
@@ -17,11 +22,18 @@ overflow, invalid operation or division by zero).
 """
 from __future__ import annotations
 
+import os
+import sys
+
+# OpenBLAS reads its thread count once, as it loads: threads it starts
+# then spin on a small machine until main sets the count to 1
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math
 import re
-import sys
 from dataclasses import asdict, replace
 
 import numpy as np

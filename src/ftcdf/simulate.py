@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product, repeat
 
@@ -198,12 +197,6 @@ class MseReport:
 
     CSV_HEADER = "estimator,t,n,mse,bias,var,se,reps"
 
-    def cell(self, estimator: str, t: float, n: int) -> CellStats:
-        for c in self.cells:
-            if c.estimator == estimator and c.t == t and c.n == n:
-                return c
-        raise KeyError(f"no cell ({estimator}, {t}, {n})")
-
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for c in self.cells:
@@ -211,6 +204,14 @@ class MseReport:
             lines.append(f"{c.estimator},{c.t!r},{c.n},{c.mse!r},"
                          f"{c.bias!r},{c.variance!r},{se},{c.reps}")
         return "\n".join(lines) + "\n"
+
+
+def _process_pool(**kwargs):
+    """A ProcessPoolExecutor(**kwargs).  concurrent.futures, and through
+    it multiprocessing, loads here, when a study first opens a pool, not
+    with this module: a command that opens none never loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(**kwargs)
 
 
 def _pool_worker_init():
@@ -338,8 +339,8 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
         if procs == 1:
             results = list(map(_replicate, *args))
         else:
-            with ProcessPoolExecutor(max_workers=procs,
-                                     initializer=_pool_worker_init) as pool:
+            with _process_pool(max_workers=procs,
+                               initializer=_pool_worker_init) as pool:
                 results = list(pool.map(
                     _replicate, *args,
                     chunksize=max(1, reps // (procs * 8))))

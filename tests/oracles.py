@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtr
 
+from ftcdf.asymptotics import POWER
 from ftcdf.quadrature import adaptive_quad
 
 
@@ -46,6 +47,27 @@ def cv_bandwidth_loop(sample, h_grid) -> float:
         if cv < best_cv:
             best_h, best_cv = float(h), cv
     return best_h
+
+
+def report_cell(report, estimator: str, t: float, n: int):
+    """The CellStats of an MseReport at (estimator, t, n); KeyError when
+    the report has no such cell."""
+    for c in report.cells:
+        if c.estimator == estimator and c.t == t and c.n == n:
+            return c
+    raise KeyError(f"no cell ({estimator}, {t}, {n})")
+
+
+def expansion_mse(expansion, n):
+    """MSE(n) of an MseExpansion: c/n^r plus its second-order term,
+    second_const/n^(r+delta) (POWER) or second_const/(n^r log n)
+    (LOG_FACTOR)."""
+    n = np.asarray(n, dtype=float)
+    lead = expansion.c * n ** -expansion.r
+    if expansion.second_kind == POWER:
+        return lead + expansion.second_const * n ** -(expansion.r
+                                                      + expansion.delta)
+    return lead + expansion.second_const * n ** -expansion.r / np.log(n)
 
 
 def exact_km(sample):

@@ -32,7 +32,7 @@ from ftcdf.quadrature import adaptive_quad
 from ftcdf.simulate import (ESTIMATORS, _stream, builtin_scenario,
                             run_scenario)
 from ftcdf.survival import kaplan_meier
-from oracles import gaussian_cross_moment
+from oracles import expansion_mse, gaussian_cross_moment, report_cell
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 SEED = 42
@@ -70,10 +70,10 @@ def test_criterion_1_normal_table_reproduction(normal_study):
         for t in (-1.5, 0.0, 1.5):
             F = norm.cdf(t)
             analytic = F * (1.0 - F) / n
-            cell = report.cell("edf", t, n)
+            cell = report_cell(report, "edf", t, n)
             assert abs(cell.mse - analytic) <= 3.0 * cell.se, \
                 f"EDF off analytic MSE at (t={t}, n={n})"
-            trap = report.cell("trap-auto", t, n)
+            trap = report_cell(report, "trap-auto", t, n)
             assert trap.mse < cell.mse, \
                 f"trapezoid not below EDF at (t={t}, n={n})"
             ref = TRAP_NORMAL_MSE[(n, t)]
@@ -86,11 +86,11 @@ def test_criterion_2_censored_table_reproduction(weibull_study):
     report, elapsed = weibull_study
     for n in (15, 30):
         for t in (1.25, 1.75):
-            km = report.cell("edf", t, n).mse
+            km = report_cell(report, "edf", t, n).mse
             for name in ("trap-auto", "smooth-auto"):
-                assert report.cell(name, t, n).mse < km, \
+                assert report_cell(report, name, t, n).mse < km, \
                     f"{name} not below product-limit at (t={t}, n={n})"
-        trap = report.cell("trap-auto", 1.25, n).mse
+        trap = report_cell(report, "trap-auto", 1.25, n).mse
         ref = TRAP_WEIBULL_MSE[n]
         assert abs(trap - ref) <= 0.30 * ref, \
             f"trapezoid MSE {trap:.3e} vs benchmark {ref:.3e} at n={n}"
@@ -151,11 +151,12 @@ def test_criterion_4_kernel_identities():
 def brute_force_deficiency(s: MseExpansion, t: MseExpansion,
                            n: float) -> float:
     """Extra observations m - n solving MSE_T(m) = MSE_S(n) numerically."""
-    target = s.mse(n)
+    target = expansion_mse(s, n)
     hi = 2.0 * n
-    while t.mse(hi) > target:
+    while expansion_mse(t, hi) > target:
         hi *= 2.0
-    m = brentq(lambda v: t.mse(v) - target, n, hi, xtol=1e-9, rtol=1e-15)
+    m = brentq(lambda v: expansion_mse(t, v) - target, n, hi, xtol=1e-9,
+               rtol=1e-15)
     return m - n
 
 
@@ -208,7 +209,8 @@ def test_criterion_7_shape_guarantees(normal_study, weibull_study):
     for report, _ in (normal_study, weibull_study):
         for cell in report.cells:
             if cell.estimator.endswith("+raw"):
-                plain = report.cell(cell.estimator[:-4], cell.t, cell.n)
+                plain = report_cell(report, cell.estimator[:-4], cell.t,
+                                    cell.n)
                 assert plain.mse <= cell.mse, \
                     f"standardization hurt {cell.estimator} at " \
                     f"(t={cell.t}, n={cell.n})"

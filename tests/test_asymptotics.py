@@ -24,6 +24,7 @@ from ftcdf.asymptotics import (
     edf_deficiency,
     predicted_deficiency,
 )
+from oracles import expansion_mse
 
 
 # five frozen comparison tuples; the brute-force oracle puts each
@@ -45,9 +46,9 @@ DEFICIENCY_TUPLES = [
 def brute_force_scaled_deficiency(s: MseExpansion, t: MseExpansion,
                                   n: int) -> float:
     """Solve MSE_T(m) = MSE_S(n) for real m and scale d = m - n."""
-    target = s.mse(n)
-    m = brentq(lambda mm: t.mse(mm) - target, n / 8.0, 800.0 * n,
-               xtol=1e-6, rtol=1e-14)
+    target = expansion_mse(s, n)
+    m = brentq(lambda mm: expansion_mse(t, mm) - target, n / 8.0,
+               800.0 * n, xtol=1e-6, rtol=1e-14)
     d = m - n
     if s.second_kind == POWER:
         return d / n ** (1.0 - s.delta)

@@ -277,15 +277,24 @@ class TestDefaults:
         assert grid[-1] == pytest.approx(4.0 * np.pi * 1.349 / (q75 - q25))
 
     def test_robust_scale_fallbacks(self):
-        # zero IQR falls back to the standard deviation, zero spread to 1
+        # zero IQR falls back to the standard deviation; times that are
+        # all equal have the scale max|time|, and all zero the scale 1
         spiked = CensoredSample.uncensored(np.array([0.0] * 7 + [4.0]))
         sd = float(np.std(spiked.times))
         assert default_freq_grid(spiked)[-1] == 4.0 * np.pi / sd
         assert np.array_equal(default_cv_grid(spiked),
                               np.geomspace(0.05, 2.0, 32) * sd)
         flat = CensoredSample.uncensored(np.full(5, 2.0))
-        assert default_freq_grid(flat)[-1] == 4.0 * np.pi
+        assert default_freq_grid(flat)[-1] == 4.0 * np.pi / 2.0
         assert np.array_equal(default_cv_grid(flat),
+                              np.geomspace(0.05, 2.0, 32) * 2.0)
+        # a standard deviation of rounding noise (1.4e-17) is no scale
+        tenths = CensoredSample.uncensored(np.full(3, -0.1))
+        assert np.std(tenths.times) > 0.0
+        assert default_freq_grid(tenths)[-1] == 4.0 * np.pi / 0.1
+        zeros = CensoredSample.uncensored(np.zeros(4))
+        assert default_freq_grid(zeros)[-1] == 4.0 * np.pi
+        assert np.array_equal(default_cv_grid(zeros),
                               np.geomspace(0.05, 2.0, 32))
 
     def test_rule_validation(self):

@@ -1141,6 +1141,28 @@ def _repo_src_env(**extra):
     return {**os.environ, "PYTHONPATH": str(src), **extra}
 
 
+def _start_env(threads=None):
+    """_repo_src_env with OPENBLAS_NUM_THREADS unset, or set to threads."""
+    env = _repo_src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def _fresh_json(code, env=None):
+    """The JSON last line that code prints in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env or _repo_src_env())
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# a short command that loads no scipy and reads no input
+_DEFICIENCY = ["deficiency", "--expansion-base", "1:1:2:log-factor",
+               "--expansion-better", "1:1:1:log-factor", "--n", "100"]
+
+
 class TestBlasGuard:
     """cli.main runs every command with each loaded OpenBLAS at one
     thread, reports that on stdout, and gives the caller's count back."""
@@ -1244,19 +1266,111 @@ class TestBlasGuard:
         assert curves[0] == curves[1]
 
 
+class TestStartUp:
+    """Importing ftcdf.cli before numpy sets OPENBLAS_NUM_THREADS to 1,
+    unless the caller set it, so OpenBLAS loads at one thread."""
+
+    _PROBE = ("import json, os, ftcdf.cli\n"
+              "from ftcdf import blas\n"
+              "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+              "                  [get() for _, get, _ in "
+              "blas._blas_libraries()]]))\n")
+
+    @staticmethod
+    def _threads_available(threads):
+        if threads is not None and len(os.sched_getaffinity(0)) < int(threads):
+            pytest.skip(f"OpenBLAS caps {threads} threads at the CPU count")
+
+    @needs_openblas
+    @pytest.mark.parametrize("threads, at_load", [(None, "1"), ("2", "2")],
+                             ids=["unset", "caller-2"])
+    def test_import_loads_numpy_at_the_set_count(self, threads, at_load):
+        self._threads_available(threads)
+        variable, counts = _fresh_json(self._PROBE, _start_env(threads))
+        assert variable == at_load
+        assert counts and counts == [int(at_load)] * len(counts)
+
+    @needs_openblas
+    @pytest.mark.parametrize("threads, caller", [(None, 1), ("2", 2)],
+                             ids=["unset", "caller-2"])
+    def test_module_run_reports_the_count_at_start(self, threads, caller):
+        self._threads_available(threads)
+        done = subprocess.run([sys.executable, "-m", "ftcdf.cli",
+                               *_DEFICIENCY], capture_output=True, text=True,
+                              env=_start_env(threads))
+        assert done.returncode == 0, done.stderr
+        blas_doc = strict_json(done.stdout)["diagnostics"]["blas"]
+        assert blas_doc["libraries"]
+        assert blas_doc["caller_threads"] == \
+            [caller] * len(blas_doc["libraries"])
+        assert blas_doc["threads"] == 1
+
+    def test_numpy_loaded_first_leaves_the_environment(self):
+        assert _fresh_json(
+            "import json, os, numpy\n"
+            "before = dict(os.environ)\n"
+            "import ftcdf.cli\n"
+            "print(json.dumps(dict(os.environ) == before))\n",
+            _start_env()) is True
+
+
+class TestPoolLoad:
+    """ftcdf loads the pool stack (concurrent.futures, multiprocessing,
+    socket, subprocess) only when a study opens a pool.  scipy.special
+    imports all but multiprocessing itself, so the curve commands here
+    are fits that load no scipy (TestScipyLoad)."""
+
+    def test_only_a_pooled_study_loads_the_pool_stack(self, tmp_path,
+                                                      sample_csv,
+                                                      censored_csv):
+        study = ["simulate", "--scenario", "normal-iid", "--n", "15",
+                 "--reps", "4", "--seed", "9"]
+        runs = [
+            ["estimate", "--input", sample_csv, "--kernel", "smooth"],
+            ["survival", "--input", censored_csv, "--kernel", "smooth",
+             "--boundary", "0", "--standardize"],
+            ["bandwidth", "--input", sample_csv, "--ecf-out",
+             str(tmp_path / "ecf.csv")],
+            _DEFICIENCY,
+            [*study, "--workers", "1", "--output",
+             str(tmp_path / "serial.csv")],
+            [*study, "--workers", "2", "--output",
+             str(tmp_path / "pooled.csv")]]
+        code = ("import contextlib, io, json, sys\n"
+                "import ftcdf.simulate as sim\n"
+                "from ftcdf.cli import main\n"
+                "stack = ('concurrent.futures', 'multiprocessing',\n"
+                "         'socket', 'subprocess')\n"
+                "sim.os.cpu_count = lambda: 2\n"
+                "real, pools = sim._process_pool, []\n"
+                "def counted(**kwargs):\n"
+                "    pools.append(kwargs)\n"
+                "    return real(**kwargs)\n"
+                "sim._process_pool = counted\n"
+                "seen = []\n"
+                f"for argv in {runs!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv) == 0, argv\n"
+                "    seen.append([argv[0], len(pools),\n"
+                "                 [m for m in stack if m in sys.modules]])\n"
+                "print(json.dumps(seen))\n")
+        *fits, serial, pooled = _fresh_json(code)
+        assert fits == [[argv[0], 0, []] for argv in runs[:4]]
+        # a study loads scipy.special, but opens no pool at one process
+        assert serial[1] == 0 and "multiprocessing" not in serial[2]
+        assert pooled == ["simulate", 1, ["concurrent.futures",
+                                          "multiprocessing", "socket",
+                                          "subprocess"]]
+        assert (tmp_path / "pooled.csv").read_bytes() == \
+            (tmp_path / "serial.csv").read_bytes()
+
+
 class TestScipyLoad:
     """scipy loads only where a special function is evaluated: ndtr and
     ndtri (Gaussian kernel and normal draws) and sici (trapezoid)."""
 
-    def _loaded(self, code):
-        done = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True,
-                              env=_repo_src_env())
-        assert done.returncode == 0, done.stderr
-        return json.loads(done.stdout.splitlines()[-1])
-
     def test_import_loads_no_scipy(self):
-        assert self._loaded(
+        assert _fresh_json(
             "import json, sys, ftcdf.cli\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
             "                        if m.split('.')[0] == 'scipy')))\n") == []
@@ -1282,7 +1396,7 @@ class TestScipyLoad:
                 "    seen.append([argv[0], sorted(\n"
                 "        m for m in sys.modules if m.split('.')[0] == 'scipy')])\n"
                 "print(json.dumps(seen))\n")
-        assert self._loaded(code) == [[argv[0], []] for argv in runs]
+        assert _fresh_json(code) == [[argv[0], []] for argv in runs]
 
 
 class TestFloatingPointErrors:

@@ -552,14 +552,14 @@ def test_power_of_two_scaling_is_bitwise(drawn):
             mock.patch.object(iolib, "_read_rows", side_effect=AssertionError):
         base = _scaled_fits(Path(tmp), x, censored, 1.0)
         scaled = _scaled_fits(Path(tmp), x, censored, 2.0 ** k)
-    # a sample whose times are all equal has the fixed data scale 1, so
-    # the selectors' h does not scale with it (CHANGES.md FOUND)
-    spread = np.min(x) < np.max(x)
+    # times that are all zero are one sample at every scale, so each
+    # selector's h stays the same, and h / 2**k reads 2**-k times it
+    h_factor = 1.0 if np.any(x) else 2.0 ** k
     for name in ("estimate", "survival", "survival-boundary",
                  "estimate-smooth", "cv"):
         got, want = scaled[name], base[name]
-        if name == "cv" and not spread:
-            got, want = got[:3], want[:3]
+        if name == "cv" and got[0] == 0:
+            got = (*got[:3], got[3] * h_factor)
         assert got[0] == want[0] and all(
             np.array_equal(a, b) for a, b in zip(got[1:], want[1:])), (
             name, k, got, want)
@@ -568,10 +568,10 @@ def test_power_of_two_scaling_is_bitwise(drawn):
     # item 6, CHANGES.md FOUND); where it runs at both scales, h maps
     # exactly
     auto, scaled_auto = base["auto"], scaled["auto"]
-    if auto[0] == scaled_auto[0] == 0 and spread:
-        assert scaled_auto[3] == auto[3], k
+    if auto[0] == scaled_auto[0] == 0:
+        assert scaled_auto[3] * h_factor == auto[3], k
     else:
-        event("threshold rule refused at one scale, or no spread")
+        event("threshold rule refused at one scale")
 
 
 @st.composite

@@ -28,6 +28,7 @@ from ftcdf.estimators import DegenerateSampleError
 from ftcdf.simulate import (BUILTIN_SCENARIOS, MAX_REPLICATIONS,
                             MAX_SAMPLE_SIZE, MseReport,
                             Scenario, builtin_scenario, run_scenario)
+from oracles import report_cell
 
 
 class TestScenario:
@@ -165,7 +166,7 @@ class TestRunScenario:
                               sample_sizes=(15,))
         sub = run_scenario(sc, estimators=("edf", "trap-auto"))
         for c in sub.cells:
-            full = small_report.cell(c.estimator, c.t, c.n)
+            full = report_cell(small_report, c.estimator, c.t, c.n)
             assert c == full
 
     def test_unknown_estimator(self):
@@ -177,7 +178,7 @@ class TestRunScenario:
                                        ("trap-auto", "edf", "trap-auto")])
     def test_repeated_estimator_refused_before_any_draw(self, monkeypatch,
                                                         names):
-        # MseReport.cell could not tell the copies apart
+        # a cell lookup could not tell the copies apart
         def no_draw(*args):
             raise AssertionError("a replication was drawn")
 
@@ -200,21 +201,21 @@ class TestRunScenario:
     def test_standardized_no_worse_than_raw(self, small_report):
         for name in ("trap-auto", "smooth-auto", "gauss-cv"):
             for t in (-1.5, 0.0, 1.5):
-                std = small_report.cell(name, t, 15).mse
-                raw = small_report.cell(name + "+raw", t, 15).mse
+                std = report_cell(small_report, name, t, 15).mse
+                raw = report_cell(small_report, name + "+raw", t, 15).mse
                 assert std <= raw + 1e-15
 
     def test_gaussian_path_already_monotone(self, small_report):
         # a true-CDF kernel needs no standardization, so both variants
         # coincide
         for t in (-1.5, 0.0, 1.5):
-            std = small_report.cell("gauss-cv", t, 15)
-            raw = small_report.cell("gauss-cv+raw", t, 15)
+            std = report_cell(small_report, "gauss-cv", t, 15)
+            raw = report_cell(small_report, "gauss-cv+raw", t, 15)
             assert std.mse == raw.mse and std.bias == raw.bias
 
     def test_cell_lookup_missing(self, small_report):
         with pytest.raises(KeyError):
-            small_report.cell("edf", 0.25, 15)
+            report_cell(small_report, "edf", 0.25, 15)
 
     def test_csv_shape(self, small_report):
         lines = small_report.to_csv().splitlines()
@@ -234,7 +235,7 @@ class TestRunScenario:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments and maps
+    """Stands in for simulate._process_pool: records its arguments and maps
     in this process, so no worker process is started."""
     made = []
 
@@ -270,7 +271,7 @@ class TestPool:
 
     def test_one_pool_per_study(self, monkeypatch, spy):
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
-        pools = spy(sim, "ProcessPoolExecutor")
+        pools = spy(sim, "_process_pool")
         sc = builtin_scenario("normal-iid", seed=5, replications=4,
                               sample_sizes=(10, 15, 30))
         pooled = run_scenario(sc, estimators=("edf",), workers=2)
@@ -287,7 +288,7 @@ class TestPool:
     def test_process_count_worked_out_from_inputs(self, monkeypatch, cpus,
                                                   reps, procs, chunksize):
         monkeypatch.setattr(_RecordingPool, "made", [])
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(sim, "_process_pool", _RecordingPool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
         sc = builtin_scenario("normal-iid", seed=5, replications=reps,
                               sample_sizes=(15, 30))
@@ -487,7 +488,7 @@ class TestBlasGuard:
                 return super().map(partial(_probe_threads, str(tmp_path), fn),
                                    *iterables, **kwargs)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", ProbingPool)
+        monkeypatch.setattr(sim, "_process_pool", ProbingPool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         sc = builtin_scenario("weibull-censored", seed=3, replications=4,
                               sample_sizes=(15, 30))

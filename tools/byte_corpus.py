@@ -14,9 +14,14 @@ wrote.  The commands run one at a time.
 To compare two checkouts, run the script from each (copy it into a
 checkout that predates it) into two directories and ``diff -r`` them:
 the difference is the byte report.  The CLI runs every command with
-OpenBLAS at one thread, so no BLAS variable needs setting; a checkout
-from before it did needs ``OPENBLAS_NUM_THREADS=1`` in the environment
-for its corpus to be comparable.
+OpenBLAS at one thread, and sets ``OPENBLAS_NUM_THREADS=1`` before
+numpy loads unless the variable is set, so no BLAS variable needs
+setting.  A checkout from before the CLI set the variable prints the
+OpenBLAS default as ``diagnostics.blas.caller_threads`` when it is
+unset, so against such a checkout run both sides with
+``OPENBLAS_NUM_THREADS=1``; unset, their stdout documents differ in
+that field alone.  A checkout from before the CLI ran at one thread
+needs the variable for its outputs to be comparable at all.
 """
 from __future__ import annotations
 
@@ -125,8 +130,8 @@ REFUSALS = (
 def write_inputs(inputs: Path) -> None:
     """A 300-row N(0,1) sample, a 300-row censored Weibull sample, a
     10-row sample of subnormal times near 1e-310, a 20 000-row and a
-    30 000-row N(0,1) sample, a 20 000-row censored Weibull sample and
-    the READ_FORMS."""
+    30 000-row N(0,1) sample, a 20 000-row censored Weibull sample,
+    three times of 2.0 and the READ_FORMS."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -151,6 +156,7 @@ def write_inputs(inputs: Path) -> None:
     rows = zip(np.minimum(life, cens).tolist(), (life <= cens).tolist())
     (inputs / "weibull20k.csv").write_text(
         "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
+    (inputs / "flat.csv").write_text("time\n2.0\n2.0\n2.0\n")
     write_read_forms(inputs)
 
 
@@ -228,6 +234,9 @@ def commands():
                 yield f"{command}-{variant}-{data}", [command, *source, *args]
         for variant, args in BANDWIDTH_VARIANTS:
             yield f"bandwidth-{variant}-{data}", ["bandwidth", *source, *args]
+    # times that are all equal: the CV grid scales with their magnitude
+    yield ("bandwidth-cv-flat",
+           ["bandwidth", "--input", "inputs/flat.csv", "--method", "cv"])
     for form in READ_FORMS:
         for command in ("estimate", "survival"):
             yield (f"{command}-form-{form}",
