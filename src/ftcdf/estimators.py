@@ -4,7 +4,9 @@ Estimators operate on a CensoredSample and are configured with a kernel
 table, a bandwidth and an optional left support boundary (handled by
 reflection).  Every estimator smooths the sample's one jump measure,
 sample.jumps (EDF or Kaplan-Meier), which is computed on first use and
-cached on the sample.  Each value has one route:
+cached on the sample.  Both measures come from one product-limit
+routine, which telescopes the product between censorings, so the EDF
+is its censoring-free case.  Each value has one route:
 
 * evaluate_on_grid and smoothed_survival_on_grid give raw values on an
   ascending grid;
@@ -75,7 +77,7 @@ class CensoredSample:
     @cached_property
     def jumps(self) -> "StepEstimate":
         """The estimators' jump measure, computed once: the EDF when every
-        event is observed (bitwise equal to, and cheaper than, KM), else KM."""
+        event is observed (bitwise equal to KM there), else KM."""
         return edf(self) if np.all(self.event) else kaplan_meier(self)
 
 
@@ -145,75 +147,69 @@ class StepEstimate:
 
 
 def edf(sample: CensoredSample) -> StepEstimate:
-    """Empirical distribution function as a jump measure (1/n per point)."""
+    """Empirical distribution function as a jump measure: the product-limit
+    measure without censoring, whose heights are d_i/n by construction."""
     if not np.all(sample.event):
         raise ValueError("edf requires fully uncensored data")
-    locs, counts = np.unique(sample.times, return_counts=True)
-    return StepEstimate(locs, counts / sample.n)
+    return _product_limit(sample)
 
 
 def kaplan_meier(sample: CensoredSample) -> StepEstimate:
-    """Jump measure of the Kaplan-Meier estimate, in linear time.
-
-    Each height is the exact product-limit jump S_i * d_i / r_i rounded
-    once to the nearest float, so that with zero censoring the heights
-    are bitwise the EDF's d_i/n.  Fixed-point bounds on S_i give almost
-    every height in constant time; an exact fallback gives the rest
-    (_km_heights).  Ties: censorings at a time t stay in
-    the risk set through events at t.  Returned heights are the drops of
-    the survival curve (equally, jumps of 1 - S); total mass is below 1
-    when the largest observation is censored.
-    """
+    """Jump measure of the Kaplan-Meier estimate: the drops of S, each
+    rounded once (_product_limit).  Censorings at a time t stay in the
+    risk set through events at t; total mass is below 1 when the largest
+    observation is censored."""
     if not np.any(sample.event):
         raise DegenerateSampleError("kaplan_meier needs at least one event")
-    times = sample.times
-    order = np.sort(times)
-    event_times, d = np.unique(times[sample.event], return_counts=True)
-    # at risk: every observation with time >= t_i
-    at_risk = sample.n - np.searchsorted(order, event_times, side="left")
-    return StepEstimate(event_times, _km_heights(d.tolist(),
-                                                 at_risk.tolist()))
+    return _product_limit(sample)
 
 
-def _km_heights(deaths: list, at_risk: list) -> list:
-    """Product-limit jumps S_i * d_i / r_i, each rounded once.
+def _product_limit(sample: CensoredSample) -> StepEstimate:
+    """Product-limit jumps S_i d_i / r_i, each exact jump rounded once.
 
-    lo and hi are fixed-point integers that bound the survival S_i just
-    before the i-th event time: lo <= S_i * 2**_KM_BITS <= hi.
-    Python's int true division is correctly rounded and rounding is
-    monotone, so when the bounds round to one float the exact jump rounds
-    to it too.  Otherwise the jump is recomputed exactly and the bounds
-    restart from the exact S_i.  The exact S is carried forward from the
-    previous fallback as an unreduced ratio of ints, so all fallbacks
-    together multiply each factor in once, by product trees.
+    With c_k censorings in [t_k, t_k+1), the product telescopes:
+    S_i d_i / r_i = d_i P / r_1, where P multiplies (r_k+1 + c_k) / r_k+1
+    over the censoring gaps before t_i.  So the events of a stretch
+    between two gaps share P, and those with equal d_i share a height.
+    Without censoring P = 1, and the heights are d_i/n rounded once.
+    Fixed-point bounds lo <= P * 2**_KM_BITS <= hi move once per gap.
+    Int true division rounds correctly, and rounding is monotone, so
+    bounds that give one float give the exact height; else P is rebuilt
+    exactly by product trees and the bounds restart from it.  numpy work
+    is linear in the events after their sort; big-int steps are linear
+    in the gaps.
     """
-    bits = _KM_BITS
-    one = 1 << bits
-    lo = hi = one
-    num, den, known = 1, 1, 0  # S at event index `known` is num / den
-    heights = []
-    for i, (d, r) in enumerate(zip(deaths, at_risk)):
-        scale = r << bits
-        height = d * lo / scale
-        if height != d * hi / scale:
-            num, den = _exact_survival(deaths, at_risk, known, i, num, den)
-            known = i
-            height = num * d / (den * r)
-            lo = (num << bits) // den
-            hi = -((-num << bits) // den)
+    times, event = sample.times, sample.event
+    event_times, d = np.unique(times[event], return_counts=True)
+    censored = np.searchsorted(np.sort(times[~event]), event_times)
+    at_risk = sample.n - censored - np.cumsum(d) + d
+    new = np.diff(censored, prepend=censored[0]) > 0  # first after a gap
+    gap = np.flatnonzero(new)
+    nums, dens = (at_risk - d)[gap - 1], at_risk[gap]
+    factors = zip(memoryview(nums), memoryview(dens))  # as Python ints
+    # a group is the events of one stretch with one d_i: one height
+    span = int(d.max()) + 1
+    keys, inverse = np.unique(np.cumsum(new) * span + d, return_inverse=True)
+    stretch, deaths = np.divmod(keys, span)
+    r1 = int(at_risk[0])
+    # every height d_i P / r_1 is at least 1/n: scaling by 2**-bits is exact
+    unit = 2.0 ** -_KM_BITS
+    lo = hi = 1 << _KM_BITS
+    k, heights = 0, []  # k: gap factors in lo and hi
+    for crossed, dk in zip(np.diff(stretch, prepend=0).tolist(),
+                           deaths.tolist()):
+        if crossed:
+            num, den = next(factors)
+            lo = lo * num // den
+            hi = -(-hi * num // den)
+            k += 1
+        height = dk * lo / r1 * unit
+        if height != dk * hi / r1 * unit:
+            num, den = _product(nums[:k].tolist()), _product(dens[:k].tolist())
+            height = dk * num / (den * r1)
+            lo, hi = (num << _KM_BITS) // den, -(-(num << _KM_BITS) // den)
         heights.append(height)
-        lo = lo * (r - d) // r
-        hi = -(-hi * (r - d) // r)
-    return heights
-
-
-def _exact_survival(deaths: list, at_risk: list, start: int, stop: int,
-                    num: int, den: int) -> tuple[int, int]:
-    """S just before event index stop, as an unreduced (numerator,
-    denominator) pair, from S = num / den before index start."""
-    kept = _product([r - d for d, r in zip(deaths[start:stop],
-                                            at_risk[start:stop])])
-    return num * kept, den * _product(at_risk[start:stop])
+    return StepEstimate(event_times, np.array(heights)[inverse])
 
 
 def _product(factors: list) -> int:

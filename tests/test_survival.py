@@ -63,12 +63,14 @@ def test_km_hand_example():
 
 def test_km_equals_edf_without_censoring():
     rng = np.random.default_rng(4)
-    xs = np.round(rng.standard_normal(37), 1)  # force ties
-    s = CensoredSample.uncensored(xs)
-    km = kaplan_meier(s)
-    e = edf(s)
-    np.testing.assert_array_equal(km.locations, e.locations)
-    np.testing.assert_array_equal(km.heights, e.heights)
+    # ties; one observation; all tied; 10^5 values rounded to 3 decimals
+    for xs in (np.round(rng.standard_normal(37), 1), [2.5], np.full(50, 3.0),
+               np.round(rng.standard_normal(100_000), 3)):
+        s = CensoredSample.uncensored(xs)
+        km = kaplan_meier(s)
+        e = edf(s)
+        np.testing.assert_array_equal(km.locations, e.locations)
+        np.testing.assert_array_equal(km.heights, e.heights)
 
 
 def test_km_censored_max_leaves_mass():
@@ -85,6 +87,11 @@ def test_km_is_exact_on_heavily_censored_sample():
     event = rng.random(3000) < 0.1
     assert 0.88 < 1.0 - event.mean() < 0.92
     assert_km_is_exact(CensoredSample(times, event))
+    # a single event, first, amid or after the 2999 censorings
+    for rank in (0, 1500, 2999):
+        single = np.zeros(3000, dtype=bool)
+        single[np.argsort(times, kind="stable")[rank]] = True
+        assert_km_is_exact(CensoredSample(times, single))
 
 
 def test_km_is_exact_at_workload_size():
@@ -94,13 +101,30 @@ def test_km_is_exact_at_workload_size():
     life = 1.5 * rng.weibull(3.0, 20_000)
     cens = 3.0 * rng.weibull(4.0, 20_000)
     assert_km_is_exact(CensoredSample(np.minimum(life, cens), life <= cens))
+    # drawn samples from 1 to 20 000 rows, 0 to 100% censored with at
+    # least one event, every other one rounded so that events tie with
+    # each other and with censorings, and the largest time censored in
+    # half of those with a second event
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 30, 300, 3000, 20_000):
+        for k, share in enumerate((0.0, 0.07, 0.3, 0.66, 0.95, 1.0)):
+            times = rng.weibull(1.5, n)
+            if k % 2:
+                times = np.round(times, 1 if n < 300 else 3)
+            event = rng.random(n) >= share
+            event[rng.integers(n)] = True
+            if k > 2 and event.sum() > 1:
+                event[np.argmax(times)] = False
+                event[np.argmin(times)] = True
+            assert_km_is_exact(CensoredSample(times, event))
 
 
 def test_km_exact_fallback_keeps_the_bits(monkeypatch, spy):
     # at 50 bits the bounds often round apart, so the exact recomputation
-    # runs; every height must still be the oracle's
+    # runs; every height must still be the oracle's.  Each fallback takes
+    # two products: the kept counts, then the risk sets, of its gaps
     monkeypatch.setattr(estimators, "_KM_BITS", 50)
-    calls = spy(estimators, "_exact_survival")
+    calls = spy(estimators, "_product")
     rng = np.random.default_rng(50)
     for _ in range(200):
         n = int(rng.integers(1, 31))
@@ -108,22 +132,27 @@ def test_km_exact_fallback_keeps_the_bits(monkeypatch, spy):
         event = rng.random(n) < rng.random()
         if event.any():
             assert_km_is_exact(CensoredSample(times, event))
-    assert len(calls) > 100
+    assert len(calls[1::2]) > 100
 
 
 def test_km_fallbacks_on_a_large_sample_keep_the_bits(monkeypatch, spy):
-    # at 60 bits the bounds of some of the 1423 heights round apart, so
-    # the exact survival is carried from fallback to fallback, up to
-    # dozens of events apart
-    monkeypatch.setattr(estimators, "_KM_BITS", 60)
-    calls = spy(estimators, "_exact_survival")
+    # at 55 bits the bounds of some of the 1423 heights round apart, and
+    # each fallback rebuilds P from every gap before its stretch, up to
+    # dozens of events after the previous fallback
+    monkeypatch.setattr(estimators, "_KM_BITS", 55)
+    calls = spy(estimators, "_product")
     rng = np.random.default_rng(7)
     life = 1.5 * rng.weibull(3.0, 3000)
     cens = 3.0 * rng.weibull(4.0, 3000)
     times = np.round(np.minimum(life, cens), 3)  # ties as well
     assert_km_is_exact(CensoredSample(times, life <= cens))
-    gaps = np.diff([args[3] for args in calls])
-    assert len(calls) > 100 and gaps.max() > 50
+    # a fallback's last risk set r is its stretch's first: the event at
+    # the (n - r)-th smallest time
+    fallbacks = calls[1::2]
+    first = times.size - np.array([args[0][-1] for args in fallbacks])
+    starts = np.sort(times)[first]
+    gaps = np.diff(np.searchsorted(np.unique(times[life <= cens]), starts))
+    assert len(fallbacks) > 100 and gaps.max() > 50
 
 
 @pytest.mark.parametrize("size", range(10))

@@ -130,8 +130,9 @@ REFUSALS = (
 def write_inputs(inputs: Path) -> None:
     """A 300-row N(0,1) sample, a 300-row censored Weibull sample, a
     10-row sample of subnormal times near 1e-310, a 20 000-row and a
-    30 000-row N(0,1) sample, a 20 000-row censored Weibull sample,
-    three times of 2.0 and the READ_FORMS."""
+    30 000-row N(0,1) sample, a 20 000-row censored Weibull sample, a
+    20 000-row Weibull sample about 66% censored with times rounded to
+    3 decimals, three times of 2.0 and the READ_FORMS."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -155,6 +156,13 @@ def write_inputs(inputs: Path) -> None:
     cens = 3.0 * rng.weibull(4.0, 20000)
     rows = zip(np.minimum(life, cens).tolist(), (life <= cens).tolist())
     (inputs / "weibull20k.csv").write_text(
+        "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
+    rng = np.random.default_rng(66)
+    life = 1.5 * rng.weibull(3.0, 20000)
+    cens = 1.2 * rng.weibull(3.0, 20000)
+    rows = zip(np.round(np.minimum(life, cens), 3).tolist(),
+               (life <= cens).tolist())
+    (inputs / "weibull20k-tied.csv").write_text(
         "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
     (inputs / "flat.csv").write_text("time\n2.0\n2.0\n2.0\n")
     write_read_forms(inputs)
@@ -227,6 +235,11 @@ def commands():
            ["survival", "--input", "inputs/weibull20k.csv", "--kernel",
             "smooth", "--boundary", "0", "--standardize", "--grid",
             "0:4:201", "--output", "OUT/curve.csv"])
+    # dense censoring gaps, and ties among events and with censorings
+    yield ("survival-smooth-fixed-weibull20k-tied",
+           ["survival", "--input", "inputs/weibull20k-tied.csv", "--kernel",
+            "smooth", "--boundary", "0", "--bandwidth", "0.1", "--grid",
+            "0:4:201"])
     for data in INPUTS:
         source = ["--input", f"inputs/{data}.csv"]
         for command in ("estimate", "survival"):
