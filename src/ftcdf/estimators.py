@@ -30,7 +30,9 @@ _BLOCK = 1 << 20
 # about the values of one chunk of a block: the kernel sum holds one
 # chunk's buffer at a time
 _CHUNK = 1 << 17
-# cap on the terms of one kernel sum, ECF or CV: ~4 minutes at 25 ns a term
+# cap on the terms of one kernel sum, ECF or CV: 3-5 minutes at the
+# 20-30 ns a term of the CV or of looked-up Kbar values, under 2 at the
+# 9-13 ns of a kernel sum's merged rows (2-vCPU Xeon)
 MAX_KERNEL_TERMS = 10**10
 # how far below the smallest observation a standardized point path starts,
 # in bandwidth units; kernel oscillation beyond this is ~1e-4 and below
@@ -239,6 +241,15 @@ def _kbar_sum(locations, weights, kernel, h, points) -> np.ndarray:
     buffer.  Chunks start at multiples of 4 rows from the block's start
     and the last one takes the block's 1-3 leftover rows, so every row
     is summed by the same gemv path as a product of the whole block.
+
+    Each row of a chunk holds one point's arguments (t - x_j)/h, and the
+    locations ascend, so every row is nonincreasing.  A KernelTable
+    merges such a row against its knots when the row is dense: when it
+    holds more arguments than the knots between its ends, by a margin
+    for the per-row cost (KernelTable._merge_dense_rows).  The rows of a
+    fit with thousands of jumps are dense; those of a study's 15 or 30
+    are not, and are looked up value by value.  The two routes give the
+    same bits.
     """
     points = np.asarray(points, dtype=float)
     terms = points.size * locations.size

@@ -14,7 +14,12 @@ FlatTopSpec(family) is the family's reference kernel: c and
 effective_c default by family here and nowhere else.  The estimators
 evaluate only Kbar, through a dense lookup table (KernelTable) that
 only build_table makes, after certifying its interpolation error and
-the kernel's mass.  Tables hold the raw, non-monotone Kbar: valid CDF
+the kernel's mass.  A table finds each value's spline interval by one
+of two routes with the same bits: a bucket lookup per value, or, for a
+dense row of 2-d arguments (nonincreasing, as each row of the
+estimators' kernel sums is, and holding more values than it spans
+knots, with a margin for the per-row cost), a merge of the row against
+the knots.  Tables hold the raw, non-monotone Kbar: valid CDF
 paths come from standardizing an estimate, not the kernel.  K itself
 is evaluated directly, never interpolated.  The Gaussian kernel is
 included as a comparator: like a table, it offers kbar and tail_cutoff.
@@ -47,6 +52,12 @@ _MAX_TABLE_POINTS = 400_000
 _MAX_GL_ORDER = 4096
 # points per block of a table's kbar lookup
 _LOOKUP_BLOCK = 1 << 14
+# fixed cost of merging one row of 2-d arguments against the knots, in
+# values of the bucket lookup (KernelTable._merge_dense_rows)
+_MERGE_ROW = 2048
+# most values merged at once: the merge's temporaries hold five values
+# per value merged, about as much as the lookup of one _LOOKUP_BLOCK
+_MERGE_PIECE = 1 << 15
 # width of a lookup bucket, in units of the least interior knot spacing
 # in u = sign(x) sqrt|x|
 _BUCKET_SCALE = 1.0
@@ -355,11 +366,19 @@ class _KbarSpline:
 
     The interval of v is the i with x[i] <= v < x[i+1], the last knot
     belonging to the last interval, and the value is the power sum in
-    ascending order.  The interval comes from a lookup in
-    u = sign(v) sqrt|v|, where the grid's knots are spread about evenly
-    (a uniform core, then spacing growing like sqrt(t)): a bucket starts
-    at the last knot of the buckets below it, and points step up past
-    the knots inside their own bucket.
+    ascending order.  Two routes find the intervals; they differ only in
+    how they gather each point's knot and coefficients:
+
+    * the bucket lookup, for any v: a lookup in u = sign(v) sqrt|v|,
+      where the grid's knots are spread about evenly (a uniform core,
+      then spacing growing like sqrt(t)).  A bucket starts at the last
+      knot of the buckets below it, and points step up past the knots
+      inside their own bucket;
+    * the merge, for a sorted row of v: one search of the knots the row
+      spans into the row counts the points of each interval, and
+      np.repeat lays out their knots and coefficients.  It costs a few
+      calls a row and a search per knot spanned, where the lookup costs
+      more per point, so it pays on rows denser than the knots.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -372,8 +391,11 @@ class _KbarSpline:
         self._top = float(buckets - 1)
         below = np.searchsorted(self._bucket(x), np.arange(buckets))
         self._start = np.maximum(below - 1, 0)
-        # the knot that ends each interval; the last interval takes all
-        self._end = np.append(x[1:-1], np.inf)
+        # the knots, the last nudged up: a search for it counts the
+        # values at or below the last knot.  From 1 on, the knot that
+        # ends each interval, as no value lies above the last knot
+        self._cuts = np.append(x[:-1], np.nextafter(x[-1], np.inf))
+        self._end = self._cuts[1:]
 
     def _bucket(self, v: np.ndarray) -> np.ndarray:
         # monotone in v, so a knot in a lower bucket lies below v; fmax
@@ -382,27 +404,58 @@ class _KbarSpline:
         return np.fmin(np.fmax(q, 0.0), self._top).astype(np.intp)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        """Spline values at 1-d v, which lies within the knots (or is NaN)."""
+        """Spline values at 1-d v, which lies within the knots (or is NaN),
+        by the bucket lookup."""
         i = np.take(self._start, self._bucket(v))
         up = np.flatnonzero(v >= np.take(self._end, i))
         while up.size:
             i[up] += 1
             up = up[v[up] >= np.take(self._end, i[up])]
-        c = self.coef
-        s = v - np.take(self.knots, i)
-        # c3 + c2 s + c1 (s s) + c0 ((s s) s), summed in that order
-        out = np.take(c[2], i)
-        out *= s
-        out += np.take(c[3], i)
-        term = np.take(c[1], i)
-        s_pow = s * s
-        term *= s_pow
-        out += term
-        s_pow *= s
-        np.take(c[0], i, out=term)
-        term *= s_pow
-        out += term
-        return out
+        return _power_sum(v, np.take(self.knots, i),
+                          np.take(self.coef, i, axis=1))
+
+    def intervals(self, v: np.ndarray) -> np.ndarray:
+        """The interval of each v, which lies within the knots."""
+        return np.minimum(np.searchsorted(self.knots, v, side="right") - 1,
+                          self.knots.size - 2)
+
+    def merged(self, row: np.ndarray, first: int, last: int,
+               out: np.ndarray) -> tuple[int, int]:
+        """Spline values, by the merge, at the values of a nonincreasing
+        row that lie within the knots, in intervals first to last; into
+        out (which may be row).  Returns lo, hi: the values within the
+        knots are row[lo:hi], those above them row[:lo] and those below
+        them row[hi:], which this leaves alone."""
+        # one search: the values below the first knot, below each knot
+        # from first + 1 to last, and up to the last knot
+        edges = np.searchsorted(row[::-1], self._cuts[first:last + 2])
+        lo, hi = row.size - int(edges[-1]), row.size - int(edges[0])
+        # the row descends: its intervals run from last down to first
+        counts = (edges[1:] - edges[:-1])[::-1]
+        knots = self.knots[first:last + 1][::-1]
+        coef = self.coef[:, first:last + 1][:, ::-1]
+        _power_sum(row[lo:hi], np.repeat(knots, counts),
+                   np.repeat(coef, counts, axis=1), out[lo:hi])
+        return lo, hi
+
+
+def _power_sum(v: np.ndarray, knot: np.ndarray, coef: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """c3 + c2 s + c1 (s s) + c0 ((s s) s) at v, with s = v - knot, summed
+    in that order as PPoly sums it; into out when given (out may be v).
+    knot and coef, whose rows are c0 to c3, hold each point's interval's
+    values, and are overwritten."""
+    c0, c1, c2, c3 = coef
+    s = np.subtract(v, knot, out=knot)
+    out = np.multiply(c2, s, out=out)
+    out += c3
+    s_pow = np.multiply(s, s, out=c3)
+    c1 *= s_pow
+    out += c1
+    s_pow *= s
+    c0 *= s_pow
+    out += c0
+    return out
 
 
 @dataclass
@@ -428,7 +481,13 @@ class KernelTable:
 
     def kbar(self, x, out=None):
         """Kbar at x; into out, a C-contiguous float array of x's shape,
-        when given (out may be x itself), and then returns out."""
+        when given (out may be x itself), and then returns out.
+
+        The dense rows of 2-d x (_merge_dense_rows) are merged against
+        the knots, each row alone; every other value goes through the
+        bucket lookup.  Both routes give a value the same interval and
+        the same bits.
+        """
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0 and out is None
         a = np.atleast_1d(arr)
@@ -436,17 +495,62 @@ class KernelTable:
             out = np.empty(a.shape)
         elif out.shape != arr.shape or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous array of x's shape")
-        flat, dest = a.ravel(), out.reshape(-1)
+        merged = self._merge_dense_rows(a, out)
+        if not merged.any():
+            self._lookup(a.ravel(), out.reshape(-1))
+        elif not merged.all():
+            sparse = a[~merged]  # a copy, looked up in place
+            self._lookup(sparse.reshape(-1), sparse.reshape(-1))
+            out[~merged] = sparse
+        return float(out[0]) if scalar else out
+
+    def _merge_dense_rows(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Kbar of the dense rows of a into out, by the merge; returns
+        which rows of a it wrote (none unless a is 2-d).
+
+        A row is dense when it is nonincreasing, as the estimators'
+        kernel sums make each row, and holds more than _MERGE_ROW values
+        plus twice the knots between its ends, clipped to +-T.  Then the
+        merge's costs per row and per knot spanned are below the
+        lookup's cost per value.  Values beyond T and -T are 1 and 0.
+        A row longer than _MERGE_PIECE values is merged in about equal
+        pieces, so that the merge's temporaries stay small.
+        """
+        n = a.shape[1] if a.ndim == 2 else 0
+        if n <= _MERGE_ROW:
+            return np.zeros(0, dtype=bool)
+        step = math.ceil(n / math.ceil(n / _MERGE_PIECE))
+        starts = np.arange(0, n, step)
+        T = self.tail_cutoff
+        # the intervals of each piece's first (largest) and last values
+        top = self._kbar_spline.intervals(np.clip(a[:, starts], -T, T))
+        bottom = self._kbar_spline.intervals(
+            np.clip(a[:, np.minimum(starts + step, n) - 1], -T, T))
+        dense = n > _MERGE_ROW + 2 * (top[:, 0] - bottom[:, -1])
+        if dense.any():
+            dense &= np.all(a[:, 1:] <= a[:, :-1], axis=1)
+        for r in np.flatnonzero(dense).tolist():
+            for j, first, last in zip(starts.tolist(), bottom[r].tolist(),
+                                      top[r].tolist()):
+                piece = slice(j, j + step)
+                lo, hi = self._kbar_spline.merged(a[r, piece], first, last,
+                                                  out[r, piece])
+                out[r, j:j + lo] = 1.0
+                out[r, j + hi:j + step] = 0.0
+        return dense
+
+    def _lookup(self, flat: np.ndarray, dest: np.ndarray) -> None:
+        """Kbar of 1-d flat into dest (which may be flat) by the bucket
+        lookup."""
         T = self.tail_cutoff
         # in blocks, so the lookup's temporaries stay small; a block is
-        # read in full before it is written, so out may alias x
+        # read in full before it is written, so dest may alias flat
         for i in range(0, flat.size, _LOOKUP_BLOCK):
             v = flat[i:i + _LOOKUP_BLOCK]
             values = self._kbar_spline(np.clip(v, -T, T))
             values[v < -T] = 0.0
             values[v > T] = 1.0
             dest[i:i + _LOOKUP_BLOCK] = values
-        return float(out[0]) if scalar else out
 
 
 def _certify(table: KernelTable) -> None:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtr
 
+import ftcdf.estimators as estimators
 from ftcdf.asymptotics import POWER
 from ftcdf.quadrature import adaptive_quad
 
@@ -84,3 +85,15 @@ def exact_km(sample):
         heights[i] = float(jump)
         surv -= jump
     return event_times, heights
+
+
+def blockwise_product(kern, locations, weights, points, h):
+    """The kernel sum as one matrix-vector product per block of rows of
+    estimators._kbar_sum, each block's Kbar values from 1-d arguments:
+    a table looks every value up, and merges no row."""
+    rows = max(1, estimators._BLOCK // locations.size)
+    sums = []
+    for i in range(0, points.size, rows):
+        args = (points[i:i + rows, None] - locations[None, :]) / h
+        sums.append(kern.kbar(args.ravel()).reshape(args.shape) @ weights)
+    return np.concatenate(sums)

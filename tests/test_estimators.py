@@ -9,9 +9,12 @@ import ftcdf.estimators as estimators
 from ftcdf._special import load as load_special
 from ftcdf.estimators import (CensoredSample, EstimatorConfig, StepEstimate,
                               edf, evaluate_on_grid, smoothed_paths,
-                              standardize_path)
+                              smoothed_survival_on_grid, standardize_path)
 from ftcdf.kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
-                           get_table, integrated_kernel)
+                           KernelTable, _KbarSpline, get_table,
+                           integrated_kernel)
+from ftcdf.simulate import builtin_scenario, run_scenario
+from oracles import blockwise_product
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 
@@ -243,15 +246,6 @@ def _kernel_sum_case(kind, jumps=18_650, points=201):
     return kern, locations, weights, np.linspace(0.0, 4.0, points)
 
 
-def _blockwise_product(kern, locations, weights, points, h):
-    """The kernel sum as one matrix-vector product per block of rows, as
-    when each block had arrays of its own."""
-    rows = max(1, estimators._BLOCK // locations.size)
-    return np.concatenate([
-        kern.kbar((points[i:i + rows, None] - locations[None, :]) / h)
-        @ weights for i in range(0, points.size, rows)])
-
-
 @pytest.mark.parametrize("kind", [TRAPEZOID, SMOOTH, "gaussian"])
 def test_kernel_sum_holds_one_block(kind):
     kern, locations, weights, points = _kernel_sum_case(kind)
@@ -277,7 +271,7 @@ def test_kernel_sum_is_the_blockwise_product(monkeypatch, kind, block):
     kern, locations, weights, points = _kernel_sum_case(kind)
     locations, weights = locations[::50], weights[::50]
     monkeypatch.setattr(estimators, "_BLOCK", block)
-    want = _blockwise_product(kern, locations, weights, points, 0.05)
+    want = blockwise_product(kern, locations, weights, points, 0.05)
     got = estimators._kbar_sum(locations, weights, kern, 0.05, points)
     assert got.tobytes() == want.tobytes()
 
@@ -297,6 +291,34 @@ def test_kernel_sum_chunks_keep_the_blockwise_bits(
     blas_threads_at(1)
     kern, locations, weights, grid = _kernel_sum_case(kind, jumps, points)
     monkeypatch.setattr(estimators, "_CHUNK", 1)
-    want = _blockwise_product(kern, locations, weights, grid, 0.05)
+    want = blockwise_product(kern, locations, weights, grid, 0.05)
     got = estimators._kbar_sum(locations, weights, kern, 0.05, grid)
     assert got.tobytes() == want.tobytes()
+
+
+def test_survival_sized_fit_merges_every_row(spy):
+    # the perfbench survival fit's shape: 20 000 censored Weibull rows
+    # (about 18 650 jumps), the smooth kernel, a boundary at 0 and 201
+    # points; every row of every chunk, each side of the reflection,
+    # spans a few hundred knots
+    rng = np.random.default_rng(11)
+    life, cens = 1.5 * rng.weibull(3.0, 20_000), 3.0 * rng.weibull(4.0,
+                                                                   20_000)
+    sample = CensoredSample(np.minimum(life, cens), life <= cens)
+    cfg = EstimatorConfig(get_table(FlatTopSpec(SMOOTH)), 0.1, boundary=0.0)
+    merged, looked_up = spy(_KbarSpline, "merged"), spy(KernelTable,
+                                                        "_lookup")
+    smoothed_survival_on_grid(sample, cfg, np.linspace(0.0, 4.0, 201))
+    assert sample.jumps.locations.size > 18_000
+    assert len(merged) == 2 * 201 and looked_up == []
+
+
+def test_study_fits_never_merge(spy):
+    # a study's rows hold 15 or 30 jumps, far fewer than the knots
+    # they span, and a row must hold more than _MERGE_ROW values
+    merged, looked_up = spy(_KbarSpline, "merged"), spy(KernelTable,
+                                                        "_lookup")
+    for name in ("normal-iid", "weibull-censored"):
+        run_scenario(builtin_scenario(name, seed=5, replications=3,
+                                      sample_sizes=(15, 30)))
+    assert merged == [] and len(looked_up) > 0

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,116 @@ def test_spline_is_scipys_not_a_knot_bit_for_bit(spec, tol):
     # 2-d arguments keep their shape and their bits
     rows = args[:40 * 300].reshape(40, 300)
     assert tab.kbar(rows).tobytes() == _oracle_kbar(tab, rows).tobytes()
+
+
+def _sorted_rows(tab, width: int = 4096) -> np.ndarray:
+    """Rows of `width` descending arguments, as the estimators' kernel
+    sums make them, that the merge takes: across T and across -T (40
+    knots each, with each knot twice, the midpoints, +-T and their
+    neighbours), wholly above T and wholly below -T, and around 0 (60
+    knots each twice, 0.0 and -0.0)."""
+    grid, T = tab.grid, tab.tail_cutoff
+    top = grid[-40:]
+    near_top = np.concatenate([
+        top, top, 0.5 * (top[:-1] + top[1:]),
+        [np.nextafter(T, 0.0), np.nextafter(T, np.inf), T + 1.0]])
+    mid = grid.size // 2
+    core = grid[mid - 30:mid + 30]
+    near_zero = np.concatenate([core, core, 0.5 * (core[:-1] + core[1:]),
+                                [0.0, -0.0, 0.0, -0.0]])
+
+    def row(extras, hi, lo):
+        fill = np.linspace(hi, lo, width - extras.size)
+        return np.sort(np.concatenate([fill, extras]))[::-1]
+
+    above = row(near_top, T + 3.0, grid[-41])
+    return np.stack([
+        above, -above[::-1],
+        row(np.array([np.nextafter(T, np.inf)]), 1e6 * T, T),
+        row(np.array([np.nextafter(-T, -np.inf)]), -T, -1e6 * T),
+        row(near_zero, grid[mid + 31], grid[mid - 31])])
+
+
+@pytest.mark.parametrize("piece", [1 << 15, 1000])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
+def test_merged_rows_are_scipys_bit_for_bit(spec, tol, piece, monkeypatch):
+    # pieces of about 1000 values split each row 5 ways, at ties, at
+    # knots and across +-T
+    monkeypatch.setattr(kernels, "_MERGE_PIECE", piece)
+    tab = get_table(spec, tol)
+    rows = _sorted_rows(tab)
+    assert np.all(rows[:, 1:] <= rows[:, :-1])
+    want = _oracle_kbar(tab, rows)
+    out = np.empty_like(rows)
+    assert tab._merge_dense_rows(rows, out).all()
+    assert out.tobytes() == want.tobytes()
+    assert tab.kbar(rows).tobytes() == want.tobytes()
+    # into the arguments themselves, as the kernel sum calls it
+    got = rows.copy()
+    assert tab.kbar(got, out=got).tobytes() == want.tobytes()
+    # an unsorted row, here one with a NaN, goes to the bucket lookup
+    # beside the merged ones
+    rows[1, 7] = np.nan
+    want[1, 7] = np.nan
+    assert tab._merge_dense_rows(rows, out).tolist() == [
+        True, False, True, True, True]
+    assert tab.kbar(rows).tobytes() == want.tobytes()
+
+
+def test_merge_temporaries_do_not_grow_with_the_row():
+    tab = get_table(SMOOTH_REF, 1e-8)
+    T = tab.tail_cutoff
+    rows = np.stack([np.linspace(1.5 * T, -1.5 * T, 400_000),
+                     np.linspace(0.5 * T, -0.5 * T, 400_000)])
+    want = _oracle_kbar(tab, rows)
+    tab.kbar(rows[:, :5000].copy())  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tab.kbar(rows, out=rows)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rows.tobytes() == want.tobytes()
+    # five values a value merged, in pieces of at most 2**15 values
+    # (1.25 MiB), where a whole row of 400 000 would take 16 MB
+    assert peak <= 2**21
+
+
+@pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
+def test_unsorted_rows_are_looked_up(spec):
+    tab = get_table(spec, 1e-8)
+    rows = _sorted_rows(tab)
+    rng = np.random.default_rng(4)
+    for r in rows:
+        rng.shuffle(r)
+    assert not tab._merge_dense_rows(rows, np.empty_like(rows)).any()
+    assert tab.kbar(rows).tobytes() == _oracle_kbar(tab, rows).tobytes()
+    # ascending rows too
+    rows.sort(axis=1)
+    assert not tab._merge_dense_rows(rows, np.empty_like(rows)).any()
+    assert tab.kbar(rows).tobytes() == _oracle_kbar(tab, rows).tobytes()
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+@pytest.mark.parametrize("h", [2.0, 0.05, 1e-3, 1e-4])
+@pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
+def test_kernel_sum_rows_merge_to_scipys_bits(spec, h, reflected,
+                                              monkeypatch):
+    tab = get_table(spec, 1e-8)
+    rng = np.random.default_rng(9)
+    locations = np.sort(rng.normal(size=2000))
+    points = np.linspace(-4.0, 4.0, 41)
+    if reflected:
+        points = 2.0 * -4.5 - points  # descending, as a reflected grid
+    rows = (points[:, None] - locations) / h
+    want = _oracle_kbar(tab, rows)
+    # every sorted row merges, however many knots it spans
+    monkeypatch.setattr(kernels, "_MERGE_ROW", -10**9)
+    out = np.empty_like(rows)
+    assert tab._merge_dense_rows(rows, out).all()
+    assert out.tobytes() == want.tobytes()
 
 
 def _banded(dl, d, du, b) -> np.ndarray:

@@ -25,6 +25,9 @@ small drawn studies write the same CSV at one and two workers.  Drawn
 CSV files, plain or not, read to the row parser's bits or its error;
 and scaling a sample, its grid, bandwidth and boundary by 2**k maps
 the fixed-bandwidth curves, the ECF and the CV bandwidth bit for bit.
+A kernel sum over 1 to 40 000 jumps at h from 1e-4 to 10, on an
+ascending or a reflected grid, keeps the bits of one product per block
+of 1-d lookups, whether its table merges every row, some or none.
 """
 from __future__ import annotations
 
@@ -41,12 +44,14 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import ftcdf.estimators as estimators
 import ftcdf.io as iolib
 from ftcdf.cli import build_parser, main
 from ftcdf.estimators import edf
 from ftcdf.io import ParseError, parse_grid, read_sample_csv
-from ftcdf.kernels import FlatTopSpec, get_table
+from ftcdf.kernels import FlatTopSpec, GaussianKernel, KernelTable, get_table
 from ftcdf.survival import kaplan_meier
+from oracles import blockwise_product
 
 RUNS = (
     ["estimate", "--standardize"],
@@ -621,6 +626,51 @@ def test_study_csv_does_not_depend_on_workers(scenario):
             runs.append((code, doc.get("retries"), doc.get("error"),
                          csv.read_bytes() if code == 0 else None))
         assert runs[0] == runs[1], scenario
+
+
+@st.composite
+def kernel_sums(draw) -> tuple:
+    """(kernel kind, jumps, h, seed, points, reflected) of a kernel sum:
+    1 to 40 000 jumps, as often above the merge's row length as below."""
+    return (draw(st.sampled_from(("trapezoid", "smooth", "gaussian"))),
+            draw(st.integers(1, 3000) | st.integers(3000, 40_000)),
+            10.0 ** draw(st.floats(-4.0, 1.0)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 60)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(kernel_sums())
+@example(("smooth", 18_650, 0.1, 11, 60, True))  # every row merges
+@example(("trapezoid", 15, 0.3, 11, 60, False))  # a study's rows
+def test_kernel_sum_is_the_blockwise_lookup(blas_threads_at, case):
+    kind, jumps, h, seed, points, reflected = case
+    blas_threads_at(1)  # as every command runs
+    kern = GaussianKernel() if kind == "gaussian" else get_table(
+        FlatTopSpec(kind))
+    rng = np.random.default_rng(seed)
+    locations = np.unique(rng.normal(size=jumps))
+    weights = rng.random(locations.size) / locations.size
+    grid = np.linspace(-4.0, 4.0, points)
+    if reflected:
+        grid = 2.0 * -4.5 - grid
+    merged = []
+    real = KernelTable._merge_dense_rows
+
+    def merging(self, *args):
+        dense = real(self, *args)
+        merged.append(int(dense.sum()))
+        return dense
+
+    with mock.patch.object(KernelTable, "_merge_dense_rows", merging):
+        got = estimators._kbar_sum(locations, weights, kern, h, grid)
+    rows = sum(merged)
+    share = "no" if not rows else "every" if rows == points else "some"
+    event(f"{kind}: merged {share} row")
+    want = blockwise_product(kern, locations, weights, grid, h)
+    assert got.tobytes() == want.tobytes()
 
 
 _VALUES = st.one_of(st.none(), st.sampled_from((0.0, 0.5, 1.0, 2.0, -1.0)),

@@ -1,8 +1,10 @@
 """The examples of README.md hold as written: every ```python block runs,
 in order, in one namespace, as a reader pasting them into one session,
-and every `ftcdf` command of a ```sh block parses."""
+and every `ftcdf` command of a ```sh block parses; and the byte corpus
+holds as many commands as the README says."""
 from __future__ import annotations
 
+import importlib.util
 import re
 import shlex
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 from ftcdf.cli import build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 _PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 _SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
@@ -42,3 +45,13 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_counts_the_byte_corpus():
+    spec = importlib.util.spec_from_file_location(
+        "byte_corpus", ROOT / "tools" / "byte_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    [count] = re.findall(r"(\d+) commands, one fresh process each", text)
+    assert int(count) == len(list(corpus.commands()))

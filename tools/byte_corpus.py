@@ -235,6 +235,16 @@ def commands():
            ["survival", "--input", "inputs/weibull20k.csv", "--kernel",
             "smooth", "--boundary", "0", "--standardize", "--grid",
             "0:4:201", "--output", "OUT/curve.csv"])
+    # kernel sums whose rows cross +-T: the rows below and above the data
+    # are merged against the knots, those across it looked up
+    yield ("estimate-trapezoid-h1e-4-normal20k",
+           ["estimate", "--input", "inputs/normal20k.csv", "--bandwidth",
+            "1e-4", "--grid", "-8:8:161", "--output", "OUT/curve.csv"])
+    # every row merged, each side of the boundary reflection
+    yield ("survival-smooth-h0.005-boundary-weibull20k",
+           ["survival", "--input", "inputs/weibull20k.csv", "--kernel",
+            "smooth", "--boundary", "0", "--bandwidth", "0.005",
+            "--output", "OUT/curve.csv"])
     # dense censoring gaps, and ties among events and with censorings
     yield ("survival-smooth-fixed-weibull20k-tied",
            ["survival", "--input", "inputs/weibull20k-tied.csv", "--kernel",
