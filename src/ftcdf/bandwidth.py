@@ -16,7 +16,7 @@ import numpy as np
 
 from ._special import ndtr
 from .estimators import (MAX_KERNEL_TERMS, CensoredSample,
-                         DegenerateSampleError)
+                         DegenerateSampleError, check_terms)
 
 # complex values per array of the ECF; blocks that stay in cache made
 # the exp about twice as fast as blocks of 2**20
@@ -100,7 +100,9 @@ def _robust_scale(sample: CensoredSample) -> float:
     A sample whose times are all equal has the scale max|time|, so that
     h scales with it, and 1 only when every time is zero; its standard
     deviation is 0 or rounding noise (about 1e-17 for three times of
-    0.1), not a scale.
+    0.1), not a scale.  The standard deviation is np.std's, taken of
+    the times over a power of two at least max|time| and scaled back, so
+    that no square under- or overflows; 1 only below the least subnormal.
     """
     times = sample.times
     if np.min(times) == np.max(times):
@@ -108,7 +110,8 @@ def _robust_scale(sample: CensoredSample) -> float:
     q75, q25 = np.percentile(times, [75.0, 25.0])
     scale = (q75 - q25) / 1.349
     if scale <= 0.0:
-        scale = float(np.std(times))
+        e = math.frexp(float(np.max(np.abs(times))))[1]
+        scale = math.ldexp(float(np.std(np.ldexp(times, -e))), e)
     return scale if scale > 0.0 else 1.0
 
 
@@ -139,10 +142,8 @@ def ecf(sample: CensoredSample, freqs) -> EcfCurve:
     freqs = np.asarray(freqs, dtype=float)
     step = sample.jumps
     x, heights = step.locations, step.heights
-    terms = freqs.size * x.size
-    if terms > MAX_KERNEL_TERMS:
-        raise ValueError(f"the ECF needs {terms} terms (frequencies x "
-                         f"jumps), above the cap of {MAX_KERNEL_TERMS}")
+    check_terms("ECF", freqs.size * x.size, "frequencies x jumps",
+                MAX_KERNEL_TERMS)
     _check_freqs(freqs, freqs.shape)
     # the blocks never form the largest phase freqs[-1] max|x|; form it,
     # so that an overflow raises under np.errstate(over="raise")
@@ -236,10 +237,8 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
                                     "events")
     step = sample.jumps
     loc, s = step.locations, step.heights
-    terms = loc.size * _CV_QUAD_POINTS * h_grid.size
-    if terms > MAX_KERNEL_TERMS:
-        raise ValueError(f"the CV needs {terms} terms (jumps x grid points x "
-                         f"bandwidths), above the cap of {MAX_KERNEL_TERMS}")
+    check_terms("CV", loc.size * _CV_QUAD_POINTS * h_grid.size,
+                "jumps x grid points x bandwidths", MAX_KERNEL_TERMS)
     w = s / np.unique(events, return_counts=True)[1]
     rest = (step.total_mass - w)[:, None]
     lo, hi = loc.min() - 3.0 * h_grid, loc.max() + 3.0 * h_grid

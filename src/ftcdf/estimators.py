@@ -30,10 +30,6 @@ _BLOCK = 1 << 20
 # about the values of one chunk of a block: the kernel sum holds one
 # chunk's buffer at a time
 _CHUNK = 1 << 17
-# cap on the terms of one kernel sum, ECF or CV: 3-5 minutes at the
-# 20-30 ns a term of the CV or of looked-up Kbar values, under 2 at the
-# 9-13 ns of a kernel sum's merged rows (2-vCPU Xeon)
-MAX_KERNEL_TERMS = 10**10
 # how far below the smallest observation a standardized point path starts,
 # in bandwidth units; kernel oscillation beyond this is ~1e-4 and below
 # Monte Carlo resolution
@@ -42,6 +38,18 @@ _PATH_POINTS = 1025
 # bits of the fixed-point bounds on the Kaplan-Meier survival product;
 # far more than a height's 53, so the exact fallback almost never runs
 _KM_BITS = 160
+# cap on the terms of one kernel sum, ECF or CV: 3-5 minutes at the
+# 20-30 ns a term of the CV or of looked-up Kbar values, under 2 at the
+# 9-13 ns of a kernel sum's merged rows (2-vCPU Xeon)
+MAX_KERNEL_TERMS = 10**10
+
+
+def check_terms(work: str, terms: int, factors: str, cap: int) -> None:
+    """ValueError, before any work, for more than cap terms; each caller
+    passes MAX_KERNEL_TERMS as its own module reads it."""
+    if terms > cap:
+        raise ValueError(f"the {work} needs {terms} terms ({factors}), "
+                         f"above the cap of {cap}")
 
 
 class DegenerateSampleError(ValueError):
@@ -252,10 +260,8 @@ def _kbar_sum(locations, weights, kernel, h, points) -> np.ndarray:
     same bits.
     """
     points = np.asarray(points, dtype=float)
-    terms = points.size * locations.size
-    if terms > MAX_KERNEL_TERMS:
-        raise ValueError(f"the kernel sum needs {terms} terms (points x "
-                         f"jumps), above the cap of {MAX_KERNEL_TERMS}")
+    check_terms("kernel sum", points.size * locations.size,
+                "points x jumps", MAX_KERNEL_TERMS)
     out = np.empty(points.shape, dtype=float)
     jumps = max(1, locations.size)
     rows = max(1, _BLOCK // jumps)

@@ -14,15 +14,16 @@ FlatTopSpec(family) is the family's reference kernel: c and
 effective_c default by family here and nowhere else.  The estimators
 evaluate only Kbar, through a dense lookup table (KernelTable) that
 only build_table makes, after certifying its interpolation error and
-the kernel's mass.  A table finds each value's spline interval by one
-of two routes with the same bits: a bucket lookup per value, or, for a
-dense row of 2-d arguments (nonincreasing, as each row of the
+the kernel's mass.  A table finds spline intervals by one bucket
+lookup, and values by two routes with the same bits: per value, or,
+for a dense row of 2-d arguments (nonincreasing, as each row of the
 estimators' kernel sums is, and holding more values than it spans
 knots, with a margin for the per-row cost), a merge of the row against
-the knots.  Tables hold the raw, non-monotone Kbar: valid CDF
-paths come from standardizing an estimate, not the kernel.  K itself
-is evaluated directly, never interpolated.  The Gaussian kernel is
-included as a comparator: like a table, it offers kbar and tail_cutoff.
+the knots between its looked-up ends.  Tables hold the raw,
+non-monotone Kbar: valid CDF paths come from standardizing an
+estimate, not the kernel.  K itself is evaluated directly, never
+interpolated.  The Gaussian kernel is included as a comparator: like a
+table, it offers kbar and tail_cutoff.
 Only the trapezoid's sine integral and the Gaussian's normal CDF load
 scipy.special; the smooth family and the tables' spline need no scipy.
 """
@@ -50,14 +51,13 @@ _MAX_TABLE_POINTS = 400_000
 # dense eigenproblem, cubic in the order (4096 nodes took about 4 s on a
 # 2-vCPU machine)
 _MAX_GL_ORDER = 4096
-# points per block of a table's kbar lookup
+# points per block of a table's kbar lookup.  The merge takes pieces of
+# twice as many values: its temporaries hold five values per value
+# merged, about as much as the lookup of one block
 _LOOKUP_BLOCK = 1 << 14
 # fixed cost of merging one row of 2-d arguments against the knots, in
 # values of the bucket lookup (KernelTable._merge_dense_rows)
 _MERGE_ROW = 2048
-# most values merged at once: the merge's temporaries hold five values
-# per value merged, about as much as the lookup of one _LOOKUP_BLOCK
-_MERGE_PIECE = 1 << 15
 # width of a lookup bucket, in units of the least interior knot spacing
 # in u = sign(x) sqrt|x|
 _BUCKET_SCALE = 1.0
@@ -241,9 +241,9 @@ def _trap_tail_cutoff(c: float, tol: float) -> float:
 
 def _smooth_tail_cutoff(spec, tol: float) -> float:
     t = 32.0
-    while t <= 2.2e5:
-        # a cutoff the smooth transforms cannot reach is refused here,
-        # before any quadrature at t
+    while True:
+        # _gl_order refuses every t >= 8192, a cutoff the smooth
+        # transforms cannot reach, before any quadrature at t
         try:
             _gl_order(t)
         except QuadratureError as exc:
@@ -256,7 +256,6 @@ def _smooth_tail_cutoff(spec, tol: float) -> float:
             if gap2 <= gap:
                 return t
         t *= 2.0
-    raise QuadratureError("smooth-family tail does not settle below tol")
 
 
 def _positive_grid(t_end: float, tol: float, decay_const: float) -> np.ndarray:
@@ -366,19 +365,15 @@ class _KbarSpline:
 
     The interval of v is the i with x[i] <= v < x[i+1], the last knot
     belonging to the last interval, and the value is the power sum in
-    ascending order.  Two routes find the intervals; they differ only in
-    how they gather each point's knot and coefficients:
-
-    * the bucket lookup, for any v: a lookup in u = sign(v) sqrt|v|,
-      where the grid's knots are spread about evenly (a uniform core,
-      then spacing growing like sqrt(t)).  A bucket starts at the last
-      knot of the buckets below it, and points step up past the knots
-      inside their own bucket;
-    * the merge, for a sorted row of v: one search of the knots the row
-      spans into the row counts the points of each interval, and
-      np.repeat lays out their knots and coefficients.  It costs a few
-      calls a row and a search per knot spanned, where the lookup costs
-      more per point, so it pays on rows denser than the knots.
+    ascending order.  locate, the one interval rule, is a bucket lookup
+    in u = sign(v) sqrt|v|, where the knots are spread about evenly (a
+    uniform core, then spacing growing like sqrt(t)): a bucket starts at
+    the last knot of the buckets below it, and points step up past the
+    knots inside their own bucket.  Values come by two routes: __call__
+    locates each point; merged, for a sorted row between two located
+    intervals, counts the points of each interval by one search of the
+    knots into the row and lays out their knots and coefficients by
+    np.repeat, which pays on rows denser than the knots.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -403,29 +398,29 @@ class _KbarSpline:
         q = (np.copysign(np.sqrt(np.abs(v)), v) - self._u0) * self._inv_width
         return np.fmin(np.fmax(q, 0.0), self._top).astype(np.intp)
 
+    def locate(self, v: np.ndarray) -> np.ndarray:
+        """The interval of each value of v, which lies within the knots
+        (NaN gets interval 0), in v's shape."""
+        flat = v.ravel()
+        i = np.take(self._start, self._bucket(flat))
+        up = np.flatnonzero(flat >= np.take(self._end, i))
+        while up.size:
+            i[up] += 1
+            up = up[flat[up] >= np.take(self._end, i[up])]
+        return i.reshape(v.shape)
+
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """Spline values at 1-d v, which lies within the knots (or is NaN),
         by the bucket lookup."""
-        i = np.take(self._start, self._bucket(v))
-        up = np.flatnonzero(v >= np.take(self._end, i))
-        while up.size:
-            i[up] += 1
-            up = up[v[up] >= np.take(self._end, i[up])]
+        i = self.locate(v)
         return _power_sum(v, np.take(self.knots, i),
                           np.take(self.coef, i, axis=1))
 
-    def intervals(self, v: np.ndarray) -> np.ndarray:
-        """The interval of each v, which lies within the knots."""
-        return np.minimum(np.searchsorted(self.knots, v, side="right") - 1,
-                          self.knots.size - 2)
-
     def merged(self, row: np.ndarray, first: int, last: int,
-               out: np.ndarray) -> tuple[int, int]:
-        """Spline values, by the merge, at the values of a nonincreasing
-        row that lie within the knots, in intervals first to last; into
-        out (which may be row).  Returns lo, hi: the values within the
-        knots are row[lo:hi], those above them row[:lo] and those below
-        them row[hi:], which this leaves alone."""
+               out: np.ndarray) -> None:
+        """Kbar, by the merge, of a nonincreasing row whose values within
+        the knots lie in intervals first to last, into out (which may be
+        row): the spline within the knots, 1 above them and 0 below."""
         # one search: the values below the first knot, below each knot
         # from first + 1 to last, and up to the last knot
         edges = np.searchsorted(row[::-1], self._cuts[first:last + 2])
@@ -436,7 +431,8 @@ class _KbarSpline:
         coef = self.coef[:, first:last + 1][:, ::-1]
         _power_sum(row[lo:hi], np.repeat(knots, counts),
                    np.repeat(coef, counts, axis=1), out[lo:hi])
-        return lo, hi
+        out[:lo] = 1.0
+        out[hi:] = 0.0
 
 
 def _power_sum(v: np.ndarray, knot: np.ndarray, coef: np.ndarray,
@@ -485,8 +481,8 @@ class KernelTable:
 
         The dense rows of 2-d x (_merge_dense_rows) are merged against
         the knots, each row alone; every other value goes through the
-        bucket lookup.  Both routes give a value the same interval and
-        the same bits.
+        bucket lookup, row by row in place when some rows were merged.
+        Both routes give a value the same interval and the same bits.
         """
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0 and out is None
@@ -496,12 +492,11 @@ class KernelTable:
         elif out.shape != arr.shape or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous array of x's shape")
         merged = self._merge_dense_rows(a, out)
-        if not merged.any():
+        if merged.any():
+            for r in np.flatnonzero(~merged).tolist():
+                self._lookup(a[r], out[r])
+        else:
             self._lookup(a.ravel(), out.reshape(-1))
-        elif not merged.all():
-            sparse = a[~merged]  # a copy, looked up in place
-            self._lookup(sparse.reshape(-1), sparse.reshape(-1))
-            out[~merged] = sparse
         return float(out[0]) if scalar else out
 
     def _merge_dense_rows(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -513,19 +508,19 @@ class KernelTable:
         plus twice the knots between its ends, clipped to +-T.  Then the
         merge's costs per row and per knot spanned are below the
         lookup's cost per value.  Values beyond T and -T are 1 and 0.
-        A row longer than _MERGE_PIECE values is merged in about equal
-        pieces, so that the merge's temporaries stay small.
+        A row longer than 2 * _LOOKUP_BLOCK values is merged in about
+        equal pieces, so that the merge's temporaries stay small.
         """
         n = a.shape[1] if a.ndim == 2 else 0
         if n <= _MERGE_ROW:
             return np.zeros(0, dtype=bool)
-        step = math.ceil(n / math.ceil(n / _MERGE_PIECE))
+        step = math.ceil(n / math.ceil(n / (2 * _LOOKUP_BLOCK)))
         starts = np.arange(0, n, step)
         T = self.tail_cutoff
         # the intervals of each piece's first (largest) and last values
-        top = self._kbar_spline.intervals(np.clip(a[:, starts], -T, T))
-        bottom = self._kbar_spline.intervals(
-            np.clip(a[:, np.minimum(starts + step, n) - 1], -T, T))
+        ends = np.concatenate((starts, np.minimum(starts + step, n) - 1))
+        where = self._kbar_spline.locate(np.clip(a[:, ends], -T, T))
+        top, bottom = where[:, :starts.size], where[:, starts.size:]
         dense = n > _MERGE_ROW + 2 * (top[:, 0] - bottom[:, -1])
         if dense.any():
             dense &= np.all(a[:, 1:] <= a[:, :-1], axis=1)
@@ -533,10 +528,8 @@ class KernelTable:
             for j, first, last in zip(starts.tolist(), bottom[r].tolist(),
                                       top[r].tolist()):
                 piece = slice(j, j + step)
-                lo, hi = self._kbar_spline.merged(a[r, piece], first, last,
-                                                  out[r, piece])
-                out[r, j:j + lo] = 1.0
-                out[r, j + hi:j + step] = 0.0
+                self._kbar_spline.merged(a[r, piece], first, last,
+                                         out[r, piece])
         return dense
 
     def _lookup(self, flat: np.ndarray, dest: np.ndarray) -> None:

@@ -97,3 +97,11 @@ def blockwise_product(kern, locations, weights, points, h):
         args = (points[i:i + rows, None] - locations[None, :]) / h
         sums.append(kern.kbar(args.ravel()).reshape(args.shape) @ weights)
     return np.concatenate(sums)
+
+
+def spline_intervals(knots, v):
+    """The spline interval of each v within the knots, by binary search:
+    the i with knots[i] <= v < knots[i + 1], the last knot belonging to
+    the last interval."""
+    return np.minimum(np.searchsorted(knots, v, side="right") - 1,
+                      knots.size - 2)

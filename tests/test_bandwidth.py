@@ -297,6 +297,33 @@ class TestDefaults:
         assert np.array_equal(default_cv_grid(zeros),
                               np.geomspace(0.05, 2.0, 32))
 
+    def test_robust_scale_neither_underflows_nor_overflows(self):
+        # without an IQR, the standard deviation is taken of the times
+        # over a power of two: it doubles with the data at any magnitude,
+        # and keeps np.std's bits wherever that is finite and positive
+        def spiked(top):
+            return CensoredSample.uncensored(np.array([0.0] * 7 + [top]))
+
+        for top in (1e-200, 1e300, 2.0 ** 1022):
+            grid = default_cv_grid(spiked(top))
+            assert np.all(np.isfinite(grid)) and np.all(grid > 0.0), top
+            assert np.array_equal(default_cv_grid(spiked(2.0 * top)),
+                                  2.0 * grid), top
+        assert (default_cv_grid(spiked(1e-200))[0]
+                == 0.05 * 3.307189138830738e-201)
+        # a scale below the least subnormal falls back to 1
+        assert default_cv_grid(spiked(5e-324))[0] == 0.05
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            x = np.zeros(int(rng.integers(4, 30)))
+            k = int(rng.integers(1, x.size // 4 + 1))
+            x[:k] = rng.standard_normal(k) * 10.0 ** rng.integers(-100, 100)
+            x += rng.choice([0.0, 3.0, -1e5])
+            s = CensoredSample.uncensored(x)
+            q75, q25 = np.percentile(x, [75.0, 25.0])
+            if q75 == q25 and x.min() < x.max():
+                assert default_cv_grid(s)[-1] == 2.0 * float(np.std(x))
+
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             BandwidthRule(C=0.0, epsilon=1.0, effective_c=0.75)

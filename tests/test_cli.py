@@ -448,6 +448,22 @@ class TestBandwidth:
                 assert bw["t_star"] in freqs, (seed, argv)
                 assert bw["value"] == 0.75 / bw["t_star"]
 
+    def test_cv_scale_without_an_iqr_at_any_magnitude(self, capsys,
+                                                     tmp_path):
+        # seven zeros and one spike: the scale is a standard deviation
+        # whose squares, taken at the data's magnitude, would underflow
+        # (h = 0.05 for both small spikes) or overflow (exit 5)
+        hs = {}
+        for spike in ("1e-200", "2e-200", "1e300"):
+            path = tmp_path / f"{spike}.csv"
+            path.write_text("time\n" + "0\n" * 7 + spike + "\n")
+            code, doc, err = run_cli(capsys, "bandwidth", "--method", "cv",
+                                     "--input", str(path))
+            assert code == 0 and err is None, (spike, err)
+            hs[spike] = doc["h"]
+        assert hs["2e-200"] == 2.0 * hs["1e-200"] and hs["1e-200"] < 1e-200
+        assert 1e297 < hs["1e300"] < 1e300
+
     def test_ecf_curve_written(self, capsys, tmp_path, sample_csv):
         out = str(tmp_path / "ecf.csv")
         code, _, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,

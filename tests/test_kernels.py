@@ -30,7 +30,7 @@ from ftcdf.kernels import (
     window,
 )
 from ftcdf.quadrature import QuadratureError, adaptive_quad
-from oracles import gaussian_cross_moment
+from oracles import gaussian_cross_moment, spline_intervals
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 SMOOTH_REF = FlatTopSpec(SMOOTH, 0.05, 1.0)
@@ -358,13 +358,32 @@ def _sorted_rows(tab, width: int = 4096) -> np.ndarray:
         row(near_zero, grid[mid + 31], grid[mid - 31])])
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
+def test_lookup_locates_intervals_by_binary_search(spec, tol):
+    # the one interval rule of both routes, at every knot and knot
+    # midpoint, at +-T and their inner neighbours, and at -0.0
+    tab = get_table(spec, tol)
+    grid, T = tab.grid, tab.tail_cutoff
+    v = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]),
+                        [-T, T, np.nextafter(-T, 0.0), np.nextafter(T, 0.0),
+                         -0.0]])
+    got = tab._kbar_spline.locate(v)
+    assert np.array_equal(got, spline_intervals(grid, v))
+    # 2-d values keep their shape
+    rows = v[:6 * (v.size // 6)].reshape(6, -1)
+    assert np.array_equal(tab._kbar_spline.locate(rows),
+                          spline_intervals(grid, rows))
+
+
 @pytest.mark.parametrize("piece", [1 << 15, 1000])
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 @pytest.mark.parametrize("spec", [TRAP, SMOOTH_REF])
 def test_merged_rows_are_scipys_bit_for_bit(spec, tol, piece, monkeypatch):
-    # pieces of about 1000 values split each row 5 ways, at ties, at
-    # knots and across +-T
-    monkeypatch.setattr(kernels, "_MERGE_PIECE", piece)
+    # the merge takes pieces of twice the lookup's block; pieces of
+    # about 1000 values split each row 5 ways, at ties, at knots and
+    # across +-T
+    monkeypatch.setattr(kernels, "_LOOKUP_BLOCK", piece // 2)
     tab = get_table(spec, tol)
     rows = _sorted_rows(tab)
     assert np.all(rows[:, 1:] <= rows[:, :-1])

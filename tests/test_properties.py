@@ -492,17 +492,15 @@ def test_bandwidth_freq_grid_contract(text, grid, method):
 def power_of_two_samples(draw):
     """(times, censored, k): a sample of 2 to 80 rows, with ties and 0-90 %
     censoring, and a power of two 2**k, |k| <= 900, that takes no step
-    of a fit into overflow or subnormals."""
+    of a fit into overflow or subnormals; samples without an IQR too,
+    whose scale is a standard deviation taken without squaring the
+    data's magnitude."""
     n = draw(st.integers(2, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = np.round(rng.standard_normal(n) + draw(st.sampled_from((0.0, 3.0))),
                  draw(st.integers(0, 17)))
     censored = rng.random(n) < draw(st.floats(0.0, 0.9))
-    # without an IQR the data scale is the standard deviation, which
-    # squares the data: k stays where the squares are normal numbers
-    q75, q25 = np.percentile(x, [75.0, 25.0])
-    bound = 900 if q75 > q25 else 400
-    return x, censored, draw(st.integers(-bound, bound))
+    return x, censored, draw(st.integers(-900, 900))
 
 
 def _scaled_fits(tmp, x, censored, s):
@@ -547,12 +545,18 @@ def _scaled_fits(tmp, x, censored, s):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(power_of_two_samples())
+# no IQR, and a standard deviation whose squares leave the normal range
+@example((np.array([0.0] * 7 + [1.0]), np.zeros(8, dtype=bool), -900))
+@example((np.array([0.0] * 7 + [1.0]), np.arange(8) == 7, 900))
 def test_power_of_two_scaling_is_bitwise(drawn):
     # multiplying data, grid, bandwidth and boundary by 2**k is exact,
     # and every step of a fit is relative to the data's scale, so the
     # curves, the ECF and the CV bandwidth map bit for bit; the scaled
     # files are plain, so they take the one-pass read
     x, censored, k = drawn
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    if q75 == q25:
+        event("sample without an IQR")
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(iolib, "_read_rows", side_effect=AssertionError):
         base = _scaled_fits(Path(tmp), x, censored, 1.0)

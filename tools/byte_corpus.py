@@ -129,10 +129,10 @@ REFUSALS = (
 
 def write_inputs(inputs: Path) -> None:
     """A 300-row N(0,1) sample, a 300-row censored Weibull sample, a
-    10-row sample of subnormal times near 1e-310, a 20 000-row and a
-    30 000-row N(0,1) sample, a 20 000-row censored Weibull sample, a
-    20 000-row Weibull sample about 66% censored with times rounded to
-    3 decimals, three times of 2.0 and the READ_FORMS."""
+    10-row sample of subnormal times near 1e-310, a 5000-row, a
+    20 000-row and a 30 000-row N(0,1) sample, a 20 000-row censored
+    Weibull sample, a 20 000-row Weibull sample about 66% censored with
+    times rounded to 3 decimals, three times of 2.0 and the READ_FORMS."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -145,6 +145,9 @@ def write_inputs(inputs: Path) -> None:
         "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
     (inputs / "tiny.csv").write_text(
         "time\n" + "".join(f"{k * 1e-311!r}\n" for k in range(10, 20)))
+    large = np.random.default_rng(50).standard_normal(5000)
+    (inputs / "normal5k.csv").write_text(
+        "time\n" + "".join(f"{v!r}\n" for v in large.tolist()))
     large = np.random.default_rng(5).standard_normal(20000)
     (inputs / "normal20k.csv").write_text(
         "time\n" + "".join(f"{v!r}\n" for v in large.tolist()))
@@ -260,6 +263,10 @@ def commands():
     # times that are all equal: the CV grid scales with their magnitude
     yield ("bandwidth-cv-flat",
            ["bandwidth", "--input", "inputs/flat.csv", "--method", "cv"])
+    # 5000 jumps: the CV evaluates one bandwidth at a time, in column
+    # blocks of 209 quadrature points and one of 47
+    yield ("bandwidth-cv-normal5k",
+           ["bandwidth", "--input", "inputs/normal5k.csv", "--method", "cv"])
     for form in READ_FORMS:
         for command in ("estimate", "survival"):
             yield (f"{command}-form-{form}",
@@ -271,8 +278,8 @@ def commands():
                    ["simulate", "--scenario", scenario, "--n", "15,30",
                     "--reps", "60", "--seed", "7", "--workers", workers,
                     "--output", "OUT/report.csv"])
-    # 200 jumps: the CV evaluates one bandwidth at a time, in column
-    # blocks
+    # 200 jumps: the CV evaluates one bandwidth at a time, all 256
+    # quadrature points at once
     yield ("simulate-normal-iid-n200",
            ["simulate", "--scenario", "normal-iid", "--n", "200", "--reps",
             "10", "--seed", "7", "--output", "OUT/report.csv"])
