@@ -94,36 +94,14 @@ def default_rule(n: int, effective_c: float | None) -> BandwidthRule:
                          effective_c=effective_c)
 
 
-def _robust_scale(sample: CensoredSample) -> float:
-    """IQR/1.349, falling back to the standard deviation, then to 1.
-
-    A sample whose times are all equal has the scale max|time|, so that
-    h scales with it, and 1 only when every time is zero; its standard
-    deviation is 0 or rounding noise (about 1e-17 for three times of
-    0.1), not a scale.  The standard deviation is np.std's, taken of
-    the times over a power of two at least max|time| and scaled back, so
-    that no square under- or overflows; 1 only below the least subnormal.
-    """
-    times = sample.times
-    if np.min(times) == np.max(times):
-        return abs(float(times[0])) or 1.0
-    q75, q25 = np.percentile(times, [75.0, 25.0])
-    scale = (q75 - q25) / 1.349
-    if scale <= 0.0:
-        e = math.frexp(float(np.max(np.abs(times))))[1]
-        scale = math.ldexp(float(np.std(np.ldexp(times, -e))), e)
-    return scale if scale > 0.0 else 1.0
-
-
 def default_freq_grid(sample: CensoredSample) -> np.ndarray:
-    """512 frequencies over [0, 4*pi/scale], scale = IQR/1.349 (robust)."""
-    return np.linspace(0.0, 4.0 * np.pi / _robust_scale(sample),
-                       _FREQ_POINTS)
+    """512 frequencies over [0, 4*pi/scale], scale = sample.scale."""
+    return np.linspace(0.0, 4.0 * np.pi / sample.scale, _FREQ_POINTS)
 
 
 def default_cv_grid(sample: CensoredSample) -> np.ndarray:
-    """32 log-spaced CV candidates 0.05..2 times the robust data scale."""
-    return np.geomspace(0.05, 2.0, _CV_POINTS) * _robust_scale(sample)
+    """32 log-spaced CV candidates 0.05..2 times sample.scale."""
+    return np.geomspace(0.05, 2.0, _CV_POINTS) * sample.scale
 
 
 def ecf(sample: CensoredSample, freqs) -> EcfCurve:
@@ -222,24 +200,23 @@ def cv_bandwidth_km(sample: CensoredSample, h_grid) -> float:
     with w the unnormalized indicator of [min - 3h, max + 3h] and a
     256-point trapezoidal quadrature grid.
     F_{h,-k} leaves out one event's mass s_k/d_k at x_k, d_k being the
-    number of events there, and renormalizes the rest to total one; on
-    iid data this is leave-one-observation-out.  Returns the argmin over
-    h_grid; the first minimizer wins ties.
+    number of events there (the measure's counts), and renormalizes the
+    rest to total one; on iid data this is leave-one-observation-out.
+    Returns the argmin over h_grid; the first minimizer wins ties.
     """
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.size == 0:
         raise ValueError("h_grid must be nonempty")
     if np.any(h_grid <= 0):
         raise ValueError("bandwidths must be positive")
-    events = sample.times[sample.event]
-    if events.size < 2:
+    if np.count_nonzero(sample.event) < 2:
         raise DegenerateSampleError("leave-one-out needs at least two "
                                     "events")
     step = sample.jumps
     loc, s = step.locations, step.heights
     check_terms("CV", loc.size * _CV_QUAD_POINTS * h_grid.size,
                 "jumps x grid points x bandwidths", MAX_KERNEL_TERMS)
-    w = s / np.unique(events, return_counts=True)[1]
+    w = s / step.counts
     rest = (step.total_mass - w)[:, None]
     lo, hi = loc.min() - 3.0 * h_grid, loc.max() + 3.0 * h_grid
     if np.all((hi - lo) / (_CV_QUAD_POINTS - 1) != 0.0):

@@ -90,6 +90,34 @@ class CensoredSample:
         event is observed (bitwise equal to KM there), else KM."""
         return edf(self) if np.all(self.event) else kaplan_meier(self)
 
+    @cached_property
+    def scale(self) -> float:
+        """IQR/1.349 of the times, by numpy's linear quartile rule,
+        computed once.  Without an IQR, np.std of the times over a power
+        of two at least max|time|, scaled back so that no square under-
+        or overflows; equal times take max|time| (1 if all are zero), not
+        their 0 or rounding-noise deviation.  A deviation below the least
+        subnormal is refused (DegenerateSampleError)."""
+        times = np.sort(self.times)
+        if times[0] == times[-1]:
+            return abs(float(times[0])) or 1.0
+        # quartile q lies at index (n - 1) q, a fraction g past times[k];
+        # on arrays, so that an overflow raises numpy's message
+        at = (self.n - 1) * np.array([0.75, 0.25])
+        k = at.astype(np.intp)
+        g, a, b = at - k, times[k], times[k + 1]
+        q75, q25 = np.where(g < 0.5, a + (b - a) * g, b - (b - a) * (1 - g))
+        scale = (q75 - q25) / 1.349
+        if not scale > 0.0:  # no IQR, or one that overflowed to nan
+            e = math.frexp(float(np.max(np.abs(times))))[1]
+            # in sample order: np.std's pairwise sum depends on it
+            scale = math.ldexp(float(np.std(np.ldexp(self.times, -e))), e)
+        if scale == 0.0:
+            raise DegenerateSampleError(
+                "the times have no scale: their standard deviation is below "
+                "the least subnormal number")
+        return scale
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -119,26 +147,31 @@ class StepEstimate:
 
     locations are strictly ascending distinct values; heights are the
     positive masses, summing to 1 for an EDF and to <= 1 for Kaplan-Meier
-    when the largest observation is censored.  Stored as read-only copies:
-    a sample's cached measure is shared between fits.
+    when the largest observation is censored; counts are the numbers of
+    events tied at each location.  Stored as read-only copies: a sample's
+    cached measure is shared between fits.
     """
     locations: np.ndarray
     heights: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
         locs = np.array(self.locations, dtype=float)
         hts = np.array(self.heights, dtype=float)
-        if locs.ndim != 1 or locs.shape != hts.shape or locs.size == 0:
-            raise ValueError("locations/heights must be matching 1d arrays")
+        counts = np.array(self.counts, dtype=np.intp)
+        if locs.ndim != 1 or locs.size == 0 or not (
+                locs.shape == hts.shape == counts.shape):
+            raise ValueError("jump arrays must be matching and 1d")
         if not np.all(np.diff(locs) > 0):
             raise ValueError("locations must be strictly ascending")
-        if not np.all(hts > 0):
-            raise ValueError("heights must be positive")
+        if not (np.all(hts > 0) and np.all(counts > 0)):
+            raise ValueError("heights and counts must be positive")
         if hts.sum() > 1.0 + 1e-12:
             raise ValueError("total jump mass exceeds 1")
-        locs.flags.writeable = hts.flags.writeable = False
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "heights", hts)
+        for name, arr in zip(("locations", "heights", "counts"),
+                             (locs, hts, counts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def total_mass(self) -> float:
@@ -219,7 +252,7 @@ def _product_limit(sample: CensoredSample) -> StepEstimate:
             height = dk * num / (den * r1)
             lo, hi = (num << _KM_BITS) // den, -(-(num << _KM_BITS) // den)
         heights.append(height)
-    return StepEstimate(event_times, np.array(heights)[inverse])
+    return StepEstimate(event_times, np.array(heights)[inverse], d)
 
 
 def _product(factors: list) -> int:

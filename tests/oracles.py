@@ -2,6 +2,7 @@
 routes that no command takes."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,28 @@ def cv_bandwidth_loop(sample, h_grid) -> float:
         if cv < best_cv:
             best_h, best_cv = float(h), cv
     return best_h
+
+
+def robust_scale(sample) -> float:
+    """The data scale by np.percentile: the rule CensoredSample.scale
+    states from one sort, and 1 where the sample refuses.
+
+    IQR/1.349, falling back to the standard deviation, then to 1.  A
+    sample whose times are all equal has the scale max|time|, and 1
+    when every time is zero.  The standard deviation is np.std's, taken
+    of the times over a power of two at least max|time| and scaled back,
+    so that no square under- or overflows; 1 only below the least
+    subnormal.
+    """
+    times = sample.times
+    if np.min(times) == np.max(times):
+        return abs(float(times[0])) or 1.0
+    q75, q25 = np.percentile(times, [75.0, 25.0])
+    scale = (q75 - q25) / 1.349
+    if scale <= 0.0:
+        e = math.frexp(float(np.max(np.abs(times))))[1]
+        scale = math.ldexp(float(np.std(np.ldexp(times, -e))), e)
+    return scale if scale > 0.0 else 1.0
 
 
 def report_cell(report, estimator: str, t: float, n: int):

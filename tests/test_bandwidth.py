@@ -311,8 +311,9 @@ class TestDefaults:
                                   2.0 * grid), top
         assert (default_cv_grid(spiked(1e-200))[0]
                 == 0.05 * 3.307189138830738e-201)
-        # a scale below the least subnormal falls back to 1
-        assert default_cv_grid(spiked(5e-324))[0] == 0.05
+        # a scale below the least subnormal is refused
+        with pytest.raises(DegenerateSampleError, match="no scale"):
+            default_cv_grid(spiked(5e-324))
         rng = np.random.default_rng(12)
         for _ in range(200):
             x = np.zeros(int(rng.integers(4, 30)))
@@ -340,6 +341,18 @@ class TestCrossValidation:
         grid = np.array([0.05, 0.1, 0.2, 0.4, 0.8])
         assert cv_bandwidth_km(s, grid) == 0.05
         assert cv_bandwidth_gaussian(s, grid) == 0.05
+
+    def test_tie_counts_come_from_the_measure(self, spy):
+        # the jump measure counts its ties once; the CV divides by them
+        rng = np.random.default_rng(35)
+        x = np.round(rng.exponential(size=40), 1)
+        s = CensoredSample(x, rng.random(40) < 0.7)
+        assert np.any(s.jumps.counts > 1)
+        grid = default_cv_grid(s)
+        calls = spy(np, "unique")
+        h = cv_bandwidth_km(s, grid)
+        assert calls == []
+        assert h == cv_bandwidth_loop(s, grid)
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(4)

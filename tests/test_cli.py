@@ -464,6 +464,21 @@ class TestBandwidth:
         assert hs["2e-200"] == 2.0 * hs["1e-200"] and hs["1e-200"] < 1e-200
         assert 1e297 < hs["1e300"] < 1e300
 
+    def test_spread_below_the_least_subnormal_is_refused(self, capsys,
+                                                         tmp_path):
+        # seven zeros and 5e-324: the standard deviation, about 1.6e-324,
+        # rounds to 0, so the data has no scale to size a grid with
+        path = tmp_path / "spike.csv"
+        path.write_text("time\n" + "0\n" * 7 + "5e-324\n")
+        for method in ("cv", "auto"):
+            code, doc, err = run_cli(capsys, "bandwidth", "--method", method,
+                                     "--input", str(path))
+            assert code == 5 and doc is None, method
+            assert err["error"] == {
+                "kind": "domain",
+                "message": "the times have no scale: their standard "
+                           "deviation is below the least subnormal number"}
+
     def test_ecf_curve_written(self, capsys, tmp_path, sample_csv):
         out = str(tmp_path / "ecf.csv")
         code, _, _ = run_cli(capsys, "bandwidth", "--input", sample_csv,

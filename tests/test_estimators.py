@@ -14,7 +14,7 @@ from ftcdf.kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                            KernelTable, _KbarSpline, get_table,
                            integrated_kernel)
 from ftcdf.simulate import builtin_scenario, run_scenario
-from oracles import blockwise_product
+from oracles import blockwise_product, robust_scale
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 
@@ -49,11 +49,76 @@ def test_sample_stores_frozen_copies():
     with pytest.raises(ValueError):
         s.jumps.heights[0] = 0.5
     locs, hts = np.array([1.0, 2.0]), np.array([0.5, 0.5])
-    step = StepEstimate(locs, hts)
+    step = StepEstimate(locs, hts, [1, 1])
     locs[0], hts[0] = 0.0, 0.25
     assert step.locations[0] == 1.0 and step.heights[0] == 0.5
     with pytest.raises(ValueError):
         step.locations[0] = 0.0
+
+
+def test_scale_is_the_percentile_rule_bit_for_bit():
+    # drawn samples of 2..199 times at magnitudes 2**k, |k| <= 900: with
+    # an IQR, without one but with a spread, and all equal, a third
+    # rounded to tenths before scaling, half of them censored
+    rng = np.random.default_rng(35)
+    kinds = set()
+    for i in range(3000):
+        n = int(rng.integers(2, 200))
+        x = rng.standard_normal(n)
+        if i % 3 == 1:
+            x = np.round(x, 1)
+        form = i % 4
+        if form == 2:
+            x[:n - int(rng.integers(1, max(2, n // 4)))] = 0.0
+            x = rng.permutation(x)
+        elif form == 3:
+            x[:] = x[0]
+        x *= 2.0 ** int(rng.integers(-900, 901))
+        censored = i // 4 % 2 == 1
+        event = rng.random(n) < 0.7 if censored else np.ones(n, dtype=bool)
+        s = CensoredSample(x, event)
+        want = robust_scale(s)
+        assert s.scale == want, (i, x, s.scale, want)
+        q75, q25 = np.percentile(x, [75.0, 25.0])
+        kinds.add(("equal" if x.min() == x.max() else
+                   "IQR" if q75 > q25 else "spread", censored))
+    assert len(kinds) == 6
+
+
+def test_scale_overflow_raises_as_percentile_does():
+    # the quartiles' differences are array operations, as in numpy
+    s = CensoredSample.uncensored([-1.5e308, 1.5e308])
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError) as want:
+            robust_scale(s)
+        with pytest.raises(FloatingPointError) as got:
+            s.scale
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "overflow encountered in subtract"
+
+
+def test_scale_is_computed_once():
+    s = CensoredSample.uncensored([3.0, 1.0, 2.0, 5.0])
+    assert s.scale is s.scale
+
+
+def test_counts_are_the_tie_counts():
+    rng = np.random.default_rng(18)
+    for i in range(200):
+        n = int(rng.integers(1, 300))
+        x = np.round(rng.exponential(size=n), 1)
+        event = rng.random(n) < 0.6 if i % 2 else np.ones(n, dtype=bool)
+        if not event.any():
+            continue
+        step = CensoredSample(x, event).jumps
+        locs, d = np.unique(x[event], return_counts=True)
+        assert np.array_equal(step.locations, locs)
+        assert np.array_equal(step.counts, d), i
+        assert not step.counts.flags.writeable
+    with pytest.raises(ValueError):
+        StepEstimate(np.array([1.0, 2.0]), np.array([0.5, 0.5]), [1, 0])
+    with pytest.raises(ValueError):
+        StepEstimate(np.array([1.0, 2.0]), np.array([0.5, 0.5]), [1])
 
 
 def test_cdf_rejects_censored_data():
@@ -76,12 +141,12 @@ def test_config_validation():
 
 def test_step_estimate_validation_and_eval():
     with pytest.raises(ValueError):
-        StepEstimate(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
+        StepEstimate(np.array([2.0, 1.0]), np.array([0.5, 0.5]), [1, 1])
     with pytest.raises(ValueError):
-        StepEstimate(np.array([1.0, 2.0]), np.array([0.5, -0.1]))
+        StepEstimate(np.array([1.0, 2.0]), np.array([0.5, -0.1]), [1, 1])
     with pytest.raises(ValueError):
-        StepEstimate(np.array([1.0]), np.array([1.5]))
-    step = StepEstimate(np.array([1.0, 3.0]), np.array([0.25, 0.5]))
+        StepEstimate(np.array([1.0]), np.array([1.5]), [1])
+    step = StepEstimate(np.array([1.0, 3.0]), np.array([0.25, 0.5]), [1, 2])
     assert step.total_mass == 0.75
     assert step.cdf(0.0) == 0.0
     assert step.cdf(1.0) == 0.25

@@ -13,7 +13,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +349,43 @@ class TestRetries:
                               sample_sizes=(15,))
         rep = run_scenario(sc, estimators=("gauss-cv",))
         assert rep.retries == ((15, 1),)
+
+    def test_draw_without_a_scale_is_retried(self, monkeypatch):
+        # the first draw is n - 1 zeros and 5e-324, which has no scale
+        real, draws = sim.sample_distribution, []
+
+        def spiked_first(dist, n, rng):
+            draws.append(n)
+            if len(draws) == 1:
+                return np.array([0.0] * (n - 1) + [5e-324])
+            return real(dist, n, rng)
+
+        monkeypatch.setattr(sim, "sample_distribution", spiked_first)
+        sc = builtin_scenario("normal-iid", seed=3, replications=1,
+                              sample_sizes=(15,))
+        for arms in (("trap-auto",), ("gauss-cv",)):
+            draws.clear()
+            assert sim._replicate(sc, arms, 15, 0)[1] == 1, arms
+
+    def test_one_scale_per_attempt(self, monkeypatch):
+        # the frequency grid and the CV grid share the sample's scale
+        computed = []
+        real = estimators.CensoredSample.scale.func
+
+        def counted(sample):
+            computed.append(sample)
+            return real(sample)
+
+        once = cached_property(counted)
+        once.__set_name__(estimators.CensoredSample, "scale")
+        monkeypatch.setattr(estimators.CensoredSample, "scale", once)
+        for name in BUILTIN_SCENARIOS:
+            sc = builtin_scenario(name, replications=4)
+            for rep in range(4):
+                computed.clear()
+                _, attempts = sim._replicate(sc, sim.ESTIMATORS, 15, rep)
+                assert len(computed) == attempts + 1, (name, rep)
+                assert len(set(map(id, computed))) == len(computed)
 
     def test_other_errors_propagate_on_first_attempt(self, monkeypatch):
         calls = {"count": 0}

@@ -1,7 +1,7 @@
 """Byte corpus of the ftcdf CLI: what a fixed set of commands prints and
 writes.
 
-Usage: python3 tools/byte_corpus.py OUT_DIR
+Usage: python3 tools/byte_corpus.py [--manifest] OUT_DIR
 
 Writes seeded inputs to OUT_DIR/inputs, then runs each command of
 the corpus in a fresh interpreter that imports ftcdf from the ``src``
@@ -10,6 +10,20 @@ working directory, so that the paths a command echoes are the same
 for any checkout.  Command NAME leaves OUT_DIR/NAME/ holding
 ``stdout``, ``stderr``, ``exit`` (the exit code) and the artifacts it
 wrote.  The commands run one at a time.
+
+With ``--manifest`` the commands run in this process instead, through
+``ftcdf.cli.main``, with the same inputs and working directory, into
+the same layout, and the script rewrites the manifest
+``tools/byte_corpus.json``: the environment stamp and, for each
+command, its exit code and the SHA-256 of its stdout, stderr and each
+artifact.  The stdout hash leaves out ``diagnostics.blas``, which
+depends on what the process loaded before (in one process numpy's and
+scipy's OpenBLAS with the caller's thread counts).  The tier-1 test
+``tests/test_byte_corpus.py`` runs the corpus the same way and compares
+it with the manifest, so a change that moves a byte rewrites the
+manifest in the same commit.  A fresh-process run stays the check of
+what only a fresh process shows: the start-up rule and
+``caller_threads``.
 
 To compare two checkouts, run the script from each (copy it into a
 checkout that predates it) into two directories and ``diff -r`` them:
@@ -25,14 +39,23 @@ needs the variable for its outputs to be comparable at all.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+MANIFEST = Path(__file__).resolve().with_name("byte_corpus.json")
+# what a command directory holds besides its artifacts
+STREAMS = ("stdout", "stderr", "exit")
 CLI = "import sys; from ftcdf.cli import main; sys.exit(main())"
 CHECK = ("import sys, ftcdf.cli; from pathlib import Path; "
          "sys.exit(Path(ftcdf.cli.__file__).resolve().parents[1] != "
@@ -86,8 +109,8 @@ DEFICIENCY = (
 # cross-validation (exit 2), a range grid that repeats a point and
 # negative frequencies (exit 4), a smooth table that misses its tol, a
 # class parameter the deficiency assumption does not take, flags the
-# deficiency expansion mode does not take and an estimator named twice
-# (exit 5)
+# deficiency expansion mode does not take, an estimator named twice and
+# data whose spread is below the least subnormal (exit 5)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
     ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
@@ -124,6 +147,9 @@ REFUSALS = (
     ("simulate-estimators-repeated", ["simulate", "--scenario", "normal-iid",
                                       "--n", "15", "--reps", "2",
                                       "--estimators", "edf,edf"]),
+    ("bandwidth-cv-subnormal-spread", ["bandwidth", "--input",
+                                       "inputs/subnormal-spread.csv",
+                                       "--method", "cv"]),
 )
 
 
@@ -132,7 +158,8 @@ def write_inputs(inputs: Path) -> None:
     10-row sample of subnormal times near 1e-310, a 5000-row, a
     20 000-row and a 30 000-row N(0,1) sample, a 20 000-row censored
     Weibull sample, a 20 000-row Weibull sample about 66% censored with
-    times rounded to 3 decimals, three times of 2.0 and the READ_FORMS."""
+    times rounded to 3 decimals, three times of 2.0, seven zeros and
+    5e-324, and the READ_FORMS."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -168,6 +195,8 @@ def write_inputs(inputs: Path) -> None:
     (inputs / "weibull20k-tied.csv").write_text(
         "time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
     (inputs / "flat.csv").write_text("time\n2.0\n2.0\n2.0\n")
+    (inputs / "subnormal-spread.csv").write_text(
+        "time\n" + "0.0\n" * 7 + "5e-324\n")
     write_read_forms(inputs)
 
 
@@ -289,9 +318,113 @@ def commands():
         yield f"refused-{name}", args
 
 
+def environment_stamp() -> dict:
+    """What the corpus's last bits depend on besides the source: the
+    numpy and scipy versions and the build string of numpy's OpenBLAS,
+    which names the core its kernels were chosen for."""
+    import scipy
+    from numpy._core import _multiarray_umath
+    # symbols resolve through numpy's own extension, whatever else loaded
+    lib, config = ctypes.CDLL(_multiarray_umath.__file__), None
+    for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                 "openblas_get_config64_", "openblas_get_config"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = (), ctypes.c_char_p
+            config = get().decode().strip()
+            break
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "openblas": config}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _without_blas(stdout: bytes) -> bytes:
+    """The stdout document without diagnostics.blas, in the document's
+    own layout; any stdout that is not such a document, as it is."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return stdout
+    if not isinstance(doc, dict) or _layout(doc) != stdout:
+        return stdout
+    doc.get("diagnostics", {}).pop("blas", None)
+    return _layout(doc)
+
+
+def _layout(doc: dict) -> bytes:
+    """A document as the CLI prints it (ftcdf.io.dump_json)."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def manifest_entry(directory: Path) -> dict:
+    """Exit code and hashes of one command's directory."""
+    artifacts = {p.relative_to(directory).as_posix():
+                 _sha256(p.read_bytes())
+                 for p in sorted(directory.rglob("*"))
+                 if p.is_file() and p.name not in STREAMS}
+    return {"exit": int((directory / "exit").read_text()),
+            "stdout": _sha256(_without_blas(
+                (directory / "stdout").read_bytes())),
+            "stderr": _sha256((directory / "stderr").read_bytes()),
+            "artifacts": artifacts}
+
+
+def _record(directory: Path, stdout: bytes, stderr: bytes, code: int):
+    (directory / "stdout").write_bytes(stdout)
+    (directory / "stderr").write_bytes(stderr)
+    (directory / "exit").write_text(f"{code}\n")
+
+
+def run_in_process(out: Path, log=None) -> dict:
+    """Runs the corpus through ftcdf.cli.main in this process into out,
+    with out as the working directory; returns {name: manifest entry}.
+    log, if given, is called with each name, exit code and seconds."""
+    from ftcdf.cli import main as cli_main
+    out = out.resolve()
+    write_inputs(out / "inputs")
+    entries, cwd = {}, os.getcwd()
+    os.chdir(out)
+    try:
+        for name, args in commands():
+            (out / name).mkdir(parents=True, exist_ok=True)
+            args = [a.replace("OUT/", f"{name}/") for a in args]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli_main(args)
+                except SystemExit as exc:  # a usage error
+                    code = exc.code
+            seconds = time.perf_counter() - t0
+            _record(out / name, stdout.getvalue().encode(),
+                    stderr.getvalue().encode(), code)
+            entries[name] = manifest_entry(out / name)
+            if log is not None:
+                log(name, code, seconds)
+    finally:
+        os.chdir(cwd)
+    return entries
+
+
+def write_manifest(out: Path) -> None:
+    """Runs the corpus in process into out and rewrites MANIFEST."""
+    entries = run_in_process(
+        out, lambda name, code, seconds:
+        print(f"{code} {seconds:7.3f}s {name}", flush=True))
+    MANIFEST.write_text(json.dumps(
+        {"stamp": environment_stamp(), "entries": entries},
+        indent=1, sort_keys=True) + "\n")
+
+
 def main(argv) -> int:
+    in_process = argv[:1] == ["--manifest"]
+    argv = argv[1:] if in_process else argv
     if len(argv) != 1:
-        sys.stderr.write("usage: byte_corpus.py OUT_DIR\n")
+        sys.stderr.write("usage: byte_corpus.py [--manifest] OUT_DIR\n")
         return 2
     out = Path(argv[0]).resolve()
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -299,15 +432,18 @@ def main(argv) -> int:
                       env=env).returncode != 0:
         sys.stderr.write(f"ftcdf does not import from {SRC}\n")
         return 1
+    if in_process:
+        sys.path.insert(0, str(SRC))
+        out.mkdir(parents=True, exist_ok=True)
+        write_manifest(out)
+        return 0
     write_inputs(out / "inputs")
     for name, args in commands():
         (out / name).mkdir(parents=True, exist_ok=True)
         args = [a.replace("OUT/", f"{name}/") for a in args]
         done = subprocess.run([sys.executable, "-c", CLI, *args], cwd=out,
                               env=env, capture_output=True)
-        (out / name / "stdout").write_bytes(done.stdout)
-        (out / name / "stderr").write_bytes(done.stderr)
-        (out / name / "exit").write_text(f"{done.returncode}\n")
+        _record(out / name, done.stdout, done.stderr, done.returncode)
         print(f"{done.returncode} {name}", flush=True)
     return 0
 
