@@ -3,9 +3,12 @@
 The automatic rule, the one flat-top selector, finds the first
 frequency t* beyond which the ECF magnitude stays under the noise
 threshold C*sqrt(log10(n)/n) across a window of width epsilon, then
-sets h = effective_c / t*.  A leave-one-out cross-validation selector
-for the Gaussian comparator kernel, on iid or censored data, is
-included.
+sets h = effective_c / t*.  n is the row count; where no window
+qualifies and the jump measure is Kaplan-Meier, whose large late
+heights can lift its ECF's noise floor, the scan runs again with the
+threshold at the measure's effective size n_eff = (sum s)^2 / sum s^2.
+A leave-one-out cross-validation selector for the Gaussian comparator
+kernel, on iid or censored data, is included.
 """
 from __future__ import annotations
 
@@ -55,10 +58,13 @@ def _check_freqs(freqs: np.ndarray, shape) -> None:
 
 @dataclass(frozen=True)
 class EcfCurve:
-    """|ECF| sampled on an ascending nonnegative frequency grid."""
+    """|ECF| sampled on an ascending nonnegative frequency grid, of a
+    sample of n rows; n_eff, the threshold's fallback size, is set only
+    for a Kaplan-Meier measure (a sample with a censored row)."""
     freqs: np.ndarray
     magnitudes: np.ndarray
     n: int
+    n_eff: float | None = None
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -149,41 +155,48 @@ def ecf(sample: CensoredSample, freqs) -> EcfCurve:
         sums += powers @ np.exp((1j * starts[:, None]) * xj).T
     mags = np.abs(sums.T.ravel()[:freqs.size])
     np.clip(mags, 0.0, 1.0, out=mags)
-    return EcfCurve(freqs, mags, sample.n)
+    n_eff = (None if np.all(sample.event)
+             else step.total_mass ** 2 / float(np.square(heights).sum()))
+    return EcfCurve(freqs, mags, sample.n, n_eff)
 
 
 def noise_threshold(n: int, C: float) -> float:
     return C * math.sqrt(math.log10(n) / n)
 
 
-def threshold_frequency(curve: EcfCurve, rule: BandwidthRule) -> float:
-    """t* of the automatic rule, a frequency of curve's grid.
+def threshold_scan(curve: EcfCurve, rule: BandwidthRule):
+    """(t*, threshold) of the automatic rule: t* is a frequency of
+    curve's grid, and threshold the noise level the scan used.
 
     t* is the smallest positive grid frequency such that every grid
     point strictly inside (t*, t* + epsilon) has magnitude under
     C*sqrt(log10(n)/n); the window must fit inside the grid and contain
-    at least one point.
+    at least one point.  Where none does, a Kaplan-Meier curve's scan
+    runs again with the threshold at curve.n_eff.
     """
     freqs = curve.freqs
-    thr = noise_threshold(curve.n, rule.C)
-    below = np.concatenate([[0], np.cumsum(curve.magnitudes < thr)])
     edge = freqs + rule.epsilon
     # grid points strictly inside each window are idx+1 .. end-1
     end = np.searchsorted(freqs, edge)
     idx = np.arange(freqs.size)
     inside = end - 1 - idx
-    ok = ((freqs > 0.0) & (edge <= freqs[-1]) & (inside >= 1)
-          & (below[end] - below[idx + 1] == inside))
-    if not ok.any():
-        raise NoPlateauError(
-            "ECF magnitude never stays below the threshold across a full "
-            "window; extend the frequency range")
-    return freqs[ok.argmax()]
+    fits = (freqs > 0.0) & (edge <= freqs[-1]) & (inside >= 1)
+    for size in (curve.n, curve.n_eff):
+        if size is None:
+            break
+        thr = noise_threshold(size, rule.C)
+        below = np.concatenate([[0], np.cumsum(curve.magnitudes < thr)])
+        ok = fits & (below[end] - below[idx + 1] == inside)
+        if ok.any():
+            return freqs[ok.argmax()], thr
+    raise NoPlateauError(
+        "ECF magnitude never stays below the threshold across a full "
+        "window; extend the frequency range")
 
 
 def select_bandwidth(curve: EcfCurve, rule: BandwidthRule) -> float:
-    """Automatic bandwidth h = effective_c / t*, t* from threshold_frequency."""
-    return rule.effective_c / threshold_frequency(curve, rule)
+    """Automatic bandwidth h = effective_c / t*, t* from threshold_scan."""
+    return rule.effective_c / threshold_scan(curve, rule)[0]
 
 
 def auto_bandwidth(sample: CensoredSample, effective_c: float) -> float:

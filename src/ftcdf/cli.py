@@ -44,8 +44,8 @@ from .asymptotics import (BAND_LIMITED, EXPONENTIAL, POLYNOMIAL,
                           edf_deficiency, edf_deficiency_rate,
                           predicted_deficiency)
 from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
-                        default_freq_grid, default_rule, ecf, noise_threshold,
-                        select_bandwidth, threshold_frequency)
+                        default_freq_grid, default_rule, ecf,
+                        select_bandwidth, threshold_scan)
 from .blas import _one_blas_thread
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
@@ -101,10 +101,10 @@ def _cv_bandwidth(sample):
 def _rule_bandwidth(curve, rule):
     """(h, config dict) of the threshold rule on the ECF curve."""
     h = select_bandwidth(curve, rule)
+    t_star, threshold = threshold_scan(curve, rule)
     return h, {"mode": "auto", "value": h, "C": rule.C,
                "epsilon": rule.epsilon, "effective_c": rule.effective_c,
-               "threshold": noise_threshold(curve.n, rule.C),
-               "t_star": threshold_frequency(curve, rule)}
+               "threshold": threshold, "t_star": t_star}
 
 
 def _resolve_bandwidth(args, sample, kern):

@@ -360,81 +360,6 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-class _KbarSpline:
-    """Not-a-knot cubic spline on a table grid, valued as scipy's PPoly.
-
-    The interval of v is the i with x[i] <= v < x[i+1], the last knot
-    belonging to the last interval, and the value is the power sum in
-    ascending order.  locate, the one interval rule, is a bucket lookup
-    in u = sign(v) sqrt|v|, where the knots are spread about evenly (a
-    uniform core, then spacing growing like sqrt(t)): a bucket starts at
-    the last knot of the buckets below it, and points step up past the
-    knots inside their own bucket.  Values come by two routes: __call__
-    locates each point; merged, for a sorted row between two located
-    intervals, counts the points of each interval by one search of the
-    knots into the row and lays out their knots and coefficients by
-    np.repeat, which pays on rows denser than the knots.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.coef = _not_a_knot_coefficients(x, y)
-        self.knots = x
-        u = np.copysign(np.sqrt(np.abs(x)), x)
-        self._u0 = u[0]
-        self._inv_width = 1.0 / (_BUCKET_SCALE * np.min(np.diff(u)[1:-1]))
-        buckets = int((u[-1] - u[0]) * self._inv_width) + 1
-        self._top = float(buckets - 1)
-        below = np.searchsorted(self._bucket(x), np.arange(buckets))
-        self._start = np.maximum(below - 1, 0)
-        # the knots, the last nudged up: a search for it counts the
-        # values at or below the last knot.  From 1 on, the knot that
-        # ends each interval, as no value lies above the last knot
-        self._cuts = np.append(x[:-1], np.nextafter(x[-1], np.inf))
-        self._end = self._cuts[1:]
-
-    def _bucket(self, v: np.ndarray) -> np.ndarray:
-        # monotone in v, so a knot in a lower bucket lies below v; fmax
-        # and fmin also send NaN to bucket 0, where it stays NaN
-        q = (np.copysign(np.sqrt(np.abs(v)), v) - self._u0) * self._inv_width
-        return np.fmin(np.fmax(q, 0.0), self._top).astype(np.intp)
-
-    def locate(self, v: np.ndarray) -> np.ndarray:
-        """The interval of each value of v, which lies within the knots
-        (NaN gets interval 0), in v's shape."""
-        flat = v.ravel()
-        i = np.take(self._start, self._bucket(flat))
-        up = np.flatnonzero(flat >= np.take(self._end, i))
-        while up.size:
-            i[up] += 1
-            up = up[flat[up] >= np.take(self._end, i[up])]
-        return i.reshape(v.shape)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """Spline values at 1-d v, which lies within the knots (or is NaN),
-        by the bucket lookup."""
-        i = self.locate(v)
-        return _power_sum(v, np.take(self.knots, i),
-                          np.take(self.coef, i, axis=1))
-
-    def merged(self, row: np.ndarray, first: int, last: int,
-               out: np.ndarray) -> None:
-        """Kbar, by the merge, of a nonincreasing row whose values within
-        the knots lie in intervals first to last, into out (which may be
-        row): the spline within the knots, 1 above them and 0 below."""
-        # one search: the values below the first knot, below each knot
-        # from first + 1 to last, and up to the last knot
-        edges = np.searchsorted(row[::-1], self._cuts[first:last + 2])
-        lo, hi = row.size - int(edges[-1]), row.size - int(edges[0])
-        # the row descends: its intervals run from last down to first
-        counts = (edges[1:] - edges[:-1])[::-1]
-        knots = self.knots[first:last + 1][::-1]
-        coef = self.coef[:, first:last + 1][:, ::-1]
-        _power_sum(row[lo:hi], np.repeat(knots, counts),
-                   np.repeat(coef, counts, axis=1), out[lo:hi])
-        out[:lo] = 1.0
-        out[hi:] = 0.0
-
-
 def _power_sum(v: np.ndarray, knot: np.ndarray, coef: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """c3 + c2 s + c1 (s s) + c0 ((s s) s) at v, with s = v - knot, summed
@@ -456,7 +381,9 @@ def _power_sum(v: np.ndarray, knot: np.ndarray, coef: np.ndarray,
 
 @dataclass
 class KernelTable:
-    """Tabulated Kbar, made and certified only by build_table.
+    """Tabulated Kbar, made and certified only by build_table: the
+    not-a-knot cubic spline through (grid, kbar_values), valued as
+    scipy's PPoly, within the grid (see tail_cutoff beyond it).
 
     kbar_values holds the raw integrated kernel, genuinely non-monotone
     because flat-top kernels take negative values.  Estimators consume
@@ -465,15 +392,48 @@ class KernelTable:
     systematic error far above the table tolerance.  Path-level
     standardization (estimators.standardize_path) is the way to get a
     valid CDF out of an estimate.
+
+    The interval of v is the i with grid[i] <= v < grid[i+1], the last
+    knot belonging to the last interval, and the value is the power sum
+    in ascending order.  _locate, the one interval rule, is a bucket
+    lookup in u = sign(v) sqrt|v|, where the knots are spread about
+    evenly (a uniform core, then spacing growing like sqrt(t)): a bucket
+    starts at the last knot of the buckets below it, and points step up
+    past the knots inside their own bucket.  Values come by two routes:
+    _lookup locates each point; _merge_row, for a sorted row between two
+    located intervals, counts the points of each interval by one search
+    of the knots into the row and lays out their knots and coefficients
+    by np.repeat, which pays on rows denser than the knots.  The arrays
+    are read-only, as get_table hands one table to every fit.
     """
     spec: FlatTopSpec
     grid: np.ndarray
     kbar_values: np.ndarray
-    tail_cutoff: float
     tol: float
 
     def __post_init__(self):
-        self._kbar_spline = _KbarSpline(self.grid, self.kbar_values)
+        x = self.grid
+        self.coef = _not_a_knot_coefficients(x, self.kbar_values)
+        u = np.copysign(np.sqrt(np.abs(x)), x)
+        self._u0 = u[0]
+        self._inv_width = 1.0 / (_BUCKET_SCALE * np.min(np.diff(u)[1:-1]))
+        buckets = int((u[-1] - u[0]) * self._inv_width) + 1
+        self._top = float(buckets - 1)
+        below = np.searchsorted(self._bucket(x), np.arange(buckets))
+        self._start = np.maximum(below - 1, 0)
+        # the knots, the last nudged up: a search for it counts the
+        # values at or below the last knot.  From 1 on, the knot that
+        # ends each interval, as no value lies above the last knot
+        self._cuts = np.append(x[:-1], np.nextafter(x[-1], np.inf))
+        self._end = self._cuts[1:]
+        for a in (x, self.kbar_values, self.coef, self._start, self._cuts,
+                  self._end):
+            a.flags.writeable = False
+
+    @property
+    def tail_cutoff(self) -> float:
+        """T, the end of the grid: Kbar is 0 below -T and 1 above T."""
+        return float(self.grid[-1])
 
     def kbar(self, x, out=None):
         """Kbar at x; into out, a C-contiguous float array of x's shape,
@@ -499,6 +459,23 @@ class KernelTable:
             self._lookup(a.ravel(), out.reshape(-1))
         return float(out[0]) if scalar else out
 
+    def _bucket(self, v: np.ndarray) -> np.ndarray:
+        # monotone in v, so a knot in a lower bucket lies below v; fmax
+        # and fmin also send NaN to bucket 0, where it stays NaN
+        q = (np.copysign(np.sqrt(np.abs(v)), v) - self._u0) * self._inv_width
+        return np.fmin(np.fmax(q, 0.0), self._top).astype(np.intp)
+
+    def _locate(self, v: np.ndarray) -> np.ndarray:
+        """The interval of each value of v, which lies within the knots
+        (NaN gets interval 0), in v's shape."""
+        flat = v.ravel()
+        i = np.take(self._start, self._bucket(flat))
+        up = np.flatnonzero(flat >= np.take(self._end, i))
+        while up.size:
+            i[up] += 1
+            up = up[flat[up] >= np.take(self._end, i[up])]
+        return i.reshape(v.shape)
+
     def _merge_dense_rows(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Kbar of the dense rows of a into out, by the merge; returns
         which rows of a it wrote (none unless a is 2-d).
@@ -507,9 +484,9 @@ class KernelTable:
         kernel sums make each row, and holds more than _MERGE_ROW values
         plus twice the knots between its ends, clipped to +-T.  Then the
         merge's costs per row and per knot spanned are below the
-        lookup's cost per value.  Values beyond T and -T are 1 and 0.
-        A row longer than 2 * _LOOKUP_BLOCK values is merged in about
-        equal pieces, so that the merge's temporaries stay small.
+        lookup's cost per value.  A row longer than 2 * _LOOKUP_BLOCK
+        values is merged in about equal pieces, so that the merge's
+        temporaries stay small.
         """
         n = a.shape[1] if a.ndim == 2 else 0
         if n <= _MERGE_ROW:
@@ -519,7 +496,7 @@ class KernelTable:
         T = self.tail_cutoff
         # the intervals of each piece's first (largest) and last values
         ends = np.concatenate((starts, np.minimum(starts + step, n) - 1))
-        where = self._kbar_spline.locate(np.clip(a[:, ends], -T, T))
+        where = self._locate(np.clip(a[:, ends], -T, T))
         top, bottom = where[:, :starts.size], where[:, starts.size:]
         dense = n > _MERGE_ROW + 2 * (top[:, 0] - bottom[:, -1])
         if dense.any():
@@ -528,9 +505,26 @@ class KernelTable:
             for j, first, last in zip(starts.tolist(), bottom[r].tolist(),
                                       top[r].tolist()):
                 piece = slice(j, j + step)
-                self._kbar_spline.merged(a[r, piece], first, last,
-                                         out[r, piece])
+                self._merge_row(a[r, piece], first, last, out[r, piece])
         return dense
+
+    def _merge_row(self, row: np.ndarray, first: int, last: int,
+                   out: np.ndarray) -> None:
+        """Kbar, by the merge, of a nonincreasing row whose values within
+        the knots lie in intervals first to last, into out (which may be
+        row)."""
+        # one search: the values below the first knot, below each knot
+        # from first + 1 to last, and up to the last knot
+        edges = np.searchsorted(row[::-1], self._cuts[first:last + 2])
+        lo, hi = row.size - int(edges[-1]), row.size - int(edges[0])
+        # the row descends: its intervals run from last down to first
+        counts = (edges[1:] - edges[:-1])[::-1]
+        knots = self.grid[first:last + 1][::-1]
+        coef = self.coef[:, first:last + 1][:, ::-1]
+        _power_sum(row[lo:hi], np.repeat(knots, counts),
+                   np.repeat(coef, counts, axis=1), out[lo:hi])
+        out[:lo] = 1.0
+        out[hi:] = 0.0
 
     def _lookup(self, flat: np.ndarray, dest: np.ndarray) -> None:
         """Kbar of 1-d flat into dest (which may be flat) by the bucket
@@ -540,7 +534,10 @@ class KernelTable:
         # read in full before it is written, so dest may alias flat
         for i in range(0, flat.size, _LOOKUP_BLOCK):
             v = flat[i:i + _LOOKUP_BLOCK]
-            values = self._kbar_spline(np.clip(v, -T, T))
+            inside = np.clip(v, -T, T)
+            at = self._locate(inside)
+            values = _power_sum(inside, np.take(self.grid, at),
+                                np.take(self.coef, at, axis=1))
             values[v < -T] = 0.0
             values[v > T] = 1.0
             dest[i:i + _LOOKUP_BLOCK] = values
@@ -591,8 +588,7 @@ def build_table(spec: FlatTopSpec, tol: float = 1e-8) -> KernelTable:
     kbar_pos = integrated_kernel(spec, pos)
     grid = np.concatenate([-pos[:0:-1], pos])
     kbar_vals = np.concatenate([1.0 - kbar_pos[:0:-1], kbar_pos])
-    table = KernelTable(spec=spec, grid=grid, kbar_values=kbar_vals,
-                        tail_cutoff=float(t_end), tol=tol)
+    table = KernelTable(spec=spec, grid=grid, kbar_values=kbar_vals, tol=tol)
     _certify(table)
     _certify_mass(spec, float(t_end), tol)
     return table

@@ -7,7 +7,7 @@ frozen as regression checks.
 """
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from ftcdf.bandwidth import (
     ecf,
     noise_threshold,
     select_bandwidth,
+    threshold_scan,
 )
 from ftcdf.distributions import DistSpec, sample_distribution
 from ftcdf.estimators import CensoredSample, DegenerateSampleError
@@ -197,6 +198,52 @@ class TestThresholdRule:
             curve = EcfCurve(grid, np.full(grid.size, 1e-6), 100)
             with pytest.raises(NoPlateauError):
                 select_bandwidth(curve, rule)
+
+    @pytest.mark.parametrize("n, draws", [(300, 200), (2000, 60),
+                                          (20000, 20)])
+    def test_heavily_censored_samples_fall_back_to_the_effective_size(
+            self, n, draws):
+        # lifetimes 1.5 W(3), censoring 1.2 W(3): about 66 % censored.
+        # The Kaplan-Meier measure's large late heights can lift its
+        # ECF's noise floor above the threshold at n; then the scan runs
+        # again at n_eff, and a fit that the scan at n finds keeps it
+        rng = np.random.default_rng(19)
+        fell_back = 0
+        for _ in range(draws):
+            life, cens = 1.5 * rng.weibull(3.0, n), 1.2 * rng.weibull(3.0, n)
+            sample = CensoredSample(np.minimum(life, cens), life <= cens)
+            curve = ecf(sample, default_freq_grid(sample))
+            heights = sample.jumps.heights
+            assert curve.n_eff == pytest.approx(
+                heights.sum() ** 2 / np.sum(heights ** 2), rel=1e-12)
+            assert curve.n_eff < n / 2
+            rule = default_rule(n, 0.5)
+            h = auto_bandwidth(sample, 0.5)
+            t_star, thr = threshold_scan(curve, rule)
+            assert h == 0.5 / t_star
+            try:
+                at_n = select_bandwidth(replace(curve, n_eff=None), rule)
+            except NoPlateauError:
+                fell_back += 1
+                assert thr == noise_threshold(curve.n_eff, rule.C)
+            else:
+                assert h == at_n and thr == noise_threshold(n, rule.C)
+        assert fell_back > 0
+
+    def test_only_kaplan_meier_measures_fall_back(self):
+        # an EDF, tied or not, has no fallback size: outside the scale
+        # window it refuses as before; so does a Kaplan-Meier measure
+        # whose window no threshold can fill
+        x = np.random.default_rng(2026).standard_normal(300)
+        for times in (8.0 * x, np.round(8.0 * x)):
+            sample = CensoredSample.uncensored(times)
+            assert ecf(sample, default_freq_grid(sample)).n_eff is None
+            with pytest.raises(NoPlateauError):
+                auto_bandwidth(sample, 0.75)
+        censored = CensoredSample(1000.0 * np.abs(x), x < 1.0)
+        assert ecf(censored, default_freq_grid(censored)).n_eff > 1.0
+        with pytest.raises(NoPlateauError):
+            auto_bandwidth(censored, 0.75)
 
     def test_scale_equivariance_exact(self):
         lam = 4.0  # power of two keeps every float op exact

@@ -17,7 +17,7 @@ import ftcdf.cli as cli
 import ftcdf.estimators as estimators
 from ftcdf._special import load as load_special
 from ftcdf.bandwidth import (auto_bandwidth, cv_bandwidth_km, default_cv_grid,
-                             default_freq_grid)
+                             default_freq_grid, ecf, noise_threshold)
 from ftcdf.cli import main
 from ftcdf.estimators import CensoredSample, EstimatorConfig, evaluate_on_grid
 from ftcdf.io import read_sample_csv
@@ -447,6 +447,28 @@ class TestBandwidth:
                 bw = doc["resolved_config"]["bandwidth"]
                 assert bw["t_star"] in freqs, (seed, argv)
                 assert bw["value"] == 0.75 / bw["t_star"]
+
+    def test_heavily_censored_auto_echoes_the_threshold_it_used(
+            self, capsys, tmp_path):
+        # 2000 rows, about 66 % censored: no window at n, one at the
+        # Kaplan-Meier measure's effective size
+        rng = np.random.default_rng(3)
+        life = 1.5 * rng.weibull(3.0, 2000)
+        cens = 1.2 * rng.weibull(3.0, 2000)
+        rows = zip(np.minimum(life, cens).tolist(), (life <= cens).tolist())
+        path = tmp_path / "heavy.csv"
+        path.write_text("time,event\n" + "".join(f"{t!r},{int(e)}\n"
+                                                  for t, e in rows))
+        sample = read_sample_csv(str(path))
+        curve = ecf(sample, default_freq_grid(sample))
+        for argv in (("bandwidth",), ("survival", "--kernel", "smooth",
+                                      "--grid", "0:3:7")):
+            code, doc, err = run_cli(capsys, *argv, "--input", str(path))
+            assert code == 0, err
+            bw = doc["resolved_config"]["bandwidth"]
+            assert bw["threshold"] == noise_threshold(curve.n_eff, 2.0)
+            assert bw["threshold"] > noise_threshold(2000, 2.0)
+            assert bw["value"] == bw["effective_c"] / bw["t_star"]
 
     def test_cv_scale_without_an_iqr_at_any_magnitude(self, capsys,
                                                      tmp_path):

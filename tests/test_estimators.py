@@ -11,8 +11,7 @@ from ftcdf.estimators import (CensoredSample, EstimatorConfig, StepEstimate,
                               edf, evaluate_on_grid, smoothed_paths,
                               smoothed_survival_on_grid, standardize_path)
 from ftcdf.kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
-                           KernelTable, _KbarSpline, get_table,
-                           integrated_kernel)
+                           KernelTable, get_table, integrated_kernel)
 from ftcdf.simulate import builtin_scenario, run_scenario
 from oracles import blockwise_product, robust_scale
 
@@ -371,7 +370,7 @@ def test_survival_sized_fit_merges_every_row(spy):
                                                                    20_000)
     sample = CensoredSample(np.minimum(life, cens), life <= cens)
     cfg = EstimatorConfig(get_table(FlatTopSpec(SMOOTH)), 0.1, boundary=0.0)
-    merged, looked_up = spy(_KbarSpline, "merged"), spy(KernelTable,
+    merged, looked_up = spy(KernelTable, "_merge_row"), spy(KernelTable,
                                                         "_lookup")
     smoothed_survival_on_grid(sample, cfg, np.linspace(0.0, 4.0, 201))
     assert sample.jumps.locations.size > 18_000
@@ -381,7 +380,7 @@ def test_survival_sized_fit_merges_every_row(spy):
 def test_study_fits_never_merge(spy):
     # a study's rows hold 15 or 30 jumps, far fewer than the knots
     # they span, and a row must hold more than _MERGE_ROW values
-    merged, looked_up = spy(_KbarSpline, "merged"), spy(KernelTable,
+    merged, looked_up = spy(KernelTable, "_merge_row"), spy(KernelTable,
                                                         "_lookup")
     for name in ("normal-iid", "weibull-censored"):
         run_scenario(builtin_scenario(name, seed=5, replications=3,

@@ -21,6 +21,7 @@ from ftcdf.kernels import (
     TRAPEZOID,
     FlatTopSpec,
     GaussianKernel,
+    KernelTable,
     build_table,
     get_table,
     integrated_kernel,
@@ -322,7 +323,7 @@ def _spline_arguments(tab, seed: int) -> np.ndarray:
 def test_spline_is_scipys_not_a_knot_bit_for_bit(spec, tol):
     tab = get_table(spec, tol)
     oracle = CubicSpline(tab.grid, tab.kbar_values)
-    assert tab._kbar_spline.coef.tobytes() == oracle.c.tobytes()
+    assert tab.coef.tobytes() == oracle.c.tobytes()
     args = _spline_arguments(tab, 5)
     assert tab.kbar(args).tobytes() == _oracle_kbar(tab, args).tobytes()
     # 2-d arguments keep their shape and their bits
@@ -368,11 +369,11 @@ def test_lookup_locates_intervals_by_binary_search(spec, tol):
     v = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]),
                         [-T, T, np.nextafter(-T, 0.0), np.nextafter(T, 0.0),
                          -0.0]])
-    got = tab._kbar_spline.locate(v)
+    got = tab._locate(v)
     assert np.array_equal(got, spline_intervals(grid, v))
     # 2-d values keep their shape
     rows = v[:6 * (v.size // 6)].reshape(6, -1)
-    assert np.array_equal(tab._kbar_spline.locate(rows),
+    assert np.array_equal(tab._locate(rows),
                           spline_intervals(grid, rows))
 
 
@@ -489,7 +490,7 @@ def test_port_solves_the_table_systems_as_solve_banded(spec, tol,
 
     monkeypatch.setattr(kernels, "_solve_tridiagonal", recording)
     coef = kernels._not_a_knot_coefficients(tab.grid, tab.kbar_values)
-    assert coef.tobytes() == tab._kbar_spline.coef.tobytes()
+    assert coef.tobytes() == tab.coef.tobytes()
     [(system, x)] = systems
     assert system[1].size == tab.grid.size
     assert x.tobytes() == _banded(*system).tobytes()
@@ -527,13 +528,13 @@ def test_port_refuses_a_zero_pivot_as_solve_banded(dl, d, du):
 def test_coarse_buckets_step_up_to_the_same_bits(spec, monkeypatch):
     fine = get_table(spec, 1e-8)
     monkeypatch.setattr(kernels, "_BUCKET_SCALE", 64.0)
-    coarse = kernels._KbarSpline(fine.grid, fine.kbar_values)
+    coarse = KernelTable(fine.spec, fine.grid, fine.kbar_values, fine.tol)
     # buckets now hold dozens of knots, which the points step up past
     assert coarse._start.size * 16 < fine.grid.size
     args = _spline_arguments(fine, 6)
     mid = np.abs(args) <= fine.tail_cutoff
     oracle = CubicSpline(fine.grid, fine.kbar_values)
-    assert coarse(args[mid]).tobytes() == oracle(args[mid]).tobytes()
+    assert coarse.kbar(args[mid]).tobytes() == oracle(args[mid]).tobytes()
 
 
 def test_nan_argument_stays_nan():
@@ -553,6 +554,14 @@ def test_tables_import_no_scipy_interpolate():
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_cached_tables_are_read_only():
+    # one cached table serves every fit in the process
+    tab = get_table(TRAP, 1e-8)
+    for values in (tab.grid, tab.kbar_values, tab.coef):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
 
 
 def test_get_table_caches():

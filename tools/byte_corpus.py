@@ -282,6 +282,14 @@ def commands():
            ["survival", "--input", "inputs/weibull20k-tied.csv", "--kernel",
             "smooth", "--boundary", "0", "--bandwidth", "0.1", "--grid",
             "0:4:201"])
+    # so heavily censored that the threshold rule finds no window at n
+    # and falls back to the Kaplan-Meier measure's effective size
+    yield ("survival-smooth-auto-boundary-weibull20k-tied",
+           ["survival", "--input", "inputs/weibull20k-tied.csv", "--kernel",
+            "smooth", "--boundary", "0", "--standardize", "--grid",
+            "0:4:201"])
+    yield ("bandwidth-auto-weibull20k-tied",
+           ["bandwidth", "--input", "inputs/weibull20k-tied.csv"])
     for data in INPUTS:
         source = ["--input", f"inputs/{data}.csv"]
         for command in ("estimate", "survival"):
@@ -320,8 +328,11 @@ def commands():
 
 def environment_stamp() -> dict:
     """What the corpus's last bits depend on besides the source: the
-    numpy and scipy versions and the build string of numpy's OpenBLAS,
-    which names the core its kernels were chosen for."""
+    numpy and scipy versions, the build string of numpy's OpenBLAS,
+    which names the core its kernels were chosen for, and the SIMD
+    targets numpy dispatches to on this CPU (NPY_DISABLE_CPU_FEATURES
+    can narrow them, and turning the AVX-512 ones off moves bytes of
+    the smooth tables and fits, the Gaussian fits and every study)."""
     import scipy
     from numpy._core import _multiarray_umath
     # symbols resolve through numpy's own extension, whatever else loaded
@@ -333,8 +344,10 @@ def environment_stamp() -> dict:
             get.argtypes, get.restype = (), ctypes.c_char_p
             config = get().decode().strip()
             break
+    simd = [target for target in _multiarray_umath.__cpu_dispatch__
+            if _multiarray_umath.__cpu_features__.get(target)]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "openblas": config}
+            "openblas": config, "numpy_simd": simd}
 
 
 def _sha256(data: bytes) -> str:
