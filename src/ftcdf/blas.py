@@ -3,11 +3,11 @@
 numpy bundles OpenBLAS, which runs every matrix product ftcdf makes on
 as many threads as it was told to at load time.  On a small machine the
 extra threads spin without saving wall time, and the thread count moves
-the last bits of a sum.  scipy bundles a second build, which loads with
-scipy.special and carries no ftcdf arithmetic.  _one_blas_thread runs a
-body with every OpenBLAS mapped into the process at one thread and
-gives the caller's counts back afterwards.  Nothing here runs at
-import.
+the last bits of a sum.  _one_blas_thread runs a body with numpy's
+OpenBLAS at one thread and gives the caller's count back afterwards.
+Any other OpenBLAS in the process, such as the build scipy.special
+loads, carries no ftcdf arithmetic and is left as it loads.  Nothing
+here runs at import.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import os
 from contextlib import contextmanager
 
 # (getter, setter) names of the thread count in the OpenBLAS builds
-# numpy and scipy bundle (64-bit and 32-bit integer interfaces) and in a
-# plain OpenBLAS
+# numpy bundles (64-bit and 32-bit integer interfaces) and in a plain
+# OpenBLAS
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -26,19 +26,10 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
-def _loaded_openblas_paths() -> list:
-    """Paths of the OpenBLAS libraries mapped into this process."""
-    paths = set()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.split(maxsplit=5)  # the 6th is the path
-                if (len(fields) == 6 and "openblas" in
-                        os.path.basename(fields[5]).lower()):
-                    paths.add(fields[5].rstrip("\n"))
-    except OSError:
-        return []
-    return sorted(paths)
+class _DlInfo(ctypes.Structure):
+    """The Dl_info that dladdr fills: the defining file comes first."""
+    _fields_ = (("fname", ctypes.c_char_p), ("fbase", ctypes.c_void_p),
+                ("sname", ctypes.c_char_p), ("saddr", ctypes.c_void_p))
 
 
 def _blas_controls(lib):
@@ -56,27 +47,33 @@ def _blas_controls(lib):
 
 
 def _blas_libraries() -> list:
-    """(basename, get, set) for each loaded OpenBLAS with a thread knob."""
-    found = []
-    for path in _loaded_openblas_paths():
-        try:
-            controls = _blas_controls(ctypes.CDLL(path))
-        except OSError:
-            continue
-        if controls is not None:
-            found.append((os.path.basename(path), *controls))
-    return found
+    """[(basename, get, set)] of numpy's OpenBLAS, or [] when numpy's
+    extension resolves no thread knob or its library cannot be named.
+
+    The symbols resolve through numpy's own extension, so no other
+    OpenBLAS in the process can answer, and without /proc; the name is
+    that of the file that defines the getter.
+    """
+    from numpy._core import _multiarray_umath
+    info = _DlInfo()
+    try:
+        controls = _blas_controls(ctypes.CDLL(_multiarray_umath.__file__))
+        if controls is None or not ctypes.CDLL(None).dladdr(
+                ctypes.cast(controls[0], ctypes.c_void_p), ctypes.byref(info)):
+            return []
+    except (OSError, AttributeError):  # no dlopen, or no dladdr
+        return []
+    return [(os.path.basename(os.fsdecode(info.fname)), *controls)]
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS at one thread.
+    """Run the body with numpy's OpenBLAS at one thread.
 
-    Yields the dict diagnostics.blas prints: the libraries found, the
-    caller's thread counts in the same order, and the count the body
-    runs at, 1, or None when no library was found and BLAS is left as
-    it was.  The caller's counts come back on every way out.  Libraries
-    loaded inside the body are left as they load.
+    Yields the dict diagnostics.blas prints: the library found, the
+    caller's thread count, each as a list, and the count the body runs
+    at, 1, or None when no library was found and BLAS is left as it
+    was.  The caller's count comes back on every way out.
     """
     libs = _blas_libraries()
     saved = tuple(get() for _, get, _ in libs)

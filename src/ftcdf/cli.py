@@ -9,11 +9,11 @@ os.environ, unless the caller set it, so that each OpenBLAS loads at
 one thread: numpy's here, scipy's with scipy.special, and those of
 spawned pool workers, which inherit the variable.  A process that
 loaded numpy first, or set the variable, keeps its own setting.
-Every command runs each OpenBLAS loaded when it starts (numpy's, which
-runs ftcdf's matrix products) at one thread and gives the caller's
-thread count back afterwards; the document reports both as
-diagnostics.blas.  No scipy module is imported here: scipy.special
-loads only in the commands that evaluate a special function.
+Every command runs numpy's OpenBLAS, which runs ftcdf's matrix
+products, at one thread and gives the caller's thread count back
+afterwards; the document reports both as diagnostics.blas.  No scipy
+module is imported here: scipy.special loads only in the commands that
+evaluate a special function.
 Failures print an error JSON to stderr and exit with a distinct code
 per error class: 2 usage (argparse, including a float flag that is not
 finite), 3 I/O, 4 parse, 5 domain (including a kernel table that
@@ -241,18 +241,21 @@ def _parse_n_list(text: str):
 def _cmd_deficiency(args):
     ns = _parse_n_list(args.n)
     if args.assumption is not None:
-        kind, takes = {"polynomial": (POLYNOMIAL, "p"),
-                       "exponential": (EXPONENTIAL, "d"),
-                       "band-limited": (BAND_LIMITED, None)}[args.assumption]
-        given = {"p": args.p, "d": args.d,
+        # the band-limited deficiency is shown at unit bandwidth, so it
+        # reads neither a class parameter nor the premultiplier --a
+        kind, takes = {"polynomial": (POLYNOMIAL, ("p", "a")),
+                       "exponential": (EXPONENTIAL, ("d", "a")),
+                       "band-limited": (BAND_LIMITED, ())}[args.assumption]
+        given = {"p": args.p, "d": args.d, "a": args.a,
                  "expansion-base": args.expansion_base,
                  "expansion-better": args.expansion_better}
         for name, value in given.items():
-            if value is not None and name != takes:
+            if value is not None and name not in takes:
                 raise ValueError(f"--assumption {args.assumption} does not "
                                  f"take --{name}")
-        if takes is not None and given[takes] is None:
-            raise ValueError(f"--assumption {args.assumption} needs --{takes}")
+        if takes and given[takes[0]] is None:
+            raise ValueError(f"--assumption {args.assumption} needs "
+                             f"--{takes[0]}")
         smooth = SmoothnessClass(kind, p=args.p, d=args.d)
         if args.F is None or args.f is None:
             raise ValueError("assumption mode needs --F and --f")
@@ -502,7 +505,7 @@ def main(argv=None) -> int:
             args.usage_error(
                 f"argument {flag}: not allowed with argument {mode}")
     try:
-        # every loaded OpenBLAS runs the command at one thread, so that
+        # numpy's OpenBLAS runs the command at one thread, so that
         # its bits do not depend on the caller's setting, which comes
         # back on every way out; numpy overflow, 0/0 and x/0 raise, so
         # that no warning reaches stderr; the document is built here so

@@ -5,9 +5,9 @@ own bandwidth rule, evaluates at the scenario's points, and aggregates
 MSE, bias, and variance per cell.  Every replication is a pure function
 of (seed, replication index, purpose, attempt) through counter-based
 RNG streams, so reports are bitwise-identical for any worker count.
-Every study runs OpenBLAS at one thread, in this process and in each
-pool worker whatever the start method, and gives the caller's setting
-back afterwards.
+Every study runs numpy's OpenBLAS at one thread, in this process and in
+each pool worker whatever the start method, and gives the caller's
+setting back afterwards.
 """
 from __future__ import annotations
 
@@ -215,16 +215,14 @@ def _process_pool(**kwargs):
 
 
 def _pool_worker_init():
-    """Pool initializer: every OpenBLAS loaded in the worker at one thread.
+    """Pool initializer: numpy's OpenBLAS in the worker at one thread.
 
     A worker inherits the parent's setting only when forked; this holds
     under spawn and forkserver too.  The worker exits with the pool, so
     nothing is restored.  A forked worker already reads 1 and is left
     alone: setting the count after a fork restarts OpenBLAS's thread
-    pool, whose idle threads would spin for nothing.  scipy.special is
-    imported first, so that its OpenBLAS is among the libraries set.
+    pool, whose idle threads would spin for nothing.
     """
-    load_special()
     for _, get, set_ in _blas_libraries():
         if get() != 1:
             set_(1)
@@ -314,10 +312,11 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     The replications of every sample size form one task list.  It runs
     in this process when one process suffices, else in one pool of
     min(workers, tasks, CPUs) processes opened once for the study.
-    Either way OpenBLAS runs at one thread, so results do not depend on
-    the thread count, and the caller's setting is restored afterwards.
-    scipy.special, which a study's draws and fits may call, is imported
-    once before that, so that its OpenBLAS is set too.
+    Either way numpy's OpenBLAS runs at one thread, so results do not
+    depend on the thread count, and the caller's setting is restored
+    afterwards.  scipy.special, which a study's draws and fits may
+    call, is imported once before the pool opens, so that forked
+    workers inherit it instead of each importing their own copy.
     """
     for k, name in enumerate(estimators):
         if name not in ESTIMATORS:

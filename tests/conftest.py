@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 import ftcdf.blas as blas
-from ftcdf._special import load as load_special
 
 
 @pytest.fixture()
@@ -29,7 +28,7 @@ def _blas_threads() -> dict:
 
 @pytest.fixture(autouse=True)
 def blas_threads_unchanged():
-    """Fails a test that leaves any loaded OpenBLAS at another thread
+    """Fails a test that leaves numpy's OpenBLAS at another thread
     count than it found; a leak would change later tests' timings and,
     at large n, their bits."""
     before = _blas_threads()
@@ -43,12 +42,9 @@ def blas_threads_unchanged():
 
 @pytest.fixture()
 def blas_threads_at():
-    """blas_threads_at(k) puts every loaded OpenBLAS at k threads for the
+    """blas_threads_at(k) puts numpy's OpenBLAS at k threads for the
     rest of the test and returns the counts set, in library order; the
-    counts the test started with come back at teardown.  scipy.special,
-    whose OpenBLAS ftcdf loads on first use, is loaded first, so that the
-    counts cover every library a test may run."""
-    load_special()
+    counts the test started with come back at teardown."""
     libs = blas._blas_libraries()
     saved = [get() for _, get, _ in libs]
 
@@ -64,6 +60,6 @@ def blas_threads_at():
 
 @pytest.fixture()
 def caller_threads(blas_threads_at):
-    """Runs the test with every loaded OpenBLAS at 3 threads, a count
+    """Runs the test with numpy's OpenBLAS at 3 threads, a count
     that is neither 1 nor this machine's default."""
     return blas_threads_at(3)

@@ -313,6 +313,11 @@ class TestDefaults:
         assert rule.C == 2.0
         assert rule.epsilon == pytest.approx(4.0)
         assert default_rule(10, 0.5).epsilon == 1.0
+        assert default_rule(2, 0.5).epsilon == 1.0
+        # at n = 1 the noise threshold C*sqrt(log10(n)/n) is 0
+        with pytest.raises(DegenerateSampleError,
+                           match="the threshold rule needs at least two rows"):
+            default_rule(1, 0.5)
 
     def test_default_grid_covers_scaled_range(self):
         rng = np.random.default_rng(1)

@@ -425,6 +425,22 @@ class TestSurvival:
 
 
 class TestBandwidth:
+    @pytest.mark.parametrize("argv", [
+        ("bandwidth",), ("estimate",), ("survival", "--kernel", "smooth")])
+    def test_one_row_auto_bandwidth_names_its_cause(self, capsys, spy,
+                                                    tmp_path, argv):
+        # at n = 1 the noise threshold C*sqrt(log10(n)/n) is 0, so the
+        # rule refuses the sample before any ECF is computed
+        path = tmp_path / "one.csv"
+        path.write_text("time\n1.5\n")
+        ecf_calls = spy(cli, "ecf")
+        code, doc, err = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 5 and doc is None and ecf_calls == []
+        assert err["error"] == {
+            "kind": "domain",
+            "message": "the threshold rule needs at least two rows; at "
+                       "n = 1 its noise threshold is 0"}
+
     def test_auto_matches_library(self, capsys, sample_csv):
         code, doc, _ = run_cli(capsys, "bandwidth", "--input", sample_csv)
         assert code == 0
@@ -700,9 +716,12 @@ class TestDeficiency:
                 "--f", "0.25", "--n", "100"]
         code, doc, _ = run_cli(capsys, *argv)
         assert code == 0 and doc["rate"] == "n"
-        # shown at unit bandwidth, so a given --a is ignored
-        code, with_a, _ = run_cli(capsys, *argv, "--a", "3")
-        assert code == 0 and with_a["values"] == doc["values"]
+        # shown at unit bandwidth, so a given --a would go unread
+        code, with_a, err = run_cli(capsys, *argv, "--a", "3")
+        assert code == 5 and with_a is None
+        assert err["error"] == {
+            "kind": "domain",
+            "message": "--assumption band-limited does not take --a"}
 
     def test_expansion_mode(self, capsys):
         code, doc, _ = run_cli(
@@ -868,6 +887,9 @@ class TestDeficiency:
         pytest.param(("--assumption", "band-limited", "--d", "1"),
                      "--assumption band-limited does not take --d",
                      id="band-limited-d"),
+        pytest.param(("--assumption", "band-limited", "--a", "3"),
+                     "--assumption band-limited does not take --a",
+                     id="band-limited-a"),
         pytest.param(("--assumption", "band-limited",
                       "--expansion-base", "1:1:2:log-factor"),
                      "--assumption band-limited does not take "
@@ -1217,8 +1239,8 @@ _DEFICIENCY = ["deficiency", "--expansion-base", "1:1:2:log-factor",
 
 
 class TestBlasGuard:
-    """cli.main runs every command with each loaded OpenBLAS at one
-    thread, reports that on stdout, and gives the caller's count back."""
+    """cli.main runs every command with numpy's OpenBLAS at one thread,
+    reports that on stdout, and gives the caller's count back."""
 
     @pytest.mark.parametrize("found", [True, False])
     @pytest.mark.parametrize("command", list(_EVERY_COMMAND))
@@ -1236,7 +1258,7 @@ class TestBlasGuard:
         guarded = tmp_path / "guarded.csv"
         assert run(guarded)[0] == 0
         if not found:
-            monkeypatch.setattr(blas, "_loaded_openblas_paths", lambda: [])
+            monkeypatch.setattr(blas, "_blas_libraries", lambda: [])
         libs = blas._blas_libraries()
         out = tmp_path / "out.csv"
         code, doc, _ = run(out)

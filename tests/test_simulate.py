@@ -198,6 +198,17 @@ class TestRunScenario:
             "DegenerateSampleError: leave-one-out needs at least two events")
         assert isinstance(info.value.__cause__, DegenerateSampleError)
 
+    def test_one_row_flat_top_draws_are_retried(self):
+        # the threshold rule refuses a one-row draw as too few rows, and
+        # the study retries it as it retries a failed selection
+        sc = builtin_scenario("normal-iid", replications=1, sample_sizes=(1,))
+        with pytest.raises(RuntimeError) as info:
+            run_scenario(sc, estimators=("trap-auto",))
+        assert str(info.value) == (
+            "replication 0 failed 100 times; the last attempt raised "
+            "DegenerateSampleError: the threshold rule needs at least two "
+            "rows; at n = 1 its noise threshold is 0")
+
     def test_standardized_no_worse_than_raw(self, small_report):
         for name in ("trap-auto", "smooth-auto", "gauss-cv"):
             for t in (-1.5, 0.0, 1.5):
@@ -541,30 +552,35 @@ class TestBlasGuard:
         assert os.getpid() not in {int(f.stem) for f in files}
         assert pooled.to_csv() == run_scenario(sc, workers=1).to_csv()
 
-    @needs_openblas
-    def test_fresh_study_sets_scipys_openblas_too(self):
-        # nothing loads scipy.special before this study starts, so the
-        # report names scipy's OpenBLAS only if the study loads it before
-        # opening its guard and pool
+    def test_fresh_study_leaves_scipys_openblas_as_it_loads(
+            self, blas_threads_at):
+        # scipy's build carries no ftcdf arithmetic: a study run while it
+        # sits at 2 threads reports and sets numpy's build only, leaves
+        # scipy's count alone, and writes the bits of a run at 1 thread
         src = Path(__file__).resolve().parents[1] / "src"
-        code = ("import json, sys\n"
+        code = ("import ctypes, json\n"
+                "import scipy.special._ufuncs as ufuncs\n"
                 "from ftcdf import blas\n"
                 "from ftcdf.simulate import builtin_scenario, run_scenario\n"
-                "names = lambda: [n for n, _, _ in blas._blas_libraries()]\n"
-                "before = names()\n"
+                "get, set_ = blas._blas_controls(ctypes.CDLL(ufuncs.__file__))\n"
+                "set_(2)\n"
+                "before = get()\n"
                 "sc = builtin_scenario('weibull-censored', seed=3,\n"
                 "                      replications=4, sample_sizes=(15,))\n"
                 "report = run_scenario(sc, workers=2)\n"
-                "print(json.dumps([before, report.blas['libraries'],\n"
-                "                  names()]))\n")
+                "print(json.dumps([report.blas['libraries'], before, get(),\n"
+                "                  report.to_csv()]))\n")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 0, done.stderr
-        before, reported, after = json.loads(done.stdout)
-        # numpy's build, loaded before the study, and scipy's, loaded by it
-        assert reported == after
-        assert set(before) < set(after) and len(after) == len(before) + 1
+        reported, before, after, csv = json.loads(done.stdout)
+        assert reported == [name for name, _, _ in blas._blas_libraries()]
+        assert len(reported) == 1 and after == before
+        blas_threads_at(1)
+        sc = builtin_scenario("weibull-censored", seed=3, replications=4,
+                              sample_sizes=(15,))
+        assert csv == run_scenario(sc, workers=1).to_csv()
 
     def test_worker_count_invariance_where_threads_move_bits(
             self, monkeypatch, blas_threads_at):
@@ -584,13 +600,19 @@ class TestBlasGuard:
 
 
 class TestBlasDiscovery:
+    """The guard finds numpy's OpenBLAS through numpy's own extension,
+    or finds nothing and leaves BLAS as it is; it never raises."""
+
     def test_no_openblas_found_runs_the_same_study(self, monkeypatch):
         sc = builtin_scenario("weibull-censored", seed=4, replications=3,
                               sample_sizes=(15,))
         guarded = run_scenario(sc, workers=1)
-        monkeypatch.setattr(blas, "_loaded_openblas_paths", lambda: [])
         before = _threads()
+        monkeypatch.setattr(blas, "_BLAS_THREAD_SYMBOLS",
+                            (("no_such_get", "no_such_set"),))
+        assert blas._blas_libraries() == []
         bare = run_scenario(sc, workers=1)
+        monkeypatch.undo()
         assert _threads() == before
         assert bare.to_csv() == guarded.to_csv()
         assert bare.blas == {"libraries": [], "caller_threads": [],
@@ -599,14 +621,43 @@ class TestBlasDiscovery:
     def test_symbol_lookup_never_raises(self, monkeypatch):
         libc = ctypes.util.find_library("c")
         assert blas._blas_controls(ctypes.CDLL(libc)) is None
-        monkeypatch.setattr(blas, "_loaded_openblas_paths",
-                            lambda: [libc, "/no/such/libopenblas.so"])
+        real = ctypes.CDLL
+
+        def no_dlopen(name, *args, **kwargs):
+            if name is None:
+                raise OSError("dlopen(NULL) failed")
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(blas.ctypes, "CDLL", no_dlopen)
         assert blas._blas_libraries() == []
 
-    def test_maps_without_procfs(self, monkeypatch):
-        def no_procfs(*args, **kwargs):
-            raise FileNotFoundError("/proc/self/maps")
+    @pytest.mark.parametrize("dladdr", [lambda address, info: 0, None],
+                             ids=["unnamed", "missing"])
+    def test_unnamed_library_is_not_guarded(self, monkeypatch, dladdr):
+        real = ctypes.CDLL
 
-        monkeypatch.setattr(blas, "open", no_procfs, raising=False)
-        assert blas._loaded_openblas_paths() == []
+        class Process:
+            def __init__(self):
+                if dladdr is not None:
+                    self.dladdr = dladdr
 
+        monkeypatch.setattr(
+            blas.ctypes, "CDLL",
+            lambda name, *args, **kwargs:
+            Process() if name is None else real(name, *args, **kwargs))
+        assert blas._blas_libraries() == []
+
+    @needs_openblas
+    def test_lookup_without_procfs(self, monkeypatch):
+        real = open
+
+        def no_procfs(file, *args, **kwargs):
+            if str(file).startswith("/proc"):
+                raise FileNotFoundError(file)
+            return real(file, *args, **kwargs)
+
+        found = blas._blas_libraries()
+        monkeypatch.setattr("builtins.open", no_procfs)
+        assert [name for name, _, _ in blas._blas_libraries()] == \
+            [name for name, _, _ in found]
+        assert len(found) == 1 and "openblas" in found[0][0].lower()

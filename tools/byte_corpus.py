@@ -17,8 +17,8 @@ the same layout, and the script rewrites the manifest
 ``tools/byte_corpus.json``: the environment stamp and, for each
 command, its exit code and the SHA-256 of its stdout, stderr and each
 artifact.  The stdout hash leaves out ``diagnostics.blas``, which
-depends on what the process loaded before (in one process numpy's and
-scipy's OpenBLAS with the caller's thread counts).  The tier-1 test
+depends on the process (in one process, the caller's thread count of
+numpy's OpenBLAS).  The tier-1 test
 ``tests/test_byte_corpus.py`` runs the corpus the same way and compares
 it with the manifest, so a change that moves a byte rewrites the
 manifest in the same commit.  A fresh-process run stays the check of
@@ -102,6 +102,14 @@ DEFICIENCY = (
     ("expansion", ["--expansion-base", "1:1:2:log-factor",
                    "--expansion-better", "1:1:1:log-factor",
                    "--n", "100,1000"]),
+    ("assumption-polynomial", ["--assumption", "polynomial", "--p", "2",
+                               "--F", "0.3", "--f", "0.2", "--a", "0.7",
+                               "--n", "100,1e4"]),
+    ("assumption-band-limited", ["--assumption", "band-limited",
+                                 "--F", "0.5", "--f", "0.25", "--n", "100"]),
+    ("expansion-power", ["--expansion-base", "1:1:1:power:0.5",
+                         "--expansion-better", "1:1:2.5:power:0.5",
+                         "--n", "100,1e4"]),
 )
 
 # refused runs: a removed flag, a kernel the command does not offer,
@@ -109,8 +117,11 @@ DEFICIENCY = (
 # cross-validation (exit 2), a range grid that repeats a point and
 # negative frequencies (exit 4), a smooth table that misses its tol, a
 # class parameter the deficiency assumption does not take, flags the
-# deficiency expansion mode does not take, an estimator named twice and
-# data whose spread is below the least subnormal (exit 5)
+# deficiency expansion mode does not take, an estimator named twice,
+# data whose spread is below the least subnormal, a premultiplier the
+# band-limited deficiency does not read and a one-row sample, whose
+# noise threshold is 0 (exit 5), and a scenario file without its
+# distributions (exit 4)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
     ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
@@ -150,6 +161,12 @@ REFUSALS = (
     ("bandwidth-cv-subnormal-spread", ["bandwidth", "--input",
                                        "inputs/subnormal-spread.csv",
                                        "--method", "cv"]),
+    ("deficiency-band-limited-a", ["deficiency", "--assumption",
+                                   "band-limited", "--F", "0.5", "--f",
+                                   "0.25", "--a", "3", "--n", "100"]),
+    ("estimate-one-row", ["estimate", "--input", "inputs/one.csv"]),
+    ("simulate-scenario-incomplete", ["simulate", "--scenario",
+                                      "inputs/scenario-incomplete.json"]),
 )
 
 
@@ -159,7 +176,8 @@ def write_inputs(inputs: Path) -> None:
     20 000-row and a 30 000-row N(0,1) sample, a 20 000-row censored
     Weibull sample, a 20 000-row Weibull sample about 66% censored with
     times rounded to 3 decimals, three times of 2.0, seven zeros and
-    5e-324, and the READ_FORMS."""
+    5e-324, one time, the READ_FORMS, an uncensored Weibull scenario
+    file and a scenario file without its distributions."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2026)
     x = rng.normal(size=300)
@@ -197,7 +215,14 @@ def write_inputs(inputs: Path) -> None:
     (inputs / "flat.csv").write_text("time\n2.0\n2.0\n2.0\n")
     (inputs / "subnormal-spread.csv").write_text(
         "time\n" + "0.0\n" * 7 + "5e-324\n")
+    (inputs / "one.csv").write_text("time\n1.5\n")
     write_read_forms(inputs)
+    scenario = {"name": "weibull-cdf", "eval_points": [0.5, 1.0],
+                "sample_sizes": [15], "replications": 8, "seed": 3}
+    (inputs / "scenario-incomplete.json").write_text(json.dumps(scenario))
+    scenario["lifetime_dist"] = {"kind": "weibull", "shape": 2.0,
+                                 "scale": 1.0}
+    (inputs / "scenario.json").write_text(json.dumps(scenario))
 
 
 def write_read_forms(inputs: Path) -> None:
@@ -315,6 +340,14 @@ def commands():
                    ["simulate", "--scenario", scenario, "--n", "15,30",
                     "--reps", "60", "--seed", "7", "--workers", workers,
                     "--output", "OUT/report.csv"])
+    # a scenario read from a file, the CDF of a Weibull law, reported
+    # inline
+    yield ("simulate-scenario-file-inline",
+           ["simulate", "--scenario", "inputs/scenario.json"])
+    # the threshold rule with another rule radius
+    yield ("bandwidth-effective-c-normal",
+           ["bandwidth", "--input", "inputs/normal.csv", "--effective-c",
+            "0.5"])
     # 200 jumps: the CV evaluates one bandwidth at a time, all 256
     # quadrature points at once
     yield ("simulate-normal-iid-n200",
