@@ -97,13 +97,15 @@ class BandwidthRule:
 def default_rule(n: int, effective_c: float | None) -> BandwidthRule:
     """The rule for a sample of n rows.  A one-row sample is refused
     (DegenerateSampleError): its noise threshold C*sqrt(log10(n)/n) is
-    0, so no window could qualify."""
+    0, so no window could qualify.  The rule's own parameters are checked
+    first: a bad effective_c is named whatever the sample."""
+    # epsilon grows slowly with n but stays o(log n)-compatible
+    rule = BandwidthRule(C=2.0, epsilon=max(1.0, math.log10(max(n, 1))),
+                         effective_c=effective_c)
     if n < 2:
         raise DegenerateSampleError("the threshold rule needs at least two "
                                     "rows; at n = 1 its noise threshold is 0")
-    # epsilon grows slowly with n but stays o(log n)-compatible
-    return BandwidthRule(C=2.0, epsilon=max(1.0, math.log10(n)),
-                         effective_c=effective_c)
+    return rule
 
 
 def default_freq_grid(sample: CensoredSample) -> np.ndarray:

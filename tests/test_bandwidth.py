@@ -318,6 +318,10 @@ class TestDefaults:
         with pytest.raises(DegenerateSampleError,
                            match="the threshold rule needs at least two rows"):
             default_rule(1, 0.5)
+        # a bad effective_c is named before the one-row sample
+        with pytest.raises(ValueError,
+                           match=r"effective_c must lie in \(0, 1\]"):
+            default_rule(1, 0.0)
 
     def test_default_grid_covers_scaled_range(self):
         rng = np.random.default_rng(1)
