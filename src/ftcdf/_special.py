@@ -3,7 +3,7 @@
 Importing scipy.special takes about 0.3 s and maps scipy's own OpenBLAS
 into the process, while most commands evaluate none of these functions:
 a smooth-kernel fit, the threshold rule, a smooth kernel table and the
-deficiency expansions.  The modules that call them import these
+deficiency command.  The modules that call them import these
 stand-ins instead, so scipy.special loads only when one is first
 called; after that each call costs one more Python call.
 """

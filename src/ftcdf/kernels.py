@@ -25,13 +25,13 @@ estimate, not the kernel.  K itself is evaluated directly, never
 interpolated.  The Gaussian kernel is included as a comparator: like a
 table, it offers kbar and tail_cutoff.
 Only the trapezoid's sine integral and the Gaussian's normal CDF load
-scipy.special; the smooth family and the tables' spline need no scipy.
+scipy.special; the smooth family, the tables' spline and the variance
+constant kernel_cross_moment, which reads only the taper, need no scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -621,19 +621,18 @@ class GaussianKernel:
         return "GaussianKernel()"
 
 
-@lru_cache(maxsize=32)
 def kernel_cross_moment(spec: FlatTopSpec) -> float:
-    """The constant int u K(u) Kbar(u) du of a flat-top kernel's spec, in
-    the second-order variance term."""
-    # int u K Kbar du rewritten by parts as (1/2) int Kbar (1 - Kbar):
-    # absolutely convergent and even, so integrate once over [0, T]
-    f = lambda u: integrated_kernel(spec, u) * (1.0 - integrated_kernel(spec, u))
+    """C_K = int u K(u) Kbar(u) du, the variance constant of a flat-top
+    kernel, from its taper lam: (1/2pi) [1 + int_c^1 (1 - lam^2)/s^2 ds].
+
+    By parts C_K = (1/2) int Kbar (1 - Kbar) = (1/2) int D (1 - 2H) - D^2,
+    with D = Kbar - H (H the unit step); int D (1 - 2H) = 2 int_0^inf u K
+    = (2/pi) [1 + int_c^1 (1 - lam)/s^2 ds], and Plancherel on D^(s) =
+    (lam(s) - 1)/(is) gives int D^2 = (1/pi) [1 + int_c^1 (1 - lam)^2/s^2].
+    """
+    c = spec.c
     if spec.family == TRAPEZOID:
-        t_end = 3000.0
-        value = adaptive_quad(f, 0.0, t_end, 1e-10)
-        # analytic tail of int (1 - Kbar), from the Si asymptotics
-        c = spec.c
-        tail = (np.cos(t_end) / t_end ** 2
-                - np.cos(c * t_end) / (c ** 2 * t_end ** 2)) / (np.pi * (1 - c))
-        return float(value + tail)
-    return adaptive_quad(f, 0.0, _smooth_tail_cutoff(spec, 2e-12), 1e-10)
+        # the integral in closed form, as 1 - lam^2 cancels near s = c
+        return (-math.log(c) - (1.0 - c)) / (math.pi * (1.0 - c) ** 2)
+    f = lambda s: (1.0 - window(spec, s) ** 2) / s ** 2
+    return (1.0 + adaptive_quad(f, c, 1.0, 1e-14)) / (2.0 * math.pi)

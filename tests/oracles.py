@@ -10,7 +10,14 @@ from scipy.special import ndtr
 
 import ftcdf.estimators as estimators
 from ftcdf.asymptotics import POWER
+from ftcdf.kernels import TRAPEZOID, FlatTopSpec, window
 from ftcdf.quadrature import adaptive_quad
+
+# C_K of the smooth taper (b = 1) by flat radius c, to 20 digits: the
+# taper identity of kernels.kernel_cross_moment in 30-digit arithmetic
+SMOOTH_CROSS_MOMENTS = {0.05: 0.26027872088467013439,
+                        0.1: 0.24624783392494001936,
+                        0.3: 0.20355725600886931697}
 
 
 def gaussian_cross_moment() -> float:
@@ -18,6 +25,16 @@ def gaussian_cross_moment() -> float:
     of its by-parts form int_0^40 Phi (1 - Phi); exactly 1/(2 sqrt(pi))."""
     f = lambda u: ndtr(u) * (1.0 - ndtr(u))
     return adaptive_quad(f, 0.0, 40.0, 1e-12)
+
+
+def trapezoid_cross_moment_by_quad(c: float) -> float:
+    """C_K of the trapezoid taper at flat radius c, by adaptive quadrature
+    of the taper identity (1/2pi) [1 + int_c^1 (1 - lam^2)/s^2 ds], where
+    kernel_cross_moment takes the closed form.  1 - lam^2 cancels near
+    s = c: the quadrature is certified at c = 1e-3, and refuses 1e-4."""
+    spec = FlatTopSpec(TRAPEZOID, c)
+    f = lambda s: (1.0 - window(spec, s) ** 2) / s ** 2
+    return (1.0 + adaptive_quad(f, c, 1.0, 1e-12)) / (2.0 * math.pi)
 
 
 def cv_bandwidth_loop(sample, h_grid) -> float:

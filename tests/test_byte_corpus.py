@@ -13,12 +13,14 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ftcdf.cli as cli
 import ftcdf.kernels as kernels
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_corpus.py"
@@ -46,6 +48,18 @@ def test_corpus_matches_manifest(tmp_path, monkeypatch):
     moved = sorted(name for name in want.keys() | got.keys()
                    if want.get(name) != got.get(name))
     assert not moved, f"corpus entries that moved: {moved}"
+
+
+def test_manifest_pins_every_documented_exit_code():
+    # the CLI's docstring gives one exit code per error class; success
+    # exits 0
+    documented = {0, *(int(code) for code in re.findall(
+        r"\b(\d) (?:usage|I/O|parse|domain)\b", cli.__doc__))}
+    assert documented == {0, 2, 3, 4, 5}
+    assert {cli.EXIT_IO, cli.EXIT_PARSE, cli.EXIT_DOMAIN} <= documented
+    entries = json.loads(_corpus_tool().MANIFEST.read_text())["entries"]
+    missing = documented - {entry["exit"] for entry in entries.values()}
+    assert not missing, f"no corpus entry exits with {sorted(missing)}"
 
 
 def test_stamp_names_the_numpy_simd_targets():

@@ -15,7 +15,6 @@ import ftcdf.bandwidth as bandwidth
 import ftcdf.blas as blas
 import ftcdf.cli as cli
 import ftcdf.estimators as estimators
-from ftcdf._special import load as load_special
 from ftcdf.bandwidth import (auto_bandwidth, cv_bandwidth_km, default_cv_grid,
                              default_freq_grid, ecf, noise_threshold)
 from ftcdf.cli import main
@@ -329,8 +328,6 @@ class TestEstimate:
         # it, is read the same after a space as after "="
         p = tmp_path / "positive.csv"
         p.write_text("time\n0.5\n1.25\n2\n3.5\n")
-        # both runs see the same BLAS libraries in diagnostics.blas
-        load_special()
         outs = []
         for spelling in ([flag, value], [f"{flag}={value}"]):
             code = main(["estimate", "--input", str(p), "--bandwidth",
@@ -699,6 +696,25 @@ class TestDeficiency:
                                                   config["a"])}
             for n in (100.0, 1e4)]
 
+    def test_small_flat_radius_has_a_positive_cross_moment(self, capsys):
+        # the trapezoid's constant grows like -ln(c) / pi as c falls
+        code, doc, _ = run_cli(capsys, "deficiency", "--assumption",
+                               "band-limited", "--F", "0.5", "--f", "0.25",
+                               "--n", "100", "--c", "1e-6")
+        assert code == 0
+        assert doc["resolved_config"]["cross_moment"] == 4.0793121840229505
+
+    @pytest.mark.parametrize("c", ["0.75", "0.9"])
+    def test_smooth_kernel_at_a_large_flat_radius(self, capsys, c):
+        # the constant needs no kernel table, which the smooth family
+        # cannot build at these radii
+        code, doc, _ = run_cli(capsys, "deficiency", "--assumption",
+                               "band-limited", "--F", "0.5", "--f", "0.25",
+                               "--n", "100", "--kernel", "smooth", "--c", c)
+        assert code == 0
+        cm = doc["resolved_config"]["cross_moment"]
+        assert cm == kernel_cross_moment(FlatTopSpec(SMOOTH, float(c))) > 0.0
+
     def test_gaussian_kernel_is_usage_error(self, capsys):
         # the formulas assume a flat-top kernel, so the parser offers no
         # other
@@ -832,22 +848,22 @@ class TestDeficiency:
         assert err["error"]["message"] == message
 
     # assumption-mode values use the reference trapezoid's cross moment,
-    # 0.1919132193379367, which the command works out
+    # 0.19191321909273173, which the command works out
     PINNED = [
         pytest.param(
             ("--assumption", "exponential", "--d", "1", "--F", "0.5",
              "--f", "0.25", "--a", "1", "--n", "1e6"),
-            "n/log n", None, [(1e6, 27782.28405425145)], id="exponential"),
+            "n/log n", None, [(1e6, 27782.2840187544)], id="exponential"),
         pytest.param(
             ("--assumption", "polynomial", "--p", "2", "--F", "0.3",
              "--f", "0.2", "--a", "0.7", "--n", "100,1e4"),
-            "n^0.8", None, [(100.0, 10.186937165658497),
-                            (1e4, 405.54927316265673)], id="polynomial"),
+            "n^0.8", None, [(100.0, 10.18693715264278),
+                            (1e4, 405.5492726444918)], id="polynomial"),
         pytest.param(
             ("--assumption", "band-limited", "--F", "0.5",
              "--f", "0.15915494309189535", "--n", "100,1000"),
-            "n", None, [(100.0, 24.435150001849397),
-                        (1000.0, 244.35150001849397)], id="band-limited"),
+            "n", None, [(100.0, 24.43514997062893),
+                        (1000.0, 244.3514997062893)], id="band-limited"),
         pytest.param(
             ("--expansion-base", "1:1:1:power:0.5",
              "--expansion-better", "1:1:2.5:power:0.5", "--n", "100,1e4"),
@@ -1442,7 +1458,8 @@ class TestPoolLoad:
 
 class TestScipyLoad:
     """scipy loads only where a special function is evaluated: ndtr and
-    ndtri (Gaussian kernel and normal draws) and sici (trapezoid)."""
+    ndtri (Gaussian kernel and normal draws) and sici (the trapezoid's
+    Kbar)."""
 
     def test_import_loads_no_scipy(self):
         assert _fresh_json(
@@ -1461,7 +1478,12 @@ class TestScipyLoad:
             ["kernel-table", "--kernel", "smooth", "--output",
              str(tmp_path / "table.csv")],
             ["deficiency", "--expansion-base", "1:1:2:log-factor",
-             "--expansion-better", "1:1:1:log-factor", "--n", "100"]]
+             "--expansion-better", "1:1:1:log-factor", "--n", "100"],
+            ["deficiency", "--assumption", "band-limited", "--F", "0.5",
+             "--f", "0.25", "--n", "100"],
+            ["deficiency", "--assumption", "band-limited", "--F", "0.5",
+             "--f", "0.25", "--n", "100", "--kernel", "smooth", "--c",
+             "0.6"]]
         code = ("import contextlib, io, json, sys\n"
                 "from ftcdf.cli import main\n"
                 "seen = []\n"

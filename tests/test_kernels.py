@@ -31,7 +31,8 @@ from ftcdf.kernels import (
     window,
 )
 from ftcdf.quadrature import QuadratureError, adaptive_quad
-from oracles import gaussian_cross_moment, spline_intervals
+from oracles import (SMOOTH_CROSS_MOMENTS, gaussian_cross_moment,
+                     spline_intervals, trapezoid_cross_moment_by_quad)
 
 TRAP = FlatTopSpec(TRAPEZOID, 0.75)
 SMOOTH_REF = FlatTopSpec(SMOOTH, 0.05, 1.0)
@@ -43,9 +44,9 @@ TRAP_K_PI = 0.0377850229272507
 TRAP_KBAR_2 = 0.9691356900076225
 TRAP_CROSS_MOMENT = 0.1919132193379   # two routes agreed to 1.8e-10
 SMOOTH_CROSS_MOMENT = 0.2602787213288  # two routes agreed to 3.0e-10
-# exact bits of kernel_cross_moment(SMOOTH_REF): its quadrature ends
-# where the smooth tail search shared with build_table stops, t = 512
-SMOOTH_CROSS_MOMENT_BITS = float.fromhex("0x1.0a86814e2cac2p-2")
+# exact bits of kernel_cross_moment(SMOOTH_REF): the taper identity's
+# adaptive quadrature over [c, 1] at absolute tol 1e-14
+SMOOTH_CROSS_MOMENT_BITS = float.fromhex("0x1.0a8681482d6f2p-2")
 
 
 def exported_k(spec: FlatTopSpec, tmp_path) -> np.ndarray:
@@ -237,6 +238,53 @@ def test_cross_moment_flattop_frozen():
     assert cm_t == pytest.approx(TRAP_CROSS_MOMENT, abs=1e-8)
     assert cm_s == pytest.approx(SMOOTH_CROSS_MOMENT, abs=1e-8)
     assert cm_s == SMOOTH_CROSS_MOMENT_BITS
+
+
+def test_cross_moment_taper_identity_on_the_gaussian():
+    # C_K = (1/2pi) int_0^inf (1 - lam^2)/s^2 ds with the Gaussian's taper
+    # lam = exp(-s^2/2); beyond s = 40 the integrand is 1/s^2 to double
+    # precision, which leaves 1/40
+    body = adaptive_quad(lambda s: -np.expm1(-s * s) / (s * s), 0.0, 40.0,
+                         1e-14)
+    by_taper = (body + 1.0 / 40.0) / (2.0 * np.pi)
+    assert by_taper == pytest.approx(gaussian_cross_moment(), rel=1e-14)
+    assert by_taper == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi)), rel=1e-14)
+
+
+@pytest.mark.parametrize("family", [TRAPEZOID, SMOOTH])
+@pytest.mark.parametrize("c", [1e-300, 1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.75,
+                               0.9, 0.99])
+def test_cross_moment_at_every_flat_radius(family, c):
+    cm = kernel_cross_moment(FlatTopSpec(family, c))
+    assert type(cm) is float and 0.0 < cm < math.inf
+    if family == TRAPEZOID and c >= 1e-3:
+        assert cm == pytest.approx(trapezoid_cross_moment_by_quad(c),
+                                   rel=1e-13, abs=0.0)
+    elif family == SMOOTH and c in SMOOTH_CROSS_MOMENTS:
+        assert cm == pytest.approx(SMOOTH_CROSS_MOMENTS[c], rel=1e-13,
+                                   abs=0.0)
+
+
+@pytest.mark.parametrize("c", sorted(SMOOTH_CROSS_MOMENTS))
+def test_smooth_cross_moment_matches_its_20_digit_constants(c):
+    assert kernel_cross_moment(FlatTopSpec(SMOOTH, c)) == pytest.approx(
+        SMOOTH_CROSS_MOMENTS[c], rel=1e-13, abs=0.0)
+
+
+def test_cross_moment_reads_only_the_taper(monkeypatch):
+    # no Kbar, transform, tail search or table: its cost does not grow
+    # with the kernel's reach, as a table's does
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"kernel_cross_moment called {name}")
+        return spy
+
+    for name in ("integrated_kernel", "integrated_kernel_by_quad",
+                 "_smooth_transforms", "_smooth_tail_cutoff", "build_table",
+                 "get_table"):
+        monkeypatch.setattr(kernels, name, refuse(name))
+    for family in (TRAPEZOID, SMOOTH):
+        assert kernel_cross_moment(FlatTopSpec(family, 0.45)) > 0.0
 
 
 def test_cross_moment_symmetry_identity():

@@ -110,6 +110,14 @@ DEFICIENCY = (
     ("expansion-power", ["--expansion-base", "1:1:1:power:0.5",
                          "--expansion-better", "1:1:2.5:power:0.5",
                          "--n", "100,1e4"]),
+    # flat radii far from the references: a trapezoid whose constant
+    # grows like -ln(c), and a smooth kernel that has no table
+    ("assumption-trapezoid-c1e-6", ["--assumption", "band-limited",
+                                    "--F", "0.5", "--f", "0.25",
+                                    "--n", "100", "--c", "1e-6"]),
+    ("assumption-smooth-c0.75", ["--assumption", "band-limited",
+                                 "--F", "0.5", "--f", "0.25", "--n", "100",
+                                 "--kernel", "smooth", "--c", "0.75"]),
 )
 
 # refused runs: a removed flag, a kernel the command does not offer,
@@ -120,8 +128,8 @@ DEFICIENCY = (
 # deficiency expansion mode does not take, an estimator named twice,
 # data whose spread is below the least subnormal, a premultiplier the
 # band-limited deficiency does not read and a one-row sample, whose
-# noise threshold is 0 (exit 5), and a scenario file without its
-# distributions (exit 4)
+# noise threshold is 0 (exit 5), a scenario file without its
+# distributions (exit 4), and an input file that is not there (exit 3)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
     ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
@@ -165,6 +173,8 @@ REFUSALS = (
                                    "band-limited", "--F", "0.5", "--f",
                                    "0.25", "--a", "3", "--n", "100"]),
     ("estimate-one-row", ["estimate", "--input", "inputs/one.csv"]),
+    ("estimate-missing-input", ["estimate", "--input",
+                                "inputs/missing.csv"]),
     ("simulate-scenario-incomplete", ["simulate", "--scenario",
                                       "inputs/scenario-incomplete.json"]),
 )
