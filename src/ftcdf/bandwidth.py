@@ -41,7 +41,7 @@ _CV_POINTS = 32
 _CV_QUAD_POINTS = 256
 
 
-class NoPlateauError(Exception):
+class NoPlateauError(ValueError):
     """The selection criterion never triggered on the given grid.
 
     Raised instead of guessing; the caller should extend the frequency

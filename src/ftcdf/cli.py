@@ -16,9 +16,10 @@ module is imported here: scipy.special loads only in the commands that
 evaluate a special function.
 Failures print an error JSON to stderr and exit with a distinct code
 per error class: 2 usage (argparse, including a float flag that is not
-finite), 3 I/O, 4 parse, 5 domain (including a kernel table that
-cannot be certified, a result that is not finite, and a numpy
-overflow, invalid operation or division by zero).
+finite), 3 I/O, 4 parse, 5 domain (any other ValueError, including a
+kernel table that cannot be certified, a result that is not finite,
+and a numpy overflow, invalid operation or division by zero).  Any
+other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -43,14 +44,12 @@ from .asymptotics import (BAND_LIMITED, EXPONENTIAL, POLYNOMIAL,
                           MseExpansion, SmoothnessClass, deficiency_rate,
                           edf_deficiency, edf_deficiency_rate,
                           predicted_deficiency)
-from .bandwidth import (NoPlateauError, cv_bandwidth_km, default_cv_grid,
-                        default_freq_grid, default_rule, ecf,
-                        select_bandwidth, threshold_scan)
+from .bandwidth import (cv_bandwidth_km, default_cv_grid, default_freq_grid,
+                        default_rule, ecf, select_bandwidth, threshold_scan)
 from .blas import _one_blas_thread
 from .estimators import EstimatorConfig, evaluate_on_grid, standardize_path
 from .kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, GaussianKernel,
                       get_table, kernel, kernel_cross_moment)
-from .quadrature import QuadratureError
 from .simulate import (BUILTIN_SCENARIOS, ESTIMATORS, Scenario,
                        builtin_scenario, run_scenario)
 from .survival import smoothed_survival_on_grid
@@ -519,8 +518,7 @@ def main(argv=None) -> int:
         return _fail("parse", str(exc), EXIT_PARSE)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
-    except (ValueError, NoPlateauError, QuadratureError, RuntimeError,
-            FloatingPointError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         return _fail("domain", str(exc), EXIT_DOMAIN)
     sys.stdout.write(text)
     return 0

@@ -37,7 +37,7 @@ _WG_FULL = np.concatenate([_WG[:-1], _WG[::-1]])
 _MAX_DEPTH = 48
 
 
-class QuadratureError(Exception):
+class QuadratureError(ValueError):
     """Requested tolerance could not be certified within the depth budget."""
 
 

@@ -106,6 +106,9 @@ class Scenario:
                       for n in self.sample_sizes)
         if not sizes:
             raise ValueError("sample_sizes must be nonempty")
+        for k, n in enumerate(sizes):
+            if n in sizes[:k]:
+                raise ValueError(f"sample size {n} is named twice")
         reps = _whole(self.replications, "replications", 1, MAX_REPLICATIONS)
         seed = _whole(self.seed, "seed", 0)
         if self.estimand not in (CDF, SURVIVAL):
@@ -284,9 +287,9 @@ def _replicate(scenario: Scenario, estimators, n: int, rep: int):
             last = exc
             continue
         return vals, attempt
-    raise RuntimeError(f"replication {rep} failed {_MAX_ATTEMPTS} times; "
-                       f"the last attempt raised {type(last).__name__}: "
-                       f"{last}") from last
+    raise ValueError(f"replication {rep} failed {_MAX_ATTEMPTS} times; "
+                     f"the last attempt raised {type(last).__name__}: "
+                     f"{last}") from last
 
 
 def _truth(scenario: Scenario, pts: np.ndarray) -> np.ndarray:
@@ -305,7 +308,7 @@ def run_scenario(scenario: Scenario, estimators=ESTIMATORS,
     kernel sum, kept as a diagnostic).  Replications whose bandwidth
     selection fails, or whose draw has too few events, are retried on
     fresh substreams and counted in `retries`; a replication that fails
-    _MAX_ATTEMPTS times raises RuntimeError naming its last error, and
+    _MAX_ATTEMPTS times raises ValueError naming its last error, and
     any other error propagates.  An unknown or repeated estimator name
     is refused before anything is drawn.
 

@@ -1,8 +1,35 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 import ftcdf.blas as blas
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+needs_openblas = pytest.mark.skipif(not blas._blas_libraries(),
+                                    reason="no OpenBLAS loaded")
+
+
+def blas_threads() -> list:
+    """numpy's OpenBLAS thread counts, in library order."""
+    return [get() for _, get, _ in blas._blas_libraries()]
+
+
+def src_env(**extra) -> dict:
+    """os.environ with PYTHONPATH at this checkout's src, plus extra."""
+    return {**os.environ, "PYTHONPATH": str(SRC), **extra}
+
+
+def start_env(threads=None) -> dict:
+    """src_env() with OPENBLAS_NUM_THREADS unset, or set to threads."""
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
 
 
 @pytest.fixture()

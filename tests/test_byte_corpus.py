@@ -1,18 +1,18 @@
 """The byte corpus against its manifest: every command of
 tools/byte_corpus.py, run in this process, keeps its exit code and the
-bytes of its stdout (less diagnostics.blas), stderr and artifacts.
+bytes of its stdout, stderr and artifacts; and a few commands, each run
+in a fresh interpreter, print and write the same bytes.
 
 A change that moves a byte on purpose rewrites the manifest in the same
 commit (python3 tools/byte_corpus.py --manifest OUT_DIR).  The manifest
 holds the environment it was recorded under; another numpy, scipy,
-OpenBLAS core or numpy SIMD target can move last bits, so there the
-test fails and names both environments instead of comparing.
+OpenBLAS build or core, or numpy SIMD target can move last bits, so
+there the tests fail and name both environments instead of comparing.
 """
 from __future__ import annotations
 
 import importlib.util
 import json
-import os
 import re
 import subprocess
 import sys
@@ -23,7 +23,11 @@ import pytest
 import ftcdf.cli as cli
 import ftcdf.kernels as kernels
 
+from conftest import src_env, start_env
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_corpus.py"
+# what the installed ftcdf script runs
+_SCRIPT = "import sys; from ftcdf.cli import main; sys.exit(main())"
 
 
 def _corpus_tool():
@@ -33,21 +37,44 @@ def _corpus_tool():
     return module
 
 
-def test_corpus_matches_manifest(tmp_path, monkeypatch):
-    corpus = _corpus_tool()
+def _recorded_entries(corpus) -> dict:
+    """The manifest's entries, once its stamp is this environment's."""
     recorded = json.loads(corpus.MANIFEST.read_text())
     stamp = corpus.environment_stamp()
     assert stamp == recorded["stamp"], (
         f"the manifest was recorded under {recorded['stamp']}, and this "
-        f"run is under {stamp}: compare a fresh-process run "
-        f"(tools/byte_corpus.py) with one under the recorded environment")
+        f"run is under {stamp}: run tools/byte_corpus.py here and under "
+        f"the recorded environment, and diff -r the two trees")
+    return recorded["entries"]
+
+
+def test_corpus_matches_manifest(tmp_path, monkeypatch):
+    corpus = _corpus_tool()
+    want = _recorded_entries(corpus)
     # the tables a command uses are built as in a fresh process
     monkeypatch.setattr(kernels, "_TABLE_CACHE", {})
     got = corpus.run_in_process(tmp_path)
-    want = recorded["entries"]
     moved = sorted(name for name in want.keys() | got.keys()
                    if want.get(name) != got.get(name))
     assert not moved, f"corpus entries that moved: {moved}"
+
+
+@pytest.mark.parametrize("name", [
+    "estimate-auto-normal", "survival-smooth-weibull",
+    "simulate-polya-bandlimited-workers2", "refused-kernel-table-json"])
+def test_fresh_process_matches_manifest(tmp_path, name):
+    # what the ftcdf script prints with OPENBLAS_NUM_THREADS unset, the
+    # start-up rule's case: the manifest pins caller_threads [1]
+    corpus = _corpus_tool()
+    want = _recorded_entries(corpus)[name]
+    corpus.write_inputs(tmp_path / "inputs")
+    args = [a.replace("OUT/", f"{name}/")
+            for a in dict(corpus.commands())[name]]
+    (tmp_path / name).mkdir()
+    done = subprocess.run([sys.executable, "-c", _SCRIPT, *args],
+                          cwd=tmp_path, env=start_env(), capture_output=True)
+    corpus.record(tmp_path / name, done.stdout, done.stderr, done.returncode)
+    assert corpus.manifest_entry(tmp_path / name) == want
 
 
 def test_manifest_pins_every_documented_exit_code():
@@ -75,7 +102,7 @@ def test_stamp_names_the_numpy_simd_targets():
             "tool = importlib.util.module_from_spec(spec)\n"
             "spec.loader.exec_module(tool)\n"
             "print(json.dumps(tool.environment_stamp()))\n")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+    env = src_env(NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
     done = subprocess.run([sys.executable, "-c", code, str(TOOL)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

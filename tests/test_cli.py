@@ -27,6 +27,8 @@ from ftcdf.kernels import (SMOOTH, TRAPEZOID, FlatTopSpec, get_table,
 from ftcdf.simulate import builtin_scenario, run_scenario
 from ftcdf.survival import smoothed_survival_on_grid
 
+from conftest import blas_threads, needs_openblas, src_env, start_env
+
 
 def _refuse_constant(name):
     raise AssertionError(f"{name} is not JSON")
@@ -381,6 +383,18 @@ class TestEstimate:
         monkeypatch.setattr(bandwidth, "MAX_KERNEL_TERMS", 327_680)
         assert run_cli(capsys, "estimate", "--kernel", "gaussian",
                        "--input", sample_csv)[0] == 0
+
+    def test_other_exceptions_propagate(self, capsys, monkeypatch,
+                                        sample_csv):
+        # exit 5 is the ValueError family; any other exception is a bug,
+        # which no error document hides
+        def buggy(*args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "evaluate_on_grid", buggy)
+        with pytest.raises(RuntimeError, match="^bug$"):
+            main(["estimate", "--input", sample_csv, "--bandwidth", "0.5"])
+        assert capsys.readouterr() == ("", "")
 
 
 class TestSurvival:
@@ -1205,13 +1219,6 @@ class TestSimulate:
                        "at least two events"}
 
 
-def _threads():
-    return [get() for _, get, _ in blas._blas_libraries()]
-
-
-needs_openblas = pytest.mark.skipif(not blas._blas_libraries(),
-                                    reason="no OpenBLAS loaded")
-
 # one quick run of each command; CSV and CENSORED name the inputs, OUT
 # the CSV path
 _EVERY_COMMAND = {
@@ -1227,24 +1234,10 @@ _EVERY_COMMAND = {
 }
 
 
-def _repo_src_env(**extra):
-    src = Path(__file__).resolve().parents[1] / "src"
-    return {**os.environ, "PYTHONPATH": str(src), **extra}
-
-
-def _start_env(threads=None):
-    """_repo_src_env with OPENBLAS_NUM_THREADS unset, or set to threads."""
-    env = _repo_src_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    return env
-
-
 def _fresh_json(code, env=None):
     """The JSON last line that code prints in a fresh interpreter."""
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env or _repo_src_env())
+                          text=True, env=env or src_env())
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -1306,13 +1299,13 @@ class TestBlasGuard:
         real = cli.iolib.read_sample_csv
 
         def recording(*args):
-            seen.append(_threads())
+            seen.append(blas_threads())
             return real(*args)
 
         monkeypatch.setattr(cli.iolib, "read_sample_csv", recording)
         assert run_cli(capsys, "estimate", "--input", path)[0] == code
         assert seen == [[1] * len(caller_threads)]
-        assert _threads() == caller_threads
+        assert blas_threads() == caller_threads
 
     @needs_openblas
     def test_import_leaves_the_thread_count(self):
@@ -1324,9 +1317,9 @@ class TestBlasGuard:
                 "print([get() for _, get, _ in libs])\n")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True,
-                              env=_repo_src_env())
+                              env=src_env())
         assert done.returncode == 0, done.stderr
-        assert done.stdout == f"{[3] * len(_threads())}\n"
+        assert done.stdout == f"{[3] * len(blas_threads())}\n"
 
     def test_same_bytes_at_one_and_two_threads(self, tmp_path):
         # at the OpenBLAS default this input printed 13 of 257 rows with
@@ -1344,7 +1337,7 @@ class TestBlasGuard:
                  str(data), "--bandwidth", "0.2", "--grid", "-5:5:257",
                  "--output", "curve.csv"],
                 capture_output=True, text=True, cwd=run_dir,
-                env=_repo_src_env(OPENBLAS_NUM_THREADS=threads))
+                env=src_env(OPENBLAS_NUM_THREADS=threads))
             assert done.returncode == 0, done.stderr
             doc = strict_json(done.stdout)
             blas_doc = doc["diagnostics"]["blas"]
@@ -1377,7 +1370,7 @@ class TestStartUp:
                              ids=["unset", "caller-2"])
     def test_import_loads_numpy_at_the_set_count(self, threads, at_load):
         self._threads_available(threads)
-        variable, counts = _fresh_json(self._PROBE, _start_env(threads))
+        variable, counts = _fresh_json(self._PROBE, start_env(threads))
         assert variable == at_load
         assert counts and counts == [int(at_load)] * len(counts)
 
@@ -1388,7 +1381,7 @@ class TestStartUp:
         self._threads_available(threads)
         done = subprocess.run([sys.executable, "-m", "ftcdf.cli",
                                *_DEFICIENCY], capture_output=True, text=True,
-                              env=_start_env(threads))
+                              env=start_env(threads))
         assert done.returncode == 0, done.stderr
         blas_doc = strict_json(done.stdout)["diagnostics"]["blas"]
         assert blas_doc["libraries"]
@@ -1402,7 +1395,7 @@ class TestStartUp:
             "before = dict(os.environ)\n"
             "import ftcdf.cli\n"
             "print(json.dumps(dict(os.environ) == before))\n",
-            _start_env()) is True
+            start_env()) is True
 
 
 class TestPoolLoad:

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
 import math
-import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +29,7 @@ from ftcdf.kernels import (
     window,
 )
 from ftcdf.quadrature import QuadratureError, adaptive_quad
+from conftest import src_env
 from oracles import (SMOOTH_CROSS_MOMENTS, gaussian_cross_moment,
                      spline_intervals, trapezoid_cross_moment_by_quad)
 
@@ -592,14 +591,13 @@ def test_nan_argument_stays_nan():
 
 
 def test_tables_import_no_scipy_interpolate():
-    src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, ftcdf.cli\n"
             "from ftcdf.kernels import FlatTopSpec, get_table\n"
             "get_table(FlatTopSpec('trapezoid')); get_table(FlatTopSpec('smooth'))\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith('scipy.interpolate')))\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                          text=True, env=src_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 

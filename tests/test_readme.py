@@ -53,5 +53,5 @@ def test_readme_counts_the_byte_corpus():
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     text = " ".join(README.read_text(encoding="utf-8").split())
-    [count] = re.findall(r"(\d+) commands, one fresh process each", text)
+    [count] = re.findall(r"(\d+) commands, all in one process", text)
     assert int(count) == len(list(corpus.commands()))

@@ -14,7 +14,6 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property, partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from ftcdf.estimators import DegenerateSampleError
 from ftcdf.simulate import (BUILTIN_SCENARIOS, MAX_REPLICATIONS,
                             MAX_SAMPLE_SIZE, MseReport,
                             Scenario, builtin_scenario, run_scenario)
+from conftest import blas_threads, needs_openblas, src_env
 from oracles import report_cell
 
 
@@ -110,6 +110,18 @@ class TestScenario:
         with pytest.raises(ValueError, match="survival"):
             Scenario(**{**good, "censor_dist": DistSpec("normal")})
 
+    def test_repeated_size_refused(self):
+        # the study would print each of its cells twice; 15 and 15.0 are
+        # one size, and a scenario file is checked as --n is
+        sc = builtin_scenario("normal-iid")
+        for sizes in ((15, 15), (15, 30, 15.0)):
+            with pytest.raises(ValueError,
+                               match="^sample size 15 is named twice$"):
+                builtin_scenario("normal-iid", sample_sizes=sizes)
+            with pytest.raises(ValueError,
+                               match="^sample size 15 is named twice$"):
+                Scenario.from_dict({**sc.to_dict(), "sample_sizes": sizes})
+
     def test_dict_roundtrip(self):
         sc = builtin_scenario("weibull-censored", seed=11, replications=7)
         assert Scenario.from_dict(sc.to_dict()) == sc
@@ -191,7 +203,7 @@ class TestRunScenario:
     def test_give_up_names_the_last_error(self):
         # one observation: every attempt fails in the CV arm
         sc = builtin_scenario("normal-iid", replications=1, sample_sizes=(1,))
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(ValueError) as info:
             run_scenario(sc, estimators=("gauss-cv",))
         assert str(info.value) == (
             "replication 0 failed 100 times; the last attempt raised "
@@ -202,7 +214,7 @@ class TestRunScenario:
         # the threshold rule refuses a one-row draw as too few rows, and
         # the study retries it as it retries a failed selection
         sc = builtin_scenario("normal-iid", replications=1, sample_sizes=(1,))
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(ValueError) as info:
             run_scenario(sc, estimators=("trap-auto",))
         assert str(info.value) == (
             "replication 0 failed 100 times; the last attempt raised "
@@ -342,7 +354,7 @@ class TestRetries:
         monkeypatch.setattr(sim, "_fit", hopeless)
         sc = builtin_scenario("normal-iid", seed=3, replications=1,
                               sample_sizes=(15,))
-        with pytest.raises(RuntimeError, match="failed"):
+        with pytest.raises(ValueError, match="failed"):
             run_scenario(sc, estimators=("trap-auto",))
 
     def test_degenerate_draw_is_retried(self, monkeypatch):
@@ -432,21 +444,13 @@ class TestRetries:
         assert len(ecf_calls) == len(measure_calls) == attempt + 1
 
 
-needs_openblas = pytest.mark.skipif(not blas._blas_libraries(),
-                                    reason="no OpenBLAS loaded")
-
-
-def _threads():
-    return [get() for _, get, _ in blas._blas_libraries()]
-
-
 def _probe_threads(probe_dir, fn, *args):
     """Appends the BLAS thread counts this process sees, then its own OS
     thread count, to its file in probe_dir, and runs fn; at module level,
     so spawned workers load it."""
     tasks = len(os.listdir("/proc/self/task"))
     with open(os.path.join(probe_dir, f"{os.getpid()}.txt"), "a") as fh:
-        fh.write(" ".join(map(str, _threads() + [tasks])) + "\n")
+        fh.write(" ".join(map(str, blas_threads() + [tasks])) + "\n")
     return fn(*args)
 
 
@@ -467,7 +471,7 @@ class TestBlasGuard:
         sc = builtin_scenario("normal-iid", seed=3, replications=2,
                               sample_sizes=(15,))
         rep = run_scenario(sc, estimators=("edf",), workers=workers)
-        assert _threads() == caller_threads
+        assert blas_threads() == caller_threads
         names = [name for name, _, _ in blas._blas_libraries()]
         assert rep.blas == {"libraries": names,
                             "caller_threads": caller_threads, "threads": 1}
@@ -475,8 +479,8 @@ class TestBlasGuard:
     @pytest.mark.parametrize("workers, estimators, patch, error, match", [
         (0, ("edf",), None, ValueError, "workers must be >= 1"),
         (1, ("epanechnikov",), None, ValueError, "unknown estimator"),
-        (1, ("trap-auto",), _hopeless, RuntimeError, "failed 100 times"),
-        (2, ("trap-auto",), _hopeless, RuntimeError, "failed 100 times"),
+        (1, ("trap-auto",), _hopeless, ValueError, "failed 100 times"),
+        (2, ("trap-auto",), _hopeless, ValueError, "failed 100 times"),
         (1, ("trap-auto",), _buggy, ValueError, "^bug$"),
         (2, ("trap-auto",), _buggy, ValueError, "^bug$"),
     ])
@@ -491,7 +495,7 @@ class TestBlasGuard:
                               sample_sizes=(15,))
         with pytest.raises(error, match=match):
             run_scenario(sc, estimators=estimators, workers=workers)
-        assert _threads() == caller_threads
+        assert blas_threads() == caller_threads
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_replication_runs_at_one_thread(self, monkeypatch,
@@ -503,7 +507,7 @@ class TestBlasGuard:
 
         def recording(*args):
             with open(tmp_path / f"{os.getpid()}.txt", "a") as fh:
-                fh.write(" ".join(map(str, _threads())) + "\n")
+                fh.write(" ".join(map(str, blas_threads())) + "\n")
             return real(*args)
 
         monkeypatch.setattr(sim, "_fit", recording)
@@ -557,7 +561,6 @@ class TestBlasGuard:
         # scipy's build carries no ftcdf arithmetic: a study run while it
         # sits at 2 threads reports and sets numpy's build only, leaves
         # scipy's count alone, and writes the bits of a run at 1 thread
-        src = Path(__file__).resolve().parents[1] / "src"
         code = ("import ctypes, json\n"
                 "import scipy.special._ufuncs as ufuncs\n"
                 "from ftcdf import blas\n"
@@ -572,7 +575,7 @@ class TestBlasGuard:
                 "                  report.to_csv()]))\n")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+                              env=src_env())
         assert done.returncode == 0, done.stderr
         reported, before, after, csv = json.loads(done.stdout)
         assert reported == [name for name, _, _ in blas._blas_libraries()]
@@ -607,13 +610,13 @@ class TestBlasDiscovery:
         sc = builtin_scenario("weibull-censored", seed=4, replications=3,
                               sample_sizes=(15,))
         guarded = run_scenario(sc, workers=1)
-        before = _threads()
+        before = blas_threads()
         monkeypatch.setattr(blas, "_BLAS_THREAD_SYMBOLS",
                             (("no_such_get", "no_such_set"),))
         assert blas._blas_libraries() == []
         bare = run_scenario(sc, workers=1)
         monkeypatch.undo()
-        assert _threads() == before
+        assert blas_threads() == before
         assert bare.to_csv() == guarded.to_csv()
         assert bare.blas == {"libraries": [], "caller_threads": [],
                              "threads": None}

@@ -3,39 +3,27 @@ writes.
 
 Usage: python3 tools/byte_corpus.py [--manifest] OUT_DIR
 
-Writes seeded inputs to OUT_DIR/inputs, then runs each command of
-the corpus in a fresh interpreter that imports ftcdf from the ``src``
-directory of the checkout holding this script, with OUT_DIR as the
-working directory, so that the paths a command echoes are the same
+Writes seeded inputs to OUT_DIR/inputs, then runs each command of the
+corpus in this process through ``ftcdf.cli.main``, imported from the
+``src`` directory of the checkout holding this script, with OUT_DIR as
+the working directory, so that the paths a command echoes are the same
 for any checkout.  Command NAME leaves OUT_DIR/NAME/ holding
 ``stdout``, ``stderr``, ``exit`` (the exit code) and the artifacts it
-wrote.  The commands run one at a time.
+wrote.  The commands run one at a time, inside one
+``ftcdf.blas._one_blas_thread``: each starts with numpy's OpenBLAS at
+one thread, as a fresh ``ftcdf`` process does under the CLI's start-up
+rule, so each writes the bytes a fresh process writes,
+``diagnostics.blas`` included.
 
-With ``--manifest`` the commands run in this process instead, through
-``ftcdf.cli.main``, with the same inputs and working directory, into
-the same layout, and the script rewrites the manifest
+With ``--manifest`` the script also rewrites the manifest
 ``tools/byte_corpus.json``: the environment stamp and, for each
 command, its exit code and the SHA-256 of its stdout, stderr and each
-artifact.  The stdout hash leaves out ``diagnostics.blas``, which
-depends on the process (in one process, the caller's thread count of
-numpy's OpenBLAS).  The tier-1 test
-``tests/test_byte_corpus.py`` runs the corpus the same way and compares
-it with the manifest, so a change that moves a byte rewrites the
-manifest in the same commit.  A fresh-process run stays the check of
-what only a fresh process shows: the start-up rule and
-``caller_threads``.
+artifact.  The tier-1 test ``tests/test_byte_corpus.py`` runs the
+corpus the same way and compares it with the manifest, so a change
+that moves a byte rewrites the manifest in the same commit.
 
-To compare two checkouts, run the script from each (copy it into a
-checkout that predates it) into two directories and ``diff -r`` them:
-the difference is the byte report.  The CLI runs every command with
-OpenBLAS at one thread, and sets ``OPENBLAS_NUM_THREADS=1`` before
-numpy loads unless the variable is set, so no BLAS variable needs
-setting.  A checkout from before the CLI set the variable prints the
-OpenBLAS default as ``diagnostics.blas.caller_threads`` when it is
-unset, so against such a checkout run both sides with
-``OPENBLAS_NUM_THREADS=1``; unset, their stdout documents differ in
-that field alone.  A checkout from before the CLI ran at one thread
-needs the variable for its outputs to be comparable at all.
+To compare two checkouts, run the script from each into two
+directories and ``diff -r`` them: the difference is the byte report.
 """
 from __future__ import annotations
 
@@ -45,7 +33,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -56,10 +43,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MANIFEST = Path(__file__).resolve().with_name("byte_corpus.json")
 # what a command directory holds besides its artifacts
 STREAMS = ("stdout", "stderr", "exit")
-CLI = "import sys; from ftcdf.cli import main; sys.exit(main())"
-CHECK = ("import sys, ftcdf.cli; from pathlib import Path; "
-         "sys.exit(Path(ftcdf.cli.__file__).resolve().parents[1] != "
-         "Path(sys.argv[1]))")
 
 INPUTS = ("normal", "weibull", "tiny")
 # one sample written in each form the reader takes: plain files, which
@@ -125,11 +108,13 @@ DEFICIENCY = (
 # cross-validation (exit 2), a range grid that repeats a point and
 # negative frequencies (exit 4), a smooth table that misses its tol, a
 # class parameter the deficiency assumption does not take, flags the
-# deficiency expansion mode does not take, an estimator named twice,
-# data whose spread is below the least subnormal, a premultiplier the
-# band-limited deficiency does not read and a one-row sample, whose
-# noise threshold is 0 (exit 5), a scenario file without its
-# distributions (exit 4), and an input file that is not there (exit 3)
+# deficiency expansion mode does not take, an estimator named twice, a
+# sample size named twice, data whose spread is below the least
+# subnormal, a premultiplier the band-limited deficiency does not read,
+# a one-row sample, whose noise threshold is 0, and a flat-top study of
+# one-row draws, which exhausts its retries (exit 5), a scenario file
+# without its distributions (exit 4), and an input file that is not
+# there (exit 3)
 REFUSALS = (
     ("kernel-table-json", ["kernel-table", "--json", "OUT/t.json"]),
     ("kernel-table-gaussian", ["kernel-table", "--kernel", "gaussian"]),
@@ -166,6 +151,9 @@ REFUSALS = (
     ("simulate-estimators-repeated", ["simulate", "--scenario", "normal-iid",
                                       "--n", "15", "--reps", "2",
                                       "--estimators", "edf,edf"]),
+    ("simulate-sizes-repeated", ["simulate", "--scenario", "normal-iid",
+                                 "--n", "15,15", "--reps", "2",
+                                 "--estimators", "edf"]),
     ("bandwidth-cv-subnormal-spread", ["bandwidth", "--input",
                                        "inputs/subnormal-spread.csv",
                                        "--method", "cv"]),
@@ -173,6 +161,9 @@ REFUSALS = (
                                    "band-limited", "--F", "0.5", "--f",
                                    "0.25", "--a", "3", "--n", "100"]),
     ("estimate-one-row", ["estimate", "--input", "inputs/one.csv"]),
+    ("simulate-one-row-flat-top", ["simulate", "--scenario", "normal-iid",
+                                   "--n", "1", "--reps", "1", "--seed", "7",
+                                   "--estimators", "trap-auto"]),
     ("estimate-missing-input", ["estimate", "--input",
                                 "inputs/missing.csv"]),
     ("simulate-scenario-incomplete", ["simulate", "--scenario",
@@ -372,12 +363,15 @@ def commands():
 def environment_stamp() -> dict:
     """What the corpus's last bits depend on besides the source: the
     numpy and scipy versions, the build string of numpy's OpenBLAS,
-    which names the core its kernels were chosen for, and the SIMD
+    which names the core its kernels were chosen for, the file name of
+    that library as diagnostics.blas.libraries prints it, and the SIMD
     targets numpy dispatches to on this CPU (NPY_DISABLE_CPU_FEATURES
     can narrow them, and turning the AVX-512 ones off moves bytes of
     the smooth tables and fits, the Gaussian fits and every study)."""
     import scipy
     from numpy._core import _multiarray_umath
+
+    from ftcdf.blas import _blas_libraries
     # symbols resolve through numpy's own extension, whatever else loaded
     lib, config = ctypes.CDLL(_multiarray_umath.__file__), None
     for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
@@ -390,29 +384,13 @@ def environment_stamp() -> dict:
     simd = [target for target in _multiarray_umath.__cpu_dispatch__
             if _multiarray_umath.__cpu_features__.get(target)]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "openblas": config, "numpy_simd": simd}
+            "openblas": config,
+            "blas_libraries": [name for name, _, _ in _blas_libraries()],
+            "numpy_simd": simd}
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _without_blas(stdout: bytes) -> bytes:
-    """The stdout document without diagnostics.blas, in the document's
-    own layout; any stdout that is not such a document, as it is."""
-    try:
-        doc = json.loads(stdout)
-    except ValueError:
-        return stdout
-    if not isinstance(doc, dict) or _layout(doc) != stdout:
-        return stdout
-    doc.get("diagnostics", {}).pop("blas", None)
-    return _layout(doc)
-
-
-def _layout(doc: dict) -> bytes:
-    """A document as the CLI prints it (ftcdf.io.dump_json)."""
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def manifest_entry(directory: Path) -> dict:
@@ -422,13 +400,13 @@ def manifest_entry(directory: Path) -> dict:
                  for p in sorted(directory.rglob("*"))
                  if p.is_file() and p.name not in STREAMS}
     return {"exit": int((directory / "exit").read_text()),
-            "stdout": _sha256(_without_blas(
-                (directory / "stdout").read_bytes())),
+            "stdout": _sha256((directory / "stdout").read_bytes()),
             "stderr": _sha256((directory / "stderr").read_bytes()),
             "artifacts": artifacts}
 
 
-def _record(directory: Path, stdout: bytes, stderr: bytes, code: int):
+def record(directory: Path, stdout: bytes, stderr: bytes, code: int):
+    """Writes one command's streams and exit code into its directory."""
     (directory / "stdout").write_bytes(stdout)
     (directory / "stderr").write_bytes(stderr)
     (directory / "exit").write_text(f"{code}\n")
@@ -436,71 +414,61 @@ def _record(directory: Path, stdout: bytes, stderr: bytes, code: int):
 
 def run_in_process(out: Path, log=None) -> dict:
     """Runs the corpus through ftcdf.cli.main in this process into out,
-    with out as the working directory; returns {name: manifest entry}.
-    log, if given, is called with each name, exit code and seconds."""
+    with out as the working directory and numpy's OpenBLAS at one
+    thread; returns {name: manifest entry}.  log, if given, is called
+    with each name, exit code and seconds."""
+    from ftcdf.blas import _one_blas_thread
     from ftcdf.cli import main as cli_main
     out = out.resolve()
     write_inputs(out / "inputs")
     entries, cwd = {}, os.getcwd()
     os.chdir(out)
     try:
-        for name, args in commands():
-            (out / name).mkdir(parents=True, exist_ok=True)
-            args = [a.replace("OUT/", f"{name}/") for a in args]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            t0 = time.perf_counter()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                try:
-                    code = cli_main(args)
-                except SystemExit as exc:  # a usage error
-                    code = exc.code
-            seconds = time.perf_counter() - t0
-            _record(out / name, stdout.getvalue().encode(),
-                    stderr.getvalue().encode(), code)
-            entries[name] = manifest_entry(out / name)
-            if log is not None:
-                log(name, code, seconds)
+        with _one_blas_thread():
+            for name, args in commands():
+                here = out / name
+                here.mkdir(parents=True, exist_ok=True)
+                args = [a.replace("OUT/", f"{name}/") for a in args]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                t0 = time.perf_counter()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    try:
+                        code = cli_main(args)
+                    except SystemExit as exc:  # a usage error
+                        code = exc.code
+                seconds = time.perf_counter() - t0
+                record(here, stdout.getvalue().encode(),
+                       stderr.getvalue().encode(), code)
+                entries[name] = manifest_entry(here)
+                if log is not None:
+                    log(name, code, seconds)
     finally:
         os.chdir(cwd)
     return entries
 
 
-def write_manifest(out: Path) -> None:
-    """Runs the corpus in process into out and rewrites MANIFEST."""
-    entries = run_in_process(
-        out, lambda name, code, seconds:
-        print(f"{code} {seconds:7.3f}s {name}", flush=True))
-    MANIFEST.write_text(json.dumps(
-        {"stamp": environment_stamp(), "entries": entries},
-        indent=1, sort_keys=True) + "\n")
-
-
 def main(argv) -> int:
-    in_process = argv[:1] == ["--manifest"]
-    argv = argv[1:] if in_process else argv
+    manifest = argv[:1] == ["--manifest"]
+    argv = argv[1:] if manifest else argv
     if len(argv) != 1:
         sys.stderr.write("usage: byte_corpus.py [--manifest] OUT_DIR\n")
         return 2
-    out = Path(argv[0]).resolve()
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    if subprocess.run([sys.executable, "-c", CHECK, str(SRC)],
-                      env=env).returncode != 0:
+    # an installed ftcdf must not answer for this checkout
+    sys.path.insert(0, str(SRC))
+    import ftcdf.cli
+    if Path(ftcdf.cli.__file__).resolve().parents[1] != SRC:
         sys.stderr.write(f"ftcdf does not import from {SRC}\n")
         return 1
-    if in_process:
-        sys.path.insert(0, str(SRC))
-        out.mkdir(parents=True, exist_ok=True)
-        write_manifest(out)
-        return 0
-    write_inputs(out / "inputs")
-    for name, args in commands():
-        (out / name).mkdir(parents=True, exist_ok=True)
-        args = [a.replace("OUT/", f"{name}/") for a in args]
-        done = subprocess.run([sys.executable, "-c", CLI, *args], cwd=out,
-                              env=env, capture_output=True)
-        _record(out / name, done.stdout, done.stderr, done.returncode)
-        print(f"{done.returncode} {name}", flush=True)
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    entries = run_in_process(
+        out, lambda name, code, seconds:
+        print(f"{code} {seconds:7.3f}s {name}", flush=True))
+    if manifest:
+        MANIFEST.write_text(json.dumps(
+            {"stamp": environment_stamp(), "entries": entries},
+            indent=1, sort_keys=True) + "\n")
     return 0
 
 
